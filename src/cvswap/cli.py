@@ -9,9 +9,30 @@ Subcommands:
                       crossing
 * ``selftest``        algebra/oracle invariant suite
 
+Each sweep is one batched evaluation through :func:`cvswap.metrics.ch_kernel`,
+the single CH-assembly path, with as few circuit builds as the physics
+allows:
+
+* ``fig3`` builds once per squeezing level and evaluates the whole angle grid
+  in one kernel call.
+* ``fig4`` builds twice per squeezing level, at gain 0 and gain 1.  The gain
+  enters the network only through the feedforward displacement, which is
+  linear in it, so D'(g) = D'(0) + g (D'(1) - D'(0)) exactly; every
+  canonical-commutator and Hermiticity check in the build acts on fields
+  that do not depend on the gain, so the two builds run every check that a
+  build per gain would.
+* ``threshold-scan`` builds once per (efficiency, level) point, since the
+  efficiency sets the homodyne loss and the optimal gain, and evaluates all
+  points in one kernel call.
+
+The gain, angle and efficiency grids use the scalar expression
+``lo + (hi - lo) * k / (steps - 1)`` elementwise.
+
 Defaults may be placed in a flat ``key = value`` config file (``#`` comments);
-command-line flags override file values.  Exit codes: 0 success, 1 bad
-flags/config, 2 degenerate physics (no coincidences), 3 selftest failure.
+command-line flags override file values.  Squeezing levels name their CSV
+columns by whole percent, so levels that round to the same percent are
+rejected.  Exit codes: 0 success, 1 bad flags/config, 2 degenerate physics
+(no coincidences), 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -21,14 +42,19 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
-from .circuit import SwapParams, build_swap_circuit
+import numpy as np
+
+from .circuit import SwapCircuitOutput, SwapParams, build_swap_circuit
 from .metrics import (
     OPTIMAL_ANGLES,
+    DenseBeam,
     NoCoincidencesError,
     angle_family,
+    ch_kernel,
     ch_s,
+    dense_beams,
     optimal_gain,
     squeezing_to_chi,
 )
@@ -62,9 +88,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.squeezing_levels:
             raise ValueError("at least one squeezing level is required")
+        columns: dict[str, float] = {}
         for s in self.squeezing_levels:
             if not 0.0 <= s < 1.0:
                 raise ValueError(f"squeezing must lie in [0, 1), got {s}")
+            if _pct(s) in columns:
+                raise ValueError(f"squeezing levels {columns[_pct(s)]} and {s} share "
+                                 f"the CSV column suffix _{_pct(s)}; levels must "
+                                 "differ in whole percent")
+            columns[_pct(s)] = s
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.chi1 < 0 or not math.isfinite(self.chi1):
@@ -74,6 +106,10 @@ class ExperimentConfig:
                             ("eta_steps", self.eta_steps)):
             if steps < 2:
                 raise ValueError(f"{name} must be >= 2, got {steps}")
+        # the gain grid's one intermediate that can overflow; nan and inf bounds land here too
+        if not math.isfinite((self.lambda_max - self.lambda_min) * (self.lambda_steps - 1)):
+            raise ValueError(f"lambda grid must be finite, got min {self.lambda_min}, "
+                             f"max {self.lambda_max}")
         if self.lambda_min <= 0 or self.lambda_max <= self.lambda_min:
             raise ValueError("lambda grid must satisfy 0 < min < max")
         if not 0.0 < self.eta_min < self.eta_max <= 1.0:
@@ -227,19 +263,55 @@ def _pct(level: float) -> str:
     return str(round(level * 100))
 
 
+def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    return lo + (hi - lo) * np.arange(steps) / (steps - 1)
+
+
+def _dense_swap_beams(outputs: Iterable[SwapCircuitOutput]) -> tuple[DenseBeam, DenseBeam]:
+    # beams A and D' stacked on axis 0; each circuit is exported as it comes,
+    # so no more than one circuit's dict fields are alive at a time
+    exported = [dense_beams([out.beam_a, out.beam_d_prime], len(out.registry))
+                for out in outputs]
+    ann = np.stack([part[0] for part in exported])
+    cre = np.stack([part[1] for part in exported])
+    return (ann[:, 0], cre[:, 0]), (ann[:, 1], cre[:, 1])
+
+
+def gain_sweep_beams(chi1: float, chi2s: Sequence[float], eta: float,
+                     gains: np.ndarray) -> tuple[DenseBeam, DenseBeam]:
+    """Dense beams A, of shape (len(chi2s), 2, n), and D'(gain), of shape
+    (len(gains), len(chi2s), 2, n), from two builds per chi2.
+
+    feedforward_displace is linear in the gain and no other component sees
+    it, so D'(g) = D'(0) + g (D'(1) - D'(0)); A does not depend on the gain.
+    """
+    beam_a, d_zero = _dense_swap_beams(
+        build_swap_circuit(SwapParams(chi1, chi2, 0.0, eta)) for chi2 in chi2s)
+    _, d_one = _dense_swap_beams(
+        build_swap_circuit(SwapParams(chi1, chi2, 1.0, eta)) for chi2 in chi2s)
+    g = gains[:, None, None, None]
+    ann, cre = (g * (one - zero) for zero, one in zip(d_zero, d_one))
+    ann += d_zero[0]  # in place: no second (gains, levels, 2, n) temporary
+    cre += d_zero[1]
+    return beam_a, (ann, cre)
+
+
+def _write_columns(config: ExperimentConfig, stem: str, header: Sequence[str],
+                   grid: np.ndarray, s: np.ndarray, stream: TextIO) -> list[list[float]]:
+    rows = np.column_stack([grid, s]).tolist()
+    _emit(config, stem, header, rows, stream)
+    return rows
+
+
 def cmd_fig3(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs analyzer angle at unity gain, one column per squeezing level."""
-    circuits = [build_swap_circuit(SwapParams(config.chi1, squeezing_to_chi(level),
-                                              1.0, config.eta))
-                for level in config.squeezing_levels]
+    outputs = (build_swap_circuit(SwapParams(config.chi1, squeezing_to_chi(level),
+                                             1.0, config.eta))
+               for level in config.squeezing_levels)
     header = ["theta_a_rad"] + [f"s_{_pct(level)}" for level in config.squeezing_levels]
-    rows = []
-    span = math.pi / 2
-    for k in range(config.angle_steps):
-        theta = span * k / (config.angle_steps - 1)
-        angles = angle_family(theta)
-        rows.append([theta] + [ch_s(circuit, angles).s for circuit in circuits])
-    _emit(config, "fig3", header, rows, stream)
+    thetas = _grid(0.0, math.pi / 2, config.angle_steps)
+    s = ch_kernel(*_dense_swap_beams(outputs), angle_family(thetas[:, None]))["s"]
+    _write_columns(config, "fig3", header, thetas, s, stream)
     return 0
 
 
@@ -247,16 +319,10 @@ def cmd_fig4(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs feedforward gain at the maximizing angles, per squeezing level."""
     chis = [squeezing_to_chi(level) for level in config.squeezing_levels]
     header = ["lambda"] + [f"s_{_pct(level)}" for level in config.squeezing_levels]
-    rows = []
-    for k in range(config.lambda_steps):
-        gain = (config.lambda_min
-                + (config.lambda_max - config.lambda_min) * k / (config.lambda_steps - 1))
-        row = [gain]
-        for chi2 in chis:
-            out = build_swap_circuit(SwapParams(config.chi1, chi2, gain, config.eta))
-            row.append(ch_s(out, OPTIMAL_ANGLES).s)
-        rows.append(row)
-    _emit(config, "fig4", header, rows, stream)
+    gains = _grid(config.lambda_min, config.lambda_max, config.lambda_steps)
+    beam_a, d_prime = gain_sweep_beams(config.chi1, chis, config.eta, gains)
+    s = ch_kernel(beam_a, d_prime, OPTIMAL_ANGLES)["s"]
+    _write_columns(config, "fig4", header, gains, s, stream)
     return 0
 
 
@@ -282,17 +348,13 @@ def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
     """S at optimal gain over an eta grid; prints the interpolated S=1 crossing."""
     chis = [squeezing_to_chi(level) for level in config.squeezing_levels]
     header = ["eta"] + [f"s_ad_{_pct(level)}" for level in config.squeezing_levels]
-    rows = []
-    for k in range(config.eta_steps):
-        eta = (config.eta_min
-               + (config.eta_max - config.eta_min) * k / (config.eta_steps - 1))
-        row = [eta]
-        for chi2 in chis:
-            out = build_swap_circuit(SwapParams(config.chi1, chi2,
-                                                optimal_gain(chi2, eta), eta))
-            row.append(ch_s(out, OPTIMAL_ANGLES).s)
-        rows.append(row)
-    _emit(config, "threshold_scan", header, rows, stream)
+    etas = _grid(config.eta_min, config.eta_max, config.eta_steps)
+    outputs = (build_swap_circuit(SwapParams(config.chi1, chi2,
+                                             optimal_gain(chi2, eta), eta))
+               for eta in etas.tolist() for chi2 in chis)
+    s = ch_kernel(*_dense_swap_beams(outputs), OPTIMAL_ANGLES)["s"]
+    rows = _write_columns(config, "threshold_scan", header, etas,
+                          s.reshape(len(etas), len(chis)), stream)
     for column, level in enumerate(config.squeezing_levels, start=1):
         crossing = _interpolate_crossing([row[0] for row in rows],
                                          [row[column] for row in rows])
@@ -388,6 +450,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     default_squeezing, default_eta = _COMMAND_DEFAULTS[args.command]
     try:
         config = _resolve_config(args, default_squeezing, default_eta)
+        if args.command == "operating-point" and config.eta == 0:
+            raise ValueError("operating-point needs eta > 0: the optimal gain "
+                             "tanh(chi2)/sqrt(eta) diverges at eta = 0")
     except (ValueError, OSError) as exc:
         print(f"cvswap: config error: {exc}", file=sys.stderr)
         return 1

@@ -16,16 +16,29 @@ E1(t) = cos(t) h + sin(t) v and E2(t) = cos(t) h - sin(t) v, which makes the
 pair-source coincidence amplitude proportional to sin(ta - tb) and the angle
 set above maximizing.  Measuring both arms with the same handedness flips the
 amplitude to sin(ta + tb) and the same angle set would not maximize S.
+
+Every CH ratio is assembled by one kernel, :func:`ch_kernel`.  It takes the
+beams as dense coefficient arrays with any leading batch axes and the
+analyzer angles as arrays that broadcast against them, so a whole sweep is
+one numpy computation; :func:`ch_s` and :func:`maximize_s` call it too.
+Because each analyzer field is linear in (cos t, sin t), all two-point
+contractions between the analyzed fields follow from 2x2 contraction
+matrices between the beams' polarization components, and each rate
+<e2+ e1+ e1 e2> is the closed three-pairing Isserlis (Wick) sum of them.
+:func:`coincidence_rate` keeps the general Wick sum over dict fields as the
+reference that the oracles and tests check the kernel against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .circuit import PolarizedBeam, SwapCircuitOutput
-from .modes import LinearField, vacuum_expectation
+from .modes import LinearField, dense_fields, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
@@ -37,6 +50,8 @@ __all__ = [
     "analyzer",
     "coincidence_rate",
     "singles_rate",
+    "dense_beams",
+    "ch_kernel",
     "ch_s",
     "analytic_rate_teleported",
     "analytic_singles_teleported",
@@ -51,6 +66,10 @@ __all__ = [
 _IMAG_TOL = 1e-12
 _RATE_FLOOR = -1e-12
 _DENOMINATOR_FLOOR = 1e-30
+
+#: A beam as dense (ann, cre) coefficient arrays of shape (..., 2, n_modes);
+#: axis -2 holds the (h, v) polarization components.
+DenseBeam = tuple[np.ndarray, np.ndarray]
 
 
 class NoCoincidencesError(Exception):
@@ -119,47 +138,125 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
     return coincidence_rate(e_other, beam.h) + coincidence_rate(e_other, beam.v)
 
 
-def _as_beam_pair(
+def dense_beams(beams: Sequence[PolarizedBeam], n_modes: int) -> DenseBeam:
+    """Stack beams as one DenseBeam of shape (len(beams), 2, n_modes)."""
+    ann, cre = dense_fields([f for beam in beams for f in (beam.h, beam.v)], n_modes)
+    shape = (len(beams), 2, n_modes)
+    return ann.reshape(shape), cre.reshape(shape)
+
+
+def _dense_pair(
     beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
-) -> tuple[PolarizedBeam, PolarizedBeam]:
+) -> tuple[DenseBeam, DenseBeam]:
+    # a batch of one beam pair over the modes the four fields use
     if isinstance(beams, SwapCircuitOutput):
-        return beams.beam_a, beams.beam_d_prime
-    first, second = beams
-    return first, second
+        beam_1, beam_2 = beams.beam_a, beams.beam_d_prime
+    else:
+        beam_1, beam_2 = beams
+    fields = (beam_1.h, beam_1.v, beam_2.h, beam_2.v)
+    n_modes = 1 + max((m for f in fields for m in f.modes()), default=0)
+    return dense_beams([beam_1], n_modes), dense_beams([beam_2], n_modes)
+
+
+def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # (..., 2, 2) matrices sum_m x[..., i, m] y[..., j, m]; einsum, unlike
+    # matmul, neither copies the operands nor starts BLAS (less peak memory)
+    return np.einsum("...im,...jm->...ij", x, y)
+
+
+def _form(u: np.ndarray, matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # u^T matrix w over the polarization axis, broadcast over the rest
+    return np.einsum("...i,...ij,...j->...", u, matrix, w)
+
+
+def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
+    # polarization weights of analyzer(beam, theta, side), stacked on axis -1
+    sign = {"a": 1.0, "d": -1.0}[side]
+    return np.stack(np.broadcast_arrays(np.cos(theta), sign * np.sin(theta)), axis=-1)
+
+
+def _checked_real(rate: np.ndarray) -> np.ndarray:
+    imaginary = np.abs(rate.imag) > _IMAG_TOL
+    if np.any(imaginary):
+        raise ValueError(f"coincidence rate has imaginary part "
+                         f"{rate.imag[imaginary].flat[0]:g}")
+    return rate.real
+
+
+def ch_kernel(beam_1: DenseBeam, beam_2: DenseBeam,
+              angles: AnalyzerAngles) -> dict[str, np.ndarray]:
+    """All six rates and the CH ratio, elementwise over a batch.
+
+    beam_1 is analyzed on the first arm ("a" handedness), beam_2 on the
+    second ("d").  The beams may carry any leading batch axes, and the four
+    angles of ``angles`` may be arrays; all of them broadcast together.
+    Returns arrays of the broadcast shape keyed by the CHResult field names.
+
+    Each rate <e2+ e1+ e1 e2> is the three-pairing Wick sum
+    <e2+ e1+><e1 e2> + <e2+ e1><e1+ e2> + <e2+ e2><e1+ e1>.  The checks are
+    those of coincidence_rate and ch_s, applied to every element: ValueError
+    on an imaginary part or a negative rate beyond tolerance,
+    NoCoincidencesError when a singles denominator underflows.
+    """
+    ann_1, cre_1 = beam_1
+    ann_2, cre_2 = beam_2
+    cre_1_conj, cre_2_conj = cre_1.conj(), cre_2.conj()
+    # per ordered beam pair (p, q): <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
+    pair_12 = (_contract(ann_1, cre_2), _contract(cre_1_conj, cre_2))
+    pair_21 = (_contract(ann_2, cre_1), _contract(cre_2_conj, cre_1))
+    gram_1 = _contract(cre_1_conj, cre_1)
+    gram_2 = _contract(cre_2_conj, cre_2)
+
+    def rate(u: np.ndarray, w: np.ndarray, pair: tuple[np.ndarray, np.ndarray],
+             gram_u: np.ndarray, gram_w: np.ndarray) -> np.ndarray:
+        # e1 = u . beam_p and e2 = w . beam_q, with u and w real
+        e1_e2 = _form(u, pair[0], w)
+        e1_dag_e2 = _form(u, pair[1], w)
+        return _checked_real(e1_e2.conj() * e1_e2 + e1_dag_e2.conj() * e1_dag_e2
+                             + _form(w, gram_w, w) * _form(u, gram_u, u))
+
+    u_a = _analyzer_vector(angles.theta_a, "a")
+    u_a_prime = _analyzer_vector(angles.theta_a_prime, "a")
+    w_b = _analyzer_vector(angles.theta_b, "d")
+    w_b_prime = _analyzer_vector(angles.theta_b_prime, "d")
+    h, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    rates = {
+        "r_ab": rate(u_a, w_b, pair_12, gram_1, gram_2),
+        "r_ab_prime": rate(u_a, w_b_prime, pair_12, gram_1, gram_2),
+        "r_a_prime_b": rate(u_a_prime, w_b, pair_12, gram_1, gram_2),
+        "r_a_prime_b_prime": rate(u_a_prime, w_b_prime, pair_12, gram_1, gram_2),
+        "r_singles_a": (rate(u_a_prime, h, pair_12, gram_1, gram_2)
+                        + rate(u_a_prime, v, pair_12, gram_1, gram_2)),
+        "r_singles_b": (rate(w_b, h, pair_21, gram_2, gram_1)
+                        + rate(w_b, v, pair_21, gram_2, gram_1)),
+    }
+    for name, value in rates.items():
+        negative = value < _RATE_FLOOR
+        if np.any(negative):
+            raise ValueError(f"{name} is negative beyond tolerance: "
+                             f"{value[negative].flat[0]:g}")
+
+    denominator = rates["r_singles_a"] + rates["r_singles_b"]
+    underflow = denominator <= _DENOMINATOR_FLOOR
+    if np.any(underflow):
+        raise NoCoincidencesError(
+            f"singles denominator {denominator[underflow].flat[0]:g} underflows; "
+            "no signal")
+    numerator = (rates["r_ab"] - rates["r_ab_prime"]
+                 + rates["r_a_prime_b"] + rates["r_a_prime_b_prime"])
+    rates["s"] = numerator / denominator
+    return rates
 
 
 def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
          angles: AnalyzerAngles) -> CHResult:
     """Evaluate all six rates and the CH ratio for a beam pair.
 
-    Raises NoCoincidencesError when the singles denominator underflows
-    (for example with the pump off).
+    A batch of one through :func:`ch_kernel`.  Raises NoCoincidencesError
+    when the singles denominator underflows (for example with the pump off).
     """
-    beam_1, beam_2 = _as_beam_pair(beams)
-    e_a = analyzer(beam_1, angles.theta_a, "a")
-    e_a_prime = analyzer(beam_1, angles.theta_a_prime, "a")
-    e_b = analyzer(beam_2, angles.theta_b, "d")
-    e_b_prime = analyzer(beam_2, angles.theta_b_prime, "d")
-
-    rates = {
-        "r_ab": coincidence_rate(e_a, e_b),
-        "r_ab_prime": coincidence_rate(e_a, e_b_prime),
-        "r_a_prime_b": coincidence_rate(e_a_prime, e_b),
-        "r_a_prime_b_prime": coincidence_rate(e_a_prime, e_b_prime),
-        "r_singles_a": singles_rate(e_a_prime, beam_2),
-        "r_singles_b": singles_rate(e_b, beam_1),
-    }
-    for name, value in rates.items():
-        if value < _RATE_FLOOR:
-            raise ValueError(f"{name} is negative beyond tolerance: {value:g}")
-
-    denominator = rates["r_singles_a"] + rates["r_singles_b"]
-    if denominator <= _DENOMINATOR_FLOOR:
-        raise NoCoincidencesError(
-            f"singles denominator {denominator:g} underflows; no signal")
-    numerator = (rates["r_ab"] - rates["r_ab_prime"]
-                 + rates["r_a_prime_b"] + rates["r_a_prime_b_prime"])
-    return CHResult(s=numerator / denominator, **rates)
+    values = ch_kernel(*_dense_pair(beams), angles)
+    return CHResult(**{name: float(value[0]) for name, value in values.items()})
 
 
 @dataclass(frozen=True)
@@ -260,21 +357,18 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
 
 
 def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
-               family: Callable[[float], AnalyzerAngles] = angle_family,
+               family: Callable[[np.ndarray], AnalyzerAngles] = angle_family,
                steps: int = 721) -> tuple[float, float]:
     """Grid-scan the one-parameter analyzer family and return (theta*, S*).
 
-    Scans theta over [0, pi/2] on a uniform inclusive grid; ties are broken
-    by the smallest theta.
+    Scans theta over [0, pi/2] on a uniform inclusive grid in one kernel
+    call, so family must accept an array of angles; ties are broken by the
+    smallest theta.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    best_theta = 0.0
-    best_s = -math.inf
-    span = math.pi / 2
-    for k in range(steps):
-        theta = span * k / (steps - 1)
-        s = ch_s(beams, family(theta)).s
-        if s > best_s:
-            best_theta, best_s = theta, s
-    return best_theta, best_s
+    thetas = (math.pi / 2) * np.arange(steps) / (steps - 1)
+    beam_1, beam_2 = _dense_pair(beams)
+    s = ch_kernel(beam_1, beam_2, family(thetas[:, None]))["s"][:, 0]
+    best = int(np.argmax(s))
+    return float(thetas[best]), float(s[best])

@@ -12,6 +12,9 @@ evaluated exactly with Wick's theorem: the vacuum is Gaussian, so an
 even-order moment is the sum over all perfect pairings of two-point
 contractions <F_i F_j>, and odd-order moments vanish.
 
+Circuits are wired up in this dict-based form; :func:`dense_fields` exports
+the finished fields as dense coefficient arrays for batched evaluation.
+
 All values are immutable after construction; the only mutable object is
 the :class:`ModeRegistry` used while wiring up a circuit.
 """
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from math import fsum
 from typing import Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "ModeRegistry",
@@ -31,6 +36,7 @@ __all__ = [
     "quadrature_minus",
     "vacuum_expectation",
     "wick_matchings",
+    "dense_fields",
 ]
 
 
@@ -206,3 +212,20 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
             value *= pairs[ij]
         terms.append(value)
     return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+
+
+def dense_fields(fields: Sequence[LinearField],
+                 n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of fields as dense complex arrays (ann, cre).
+
+    Both arrays have shape (len(fields), n_modes); row k, column m holds the
+    coefficient of a_m (ann) or a_m^dag (cre) in fields[k].  Every mode id
+    must be below n_modes, e.g. n_modes = len(registry).
+    """
+    ann = np.zeros((len(fields), n_modes), dtype=complex)
+    cre = np.zeros_like(ann)
+    for row, field in enumerate(fields):
+        for dense, coeffs in ((ann, field.ann), (cre, field.cre)):
+            for m, c in coeffs.items():
+                dense[row, m] = c
+    return ann, cre

@@ -78,6 +78,22 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--lambda-max", "inf"],
+        ["fig4", "--lambda-max", "nan"],
+        ["fig4", "--lambda-min", "nan"],
+        ["fig4", "--lambda-max", "1e308"],  # the grid arithmetic overflows
+        ["operating-point", "--eta", "0"],
+        ["fig3", "--squeezing", "0.5", "--squeezing", "0.5"],
+        ["fig4", "--squeezing", "0.499", "--squeezing", "0.501"],  # both s_50
+    ])
+    def test_bad_values_exit_1_with_one_line(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cvswap: config error: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_degenerate_physics_is_exit_2(self, tmp_path, capsys):
         code = main(["fig3", "--chi1", "0", "--out", str(tmp_path),
                      "--angles-steps", "5"])
