@@ -109,14 +109,25 @@ class SwapCircuitOutput:
     registry: ModeRegistry
 
 
+def _off_by(value: float, *fields: LinearField) -> bool:
+    # a commutator sums products of coefficients, cosh^2 - sinh^2 for a
+    # squeezed mode, so its rounding error grows with sum |coeff|^2: the
+    # tolerance is scaled by that sum, by the geometric mean for a pair.  The
+    # scale is at least 1, so it is only needed when the bare tolerance fails.
+    if value <= _CANONICAL_TOL:
+        return False
+    sizes = [sum(abs(c) ** 2 for c in (*f.ann.values(), *f.cre.values())) for f in fields]
+    return value > _CANONICAL_TOL * max(1.0, math.prod(sizes) ** (1 / len(sizes)))
+
+
 def _require_canonical(*fields: LinearField) -> None:
     for i, f in enumerate(fields):
-        if abs(commutator(f, f.adjoint()) - 1) > _CANONICAL_TOL:
+        if _off_by(abs(commutator(f, f.adjoint()) - 1), f):
             raise ValueError(f"input {i} is not a canonical mode ([F, F+] != 1)")
         for g in fields[i + 1:]:
-            if abs(commutator(f, g.adjoint())) > _CANONICAL_TOL:
+            if _off_by(abs(commutator(f, g.adjoint())), f, g):
                 raise ValueError("inputs are not independent modes ([F, G+] != 0)")
-            if abs(commutator(f, g)) > _CANONICAL_TOL:
+            if _off_by(abs(commutator(f, g)), f, g):
                 raise ValueError("inputs are not independent modes ([F, G] != 0)")
 
 

@@ -29,8 +29,11 @@ The gain, angle and efficiency grids use the scalar expression
 ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
 
 Defaults may be placed in a flat ``key = value`` config file (``#`` comments);
-command-line flags override file values.  Squeezing levels name their CSV
-columns by whole percent, so levels that round to the same percent are
+command-line flags override file values.  The config keys are the flag names
+with underscores (``lambda_min`` for ``--lambda-min``), all read from one
+settings table; the ``eta_*`` keys, like their flags, belong to
+``threshold-scan`` and affect no other command.  Squeezing levels name their
+CSV columns by whole percent, so levels that round to the same percent are
 rejected.  Exit codes: 0 success, 1 bad flags/config, 2 degenerate physics
 (no coincidences), 3 selftest failure.
 """
@@ -40,9 +43,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -61,12 +64,6 @@ from .metrics import (
 from .selftest import run_selftest
 
 __all__ = ["ExperimentConfig", "main"]
-
-_CONFIG_KEYS = {
-    "chi1", "squeezing", "eta", "lambda_min", "lambda_max", "lambda_steps",
-    "angles_steps", "eta_min", "eta_max", "eta_steps", "out", "svg",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -130,6 +127,33 @@ def _parse_level_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+# config key -> (ExperimentConfig field, value parser, flag help); the flag is
+# the key with dashes, and the eta_* grid is a threshold-scan flag only
+_SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
+    "chi1": ("chi1", float, "source squeezer conversion efficiency (default 0.1)"),
+    "squeezing": ("squeezing_levels", _parse_level_list,
+                  "squeezing level in [0, 1); repeatable"),
+    "eta": ("eta", float, "homodyne detection efficiency in [0, 1]"),
+    "lambda_min": ("lambda_min", float, "gain sweep lower bound (default 0.01)"),
+    "lambda_max": ("lambda_max", float, "gain sweep upper bound (default 2.0)"),
+    "lambda_steps": ("lambda_steps", int, "gain sweep point count (default 200)"),
+    "angles_steps": ("angle_steps", int, "analyzer-angle grid point count (default 721)"),
+    "out": ("output_dir", Path, "output directory for CSV/SVG files (default .)"),
+    "svg": ("emit_svg", _parse_bool, "also write a minimal SVG line plot"),
+    "eta_min": ("eta_min", float, "efficiency grid lower bound (default 0.70)"),
+    "eta_max": ("eta_max", float, "efficiency grid upper bound (default 1.0)"),
+    "eta_steps": ("eta_steps", int, "efficiency grid point count (default 61)"),
+}
+
+# argparse form of the parsers whose flag differs from the config value;
+# every other parser is the flag's type.  An absent flag must read None, not
+# False, or it would override the file's value.
+_FLAG_FORMS: dict[Callable[[str], object], dict[str, object]] = {
+    _parse_level_list: {"type": float, "action": "append", "metavar": "S"},
+    _parse_bool: {"action": "store_true", "default": None},
+}
+
+
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse a flat key = value file with # comments."""
     values: dict[str, str] = {}
@@ -140,7 +164,7 @@ def read_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -149,61 +173,15 @@ def read_config_file(path: Path) -> dict[str, str]:
 def _resolve_config(args: argparse.Namespace,
                     default_squeezing: tuple[float, ...],
                     default_eta: float) -> ExperimentConfig:
-    config = ExperimentConfig(squeezing_levels=default_squeezing, eta=default_eta)
-    if args.config is not None:
-        raw = read_config_file(Path(args.config))
-        updates: dict[str, object] = {}
-        if "chi1" in raw:
-            updates["chi1"] = float(raw["chi1"])
-        if "squeezing" in raw:
-            updates["squeezing_levels"] = _parse_level_list(raw["squeezing"])
-        if "eta" in raw:
-            updates["eta"] = float(raw["eta"])
-        if "lambda_min" in raw:
-            updates["lambda_min"] = float(raw["lambda_min"])
-        if "lambda_max" in raw:
-            updates["lambda_max"] = float(raw["lambda_max"])
-        if "lambda_steps" in raw:
-            updates["lambda_steps"] = int(raw["lambda_steps"])
-        if "angles_steps" in raw:
-            updates["angle_steps"] = int(raw["angles_steps"])
-        if "eta_min" in raw:
-            updates["eta_min"] = float(raw["eta_min"])
-        if "eta_max" in raw:
-            updates["eta_max"] = float(raw["eta_max"])
-        if "eta_steps" in raw:
-            updates["eta_steps"] = int(raw["eta_steps"])
-        if "out" in raw:
-            updates["output_dir"] = Path(raw["out"])
-        if "svg" in raw:
-            updates["emit_svg"] = _parse_bool(raw["svg"])
-        config = replace(config, **updates)
-    overrides: dict[str, object] = {}
-    if args.chi1 is not None:
-        overrides["chi1"] = args.chi1
-    if args.squeezing:
-        overrides["squeezing_levels"] = tuple(args.squeezing)
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.lambda_min is not None:
-        overrides["lambda_min"] = args.lambda_min
-    if args.lambda_max is not None:
-        overrides["lambda_max"] = args.lambda_max
-    if args.lambda_steps is not None:
-        overrides["lambda_steps"] = args.lambda_steps
-    if args.angles_steps is not None:
-        overrides["angle_steps"] = args.angles_steps
-    if getattr(args, "eta_min", None) is not None:
-        overrides["eta_min"] = args.eta_min
-    if getattr(args, "eta_max", None) is not None:
-        overrides["eta_max"] = args.eta_max
-    if getattr(args, "eta_steps", None) is not None:
-        overrides["eta_steps"] = args.eta_steps
-    if args.out is not None:
-        overrides["output_dir"] = Path(args.out)
-    if args.svg:
-        overrides["emit_svg"] = True
-    config = replace(config, **overrides)
+    raw = read_config_file(Path(args.config)) if args.config is not None else {}
+    values: dict[str, object] = {"squeezing_levels": default_squeezing, "eta": default_eta}
+    for key, (field, parse, _) in _SETTINGS.items():
+        if key in raw:
+            values[field] = parse(raw[key])
+        flag = getattr(args, key, None)  # None: flag not given or not on this command
+        if flag is not None:
+            values[field] = tuple(flag) if isinstance(flag, list) else flag
+    config = ExperimentConfig(**values)
     config.validate()
     return config
 
@@ -378,53 +356,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--chi1", type=float, default=None,
-                        help="source squeezer conversion efficiency (default 0.1)")
-    parser.add_argument("--squeezing", type=float, action="append", default=None,
-                        metavar="S", help="squeezing level in [0, 1); repeatable")
-    parser.add_argument("--eta", type=float, default=None,
-                        help="homodyne detection efficiency in [0, 1]")
-    parser.add_argument("--lambda-min", type=float, default=None,
-                        help="gain sweep lower bound (default 0.01)")
-    parser.add_argument("--lambda-max", type=float, default=None,
-                        help="gain sweep upper bound (default 2.0)")
-    parser.add_argument("--lambda-steps", type=int, default=None,
-                        help="gain sweep point count (default 200)")
-    parser.add_argument("--angles-steps", type=int, default=None,
-                        help="analyzer-angle grid point count (default 721)")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output directory for CSV/SVG files (default .)")
-    parser.add_argument("--svg", action="store_true",
-                        help="also write a minimal SVG line plot")
-    parser.add_argument("--config", type=str, default=None,
-                        help="flat key = value config file; flags override it")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cvswap",
                      description="Continuous-variable entanglement swapping sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p3 = sub.add_parser("fig3", parents=[], help="S vs analyzer angle at unity gain")
-    _add_common_flags(p3)
-    p4 = sub.add_parser("fig4", help="S vs feedforward gain at maximizing angles")
-    _add_common_flags(p4)
-    pop = sub.add_parser("operating-point",
-                         help="optimal-gain operating point (default eta 0.9, 50% squeezing)")
-    _add_common_flags(pop)
-    pth = sub.add_parser("threshold-scan",
-                         help="S at optimal gain vs detection efficiency")
-    _add_common_flags(pth)
-    pth.add_argument("--eta-min", type=float, default=None,
-                     help="efficiency grid lower bound (default 0.70)")
-    pth.add_argument("--eta-max", type=float, default=None,
-                     help="efficiency grid upper bound (default 1.0)")
-    pth.add_argument("--eta-steps", type=int, default=None,
-                     help="efficiency grid point count (default 61)")
-    sub.add_parser("selftest", help="run the algebra/oracle invariant suite")
+    for command, help_text in _COMMAND_HELP.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        if command not in _COMMANDS:
+            continue
+        for key, (_, parse, flag_help) in _SETTINGS.items():
+            if command == "threshold-scan" or not key.startswith("eta_"):
+                command_parser.add_argument("--" + key.replace("_", "-"), help=flag_help,
+                                            **_FLAG_FORMS.get(parse, {"type": parse}))
+        command_parser.add_argument("--config",
+                                    help="flat key = value config file; flags override it")
     return parser
 
+
+_COMMAND_HELP = {
+    "fig3": "S vs analyzer angle at unity gain",
+    "fig4": "S vs feedforward gain at maximizing angles",
+    "operating-point": "optimal-gain operating point (default eta 0.9, 50% squeezing)",
+    "threshold-scan": "S at optimal gain vs detection efficiency",
+    "selftest": "run the algebra/oracle invariant suite",
+}
 
 _COMMAND_DEFAULTS: dict[str, tuple[tuple[float, ...], float]] = {
     # command -> (default squeezing levels, default eta)

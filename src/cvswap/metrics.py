@@ -231,6 +231,8 @@ def ch_kernel(beam_1: DenseBeam, beam_2: DenseBeam,
                         + rate(w_b, v, pair_21, gram_2, gram_1)),
     }
     for name, value in rates.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} is not finite: the rates overflow float range")
         negative = value < _RATE_FLOOR
         if np.any(negative):
             raise ValueError(f"{name} is negative beyond tolerance: "

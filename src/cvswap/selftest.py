@@ -90,27 +90,41 @@ def check_pairing_count() -> str | None:
     return None
 
 
-def check_dual_oracle_moments() -> str | None:
-    """Wick pairing sum equals the normal-ordering rewriter on random products."""
-    rng = random.Random(20260809)
+def random_field(rng: random.Random, modes: list[int],
+                 max_terms: int = 3) -> LinearField:
+    """A sparse random field with coefficient magnitudes below sqrt(2)."""
+    ann: dict[int, complex] = {}
+    cre: dict[int, complex] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = rng.choice(modes)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if rng.random() < 0.5:
+            ann[m] = ann.get(m, 0) + c
+        else:
+            cre[m] = cre.get(m, 0) + c
+    return LinearField(ann, cre)
+
+
+def random_product(rng: random.Random, modes: list[int],
+                   max_degree: int = 8) -> list[LinearField]:
+    return [random_field(rng, modes) for _ in range(rng.randint(2, max_degree))]
+
+
+def max_oracle_deviation(n_products: int, seed: int) -> float:
+    """Largest |Wick - rewriter| over seeded random products of degree <= 8."""
+    rng = random.Random(seed)
     modes = list(range(6))
     worst = 0.0
-    for _ in range(40):
-        degree = rng.randint(2, 8)
-        product = []
-        for _ in range(degree):
-            ann: dict[int, complex] = {}
-            cre: dict[int, complex] = {}
-            for _ in range(rng.randint(1, 3)):
-                m = rng.choice(modes)
-                c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                if rng.random() < 0.5:
-                    ann[m] = ann.get(m, 0) + c
-                else:
-                    cre[m] = cre.get(m, 0) + c
-            product.append(LinearField(ann, cre))
-        deviation = abs(vacuum_expectation(product) - normal_order_expectation(product))
-        worst = max(worst, deviation)
+    for _ in range(n_products):
+        product = random_product(rng, modes)
+        worst = max(worst, abs(vacuum_expectation(product)
+                               - normal_order_expectation(product)))
+    return worst
+
+
+def check_dual_oracle_moments() -> str | None:
+    """Wick pairing sum equals the normal-ordering rewriter on random products."""
+    worst = max_oracle_deviation(40, 20260809)
     if worst > _TOL:
         return f"max |Wick - rewriter| = {worst:.3e} exceeds {_TOL:g}"
     return None

@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import random
-
 from cvswap import (
-    LinearField,
     ModeRegistry,
     PolarizedBeam,
     SwapParams,
     build_swap_circuit,
     ch_s,
-    normal_order_expectation,
     opo_type2,
-    vacuum_expectation,
 )
 from cvswap.metrics import OPTIMAL_ANGLES
+from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
 
 
 def source_beams(chi1: float) -> tuple[PolarizedBeam, PolarizedBeam]:
@@ -32,35 +28,3 @@ def baseline_s(chi1: float) -> float:
 def teleported_s(chi1: float, chi2: float, gain: float, eta: float) -> float:
     out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
     return ch_s(out, OPTIMAL_ANGLES).s
-
-
-def random_field(rng: random.Random, modes: list[int],
-                 max_terms: int = 3) -> LinearField:
-    """A sparse random field with coefficient magnitudes below sqrt(2)."""
-    ann: dict[int, complex] = {}
-    cre: dict[int, complex] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = rng.choice(modes)
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if rng.random() < 0.5:
-            ann[m] = ann.get(m, 0) + c
-        else:
-            cre[m] = cre.get(m, 0) + c
-    return LinearField(ann, cre)
-
-
-def random_product(rng: random.Random, modes: list[int],
-                   max_degree: int = 8) -> list[LinearField]:
-    return [random_field(rng, modes) for _ in range(rng.randint(2, max_degree))]
-
-
-def max_oracle_deviation(n_products: int, seed: int) -> float:
-    """Largest |Wick - rewriter| over seeded random products of degree <= 8."""
-    rng = random.Random(seed)
-    modes = list(range(6))
-    worst = 0.0
-    for _ in range(n_products):
-        product = random_product(rng, modes)
-        worst = max(worst, abs(vacuum_expectation(product)
-                               - normal_order_expectation(product)))
-    return worst

@@ -1,12 +1,15 @@
 """CLI commands: CSV output, config handling, exit codes, selftest."""
 
+import argparse
 import io
 import math
+from pathlib import Path
 
 import pytest
 
 import cvswap.circuit
-from cvswap.cli import ExperimentConfig, main, read_config_file
+import cvswap.cli
+from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
 
@@ -69,6 +72,74 @@ class TestConfigFile:
             ExperimentConfig(squeezing_levels=(0.5,), eta=1.3).validate()
 
 
+# config key, ExperimentConfig field, file value, equivalent flags, parsed value,
+# and a different file value that the flags must override
+SETTINGS = [
+    ("chi1", "chi1", "0.05", ["--chi1", "0.05"], 0.05, "0.2"),
+    ("squeezing", "squeezing_levels", "0.3, 0.6",
+     ["--squeezing", "0.3", "--squeezing", "0.6"], (0.3, 0.6), "0.4"),
+    ("eta", "eta", "0.8", ["--eta", "0.8"], 0.8, "0.9"),
+    ("lambda_min", "lambda_min", "0.02", ["--lambda-min", "0.02"], 0.02, "0.05"),
+    ("lambda_max", "lambda_max", "1.5", ["--lambda-max", "1.5"], 1.5, "1.0"),
+    ("lambda_steps", "lambda_steps", "30", ["--lambda-steps", "30"], 30, "50"),
+    ("angles_steps", "angle_steps", "11", ["--angles-steps", "11"], 11, "13"),
+    ("eta_min", "eta_min", "0.75", ["--eta-min", "0.75"], 0.75, "0.8"),
+    ("eta_max", "eta_max", "0.95", ["--eta-max", "0.95"], 0.95, "0.9"),
+    ("eta_steps", "eta_steps", "7", ["--eta-steps", "7"], 7, "9"),
+    ("out", "output_dir", "results", ["--out", "results"], Path("results"), "elsewhere"),
+    ("svg", "emit_svg", "true", ["--svg"], True, "false"),
+]
+
+COMMON_OPTIONS = {"-h", "--help", "--chi1", "--squeezing", "--eta", "--lambda-min",
+                  "--lambda-max", "--lambda-steps", "--angles-steps", "--out",
+                  "--svg", "--config"}
+
+
+class TestSettings:
+    @staticmethod
+    def resolve(monkeypatch, tmp_path, file_text, flags):
+        """The ExperimentConfig that main hands to the threshold-scan driver."""
+        seen = []
+        monkeypatch.setitem(cvswap.cli._COMMANDS, "threshold-scan",
+                            lambda config, stream: seen.append(config) or 0)
+        config = tmp_path / "run.cfg"
+        config.write_text(file_text)
+        assert main(["threshold-scan", "--config", str(config)] + flags) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("key, field, file_value, flags, parsed, other", SETTINGS,
+                             ids=[row[0] for row in SETTINGS])
+    def test_file_and_flag_agree_and_flag_wins(self, monkeypatch, tmp_path, key, field,
+                                               file_value, flags, parsed, other):
+        from_file = self.resolve(monkeypatch, tmp_path, f"{key} = {file_value}\n", [])
+        from_flag = self.resolve(monkeypatch, tmp_path, "", flags)
+        both = self.resolve(monkeypatch, tmp_path, f"{key} = {other}\n", flags)
+        assert getattr(from_file, field) == parsed
+        assert getattr(from_flag, field) == parsed
+        assert getattr(both, field) == parsed
+        assert getattr(self.resolve(monkeypatch, tmp_path, f"{key} = {other}\n", []),
+                       field) != parsed
+
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        options = {name: {s for action in command._actions for s in action.option_strings}
+                   for name, command in sub.choices.items()}
+        eta_grid = {"--eta-min", "--eta-max", "--eta-steps"}
+        assert options == {
+            "fig3": COMMON_OPTIONS,
+            "fig4": COMMON_OPTIONS,
+            "operating-point": COMMON_OPTIONS,
+            "threshold-scan": COMMON_OPTIONS | eta_grid,
+            "selftest": {"-h", "--help"},
+        }
+        assert parser.parse_args(["threshold-scan", "--eta-min", "0.8"]).eta_min == 0.8
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["fig3", "--eta-min", "0.8"])
+        assert exc.value.code == 1
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -93,6 +164,16 @@ class TestExitCodes:
         assert err.startswith("cvswap: config error: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold-scan", "--squeezing", "0.9999999999999999"],
+        ["operating-point", "--chi1", "30"],
+    ])
+    def test_large_squeezing_runs(self, tmp_path, capsys, argv):
+        # [F, F+] = cosh^2 - sinh^2 cancels at magnitude sinh^2, which the
+        # canonical-mode check must allow for
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_degenerate_physics_is_exit_2(self, tmp_path, capsys):
         code = main(["fig3", "--chi1", "0", "--out", str(tmp_path),

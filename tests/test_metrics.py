@@ -131,6 +131,13 @@ class TestChS:
         with pytest.raises(NoCoincidencesError):
             ch_s(source_beams(0.0), OPTIMAL_ANGLES)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_rates_raise(self):
+        # rates grow like sinh^4 chi1, past the float range at chi1 ~ 178;
+        # inf - inf would otherwise reach S as nan
+        with pytest.raises(ValueError, match="not finite"):
+            ch_s(source_beams(200.0), OPTIMAL_ANGLES)
+
     @pytest.mark.parametrize("squeezing_chi", [0.05, 0.34, 0.8])
     def test_optimal_gain_preserves_s(self, squeezing_chi):
         baseline = baseline_s(0.1)
