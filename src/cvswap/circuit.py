@@ -11,14 +11,20 @@ the teleported beam D'.
 
 Every component maps canonical annihilation operators to canonical
 annihilation operators, which the constructors verify via commutators.
-Circuit construction mutates its ModeRegistry and is single-threaded; the
-returned fields are immutable and can be evaluated concurrently.
+Parameters may be numpy arrays that broadcast together: the fields then
+carry the broadcast shape as batch axes, one build covers the whole grid,
+and every check applies to each of its points.  Circuit construction
+mutates its ModeRegistry and is single-threaded; the returned fields are
+immutable and can be evaluated concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .modes import (
     LinearField,
@@ -28,6 +34,9 @@ from .modes import (
     quadrature_plus,
     vacuum_field,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "PolarizedBeam",
@@ -70,33 +79,35 @@ class SwapParams:
     chi1, chi2 -- conversion efficiencies of the source and teleporter squeezers
     gain       -- feedforward gain applied to both photocurrent quadratures
     eta        -- homodyne detection efficiency in [0, 1]
+
+    Each may be a float or an array; arrays broadcast together into a grid
+    of parameter points, and every point must be valid.
     """
 
-    chi1: float
-    chi2: float
-    gain: float
-    eta: float
+    chi1: ArrayLike
+    chi2: ArrayLike
+    gain: ArrayLike
+    eta: ArrayLike
 
     def __post_init__(self) -> None:
         for name in ("chi1", "chi2", "gain", "eta"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.chi1 < 0 or self.chi2 < 0 or self.gain < 0:
+        if np.any(np.less(self.chi1, 0) | np.less(self.chi2, 0) | np.less(self.gain, 0)):
             raise ValueError("chi1, chi2 and gain must be nonnegative")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        _require_unit_interval("eta", self.eta)
 
 
 @dataclass(frozen=True)
 class FeedforwardGains:
     """Complex gains applied to the X+ and X- photocurrents."""
 
-    lambda_plus: complex
-    lambda_minus: complex
+    lambda_plus: ArrayLike
+    lambda_minus: ArrayLike
 
     @classmethod
-    def from_gain(cls, gain: float) -> "FeedforwardGains":
+    def from_gain(cls, gain: ArrayLike) -> "FeedforwardGains":
         return cls(lambda_plus=-gain, lambda_minus=MINUS_GAIN_PHASE * gain)
 
 
@@ -109,30 +120,39 @@ class SwapCircuitOutput:
     registry: ModeRegistry
 
 
-def _off_by(value: float, *fields: LinearField) -> bool:
-    # a commutator sums products of coefficients, cosh^2 - sinh^2 for a
-    # squeezed mode, so its rounding error grows with sum |coeff|^2: the
-    # tolerance is scaled by that sum, by the geometric mean for a pair.  The
-    # scale is at least 1, so it is only needed when the bare tolerance fails.
-    if value <= _CANONICAL_TOL:
+def _require_unit_interval(name: str, value: ArrayLike) -> None:
+    if not np.all(np.greater_equal(value, 0.0) & np.less_equal(value, 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _off_by(value: np.ndarray, *fields: LinearField) -> bool:
+    # True if any batch element of value exceeds its tolerance.  A commutator
+    # sums products of coefficients, cosh^2 - sinh^2 for a squeezed mode, so
+    # its rounding error grows with sum |coeff|^2: each element's tolerance is
+    # scaled by its own sum, by the geometric mean for a pair.  The scale is
+    # at least 1, so it is only needed when the bare tolerance fails.  nan
+    # fails every comparison and an overflowed scale is rejected, so a build
+    # that leaves float range fails closed.
+    if np.all(value <= _CANONICAL_TOL):
         return False
-    sizes = [sum(abs(c) ** 2 for c in (*f.ann.values(), *f.cre.values())) for f in fields]
-    return value > _CANONICAL_TOL * max(1.0, math.prod(sizes) ** (1 / len(sizes)))
+    sizes = [(np.abs(f.ann) ** 2 + np.abs(f.cre) ** 2).sum(axis=-1) for f in fields]
+    scale = np.maximum(1.0, math.prod(sizes) ** (1 / len(sizes)))
+    return not np.all((value <= _CANONICAL_TOL * scale) & np.isfinite(scale))
 
 
 def _require_canonical(*fields: LinearField) -> None:
     for i, f in enumerate(fields):
-        if _off_by(abs(commutator(f, f.adjoint()) - 1), f):
+        if _off_by(np.abs(commutator(f, f.adjoint()) - 1), f):
             raise ValueError(f"input {i} is not a canonical mode ([F, F+] != 1)")
         for g in fields[i + 1:]:
-            if _off_by(abs(commutator(f, g.adjoint())), f, g):
+            if _off_by(np.abs(commutator(f, g.adjoint())), f, g):
                 raise ValueError("inputs are not independent modes ([F, G+] != 0)")
-            if _off_by(abs(commutator(f, g)), f, g):
+            if _off_by(np.abs(commutator(f, g)), f, g):
                 raise ValueError("inputs are not independent modes ([F, G] != 0)")
 
 
 def two_mode_squeezer(in1: LinearField, in2: LinearField,
-                      chi: float) -> tuple[LinearField, LinearField]:
+                      chi: ArrayLike) -> tuple[LinearField, LinearField]:
     """Nondegenerate parametric amplifier on a pair of independent modes.
 
     out1 = in1 cosh(chi) + in2^dag sinh(chi)
@@ -141,13 +161,13 @@ def two_mode_squeezer(in1: LinearField, in2: LinearField,
     Both outputs are canonical for any chi (cosh^2 - sinh^2 = 1).
     """
     _require_canonical(in1, in2)
-    ch, sh = math.cosh(chi), math.sinh(chi)
+    ch, sh = np.cosh(chi), np.sinh(chi)
     out1 = ch * in1 + sh * in2.adjoint()
     out2 = ch * in2 + sh * in1.adjoint()
     return out1, out2
 
 
-def opo_type2(registry: ModeRegistry, chi: float,
+def opo_type2(registry: ModeRegistry, chi: ArrayLike,
               label: str = "opo") -> tuple[PolarizedBeam, PolarizedBeam]:
     """Type-II parametric oscillator: two beams with cross-polarized squeezing.
 
@@ -170,19 +190,18 @@ def beamsplitter_5050(f: LinearField, g: LinearField) -> tuple[LinearField, Line
     return r * (f + g), r * (f - g)
 
 
-def attenuate(f: LinearField, transmissivity: float, registry: ModeRegistry,
+def attenuate(f: LinearField, transmissivity: ArrayLike, registry: ModeRegistry,
               name: str = "attenuator_vacuum") -> LinearField:
     """Mix a canonical field with a fresh vacuum mode on an unbalanced splitter.
 
     Returns sqrt(T) F + sqrt(1-T) v with a freshly allocated vacuum mode v.
     """
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
+    _require_unit_interval("transmissivity", transmissivity)
     fresh = vacuum_field(registry.new_mode(name))
-    return math.sqrt(transmissivity) * f + math.sqrt(1.0 - transmissivity) * fresh
+    return np.sqrt(transmissivity) * f + np.sqrt(1.0 - transmissivity) * fresh
 
 
-def homodyne_currents(b_pol: LinearField, c_pol: LinearField, eta: float,
+def homodyne_currents(b_pol: LinearField, c_pol: LinearField, eta: ArrayLike,
                       registry: ModeRegistry,
                       label: str = "homodyne") -> tuple[LinearField, LinearField]:
     """Dual homodyne measurement of a 50:50 mix of two beam components.
@@ -195,13 +214,12 @@ def homodyne_currents(b_pol: LinearField, c_pol: LinearField, eta: float,
 
     Both photocurrents are Hermitian and commute with each other for any eta.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _require_unit_interval("eta", eta)
     port_plus, port_minus = beamsplitter_5050(b_pol, c_pol)
     loss_plus = vacuum_field(registry.new_mode(f"{label}.loss_plus"))
     loss_minus = vacuum_field(registry.new_mode(f"{label}.loss_minus"))
-    root_eta = math.sqrt(eta)
-    root_loss = math.sqrt(1.0 - eta)
+    root_eta = np.sqrt(eta)
+    root_loss = np.sqrt(1.0 - eta)
     x_plus = root_loss * quadrature_plus(loss_plus) + root_eta * quadrature_plus(port_plus)
     x_minus = root_loss * quadrature_minus(loss_minus) + root_eta * quadrature_minus(port_minus)
     return x_plus, x_minus
@@ -214,7 +232,7 @@ def feedforward_displace(d: LinearField, x_plus: LinearField, x_minus: LinearFie
     Returns d + (lambda_plus x_plus + lambda_minus x_minus) / sqrt(2).
     """
     for name, x in (("x_plus", x_plus), ("x_minus", x_minus)):
-        if not x.is_hermitian(tol=_CANONICAL_TOL):
+        if _off_by(np.abs(x.ann - x.cre.conj()).max(axis=-1), x):
             raise ValueError(f"{name} is not Hermitian")
     r = 1.0 / math.sqrt(2.0)
     return d + r * (gains.lambda_plus * x_plus + gains.lambda_minus * x_minus)
@@ -227,6 +245,10 @@ def halfwave_swap(d_prime_h: LinearField, d_prime_v: LinearField) -> PolarizedBe
 
 def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     """Assemble the full network and return beams A and D' over 12 vacuum inputs.
+
+    Array parameters give one build for their whole broadcast grid: each
+    field's batch shape is that of the parameters it depends on, so A
+    carries the shape of chi1 alone and D' the shape of all four.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 

@@ -9,21 +9,15 @@ Subcommands:
                       crossing
 * ``selftest``        algebra/oracle invariant suite
 
-Each sweep is one batched evaluation through :func:`cvswap.metrics.ch_kernel`,
-the single CH-assembly path, with as few circuit builds as the physics
-allows:
+Each sweep is one :func:`cvswap.circuit.build_swap_circuit` call over its
+whole parameter grid, passed as broadcasting arrays, and one call of
+:func:`cvswap.metrics.ch_kernel`, the single CH-assembly path:
 
-* ``fig3`` builds once per squeezing level and evaluates the whole angle grid
-  in one kernel call.
-* ``fig4`` builds twice per squeezing level, at gain 0 and gain 1.  The gain
-  enters the network only through the feedforward displacement, which is
-  linear in it, so D'(g) = D'(0) + g (D'(1) - D'(0)) exactly; every
-  canonical-commutator and Hermiticity check in the build acts on fields
-  that do not depend on the gain, so the two builds run every check that a
-  build per gain would.
-* ``threshold-scan`` builds once per (efficiency, level) point, since the
-  efficiency sets the homodyne loss and the optimal gain, and evaluates all
-  points in one kernel call.
+* ``fig3`` builds over the squeezing levels and evaluates the whole angle
+  grid against them.
+* ``fig4`` builds over (gain, level) pairs.
+* ``threshold-scan`` builds over (efficiency, level) pairs at each pair's
+  optimal gain.
 
 The gain, angle and efficiency grids use the scalar expression
 ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
@@ -45,25 +39,32 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .circuit import SwapCircuitOutput, SwapParams, build_swap_circuit
+from .circuit import SwapParams, build_swap_circuit
 from .metrics import (
     OPTIMAL_ANGLES,
-    DenseBeam,
+    AnalyzerAngles,
     NoCoincidencesError,
     angle_family,
     ch_kernel,
     ch_s,
-    dense_beams,
     optimal_gain,
     squeezing_to_chi,
 )
 from .selftest import run_selftest
 
 __all__ = ["ExperimentConfig", "main"]
+
+# Coincidence rates are sums of products of two contractions between the
+# source beams, each about cosh(chi1) sinh(chi1) ~ exp(2 chi1)/4, so they grow
+# like exp(4 chi1)/16.  Up to exp(4 chi1) = the largest float they keep a
+# factor of 16 for the sums of the CH ratio; the bare source's rates overflow
+# from chi1 ~ 177.9 on.
+_CHI1_MAX = math.log(sys.float_info.max) / 4
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -96,8 +97,9 @@ class ExperimentConfig:
             columns[_pct(s)] = s
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.chi1 < 0 or not math.isfinite(self.chi1):
-            raise ValueError(f"chi1 must be a nonnegative finite value, got {self.chi1}")
+        if not 0.0 <= self.chi1 <= _CHI1_MAX:
+            raise ValueError(f"chi1 must lie in [0, {_CHI1_MAX:.6g}], beyond which the "
+                             f"coincidence rates overflow; got {self.chi1}")
         for name, steps in (("lambda_steps", self.lambda_steps),
                             ("angles_steps", self.angle_steps),
                             ("eta_steps", self.eta_steps)):
@@ -245,33 +247,13 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(steps) / (steps - 1)
 
 
-def _dense_swap_beams(outputs: Iterable[SwapCircuitOutput]) -> tuple[DenseBeam, DenseBeam]:
-    # beams A and D' stacked on axis 0; each circuit is exported as it comes,
-    # so no more than one circuit's dict fields are alive at a time
-    exported = [dense_beams([out.beam_a, out.beam_d_prime], len(out.registry))
-                for out in outputs]
-    ann = np.stack([part[0] for part in exported])
-    cre = np.stack([part[1] for part in exported])
-    return (ann[:, 0], cre[:, 0]), (ann[:, 1], cre[:, 1])
+def _chis(config: ExperimentConfig) -> np.ndarray:
+    return np.array([squeezing_to_chi(level) for level in config.squeezing_levels])
 
 
-def gain_sweep_beams(chi1: float, chi2s: Sequence[float], eta: float,
-                     gains: np.ndarray) -> tuple[DenseBeam, DenseBeam]:
-    """Dense beams A, of shape (len(chi2s), 2, n), and D'(gain), of shape
-    (len(gains), len(chi2s), 2, n), from two builds per chi2.
-
-    feedforward_displace is linear in the gain and no other component sees
-    it, so D'(g) = D'(0) + g (D'(1) - D'(0)); A does not depend on the gain.
-    """
-    beam_a, d_zero = _dense_swap_beams(
-        build_swap_circuit(SwapParams(chi1, chi2, 0.0, eta)) for chi2 in chi2s)
-    _, d_one = _dense_swap_beams(
-        build_swap_circuit(SwapParams(chi1, chi2, 1.0, eta)) for chi2 in chi2s)
-    g = gains[:, None, None, None]
-    ann, cre = (g * (one - zero) for zero, one in zip(d_zero, d_one))
-    ann += d_zero[0]  # in place: no second (gains, levels, 2, n) temporary
-    cre += d_zero[1]
-    return beam_a, (ann, cre)
+def _sweep_s(params: SwapParams, angles: AnalyzerAngles) -> np.ndarray:
+    out = build_swap_circuit(params)
+    return ch_kernel(out.beam_a, out.beam_d_prime, angles)["s"]
 
 
 def _write_columns(config: ExperimentConfig, stem: str, header: Sequence[str],
@@ -283,23 +265,20 @@ def _write_columns(config: ExperimentConfig, stem: str, header: Sequence[str],
 
 def cmd_fig3(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs analyzer angle at unity gain, one column per squeezing level."""
-    outputs = (build_swap_circuit(SwapParams(config.chi1, squeezing_to_chi(level),
-                                             1.0, config.eta))
-               for level in config.squeezing_levels)
     header = ["theta_a_rad"] + [f"s_{_pct(level)}" for level in config.squeezing_levels]
     thetas = _grid(0.0, math.pi / 2, config.angle_steps)
-    s = ch_kernel(*_dense_swap_beams(outputs), angle_family(thetas[:, None]))["s"]
+    s = _sweep_s(SwapParams(config.chi1, _chis(config), 1.0, config.eta),
+                 angle_family(thetas[:, None]))
     _write_columns(config, "fig3", header, thetas, s, stream)
     return 0
 
 
 def cmd_fig4(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs feedforward gain at the maximizing angles, per squeezing level."""
-    chis = [squeezing_to_chi(level) for level in config.squeezing_levels]
     header = ["lambda"] + [f"s_{_pct(level)}" for level in config.squeezing_levels]
     gains = _grid(config.lambda_min, config.lambda_max, config.lambda_steps)
-    beam_a, d_prime = gain_sweep_beams(config.chi1, chis, config.eta, gains)
-    s = ch_kernel(beam_a, d_prime, OPTIMAL_ANGLES)["s"]
+    s = _sweep_s(SwapParams(config.chi1, _chis(config), gains[:, None], config.eta),
+                 OPTIMAL_ANGLES)
     _write_columns(config, "fig4", header, gains, s, stream)
     return 0
 
@@ -324,15 +303,13 @@ def cmd_operating_point(config: ExperimentConfig, stream: TextIO) -> int:
 
 def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
     """S at optimal gain over an eta grid; prints the interpolated S=1 crossing."""
-    chis = [squeezing_to_chi(level) for level in config.squeezing_levels]
     header = ["eta"] + [f"s_ad_{_pct(level)}" for level in config.squeezing_levels]
     etas = _grid(config.eta_min, config.eta_max, config.eta_steps)
-    outputs = (build_swap_circuit(SwapParams(config.chi1, chi2,
-                                             optimal_gain(chi2, eta), eta))
-               for eta in etas.tolist() for chi2 in chis)
-    s = ch_kernel(*_dense_swap_beams(outputs), OPTIMAL_ANGLES)["s"]
-    rows = _write_columns(config, "threshold_scan", header, etas,
-                          s.reshape(len(etas), len(chis)), stream)
+    chis = _chis(config)
+    gains = np.array([[optimal_gain(chi2, eta) for chi2 in chis.tolist()]
+                      for eta in etas.tolist()])
+    s = _sweep_s(SwapParams(config.chi1, chis, gains, etas[:, None]), OPTIMAL_ANGLES)
+    rows = _write_columns(config, "threshold_scan", header, etas, s, stream)
     for column, level in enumerate(config.squeezing_levels, start=1):
         crossing = _interpolate_crossing([row[0] for row in rows],
                                          [row[column] for row in rows])
@@ -342,8 +319,9 @@ def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
 
 
 def _interpolate_crossing(etas: Sequence[float], values: Sequence[float]) -> float | None:
+    # the first S = 1 crossing, rising or falling, linearly interpolated
     for i in range(len(etas) - 1):
-        if values[i] < 1.0 <= values[i + 1]:
+        if values[i] < 1.0 <= values[i + 1] or values[i + 1] < 1.0 <= values[i]:
             slope = (values[i + 1] - values[i]) / (etas[i + 1] - etas[i])
             return etas[i] + (1.0 - values[i]) / slope
     return None

@@ -18,27 +18,29 @@ set above maximizing.  Measuring both arms with the same handedness flips the
 amplitude to sin(ta + tb) and the same angle set would not maximize S.
 
 Every CH ratio is assembled by one kernel, :func:`ch_kernel`.  It takes the
-beams as dense coefficient arrays with any leading batch axes and the
-analyzer angles as arrays that broadcast against them, so a whole sweep is
-one numpy computation; :func:`ch_s` and :func:`maximize_s` call it too.
+beams' fields with any batch axes, as one batched circuit build returns
+them, and the analyzer angles as arrays that broadcast against them, so a
+whole sweep is one numpy computation; :func:`ch_s` and :func:`maximize_s`
+call it too.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
 <e2+ e1+ e1 e2> is the closed three-pairing Isserlis (Wick) sum of them.
-:func:`coincidence_rate` keeps the general Wick sum over dict fields as the
-reference that the oracles and tests check the kernel against.
+:func:`coincidence_rate` keeps the general Wick sum over single fields,
+without batch axes, as the reference that the oracles and tests check the
+kernel against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .circuit import PolarizedBeam, SwapCircuitOutput
-from .modes import LinearField, dense_fields, vacuum_expectation
+from .modes import LinearField, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
@@ -50,7 +52,6 @@ __all__ = [
     "analyzer",
     "coincidence_rate",
     "singles_rate",
-    "dense_beams",
     "ch_kernel",
     "ch_s",
     "analytic_rate_teleported",
@@ -66,10 +67,6 @@ __all__ = [
 _IMAG_TOL = 1e-12
 _RATE_FLOOR = -1e-12
 _DENOMINATOR_FLOOR = 1e-30
-
-#: A beam as dense (ann, cre) coefficient arrays of shape (..., 2, n_modes);
-#: axis -2 holds the (h, v) polarization components.
-DenseBeam = tuple[np.ndarray, np.ndarray]
 
 
 class NoCoincidencesError(Exception):
@@ -138,24 +135,21 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
     return coincidence_rate(e_other, beam.h) + coincidence_rate(e_other, beam.v)
 
 
-def dense_beams(beams: Sequence[PolarizedBeam], n_modes: int) -> DenseBeam:
-    """Stack beams as one DenseBeam of shape (len(beams), 2, n_modes)."""
-    ann, cre = dense_fields([f for beam in beams for f in (beam.h, beam.v)], n_modes)
-    shape = (len(beams), 2, n_modes)
-    return ann.reshape(shape), cre.reshape(shape)
-
-
-def _dense_pair(
+def _beam_pair(
     beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
-) -> tuple[DenseBeam, DenseBeam]:
-    # a batch of one beam pair over the modes the four fields use
+) -> tuple[PolarizedBeam, PolarizedBeam]:
     if isinstance(beams, SwapCircuitOutput):
-        beam_1, beam_2 = beams.beam_a, beams.beam_d_prime
-    else:
-        beam_1, beam_2 = beams
-    fields = (beam_1.h, beam_1.v, beam_2.h, beam_2.v)
-    n_modes = 1 + max((m for f in fields for m in f.modes()), default=0)
-    return dense_beams([beam_1], n_modes), dense_beams([beam_2], n_modes)
+        return beams.beam_a, beams.beam_d_prime
+    return beams
+
+
+def _polarization_stack(beam: PolarizedBeam,
+                        n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    # (ann, cre) of shape (..., 2, n_modes), axis -2 holding the (h, v)
+    # components broadcast to one batch shape
+    (h_ann, h_cre), (v_ann, v_cre) = beam.h.padded(n_modes), beam.v.padded(n_modes)
+    return (np.stack(np.broadcast_arrays(h_ann, v_ann), axis=-2),
+            np.stack(np.broadcast_arrays(h_cre, v_cre), axis=-2))
 
 
 def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -183,14 +177,15 @@ def _checked_real(rate: np.ndarray) -> np.ndarray:
     return rate.real
 
 
-def ch_kernel(beam_1: DenseBeam, beam_2: DenseBeam,
+def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
               angles: AnalyzerAngles) -> dict[str, np.ndarray]:
     """All six rates and the CH ratio, elementwise over a batch.
 
     beam_1 is analyzed on the first arm ("a" handedness), beam_2 on the
-    second ("d").  The beams may carry any leading batch axes, and the four
-    angles of ``angles`` may be arrays; all of them broadcast together.
-    Returns arrays of the broadcast shape keyed by the CHResult field names.
+    second ("d").  The beams' fields may carry any batch axes and any mode
+    counts (they are zero-padded to the largest), and the four angles of
+    ``angles`` may be arrays; all of them broadcast together.  Returns
+    arrays of the broadcast shape keyed by the CHResult field names.
 
     Each rate <e2+ e1+ e1 e2> is the three-pairing Wick sum
     <e2+ e1+><e1 e2> + <e2+ e1><e1+ e2> + <e2+ e2><e1+ e1>.  The checks are
@@ -198,8 +193,9 @@ def ch_kernel(beam_1: DenseBeam, beam_2: DenseBeam,
     on an imaginary part or a negative rate beyond tolerance,
     NoCoincidencesError when a singles denominator underflows.
     """
-    ann_1, cre_1 = beam_1
-    ann_2, cre_2 = beam_2
+    n_modes = max(f.ann.shape[-1] for beam in (beam_1, beam_2) for f in (beam.h, beam.v))
+    ann_1, cre_1 = _polarization_stack(beam_1, n_modes)
+    ann_2, cre_2 = _polarization_stack(beam_2, n_modes)
     cre_1_conj, cre_2_conj = cre_1.conj(), cre_2.conj()
     # per ordered beam pair (p, q): <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
     pair_12 = (_contract(ann_1, cre_2), _contract(cre_1_conj, cre_2))
@@ -246,6 +242,8 @@ def ch_kernel(beam_1: DenseBeam, beam_2: DenseBeam,
             "no signal")
     numerator = (rates["r_ab"] - rates["r_ab_prime"]
                  + rates["r_a_prime_b"] + rates["r_a_prime_b_prime"])
+    if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(denominator))):
+        raise ValueError("the CH sums are not finite: the rates overflow float range")
     rates["s"] = numerator / denominator
     return rates
 
@@ -254,11 +252,12 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
          angles: AnalyzerAngles) -> CHResult:
     """Evaluate all six rates and the CH ratio for a beam pair.
 
-    A batch of one through :func:`ch_kernel`.  Raises NoCoincidencesError
-    when the singles denominator underflows (for example with the pump off).
+    Single beams, without batch axes, through :func:`ch_kernel`.  Raises
+    NoCoincidencesError when the singles denominator underflows (for example
+    with the pump off).
     """
-    values = ch_kernel(*_dense_pair(beams), angles)
-    return CHResult(**{name: float(value[0]) for name, value in values.items()})
+    values = ch_kernel(*_beam_pair(beams), angles)
+    return CHResult(**{name: float(value) for name, value in values.items()})
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,6 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     if steps < 2:
         raise ValueError("steps must be at least 2")
     thetas = (math.pi / 2) * np.arange(steps) / (steps - 1)
-    beam_1, beam_2 = _dense_pair(beams)
-    s = ch_kernel(beam_1, beam_2, family(thetas[:, None]))["s"][:, 0]
+    s = ch_kernel(*_beam_pair(beams), family(thetas))["s"]
     best = int(np.argmax(s))
     return float(thetas[best]), float(s[best])

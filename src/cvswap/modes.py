@@ -1,4 +1,4 @@
-"""Symbolic algebra of bosonic mode operators linear in vacuum modes.
+"""Algebra of bosonic mode operators linear in vacuum modes.
 
 A field operator is represented as a finite linear combination of
 annihilation and creation operators of independent vacuum modes,
@@ -12,8 +12,9 @@ evaluated exactly with Wick's theorem: the vacuum is Gaussian, so an
 even-order moment is the sum over all perfect pairings of two-point
 contractions <F_i F_j>, and odd-order moments vanish.
 
-Circuits are wired up in this dict-based form; :func:`dense_fields` exports
-the finished fields as dense coefficient arrays for batched evaluation.
+Each field stores its coefficients as dense complex arrays over the modes,
+with optional leading batch axes, so one circuit build covers a whole grid
+of parameter points and the CH kernel reads the fields as they are.
 
 All values are immutable after construction; the only mutable object is
 the :class:`ModeRegistry` used while wiring up a circuit.
@@ -22,9 +23,12 @@ the :class:`ModeRegistry` used while wiring up a circuit.
 from __future__ import annotations
 
 from math import fsum
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "ModeRegistry",
@@ -36,7 +40,6 @@ __all__ = [
     "quadrature_minus",
     "vacuum_expectation",
     "wick_matchings",
-    "dense_fields",
 ]
 
 
@@ -60,59 +63,48 @@ class ModeRegistry:
         return len(self.names)
 
 
-def _pruned(coeffs: dict[int, complex]) -> dict[int, complex]:
-    # drop exact zeros so equality and mode-support queries are well defined
-    return {m: complex(c) for m, c in coeffs.items() if c != 0}
-
-
 class LinearField:
     """A field operator linear in vacuum-mode annihilation/creation operators.
 
-    Supports +, -, scalar *, and adjoint().  Coefficient maps are pruned of
-    exact zeros on construction and must not be mutated afterwards.
+    ann[..., m] and cre[..., m] are the coefficients of a_m and a_m^dag: two
+    complex arrays of one shape whose last axis runs over the modes 0..n-1
+    and whose leading axes, if any, index a batch of fields (one per
+    parameter point).  Modes from n on carry coefficient 0, so fields over
+    different mode counts combine by zero padding.  Supports +, -, adjoint()
+    and * by a scalar or by an array that broadcasts against the batch axes.
+    The arrays must not be mutated after construction.
     """
 
     __slots__ = ("ann", "cre")
+    # numpy scalars and arrays defer to LinearField's reflected operators
+    __array_ufunc__ = None
 
-    def __init__(self, ann: dict[int, complex] | None = None,
-                 cre: dict[int, complex] | None = None) -> None:
-        self.ann = _pruned(ann or {})
-        self.cre = _pruned(cre or {})
+    def __init__(self, ann: ArrayLike, cre: ArrayLike) -> None:
+        self.ann = np.asarray(ann, dtype=complex)
+        self.cre = np.asarray(cre, dtype=complex)
+        if self.ann.shape != self.cre.shape:
+            raise ValueError(f"ann and cre shapes differ: {self.ann.shape} "
+                             f"and {self.cre.shape}")
 
-    @staticmethod
-    def zero() -> "LinearField":
-        return LinearField({}, {})
+    def padded(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ann, cre) extended with zero coefficients to n_modes modes."""
+        ann, cre = self.ann, self.cre
+        if ann.shape[-1] == n_modes:
+            return ann, cre
+        shape = ann.shape[:-1] + (n_modes,)
+        wide_ann, wide_cre = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        wide_ann[..., :ann.shape[-1]] = ann
+        wide_cre[..., :cre.shape[-1]] = cre
+        return wide_ann, wide_cre
 
     def adjoint(self) -> "LinearField":
         """Hermitian adjoint: swaps ann and cre with conjugated coefficients."""
-        return LinearField(
-            {m: c.conjugate() for m, c in self.cre.items()},
-            {m: c.conjugate() for m, c in self.ann.items()},
-        )
-
-    def modes(self) -> set[int]:
-        """All modes the field is supported on."""
-        return set(self.ann) | set(self.cre)
-
-    def is_zero(self) -> bool:
-        return not self.ann and not self.cre
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        adj = self.adjoint()
-        for a, b in ((self.ann, adj.ann), (self.cre, adj.cre)):
-            for m in set(a) | set(b):
-                if abs(a.get(m, 0) - b.get(m, 0)) > tol:
-                    return False
-        return True
+        return LinearField(self.cre.conj(), self.ann.conj())
 
     def __add__(self, other: "LinearField") -> "LinearField":
-        ann = dict(self.ann)
-        for m, c in other.ann.items():
-            ann[m] = ann.get(m, 0) + c
-        cre = dict(self.cre)
-        for m, c in other.cre.items():
-            cre[m] = cre.get(m, 0) + c
-        return LinearField(ann, cre)
+        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
+        (ann, cre), (other_ann, other_cre) = self.padded(n_modes), other.padded(n_modes)
+        return LinearField(ann + other_ann, cre + other_cre)
 
     def __sub__(self, other: "LinearField") -> "LinearField":
         return self + (-1) * other
@@ -120,16 +112,18 @@ class LinearField:
     def __neg__(self) -> "LinearField":
         return (-1) * self
 
-    def __mul__(self, c: complex) -> "LinearField":
-        return LinearField({m: c * v for m, v in self.ann.items()},
-                           {m: c * v for m, v in self.cre.items()})
+    def __mul__(self, c: ArrayLike) -> "LinearField":
+        c = np.asarray(c)[..., None]
+        return LinearField(c * self.ann, c * self.cre)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearField):
             return NotImplemented
-        return self.ann == other.ann and self.cre == other.cre
+        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
+        return all(np.array_equal(x, y)
+                   for x, y in zip(self.padded(n_modes), other.padded(n_modes)))
 
     def __repr__(self) -> str:
         return f"LinearField(ann={self.ann!r}, cre={self.cre!r})"
@@ -137,22 +131,28 @@ class LinearField:
 
 def vacuum_field(mode: int) -> LinearField:
     """The annihilation operator of a single vacuum mode."""
-    return LinearField({mode: 1.0 + 0.0j}, {})
+    ann = np.zeros(mode + 1, dtype=complex)
+    ann[mode] = 1.0
+    return LinearField(ann, np.zeros_like(ann))
 
 
-def commutator(f: LinearField, g: LinearField) -> complex:
-    """The scalar [F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m])."""
-    total = 0j
-    for m, c in f.ann.items():
-        total += c * g.cre.get(m, 0)
-    for m, c in f.cre.items():
-        total -= c * g.ann.get(m, 0)
-    return total
+def _mode_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # sum_m x[..., m] y[..., m] over the modes both arrays hold; the rest are 0
+    n_modes = min(x.shape[-1], y.shape[-1])
+    return (x[..., :n_modes] * y[..., :n_modes]).sum(axis=-1)
 
 
-def pair_contraction(f: LinearField, g: LinearField) -> complex:
+def commutator(f: LinearField, g: LinearField) -> complex | np.ndarray:
+    """The scalar [F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m]).
+
+    One value per element of the broadcast batch shape of f and g.
+    """
+    return _mode_sum(f.ann, g.cre) - _mode_sum(f.cre, g.ann)
+
+
+def pair_contraction(f: LinearField, g: LinearField) -> complex | np.ndarray:
     """Vacuum two-point function <0| F G |0> = sum_m annF[m] creG[m]."""
-    return sum((c * g.cre[m] for m, c in f.ann.items() if m in g.cre), 0j)
+    return _mode_sum(f.ann, g.cre)
 
 
 def quadrature_plus(f: LinearField) -> LinearField:
@@ -195,6 +195,7 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
     Zero for odd n; for even n the Wick sum over all perfect matchings of the
     pairwise contractions <F_i F_j> taken in original order (i < j).  The
     empty product is 1.  Operator order matters: <a a^dag> = 1, <a^dag a> = 0.
+    The fields must be single fields, without batch axes.
     """
     n = len(product)
     if n == 0:
@@ -212,20 +213,3 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
             value *= pairs[ij]
         terms.append(value)
     return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
-
-
-def dense_fields(fields: Sequence[LinearField],
-                 n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of fields as dense complex arrays (ann, cre).
-
-    Both arrays have shape (len(fields), n_modes); row k, column m holds the
-    coefficient of a_m (ann) or a_m^dag (cre) in fields[k].  Every mode id
-    must be below n_modes, e.g. n_modes = len(registry).
-    """
-    ann = np.zeros((len(fields), n_modes), dtype=complex)
-    cre = np.zeros_like(ann)
-    for row, field in enumerate(fields):
-        for dense, coeffs in ((ann, field.ann), (cre, field.cre)):
-            for m, c in coeffs.items():
-                dense[row, m] = c
-    return ann, cre

@@ -76,17 +76,19 @@ def _vacuum_moment_of_word(word: tuple[tuple[int, int], ...]) -> int:
 def normal_order_expectation(product: Sequence[LinearField]) -> complex:
     """Vacuum expectation of an ordered product, by normal-order rewriting.
 
-    Expands each field multilinearly into single-ladder monomials before
-    rewriting, so the cost is exponential in the product length; lengths
-    above 10 are rejected.
+    Expands each field multilinearly into single-ladder monomials over its
+    nonzero coefficients before rewriting, so the cost is exponential in the
+    product length; lengths above 10 are rejected.  The fields must be
+    single fields, without batch axes.
     """
     if len(product) > _MAX_REWRITE_LENGTH:
         raise ValueError(f"product length {len(product)} exceeds "
                          f"{_MAX_REWRITE_LENGTH}; rewriting would blow up")
     factor_terms = []
     for field in product:
-        terms = [((m, _ANNIHILATE), c) for m, c in field.ann.items()]
-        terms += [((m, _CREATE), c) for m, c in field.cre.items()]
+        terms = [((int(m), kind), complex(coeffs[m]))
+                 for kind, coeffs in ((_ANNIHILATE, field.ann), (_CREATE, field.cre))
+                 for m in np.flatnonzero(coeffs)]
         if not terms:
             return 0j
         factor_terms.append(terms)

@@ -12,6 +12,8 @@ import math
 import random
 from typing import Callable, TextIO
 
+import numpy as np
+
 from .circuit import (
     PolarizedBeam,
     SwapParams,
@@ -19,7 +21,7 @@ from .circuit import (
     opo_type2,
     two_mode_squeezer,
 )
-from .metrics import OPTIMAL_ANGLES, analyzer, ch_s, coincidence_rate
+from .metrics import OPTIMAL_ANGLES, analyzer, ch_kernel, ch_s, coincidence_rate
 from .modes import (
     LinearField,
     ModeRegistry,
@@ -35,32 +37,42 @@ __all__ = ["run_selftest", "CHECKS"]
 _TOL = 1e-12
 
 
-def _beam_commutators(beam: PolarizedBeam) -> float:
-    worst = abs(commutator(beam.h, beam.h.adjoint()) - 1)
-    worst = max(worst, abs(commutator(beam.v, beam.v.adjoint()) - 1))
-    worst = max(worst, abs(commutator(beam.h, beam.v.adjoint())))
-    return worst
+def _beam_commutators(beam: PolarizedBeam) -> np.ndarray:
+    return np.maximum.reduce([np.abs(commutator(beam.h, beam.h.adjoint()) - 1),
+                              np.abs(commutator(beam.v, beam.v.adjoint()) - 1),
+                              np.abs(commutator(beam.h, beam.v.adjoint()))])
+
+
+def _first_above(values: np.ndarray, tol: float) -> tuple[int, ...] | None:
+    # index of the first element above tol; nan counts as above
+    bad = ~(values <= tol)
+    if not np.any(bad):
+        return None
+    return np.unravel_index(np.argmax(bad), bad.shape)
 
 
 def check_canonical_commutators() -> str | None:
-    """[F, F+] = 1 and cross-commutators 0 for every beam the circuit emits."""
-    for chi in (0.0, 0.1, 0.34, 0.8, 2.3):
-        reg = ModeRegistry()
-        m1 = vacuum_field(reg.new_mode("m1"))
-        m2 = vacuum_field(reg.new_mode("m2"))
-        out1, out2 = two_mode_squeezer(m1, m2, chi)
-        for f in (out1, out2):
-            if abs(commutator(f, f.adjoint()) - 1) > _TOL:
-                return f"squeezer output not canonical at chi={chi}"
-    for chi2 in (0.0, 0.1, 0.34, 0.8, 2.3):
-        for gain in (0.0, 0.3, math.tanh(chi2), 1.0, 2.0):
-            for eta in (0.5, 0.83, 0.9, 1.0):
-                out = build_swap_circuit(SwapParams(0.1, chi2, gain, eta))
-                for beam in (out.beam_a, out.beam_d_prime):
-                    worst = _beam_commutators(beam)
-                    if worst > _TOL:
-                        return (f"beam commutator off by {worst:.3e} at "
-                                f"chi2={chi2}, gain={gain:.4f}, eta={eta}")
+    """[F, F+] = 1 and cross-commutators 0 for every beam the circuit emits.
+
+    One batched build covers the whole (chi2, gain, eta) grid.
+    """
+    chis = np.array([0.0, 0.1, 0.34, 0.8, 2.3])
+    reg = ModeRegistry()
+    m1 = vacuum_field(reg.new_mode("m1"))
+    m2 = vacuum_field(reg.new_mode("m2"))
+    for f in two_mode_squeezer(m1, m2, chis):
+        bad = _first_above(np.abs(commutator(f, f.adjoint()) - 1), _TOL)
+        if bad is not None:
+            return f"squeezer output not canonical at chi={chis[bad]}"
+    gains = np.array([[0.0, 0.3, math.tanh(chi2), 1.0, 2.0] for chi2 in chis.tolist()])
+    etas = np.array([0.5, 0.83, 0.9, 1.0])
+    out = build_swap_circuit(SwapParams(0.1, chis[:, None, None], gains[:, :, None], etas))
+    worst = np.maximum(_beam_commutators(out.beam_a), _beam_commutators(out.beam_d_prime))
+    bad = _first_above(worst, _TOL)
+    if bad is not None:
+        i, j, k = bad
+        return (f"beam commutator off by {worst[bad]:.3e} at "
+                f"chi2={chis[i]}, gain={gains[i, j]:.4f}, eta={etas[k]}")
     return None
 
 
@@ -68,14 +80,15 @@ def check_homodyne_currents_commute() -> str | None:
     """The two photocurrent quadratures commute exactly for any efficiency."""
     from .circuit import homodyne_currents
 
-    for eta in (0.0, 0.5, 0.83, 1.0):
-        reg = ModeRegistry()
-        _, b = opo_type2(reg, 0.3, label="src")
-        c, _ = opo_type2(reg, 0.5, label="tele")
-        x_plus, x_minus = homodyne_currents(b.h, c.h, eta, reg)
-        value = abs(commutator(x_plus, x_minus))
-        if value > _TOL:
-            return f"[x+, x-] = {value:.3e} at eta={eta}"
+    etas = np.array([0.0, 0.5, 0.83, 1.0])
+    reg = ModeRegistry()
+    _, b = opo_type2(reg, 0.3, label="src")
+    c, _ = opo_type2(reg, 0.5, label="tele")
+    x_plus, x_minus = homodyne_currents(b.h, c.h, etas, reg)
+    value = np.abs(commutator(x_plus, x_minus))
+    bad = _first_above(value, _TOL)
+    if bad is not None:
+        return f"[x+, x-] = {value[bad]:.3e} at eta={etas[bad]}"
     return None
 
 
@@ -93,15 +106,15 @@ def check_pairing_count() -> str | None:
 def random_field(rng: random.Random, modes: list[int],
                  max_terms: int = 3) -> LinearField:
     """A sparse random field with coefficient magnitudes below sqrt(2)."""
-    ann: dict[int, complex] = {}
-    cre: dict[int, complex] = {}
+    ann = np.zeros(max(modes) + 1, dtype=complex)
+    cre = np.zeros_like(ann)
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(modes)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if rng.random() < 0.5:
-            ann[m] = ann.get(m, 0) + c
+            ann[m] += c
         else:
-            cre[m] = cre.get(m, 0) + c
+            cre[m] += c
     return LinearField(ann, cre)
 
 
@@ -156,32 +169,28 @@ def check_optimal_gain_attenuation() -> str | None:
     phase feeds the measured beam in as creation operators and fails here
     even though all commutators stay canonical.
     """
-    for chi2 in (0.1, 0.34657359, 0.8):
-        gain = math.tanh(chi2)
-        out = build_swap_circuit(SwapParams(0.1, chi2, gain, 1.0))
-        reg = ModeRegistry()
-        beam_a, beam_b = opo_type2(reg, 0.1, label="src")
-        for pol, baseline in (("h", beam_b.h), ("v", beam_b.v)):
-            component = getattr(out.beam_d_prime, pol)
-            source_modes = baseline.modes()
-            expected_fresh = 1.0 / math.cosh(chi2)
-            fresh_weight = 0.0
-            for m, c in component.ann.items():
-                if m in source_modes:
-                    target = gain * abs(baseline.ann.get(m, 0.0))
-                    if abs(abs(c) - target) > _TOL:
-                        return (f"{pol}: source amplitude {abs(c):.6f} != "
-                                f"{target:.6f} at chi2={chi2}")
-                else:
-                    fresh_weight += abs(c) ** 2
-            if abs(math.sqrt(fresh_weight) - expected_fresh) > 1e-9:
-                return (f"{pol}: fresh-vacuum weight {math.sqrt(fresh_weight):.6f}"
-                        f" != sech(chi2) = {expected_fresh:.6f} at chi2={chi2}")
-            for m, c in component.cre.items():
-                target = gain * abs(baseline.cre.get(m, 0.0))
-                if abs(abs(c) - target) > _TOL:
-                    return (f"{pol}: photon-creating coefficient {abs(c):.3e} "
-                            f"survives at chi2={chi2}")
+    chis = np.array([0.1, 0.34657359, 0.8])
+    gains = np.array([math.tanh(chi2) for chi2 in chis.tolist()])
+    out = build_swap_circuit(SwapParams(0.1, chis, gains, 1.0))
+    n_modes = len(out.registry)
+    _, beam_b = opo_type2(ModeRegistry(), 0.1, label="src")
+    for pol in ("h", "v"):
+        ann, cre = getattr(out.beam_d_prime, pol).padded(n_modes)
+        base_ann, base_cre = getattr(beam_b, pol).padded(n_modes)
+        source = (base_ann != 0) | (base_cre != 0)
+        fresh_weight = np.sqrt((np.abs(ann[:, ~source]) ** 2).sum(axis=-1))
+        for label, deviation, tol in (
+            ("source amplitude",
+             np.abs(np.abs(ann[:, source]) - gains[:, None] * np.abs(base_ann[source])),
+             _TOL),
+            ("fresh-vacuum weight vs sech(chi2)",
+             np.abs(fresh_weight - 1.0 / np.cosh(chis)), 1e-9),
+            ("photon-creating coefficient",
+             np.abs(np.abs(cre) - gains[:, None] * np.abs(base_cre)), _TOL),
+        ):
+            bad = _first_above(deviation, tol)
+            if bad is not None:
+                return f"{pol}: {label} off by {deviation[bad]:.3e} at chi2={chis[bad[0]]}"
     return None
 
 
@@ -190,12 +199,13 @@ def check_teleporter_transparency() -> str | None:
     chi1 = 0.1
     reg = ModeRegistry()
     baseline = ch_s(opo_type2(reg, chi1, label="src"), OPTIMAL_ANGLES).s
-    for chi2 in (0.05, 0.34657359, 0.8):
-        out = build_swap_circuit(SwapParams(chi1, chi2, math.tanh(chi2), 1.0))
-        teleported = ch_s(out, OPTIMAL_ANGLES).s
-        if abs(teleported - baseline) > 1e-9:
-            return (f"S changed by {teleported - baseline:.3e} "
-                    f"at chi2={chi2}")
+    chis = np.array([0.05, 0.34657359, 0.8])
+    gains = np.array([math.tanh(chi2) for chi2 in chis.tolist()])
+    out = build_swap_circuit(SwapParams(chi1, chis, gains, 1.0))
+    change = ch_kernel(out.beam_a, out.beam_d_prime, OPTIMAL_ANGLES)["s"] - baseline
+    bad = _first_above(np.abs(change), 1e-9)
+    if bad is not None:
+        return f"S changed by {change[bad]:.3e} at chi2={chis[bad]}"
     return None
 
 

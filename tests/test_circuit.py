@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cvswap import (
@@ -23,6 +24,7 @@ from cvswap import (
     vacuum_field,
 )
 from cvswap.circuit import MINUS_GAIN_PHASE
+from helpers import is_hermitian, support
 
 
 def fresh_pair():
@@ -33,6 +35,11 @@ def fresh_pair():
 
 def mean_photons(f):
     return vacuum_expectation([f.adjoint(), f]).real
+
+
+def nonzero_magnitudes(f):
+    coeffs = np.concatenate([f.ann, f.cre])
+    return sorted(round(abs(c), 9) for c in coeffs[coeffs != 0])
 
 
 class TestTwoModeSqueezer:
@@ -67,7 +74,7 @@ class TestOpoType2:
         registry = ModeRegistry()
         beam_a, beam_b = opo_type2(registry, 0.0)
         for f in (beam_a.h, beam_a.v, beam_b.h, beam_b.v):
-            assert not f.cre and len(f.ann) == 1
+            assert not np.any(f.cre) and np.count_nonzero(f.ann) == 1
 
     def test_cross_polarized_pair_correlations(self):
         registry = ModeRegistry()
@@ -110,8 +117,8 @@ class TestBeamsplitter:
         back1, back2 = beamsplitter_5050(out1, out2)
         for recovered, original in ((back1, a), (back2, b)):
             diff = recovered - original
-            assert all(abs(c) < 1e-12 for c in diff.ann.values())
-            assert not diff.cre
+            assert np.all(np.abs(diff.ann) < 1e-12)
+            assert not np.any(diff.cre)
 
 
 class TestHomodyneCurrents:
@@ -128,14 +135,14 @@ class TestHomodyneCurrents:
         assert len(self.registry) == before + 2  # loss modes allocated but unused
         port_plus, port_minus = beamsplitter_5050(self.beam_b.h, self.beam_c.h)
         assert x_plus == quadrature_plus(port_plus)
-        loss_modes = x_minus.modes() - (self.beam_b.h.modes() | self.beam_c.h.modes())
+        loss_modes = support(x_minus) - (support(self.beam_b.h) | support(self.beam_c.h))
         assert not loss_modes
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.83, 0.9, 1.0])
     def test_currents_commute(self, eta):
         x_plus, x_minus = homodyne_currents(self.beam_b.h, self.beam_c.h, eta,
                                             self.registry)
-        assert x_plus.is_hermitian() and x_minus.is_hermitian()
+        assert is_hermitian(x_plus) and is_hermitian(x_minus)
         assert commutator(x_plus, x_minus) == pytest.approx(0, abs=1e-12)
 
     def test_total_loss_leaves_unit_variance(self):
@@ -201,11 +208,11 @@ class TestBuildSwapCircuit:
 
     def test_beam_a_never_touches_teleporter_modes(self):
         out = build_swap_circuit(SwapParams(0.1, 0.5, 0.7, 0.8))
-        a_modes = out.beam_a.h.modes() | out.beam_a.v.modes()
+        a_modes = support(out.beam_a.h) | support(out.beam_a.v)
         # A lives on the source squeezer's four inputs only
         assert len(a_modes) == 4
         assert all(out.registry.names[m].startswith("opo1") for m in a_modes)
-        d_modes = out.beam_d_prime.h.modes() | out.beam_d_prime.v.modes()
+        d_modes = support(out.beam_d_prime.h) | support(out.beam_d_prime.v)
         kinds = {out.registry.names[m].split(".")[0] for m in d_modes}
         assert kinds == {"opo1", "opo2", "homodyne_h", "homodyne_v"}
 
@@ -220,24 +227,21 @@ class TestBuildSwapCircuit:
     def test_optimal_gain_cancels_photon_creation(self):
         for chi2 in (0.1, 0.34657, 0.8):
             out = build_swap_circuit(SwapParams(0.1, chi2, math.tanh(chi2), 1.0))
-            names = out.registry.names
+            opo2 = [m for m, name in out.registry.names.items() if "opo2" in name]
             for component in (out.beam_d_prime.h, out.beam_d_prime.v):
-                spurious = [abs(c) for m, c in component.cre.items()
-                            if "opo2" in names[m]]
-                assert max(spurious, default=0.0) < 1e-12
+                assert np.max(np.abs(component.cre[opo2])) < 1e-12
 
     def test_eta1_component_coefficients(self):
         """Each teleported component: gain*B + N*C0+ + M*D0 up to a global sign."""
         chi2, gain = 0.5, 0.7
         out = build_swap_circuit(SwapParams(0.1, chi2, gain, 1.0))
-        names = out.registry.names
+        opo2 = [m for m, name in out.registry.names.items() if "opo2" in name]
         n = math.sinh(chi2) - gain * math.cosh(chi2)
         m_coef = math.cosh(chi2) - gain * math.sinh(chi2)
         component = out.beam_d_prime.h  # fed by the h-polarized source content
-        cre_mags = sorted(round(abs(c), 9) for m, c in component.cre.items()
-                          if "opo2" in names[m])
-        ann_mags = sorted(round(abs(c), 9) for m, c in component.ann.items()
-                          if "opo2" in names[m])
+        cre, ann = component.cre[opo2], component.ann[opo2]
+        cre_mags = sorted(round(abs(c), 9) for c in cre[cre != 0])
+        ann_mags = sorted(round(abs(c), 9) for c in ann[ann != 0])
         assert cre_mags == [round(abs(n), 9)]
         assert ann_mags == [round(abs(m_coef), 9)]
 
@@ -247,15 +251,10 @@ class TestBuildSwapCircuit:
         out = build_swap_circuit(SwapParams(0.1, chi2, 1.0, 1.0))
         registry = ModeRegistry()
         _, beam_b = opo_type2(registry, 0.1, label="opo1")
-        residual = 0.0
-        target = {m: c for m, c in beam_b.h.ann.items()}
-        for m, c in out.beam_d_prime.h.ann.items():
-            residual = max(residual, abs(abs(c) - abs(target.get(m, 0)))
-                           if m in target else abs(c))
-        for m, c in out.beam_d_prime.h.cre.items():
-            expected = abs(beam_b.h.cre.get(m, 0))
-            if m in beam_b.h.cre or abs(c) > 0:
-                residual = max(residual, abs(abs(c) - expected))
+        n_modes = len(out.registry)
+        residual = max(np.max(np.abs(np.abs(d) - np.abs(b)))
+                       for d, b in zip(out.beam_d_prime.h.padded(n_modes),
+                                       beam_b.h.padded(n_modes)))
         assert residual < 0.08  # bounded by exp(-chi2)
 
     @pytest.mark.parametrize("eta", [0.5, 0.83, 0.9, 1.0])
@@ -268,6 +267,42 @@ class TestBuildSwapCircuit:
                 assert commutator(beam.v, beam.v.adjoint()) == pytest.approx(1, abs=1e-12)
                 assert commutator(beam.h, beam.v.adjoint()) == pytest.approx(0, abs=1e-12)
 
+    def test_batched_build_matches_scalar_builds(self):
+        """One build over a (chi1, chi2, gain, eta) grid equals a build per point."""
+        def coefficients(out):
+            return [x for f in (out.beam_a.h, out.beam_a.v,
+                                out.beam_d_prime.h, out.beam_d_prime.v)
+                    for x in f.padded(12)]
+
+        axes = (np.array([0.1, 0.5])[:, None, None, None],  # chi1
+                np.array([0.0, 0.34, 2.3])[:, None, None],  # chi2
+                np.array([0.0, 0.7, 1.5])[:, None],  # gain
+                np.array([0.0, 0.83, 1.0]))  # eta
+        grid = np.broadcast_arrays(*axes)
+        shape = grid[0].shape
+        batched = [np.broadcast_to(x, shape + (12,))
+                   for x in coefficients(build_swap_circuit(SwapParams(*axes)))]
+        for index in np.ndindex(shape):
+            single = build_swap_circuit(SwapParams(*(float(p[index]) for p in grid)))
+            for x, y in zip(batched, coefficients(single)):
+                np.testing.assert_array_equal(x[index], y)
+
+    @pytest.mark.parametrize("name, bad", [("chi1", -0.1), ("chi2", math.nan),
+                                           ("gain", -1.0), ("eta", 1.2)])
+    def test_batch_with_one_invalid_point_raises(self, name, bad):
+        values = {"chi1": 0.1, "chi2": 0.5, "gain": 0.7, "eta": 0.9}
+        values[name] = np.array([values[name], values[name], bad])
+        with pytest.raises(ValueError):
+            build_swap_circuit(SwapParams(**values))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_overflowing_build_fails_closed(self):
+        # cosh(400)^2 overflows, so [F, F+] = inf - inf = nan; nan must not
+        # pass the canonical check
+        with pytest.raises(ValueError):
+            build_swap_circuit(SwapParams(400, 0.3, 1.0, 1.0))
+
     def test_matches_two_parallel_single_mode_teleporters(self):
         """The 2-polarization circuit at eta=1 is two copies of the 1-mode map."""
         chi2, gain = 0.5, 0.7
@@ -278,13 +313,7 @@ class TestBuildSwapCircuit:
             circuit_field = getattr(out.beam_d_prime, pol)
             reference = single_mode_teleporter(getattr(beam_b, pol), chi2, gain,
                                                registry)
-            circuit_mags = sorted(round(abs(c), 9)
-                                  for c in list(circuit_field.ann.values())
-                                  + list(circuit_field.cre.values()))
-            reference_mags = sorted(round(abs(c), 9)
-                                    for c in list(reference.ann.values())
-                                    + list(reference.cre.values()))
-            assert circuit_mags == reference_mags
+            assert nonzero_magnitudes(circuit_field) == nonzero_magnitudes(reference)
 
 
 class TestSingleModeTeleporter:
@@ -293,8 +322,8 @@ class TestSingleModeTeleporter:
         a_in = vacuum_field(registry.new_mode("in"))
         chi = 0.6
         out = single_mode_teleporter(a_in, chi, math.tanh(chi), registry)
-        assert not out.cre
-        mags = sorted(abs(c) for c in out.ann.values())
+        assert not np.any(out.cre)
+        mags = sorted(np.abs(out.ann[out.ann != 0]))
         lam = math.tanh(chi)
         assert mags == pytest.approx(sorted([lam, math.sqrt(1 - lam * lam)]), abs=1e-12)
 
@@ -311,10 +340,10 @@ class TestSingleModeTeleporter:
         a_in = vacuum_field(registry.new_mode("in"))
         chi = 6.0
         out = single_mode_teleporter(a_in, chi, 1.0, registry)
-        assert abs(out.ann[next(iter(a_in.ann))] - 1.0) < 1e-12
+        (m_in,) = np.flatnonzero(a_in.ann)
+        assert abs(out.ann[m_in] - 1.0) < 1e-12
         residue = math.exp(-chi)
-        extras = [abs(c) for m, c in out.ann.items() if m not in a_in.ann]
-        extras += [abs(c) for c in out.cre.values()]
+        extras = np.abs(np.concatenate([np.delete(out.ann, m_in), out.cre]))
         assert max(extras) == pytest.approx(residue, rel=1e-9)
 
 

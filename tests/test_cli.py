@@ -157,6 +157,8 @@ class TestExitCodes:
         ["operating-point", "--eta", "0"],
         ["fig3", "--squeezing", "0.5", "--squeezing", "0.5"],
         ["fig4", "--squeezing", "0.499", "--squeezing", "0.501"],  # both s_50
+        ["operating-point", "--chi1", "200"],  # the rates overflow
+        ["operating-point", "--chi1", "1000"],  # cosh(chi1)^2 overflows
     ])
     def test_bad_values_exit_1_with_one_line(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -217,6 +219,13 @@ class TestThresholdScan:
         assert rows[-1][0] == pytest.approx(1.0)
         for column in (1, 2, 3):
             assert rows[-1][column] == pytest.approx(baseline_s(0.01), abs=5e-8)
+
+
+    def test_crossing_is_the_first_in_either_direction(self):
+        crossing = cvswap.cli._interpolate_crossing
+        assert crossing([0.7, 0.8, 0.9], [1.2, 1.1, 0.9]) == pytest.approx(0.85)
+        assert crossing([0.7, 0.8, 0.9], [0.9, 1.1, 0.8]) == pytest.approx(0.75)
+        assert crossing([0.7, 0.8, 0.9], [1.2, 1.1, 1.0]) is None
 
 
 class TestFig3:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cvswap import (
@@ -17,7 +18,13 @@ from cvswap import (
     vacuum_field,
     wick_matchings,
 )
-from helpers import max_oracle_deviation, random_field, random_product
+from helpers import (
+    is_hermitian,
+    is_zero,
+    max_oracle_deviation,
+    random_field,
+    random_product,
+)
 
 
 @pytest.fixture
@@ -30,7 +37,7 @@ def mode_pair():
 
 def test_vacuum_field_is_canonical(mode_pair):
     a, _ = mode_pair
-    assert a.ann and not a.cre
+    assert np.any(a.ann) and not np.any(a.cre)
     assert commutator(a, a.adjoint()) == 1
 
 
@@ -52,7 +59,7 @@ def test_registry_counts_and_rejects_empty_names():
 def test_adjoint_swaps_ladder_kind(mode_pair):
     a, _ = mode_pair
     adj = a.adjoint()
-    assert adj.cre == a.ann and not adj.ann
+    assert np.array_equal(adj.cre, a.ann) and not np.any(adj.ann)
 
 
 def test_adjoint_is_involutive():
@@ -64,7 +71,7 @@ def test_adjoint_is_involutive():
 
 def test_scaling_by_zero_prunes_everything(mode_pair):
     a, _ = mode_pair
-    assert (0 * a).is_zero()
+    assert is_zero(0 * a)
 
 
 def test_squeezed_combination_stays_canonical(mode_pair):
@@ -83,10 +90,10 @@ def test_elementary_commutators(mode_pair):
 def test_quadrature_commutator_and_variance(mode_pair):
     a, _ = mode_pair
     x_plus, x_minus = quadrature_plus(a), quadrature_minus(a)
-    assert x_plus.is_hermitian() and x_minus.is_hermitian()
+    assert is_hermitian(x_plus) and is_hermitian(x_minus)
     assert commutator(x_plus, x_minus) == pytest.approx(-2j, abs=1e-12)
     assert vacuum_expectation([x_plus, x_plus]) == pytest.approx(1.0, abs=1e-12)
-    assert quadrature_plus(LinearField.zero()).is_zero()
+    assert is_zero(quadrature_plus(LinearField(np.zeros(2), np.zeros(2))))
 
 
 def test_pair_contractions(mode_pair):
