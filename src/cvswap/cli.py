@@ -48,6 +48,7 @@ from .metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
     NoCoincidencesError,
+    RateOverflowError,
     angle_family,
     ch_kernel,
     ch_s,
@@ -193,9 +194,14 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    """Write rows at 9 significant digits, comma-separated, LF line endings."""
+    """Write rows at 9 significant digits, comma-separated, LF line endings.
+
+    Each row holds one value per header column and is formatted by one
+    ``%`` call, which renders every value as ``_fmt`` does.
+    """
+    row_format = ",".join(["%.9g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -394,6 +400,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NoCoincidencesError as exc:
         print(f"cvswap: degenerate physics: {exc}", file=sys.stderr)
         return 2
+    except RateOverflowError as exc:
+        # the config passed validation, but its rates exceed float range
+        print(f"cvswap: config error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
 <e2+ e1+ e1 e2> is the closed three-pairing Isserlis (Wick) sum of them.
+The kernel shares every product that several rates use: the matrices are
+formed once per beam pair, their products with an analyzer vector once per
+distinct vector, and each beam's Gram form once per vector, so a rate costs
+two 2-term dot products and one product of two cached forms.
 :func:`coincidence_rate` keeps the general Wick sum over single fields,
 without batch axes, as the reference that the oracles and tests check the
 kernel against.
@@ -44,6 +48,7 @@ from .modes import LinearField, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
+    "RateOverflowError",
     "AnalyzerAngles",
     "CHResult",
     "AnalyticInputs",
@@ -71,6 +76,10 @@ _DENOMINATOR_FLOOR = 1e-30
 
 class NoCoincidencesError(Exception):
     """The CH denominator underflowed: there is no coincidence signal."""
+
+
+class RateOverflowError(ValueError):
+    """A coincidence rate or CH sum exceeds float range."""
 
 
 @dataclass(frozen=True)
@@ -143,30 +152,42 @@ def _beam_pair(
     return beams
 
 
-def _polarization_stack(beam: PolarizedBeam,
-                        n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    # (ann, cre) of shape (..., 2, n_modes), axis -2 holding the (h, v)
-    # components broadcast to one batch shape
-    (h_ann, h_cre), (v_ann, v_cre) = beam.h.padded(n_modes), beam.v.padded(n_modes)
-    return (np.stack(np.broadcast_arrays(h_ann, v_ann), axis=-2),
-            np.stack(np.broadcast_arrays(h_cre, v_cre), axis=-2))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # sum_m x[..., m] y[..., m] over the modes both arrays hold; the rest are 0
+    n_modes = min(x.shape[-1], y.shape[-1])
+    return np.einsum("...m,...m->...", x[..., :n_modes], y[..., :n_modes])
 
 
-def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # (..., 2, 2) matrices sum_m x[..., i, m] y[..., j, m]; einsum, unlike
-    # matmul, neither copies the operands nor starts BLAS (less peak memory)
-    return np.einsum("...im,...jm->...ij", x, y)
+def _matrix(xs: tuple[np.ndarray, np.ndarray],
+            ys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # (..., 2, 2) matrices of _dot(xs[i], ys[j]) over the (h, v) components,
+    # read from the fields' own arrays without stacking or padding them
+    entries = np.broadcast_arrays(*[_dot(x, y) for x in xs for y in ys])
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
-def _form(u: np.ndarray, matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # u^T matrix w over the polarization axis, broadcast over the rest
-    return np.einsum("...i,...ij,...j->...", u, matrix, w)
+def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # sum_i u[..., i] x[..., i, :]: analyzer weights applied along axis -2 of
+    # x.  The products are einsums: the * ufunc would allocate buffers for its
+    # broadcast operands, doubling the peak memory over an angle grid
+    out = np.einsum("...,...->...", u[..., 0, None], x[..., 0, :])
+    out += np.einsum("...,...->...", u[..., 1, None], x[..., 1, :])
+    return out
 
 
 def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
-    # polarization weights of analyzer(beam, theta, side), stacked on axis -1
+    # polarization weights of analyzer(beam, theta, side), stacked on axis -1;
+    # complex, since they only multiply complex contractions: a real operand
+    # would cost numpy a cast in every product
     sign = {"a": 1.0, "d": -1.0}[side]
-    return np.stack(np.broadcast_arrays(np.cos(theta), sign * np.sin(theta)), axis=-1)
+    weights = np.broadcast_arrays(np.cos(theta), sign * np.sin(theta))
+    return np.stack(weights, axis=-1).astype(complex)
+
+
+def _form(u: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    # u^T gram u over the polarization axis, broadcast over the rest
+    u_gram = _weighted(u, gram)
+    return u_gram[..., 0] * u[..., 0] + u_gram[..., 1] * u[..., 1]
 
 
 def _checked_real(rate: np.ndarray) -> np.ndarray:
@@ -174,61 +195,91 @@ def _checked_real(rate: np.ndarray) -> np.ndarray:
     if np.any(imaginary):
         raise ValueError(f"coincidence rate has imaginary part "
                          f"{rate.imag[imaginary].flat[0]:g}")
-    return rate.real
+    return rate.real.copy()  # not a view that keeps rate alive
 
 
+def _right(left: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # sum_j left[..., k, j] w[..., j]: cached left products against a right vector
+    return _weighted(w, left.swapaxes(-1, -2))
+
+
+def _rate(pq: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    # <e2+ e1+ e1 e2> from pq = (<e1 e2>, sum_m conj(cre e1) cre e2) on axis -1
+    # and the product <e2+ e2><e1+ e1> of the two Gram forms
+    square = pq.conj()
+    square *= pq
+    rate = square[..., 0] + square[..., 1]
+    rate += forms
+    return _checked_real(rate)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
 def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
               angles: AnalyzerAngles) -> dict[str, np.ndarray]:
     """All six rates and the CH ratio, elementwise over a batch.
 
     beam_1 is analyzed on the first arm ("a" handedness), beam_2 on the
     second ("d").  The beams' fields may carry any batch axes and any mode
-    counts (they are zero-padded to the largest), and the four angles of
+    counts (modes beyond a field's count are 0), and the four angles of
     ``angles`` may be arrays; all of them broadcast together.  Returns
-    arrays of the broadcast shape keyed by the CHResult field names.
+    arrays keyed by the CHResult field names: "s" has the broadcast shape
+    of all inputs, each rate that of the beams and the angles it uses.
 
-    Each rate <e2+ e1+ e1 e2> is the three-pairing Wick sum
-    <e2+ e1+><e1 e2> + <e2+ e1><e1+ e2> + <e2+ e2><e1+ e1>.  The checks are
-    those of coincidence_rate and ch_s, applied to every element: ValueError
-    on an imaginary part or a negative rate beyond tolerance,
+    Each rate <e2+ e1+ e1 e2>, with e1 = u . beam_p and e2 = w . beam_q for
+    real analyzer vectors u and w, is the three-pairing Wick sum
+
+        |<e1 e2>|^2 + |sum_m conj(cre e1) cre e2|^2 + <e2+ e2><e1+ e1>
+        = |u^T P w|^2 + |u^T Q w|^2 + (w^T G_q w)(u^T G_p u)
+
+    over the 2x2 contraction matrices P, Q between the beams' (h, v)
+    components and each beam's Gram matrix G.  The left products u^T P and
+    u^T Q are formed once per distinct left vector (u_a and u_a' against
+    beam_2, w_b against beam_1 for the singles), the Gram forms once per
+    vector (the Gram diagonal for bare h and v), so each of the ten rates
+    is two 2-term dot products and one product of cached forms.  Q for the
+    reverse pair is the conjugate transpose of Q for the forward pair.
+
+    The checks are those of coincidence_rate and ch_s, applied to every
+    element: ValueError on an imaginary part or a negative rate beyond
+    tolerance, RateOverflowError on a rate or CH sum beyond float range,
     NoCoincidencesError when a singles denominator underflows.
     """
-    n_modes = max(f.ann.shape[-1] for beam in (beam_1, beam_2) for f in (beam.h, beam.v))
-    ann_1, cre_1 = _polarization_stack(beam_1, n_modes)
-    ann_2, cre_2 = _polarization_stack(beam_2, n_modes)
-    cre_1_conj, cre_2_conj = cre_1.conj(), cre_2.conj()
-    # per ordered beam pair (p, q): <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
-    pair_12 = (_contract(ann_1, cre_2), _contract(cre_1_conj, cre_2))
-    pair_21 = (_contract(ann_2, cre_1), _contract(cre_2_conj, cre_1))
-    gram_1 = _contract(cre_1_conj, cre_1)
-    gram_2 = _contract(cre_2_conj, cre_2)
-
-    def rate(u: np.ndarray, w: np.ndarray, pair: tuple[np.ndarray, np.ndarray],
-             gram_u: np.ndarray, gram_w: np.ndarray) -> np.ndarray:
-        # e1 = u . beam_p and e2 = w . beam_q, with u and w real
-        e1_e2 = _form(u, pair[0], w)
-        e1_dag_e2 = _form(u, pair[1], w)
-        return _checked_real(e1_e2.conj() * e1_e2 + e1_dag_e2.conj() * e1_dag_e2
-                             + _form(w, gram_w, w) * _form(u, gram_u, u))
+    ann_1, ann_2 = (beam_1.h.ann, beam_1.v.ann), (beam_2.h.ann, beam_2.v.ann)
+    cre_1, cre_2 = (beam_1.h.cre, beam_1.v.cre), (beam_2.h.cre, beam_2.v.cre)
+    conj_1 = (cre_1[0].conj(), cre_1[1].conj())
+    # (P, Q) per ordered beam pair (p, q), stacked on axis -3: <X_i Y_j> and
+    # sum_m conj(cre X_i) cre Y_j, with Q_21 the conjugate transpose of Q_12
+    q_12 = _matrix(conj_1, cre_2)
+    pq_12 = np.stack([_matrix(ann_1, cre_2), q_12], axis=-3)
+    pq_21 = np.stack([_matrix(ann_2, cre_1), q_12.conj().swapaxes(-1, -2)], axis=-3)
+    gram_1 = _matrix(conj_1, cre_1)
+    gram_2 = _matrix((cre_2[0].conj(), cre_2[1].conj()), cre_2)
 
     u_a = _analyzer_vector(angles.theta_a, "a")
     u_a_prime = _analyzer_vector(angles.theta_a_prime, "a")
     w_b = _analyzer_vector(angles.theta_b, "d")
     w_b_prime = _analyzer_vector(angles.theta_b_prime, "d")
-    h, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    rates = {
-        "r_ab": rate(u_a, w_b, pair_12, gram_1, gram_2),
-        "r_ab_prime": rate(u_a, w_b_prime, pair_12, gram_1, gram_2),
-        "r_a_prime_b": rate(u_a_prime, w_b, pair_12, gram_1, gram_2),
-        "r_a_prime_b_prime": rate(u_a_prime, w_b_prime, pair_12, gram_1, gram_2),
-        "r_singles_a": (rate(u_a_prime, h, pair_12, gram_1, gram_2)
-                        + rate(u_a_prime, v, pair_12, gram_1, gram_2)),
-        "r_singles_b": (rate(w_b, h, pair_21, gram_2, gram_1)
-                        + rate(w_b, v, pair_21, gram_2, gram_1)),
-    }
+    form_a, form_a_prime = _form(u_a, gram_1), _form(u_a_prime, gram_1)
+    form_b, form_b_prime = _form(w_b, gram_2), _form(w_b_prime, gram_2)
+    h_1, v_1 = gram_1[..., 0, 0], gram_1[..., 1, 1]
+    h_2, v_2 = gram_2[..., 0, 0], gram_2[..., 1, 1]
+    # (u^T P, u^T Q) on axes (-2, -1), once per distinct left vector u; only
+    # one is alive at a time, since over an angle grid each is the largest array
+    left = _weighted(u_a[..., None, :], pq_12)
+    rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a),
+             "r_ab_prime": _rate(_right(left, w_b_prime), form_b_prime * form_a)}
+    del left
+    left = _weighted(u_a_prime[..., None, :], pq_12)
+    rates["r_a_prime_b"] = _rate(_right(left, w_b), form_b * form_a_prime)
+    rates["r_a_prime_b_prime"] = _rate(_right(left, w_b_prime), form_b_prime * form_a_prime)
+    rates["r_singles_a"] = (_rate(left[..., 0], h_2 * form_a_prime)
+                            + _rate(left[..., 1], v_2 * form_a_prime))
+    del left
+    left = _weighted(w_b[..., None, :], pq_21)
+    rates["r_singles_b"] = _rate(left[..., 0], h_1 * form_b) + _rate(left[..., 1], v_1 * form_b)
     for name, value in rates.items():
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} is not finite: the rates overflow float range")
+            raise RateOverflowError(f"{name} is not finite: the rates overflow float range")
         negative = value < _RATE_FLOOR
         if np.any(negative):
             raise ValueError(f"{name} is negative beyond tolerance: "
@@ -243,7 +294,7 @@ def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
     numerator = (rates["r_ab"] - rates["r_ab_prime"]
                  + rates["r_a_prime_b"] + rates["r_a_prime_b_prime"])
     if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(denominator))):
-        raise ValueError("the CH sums are not finite: the rates overflow float range")
+        raise RateOverflowError("the CH sums are not finite: the rates overflow float range")
     rates["s"] = numerator / denominator
     return rates
 

@@ -22,6 +22,7 @@ the :class:`ModeRegistry` used while wiring up a circuit.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import fsum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -189,6 +190,15 @@ def wick_matchings(n: int) -> Iterator[list[tuple[int, int]]]:
     yield from rec(positions)
 
 
+@lru_cache(maxsize=None)
+def _matching_pairs(n: int) -> np.ndarray:
+    # ((n-1)!!, n/2, 2) positions: row k holds the (i, j) pairs of the k-th
+    # matching of wick_matchings(n); shared between calls, hence read-only
+    pairs = np.array(list(wick_matchings(n)), dtype=np.intp)
+    pairs.flags.writeable = False
+    return pairs
+
+
 def vacuum_expectation(product: Sequence[LinearField]) -> complex:
     """Exact vacuum moment <0| F_1 F_2 ... F_n |0> of an ordered product.
 
@@ -196,20 +206,20 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
     pairwise contractions <F_i F_j> taken in original order (i < j).  The
     empty product is 1.  Operator order matters: <a a^dag> = 1, <a^dag a> = 0.
     The fields must be single fields, without batch axes.
+
+    All n x n contractions come from one multiply-sum of the stacked
+    coefficient arrays, and each matching's term is the product of the
+    contractions its pairs index, from a pair array cached per n.
     """
     n = len(product)
     if n == 0:
         return 1.0 + 0j
     if n % 2:
         return 0j
-    pairs: dict[tuple[int, int], complex] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs[(i, j)] = pair_contraction(product[i], product[j])
-    terms = []
-    for matching in wick_matchings(n):
-        value = 1.0 + 0j
-        for ij in matching:
-            value *= pairs[ij]
-        terms.append(value)
-    return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    n_modes = max(f.ann.shape[-1] for f in product)
+    ann, cre = map(np.stack, zip(*(f.padded(n_modes) for f in product)))
+    # contractions[i, j] = <F_i F_j> = sum_m ann_i[m] cre_j[m]
+    contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
+    pairs = _matching_pairs(n)
+    terms = contractions[pairs[..., 0], pairs[..., 1]].prod(axis=-1)
+    return complex(fsum(terms.real), fsum(terms.imag))

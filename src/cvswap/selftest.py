@@ -154,9 +154,11 @@ def check_wick_vs_fock_rates() -> str | None:
         wick = coincidence_rate(analyzer(beam_a, theta_a, "a"),
                                 analyzer(beam_b, theta_b, "d"))
         fock = fock_coincidence_rate(state, theta_a, theta_b)
-        if wick > 0 and abs(wick - fock) / wick > 1e-6:
-            return (f"relative deviation {abs(wick - fock) / wick:.3e} at "
-                    f"angles ({theta_a:.4f}, {theta_b:.4f})")
+        # relative to the larger magnitude, so a zero or negative engine
+        # rate against a nonzero Fock rate fails
+        if not abs(wick - fock) <= 1e-6 * max(abs(wick), abs(fock)):
+            return (f"rates {wick:.6e} (Wick) and {fock:.6e} (Fock) differ by more "
+                    f"than 1e-6 relative at angles ({theta_a:.4f}, {theta_b:.4f})")
     return None
 
 

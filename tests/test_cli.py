@@ -9,6 +9,7 @@ import pytest
 
 import cvswap.circuit
 import cvswap.cli
+import cvswap.selftest
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
@@ -159,13 +160,26 @@ class TestExitCodes:
         ["fig4", "--squeezing", "0.499", "--squeezing", "0.501"],  # both s_50
         ["operating-point", "--chi1", "200"],  # the rates overflow
         ["operating-point", "--chi1", "1000"],  # cosh(chi1)^2 overflows
+        ["fig4", "--lambda-max", "1e200"],  # the teleported rates overflow
+        ["fig4", "--chi1", "177.445"],  # finite rates, overflowing CH sums
     ])
+    # outside pytest a warning would print more lines to stderr
+    @pytest.mark.filterwarnings("error")
     def test_bad_values_exit_1_with_one_line(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cvswap: config error: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_other_value_errors_surface(self, tmp_path, monkeypatch):
+        # only the kernel's float-range overflow is reported as a config error
+        def fail(*args):
+            raise ValueError("r_ab is negative beyond tolerance: -1")
+
+        monkeypatch.setattr(cvswap.cli, "ch_kernel", fail)
+        with pytest.raises(ValueError, match="negative beyond tolerance"):
+            main(["fig3", "--angles-steps", "3", "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("argv", [
         ["threshold-scan", "--squeezing", "0.9999999999999999"],
@@ -292,6 +306,14 @@ class TestOutputFormat:
         assert ((tmp_path / "one" / "fig4.csv").read_bytes()
                 == (tmp_path / "two" / "fig4.csv").read_bytes())
 
+    def test_csv_rows_match_per_cell_formatting(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300,
+                  2.0, -3.0, 1e16, 0.1, 1 / 3, 123456789012.0, 5e-324]
+        rows = [values[k:k + 2] for k in range(0, len(values), 2)]
+        cvswap.cli.write_csv(tmp_path / "t.csv", ["x", "y"], rows)
+        expected = ["x,y"] + [",".join(f"{x:.9g}" for x in row) for row in rows]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
     def test_svg_polyline_per_column(self, tmp_path, capsys):
         main(["fig3", "--out", str(tmp_path), "--angles-steps", "13", "--svg"])
         capsys.readouterr()
@@ -307,6 +329,12 @@ class TestSelftest:
         second = capsys.readouterr().out
         assert first == second
         assert "all 7 checks passed" in first
+
+    def test_zero_engine_rate_fails_fock_check(self, monkeypatch):
+        # a vanishing engine rate against nonzero Fock rates is a failure
+        monkeypatch.setattr(cvswap.selftest, "coincidence_rate", lambda e1, e2: 0.0)
+        detail = cvswap.selftest.check_wick_vs_fock_rates()
+        assert detail is not None and "(Wick)" in detail
 
     def test_corrupted_feedforward_phase_is_caught(self, monkeypatch):
         """Flipping the minus-quadrature gain phase feeds the measured beam

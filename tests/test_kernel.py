@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +89,29 @@ def test_threshold_cells_match_per_point(monkeypatch, tmp_path, capsys):
             expected = per_point_s(0.1, chi2, optimal_gain(chi2, eta), eta,
                                    OPTIMAL_ANGLES)
             assert abs(cell - expected) <= 1e-12 * abs(expected)
+
+
+def test_angles_of_four_shapes_match_per_point():
+    """Each angle broadcasts on its own axes against a batch of beams."""
+    chi2 = np.array([0.3, 0.8])  # beam batch, axis 2
+    theta_a = np.array([0.1, 0.5, 1.2])[:, None, None]  # axis 0
+    theta_b = -0.4  # scalar
+    theta_a_prime = np.array([0.2, 0.9, 1.5, 2.8])[:, None]  # axis 1
+    theta_b_prime = np.array([0.05, -0.7])  # axis 2, with the beams
+    out = build_swap_circuit(SwapParams(0.1, chi2, 0.8, 0.9))
+    kernel = ch_kernel(out.beam_a, out.beam_d_prime,
+                       AnalyzerAngles(theta_a, theta_b, theta_a_prime, theta_b_prime))
+    assert kernel["s"].shape == (3, 4, 2)
+    # a rate keeps the broadcast shape of the angles it depends on
+    kernel = {name: np.broadcast_to(value, (3, 4, 2)) for name, value in kernel.items()}
+    for i, j, k in np.ndindex(3, 4, 2):
+        angles = AnalyzerAngles(float(theta_a[i, 0, 0]), theta_b,
+                                float(theta_a_prime[j, 0]), float(theta_b_prime[k]))
+        expected = ch_s(build_swap_circuit(SwapParams(0.1, float(chi2[k]), 0.8, 0.9)),
+                        angles)
+        for name, value in kernel.items():
+            reference = getattr(expected, name)
+            assert abs(value[i, j, k] - reference) <= 1e-12 * abs(reference), name
 
 
 _angle = st.floats(min_value=-math.pi, max_value=math.pi)

@@ -27,7 +27,12 @@ from cvswap import (
     singles_rate,
     squeezing_to_chi,
 )
-from cvswap.metrics import OPTIMAL_ANGLES, AnalyzerAngles, angle_family
+from cvswap.metrics import (
+    OPTIMAL_ANGLES,
+    AnalyzerAngles,
+    RateOverflowError,
+    angle_family,
+)
 from helpers import baseline_s, source_beams, support
 
 S_LIMIT = (1 + math.sqrt(2)) / 2  # weak-pump CH maximum of the pair source
@@ -145,6 +150,11 @@ class TestChS:
         out = build_swap_circuit(SwapParams(177.445, squeezing_to_chi(0.1), 2.0, 1.0))
         with pytest.raises(ValueError, match="not finite"):
             ch_s(out, OPTIMAL_ANGLES)
+
+    def test_overflow_has_its_own_value_error(self):
+        assert issubclass(RateOverflowError, ValueError)
+        with pytest.raises(RateOverflowError, match="r_ab is not finite"):
+            ch_s(source_beams(200.0), OPTIMAL_ANGLES)
 
     @pytest.mark.parametrize("squeezing_chi", [0.05, 0.34, 0.8])
     def test_optimal_gain_preserves_s(self, squeezing_chi):

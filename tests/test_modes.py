@@ -18,6 +18,7 @@ from cvswap import (
     vacuum_field,
     wick_matchings,
 )
+from cvswap.modes import _matching_pairs
 from helpers import (
     is_hermitian,
     is_zero,
@@ -152,3 +153,12 @@ def test_matching_count_is_double_factorial():
 
 def test_wick_agrees_with_rewriter_on_random_products():
     assert max_oracle_deviation(n_products=200, seed=1234) <= 1e-12
+
+
+def test_cached_matching_pairs_follow_the_enumerator():
+    for n in (2, 4, 6, 8):
+        pairs = _matching_pairs(n)
+        assert _matching_pairs(n) is pairs
+        assert not pairs.flags.writeable
+        assert [[tuple(pair) for pair in matching] for matching in pairs.tolist()] \
+            == list(wick_matchings(n))
