@@ -16,8 +16,9 @@ whole parameter grid, passed as broadcasting arrays, and one call of
 * ``fig3`` builds over the squeezing levels and evaluates the whole angle
   grid against them.
 * ``fig4`` builds over (gain, level) pairs.
-* ``threshold-scan`` builds over (efficiency, level) pairs at each pair's
-  optimal gain.
+* ``threshold-scan`` builds over (efficiency, level) pairs at their optimal
+  gains, from one :func:`cvswap.metrics.optimal_gain` call.
+* ``operating-point`` is a one-point sweep of the first level.
 
 The gain, angle and efficiency grids use the scalar expression
 ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
@@ -25,11 +26,12 @@ The gain, angle and efficiency grids use the scalar expression
 Defaults may be placed in a flat ``key = value`` config file (``#`` comments);
 command-line flags override file values.  The config keys are the flag names
 with underscores (``lambda_min`` for ``--lambda-min``), all read from one
-settings table; the ``eta_*`` keys, like their flags, belong to
-``threshold-scan`` and affect no other command.  Squeezing levels name their
-CSV columns by whole percent, so levels that round to the same percent are
-rejected.  Exit codes: 0 success, 1 bad flags/config, 2 degenerate physics
-(no coincidences), 3 selftest failure.
+settings table that declares each flag once; the ``eta_*`` keys, like their
+flags, belong to ``threshold-scan`` and affect no other command.  Squeezing
+levels name their CSV columns by whole percent, so levels that round to the
+same percent are rejected.  Exit codes: 0 success, 1 bad flags/config or an
+unusable output directory, 2 degenerate physics (no coincidences), 3
+selftest failure.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .metrics import (
     RateOverflowError,
     angle_family,
     ch_kernel,
-    ch_s,
     optimal_gain,
     squeezing_to_chi,
 )
@@ -296,14 +297,11 @@ def cmd_operating_point(config: ExperimentConfig, stream: TextIO) -> int:
     transmission factor gain^2 * eta (the teleporter acts as an attenuator of
     that transmissivity on the paired-photon signal).
     """
-    level = config.squeezing_levels[0]
-    chi2 = squeezing_to_chi(level)
+    chi2 = squeezing_to_chi(config.squeezing_levels[0])
     gain = optimal_gain(chi2, config.eta)
-    out = build_swap_circuit(SwapParams(config.chi1, chi2, gain, config.eta))
-    s_ad = ch_s(out, OPTIMAL_ANGLES).s
-    ratio = gain * gain * config.eta
+    s_ad = _sweep_s(SwapParams(config.chi1, chi2, gain, config.eta), OPTIMAL_ANGLES)
     _emit(config, "operating_point", ["s_ad", "lambda_op", "coincidence_ratio"],
-          [[s_ad, gain, ratio]], stream)
+          [[s_ad, gain, gain * gain * config.eta]], stream)
     return 0
 
 
@@ -312,8 +310,7 @@ def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
     header = ["eta"] + [f"s_ad_{_pct(level)}" for level in config.squeezing_levels]
     etas = _grid(config.eta_min, config.eta_max, config.eta_steps)
     chis = _chis(config)
-    gains = np.array([[optimal_gain(chi2, eta) for chi2 in chis.tolist()]
-                      for eta in etas.tolist()])
+    gains = optimal_gain(chis, etas[:, None])
     s = _sweep_s(SwapParams(config.chi1, chis, gains, etas[:, None]), OPTIMAL_ANGLES)
     rows = _write_columns(config, "threshold_scan", header, etas, s, stream)
     for column, level in enumerate(config.squeezing_levels, start=1):
@@ -341,19 +338,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag is declared once, in the parent parser of the commands it belongs to
+    shared, eta_grid = _Parser(add_help=False), _Parser(add_help=False)
+    for key, (_, parse, flag_help) in _SETTINGS.items():
+        owner = eta_grid if key.startswith("eta_") else shared
+        owner.add_argument("--" + key.replace("_", "-"), help=flag_help,
+                           **_FLAG_FORMS.get(parse, {"type": parse}))
+    shared.add_argument("--config", help="flat key = value config file; flags override it")
     parser = _Parser(prog="cvswap",
                      description="Continuous-variable entanglement swapping sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in _COMMAND_HELP.items():
-        command_parser = sub.add_parser(command, help=help_text)
-        if command not in _COMMANDS:
-            continue
-        for key, (_, parse, flag_help) in _SETTINGS.items():
-            if command == "threshold-scan" or not key.startswith("eta_"):
-                command_parser.add_argument("--" + key.replace("_", "-"), help=flag_help,
-                                            **_FLAG_FORMS.get(parse, {"type": parse}))
-        command_parser.add_argument("--config",
-                                    help="flat key = value config file; flags override it")
+        parents = [shared, eta_grid] if command == "threshold-scan" else [shared]
+        sub.add_parser(command, help=help_text,
+                       parents=parents if command in _COMMANDS else [])
     return parser
 
 
@@ -400,8 +398,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NoCoincidencesError as exc:
         print(f"cvswap: degenerate physics: {exc}", file=sys.stderr)
         return 2
-    except RateOverflowError as exc:
-        # the config passed validation, but its rates exceed float range
+    except (RateOverflowError, OSError) as exc:
+        # the config passed validation, but its rates exceed float range or
+        # its output directory cannot be written
         print(f"cvswap: config error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import PolarizedBeam, SwapCircuitOutput
-from .modes import LinearField, vacuum_expectation
+from .modes import LinearField, _mode_sum, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
@@ -124,11 +124,8 @@ def analyzer(beam: PolarizedBeam, theta: float, side: str) -> LinearField:
     side "a" (first arm):  cos(theta) h + sin(theta) v
     side "d" (second arm): cos(theta) h - sin(theta) v
     """
-    if side == "a":
-        return math.cos(theta) * beam.h + math.sin(theta) * beam.v
-    if side == "d":
-        return math.cos(theta) * beam.h - math.sin(theta) * beam.v
-    raise ValueError(f"side must be 'a' or 'd', got {side!r}")
+    u = _analyzer_vector(theta, side)
+    return u[..., 0] * beam.h + u[..., 1] * beam.v
 
 
 def coincidence_rate(e1: LinearField, e2: LinearField) -> float:
@@ -152,17 +149,11 @@ def _beam_pair(
     return beams
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # sum_m x[..., m] y[..., m] over the modes both arrays hold; the rest are 0
-    n_modes = min(x.shape[-1], y.shape[-1])
-    return np.einsum("...m,...m->...", x[..., :n_modes], y[..., :n_modes])
-
-
 def _matrix(xs: tuple[np.ndarray, np.ndarray],
             ys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    # (..., 2, 2) matrices of _dot(xs[i], ys[j]) over the (h, v) components,
+    # (..., 2, 2) matrices of _mode_sum(xs[i], ys[j]) over the (h, v) components,
     # read from the fields' own arrays without stacking or padding them
-    entries = np.broadcast_arrays(*[_dot(x, y) for x in xs for y in ys])
+    entries = np.broadcast_arrays(*[_mode_sum(x, y) for x in xs for y in ys])
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
@@ -177,9 +168,11 @@ def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
     # polarization weights of analyzer(beam, theta, side), stacked on axis -1;
-    # complex, since they only multiply complex contractions: a real operand
+    # complex, since they only multiply complex arrays: a real operand
     # would cost numpy a cast in every product
-    sign = {"a": 1.0, "d": -1.0}[side]
+    if side not in ("a", "d"):
+        raise ValueError(f"side must be 'a' or 'd', got {side!r}")
+    sign = 1.0 if side == "a" else -1.0
     weights = np.broadcast_arrays(np.cos(theta), sign * np.sin(theta))
     return np.stack(weights, axis=-1).astype(complex)
 
@@ -231,27 +224,25 @@ def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
         |<e1 e2>|^2 + |sum_m conj(cre e1) cre e2|^2 + <e2+ e2><e1+ e1>
         = |u^T P w|^2 + |u^T Q w|^2 + (w^T G_q w)(u^T G_p u)
 
-    over the 2x2 contraction matrices P, Q between the beams' (h, v)
-    components and each beam's Gram matrix G.  The left products u^T P and
-    u^T Q are formed once per distinct left vector (u_a and u_a' against
-    beam_2, w_b against beam_1 for the singles), the Gram forms once per
-    vector (the Gram diagonal for bare h and v), so each of the ten rates
-    is two 2-term dot products and one product of cached forms.  Q for the
-    reverse pair is the conjugate transpose of Q for the forward pair.
+    over the 2x2 contraction matrices P, Q from beam_1's (h, v) components
+    to beam_2's and each beam's Gram matrix G.  P and Q are formed in this
+    direction only: the beams commute, so a rate is symmetric in e1 and e2
+    and the singles of w_b against beam_1's bare h and v come from the
+    right products P w_b and Q w_b.  The left products u^T P and u^T Q are
+    formed once per distinct left vector (u_a and u_a'), the Gram forms once
+    per vector (the Gram diagonal for bare h and v), so each of the ten
+    rates is two 2-term dot products and one product of cached forms.
 
     The checks are those of coincidence_rate and ch_s, applied to every
     element: ValueError on an imaginary part or a negative rate beyond
     tolerance, RateOverflowError on a rate or CH sum beyond float range,
     NoCoincidencesError when a singles denominator underflows.
     """
-    ann_1, ann_2 = (beam_1.h.ann, beam_1.v.ann), (beam_2.h.ann, beam_2.v.ann)
+    ann_1 = (beam_1.h.ann, beam_1.v.ann)
     cre_1, cre_2 = (beam_1.h.cre, beam_1.v.cre), (beam_2.h.cre, beam_2.v.cre)
     conj_1 = (cre_1[0].conj(), cre_1[1].conj())
-    # (P, Q) per ordered beam pair (p, q), stacked on axis -3: <X_i Y_j> and
-    # sum_m conj(cre X_i) cre Y_j, with Q_21 the conjugate transpose of Q_12
-    q_12 = _matrix(conj_1, cre_2)
-    pq_12 = np.stack([_matrix(ann_1, cre_2), q_12], axis=-3)
-    pq_21 = np.stack([_matrix(ann_2, cre_1), q_12.conj().swapaxes(-1, -2)], axis=-3)
+    # (P, Q) stacked on axis -3: <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
+    pq = np.stack([_matrix(ann_1, cre_2), _matrix(conj_1, cre_2)], axis=-3)
     gram_1 = _matrix(conj_1, cre_1)
     gram_2 = _matrix((cre_2[0].conj(), cre_2[1].conj()), cre_2)
 
@@ -265,18 +256,19 @@ def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
     h_2, v_2 = gram_2[..., 0, 0], gram_2[..., 1, 1]
     # (u^T P, u^T Q) on axes (-2, -1), once per distinct left vector u; only
     # one is alive at a time, since over an angle grid each is the largest array
-    left = _weighted(u_a[..., None, :], pq_12)
+    left = _weighted(u_a[..., None, :], pq)
     rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a),
              "r_ab_prime": _rate(_right(left, w_b_prime), form_b_prime * form_a)}
     del left
-    left = _weighted(u_a_prime[..., None, :], pq_12)
+    left = _weighted(u_a_prime[..., None, :], pq)
     rates["r_a_prime_b"] = _rate(_right(left, w_b), form_b * form_a_prime)
     rates["r_a_prime_b_prime"] = _rate(_right(left, w_b_prime), form_b_prime * form_a_prime)
     rates["r_singles_a"] = (_rate(left[..., 0], h_2 * form_a_prime)
                             + _rate(left[..., 1], v_2 * form_a_prime))
     del left
-    left = _weighted(w_b[..., None, :], pq_21)
-    rates["r_singles_b"] = _rate(left[..., 0], h_1 * form_b) + _rate(left[..., 1], v_1 * form_b)
+    # (P w_b, Q w_b) on axes (-2, -1); (P w_b)_i = <X_i e_b> = <e_b X_i>, as the beams commute
+    right = _right(pq, w_b[..., None, :])
+    rates["r_singles_b"] = _rate(right[..., 0], h_1 * form_b) + _rate(right[..., 1], v_1 * form_b)
     for name, value in rates.items():
         if not np.all(np.isfinite(value)):
             raise RateOverflowError(f"{name} is not finite: the rates overflow float range")
@@ -361,11 +353,14 @@ def analytic_s_ad(inputs: AnalyticInputs) -> float:
     return (x + inputs.eta * inputs.s_ab + 1.0 - inputs.eta) / (2.0 * x + 2.0 - inputs.eta)
 
 
-def optimal_gain(chi2: float, eta: float) -> float:
-    """Feedforward gain cancelling the photon-creating term: tanh(chi2)/sqrt(eta)."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return math.tanh(chi2) / math.sqrt(eta)
+def optimal_gain(chi2: np.ndarray | float, eta: np.ndarray | float) -> np.ndarray | float:
+    """Feedforward gain cancelling the photon-creating term: tanh(chi2)/sqrt(eta),
+    elementwise over arrays that broadcast; every eta must lie in (0, 1]."""
+    etas = np.asarray(eta)
+    outside = ~((etas > 0.0) & (etas <= 1.0))  # nan too
+    if np.any(outside):
+        raise ValueError(f"eta must lie in (0, 1], got {etas[outside].flat[0]}")
+    return np.tanh(chi2) / np.sqrt(etas)
 
 
 def eta_threshold(s_ab: float) -> float:

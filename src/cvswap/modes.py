@@ -140,7 +140,7 @@ def vacuum_field(mode: int) -> LinearField:
 def _mode_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # sum_m x[..., m] y[..., m] over the modes both arrays hold; the rest are 0
     n_modes = min(x.shape[-1], y.shape[-1])
-    return (x[..., :n_modes] * y[..., :n_modes]).sum(axis=-1)
+    return np.einsum("...m,...m->...", x[..., :n_modes], y[..., :n_modes])
 
 
 def commutator(f: LinearField, g: LinearField) -> complex | np.ndarray:

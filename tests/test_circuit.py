@@ -287,6 +287,30 @@ class TestBuildSwapCircuit:
             for x, y in zip(batched, coefficients(single)):
                 np.testing.assert_array_equal(x[index], y)
 
+    def test_source_and_teleported_beams_commute(self):
+        """[A_i, D'_j] and [A_i, D'_j+] vanish at every point of a batched build.
+
+        ch_kernel forms its contraction blocks from A to D' only and reads the
+        reverse direction from them, which holds because of this.  Each
+        commutator is bounded by 1e-9 of ||A_i|| ||D'_j||, the scale of its
+        rounding error.
+        """
+        out = build_swap_circuit(SwapParams(
+            np.array([0.01, 0.1, 1.0, 5.0])[:, None, None, None],  # chi1
+            np.array([0.0, 0.34, 2.3, 6.0])[:, None, None],  # chi2
+            np.array([0.0, 0.7, 2.0, 10.0])[:, None],  # gain
+            np.array([0.0, 0.5, 0.83, 1.0])))  # eta
+
+        def norm(f):
+            return np.sqrt((np.abs(f.ann) ** 2 + np.abs(f.cre) ** 2).sum(axis=-1))
+
+        for a in (out.beam_a.h, out.beam_a.v):
+            for d in (out.beam_d_prime.h, out.beam_d_prime.v):
+                scale = norm(a) * norm(d)
+                assert scale.shape == (4, 4, 4, 4)
+                for value in (commutator(a, d), commutator(a, d.adjoint())):
+                    assert np.all(np.abs(value) <= 1e-9 * scale)
+
     @pytest.mark.parametrize("name, bad", [("chi1", -0.1), ("chi2", math.nan),
                                            ("gain", -1.0), ("eta", 1.2)])
     def test_batch_with_one_invalid_point_raises(self, name, bad):

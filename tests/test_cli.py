@@ -162,11 +162,13 @@ class TestExitCodes:
         ["operating-point", "--chi1", "1000"],  # cosh(chi1)^2 overflows
         ["fig4", "--lambda-max", "1e200"],  # the teleported rates overflow
         ["fig4", "--chi1", "177.445"],  # finite rates, overflowing CH sums
+        ["fig3", "--out", __file__],  # the output directory is an existing file
     ])
     # outside pytest a warning would print more lines to stderr
     @pytest.mark.filterwarnings("error")
     def test_bad_values_exit_1_with_one_line(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path)]) == 1
+        # an --out in argv comes later and overrides tmp_path
+        assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cvswap: config error: ")
         assert err.count("\n") == 1

@@ -2,7 +2,8 @@
 
 The golden files in ``bench/golden/`` were captured from the engine before
 any change to it; a change that moves a ninth significant digit of a CSV
-cell or of the printed S = 1 crossing fails here.
+cell or of the printed S = 1 crossing fails here.  The benchmark runs no
+``operating-point``, so its default CSV is pinned here inline.
 """
 
 from pathlib import Path
@@ -26,3 +27,10 @@ def test_default_outputs_match_golden(tmp_path, capsys, command, workload, csv):
                       if not line.startswith("wrote "))
     assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
     assert checked == (GOLDEN / f"{workload}.stdout").read_text()
+
+
+def test_default_operating_point_bytes(tmp_path, capsys):
+    assert main(["operating-point", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "operating_point.csv").read_bytes() == (
+        b"s_ad,lambda_op,coincidence_ratio\n1.07030161,0.351364184,0.111111111\n")

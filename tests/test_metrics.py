@@ -240,6 +240,25 @@ class TestThresholdsAndConversions:
         with pytest.raises(ValueError):
             optimal_gain(0.5, 0.0)
 
+    def test_optimal_gain_on_arrays(self):
+        """Arrays broadcast; each element is the scalar formula up to 2 ulp
+        (np.tanh and math.tanh may differ in the last bit)."""
+        chis = np.array([0.0, 1e-8, squeezing_to_chi(0.3), squeezing_to_chi(0.5),
+                         squeezing_to_chi(0.9), 3.0, 20.0])
+        etas = np.array([1e-6, 0.5, 0.70, 0.828, 0.9, 1.0])
+        gains = optimal_gain(chis, etas[:, None])
+        assert gains.shape == (6, 7)
+        for (i, j), gain in np.ndenumerate(gains):
+            expected = math.tanh(chis[j]) / math.sqrt(etas[i])
+            assert abs(gain - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("etas", [[0.9, 0.0], [1.0 + 1e-12, 0.5], [-0.5], [0.8, math.nan]])
+    def test_optimal_gain_rejects_any_bad_eta(self, etas):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            optimal_gain(np.full(len(etas), 0.5), np.array(etas))
+        with pytest.raises(ValueError, match="eta must lie in"):
+            optimal_gain(0.5, np.array(etas)[:, None])
+
     def test_eta_threshold(self):
         assert eta_threshold(S_LIMIT) == pytest.approx(0.8284271247461902, rel=1e-12)
         assert eta_threshold(1.0) == 1.0
