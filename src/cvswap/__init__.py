@@ -7,7 +7,6 @@ detection efficiency.
 """
 
 from .circuit import (
-    FeedforwardGains,
     PolarizedBeam,
     SwapCircuitOutput,
     SwapParams,

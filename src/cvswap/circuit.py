@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PolarizedBeam",
     "SwapParams",
-    "FeedforwardGains",
     "SwapCircuitOutput",
     "two_mode_squeezer",
     "opo_type2",
@@ -97,18 +96,6 @@ class SwapParams:
         if np.any(np.less(self.chi1, 0) | np.less(self.chi2, 0) | np.less(self.gain, 0)):
             raise ValueError("chi1, chi2 and gain must be nonnegative")
         _require_unit_interval("eta", self.eta)
-
-
-@dataclass(frozen=True)
-class FeedforwardGains:
-    """Complex gains applied to the X+ and X- photocurrents."""
-
-    lambda_plus: ArrayLike
-    lambda_minus: ArrayLike
-
-    @classmethod
-    def from_gain(cls, gain: ArrayLike) -> "FeedforwardGains":
-        return cls(lambda_plus=-gain, lambda_minus=MINUS_GAIN_PHASE * gain)
 
 
 @dataclass(frozen=True)
@@ -226,16 +213,17 @@ def homodyne_currents(b_pol: LinearField, c_pol: LinearField, eta: ArrayLike,
 
 
 def feedforward_displace(d: LinearField, x_plus: LinearField, x_minus: LinearField,
-                         gains: FeedforwardGains) -> LinearField:
+                         gain: ArrayLike) -> LinearField:
     """Displace a beam component by the amplified photocurrents.
 
-    Returns d + (lambda_plus x_plus + lambda_minus x_minus) / sqrt(2).
+    Returns d + (lambda_plus x_plus + lambda_minus x_minus) / sqrt(2) with
+    lambda_plus = -gain and lambda_minus = MINUS_GAIN_PHASE * gain.
     """
     for name, x in (("x_plus", x_plus), ("x_minus", x_minus)):
         if _off_by(np.abs(x.ann - x.cre.conj()).max(axis=-1), x):
             raise ValueError(f"{name} is not Hermitian")
     r = 1.0 / math.sqrt(2.0)
-    return d + r * (gains.lambda_plus * x_plus + gains.lambda_minus * x_minus)
+    return d + r * (-gain * x_plus + MINUS_GAIN_PHASE * gain * x_minus)
 
 
 def halfwave_swap(d_prime_h: LinearField, d_prime_v: LinearField) -> PolarizedBeam:
@@ -261,14 +249,13 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, params.chi1, label="opo1")
     beam_c, beam_d = opo_type2(registry, params.chi2, label="opo2")
-    gains = FeedforwardGains.from_gain(params.gain)
     xh_plus, xh_minus = homodyne_currents(beam_b.h, beam_c.h, params.eta,
                                           registry, label="homodyne_h")
     xv_plus, xv_minus = homodyne_currents(beam_b.v, beam_c.v, params.eta,
                                           registry, label="homodyne_v")
     # h-polarized photocurrents modulate D_v and vice versa
-    d_prime_h = feedforward_displace(beam_d.h, xv_plus, xv_minus, gains)
-    d_prime_v = feedforward_displace(beam_d.v, xh_plus, xh_minus, gains)
+    d_prime_h = feedforward_displace(beam_d.h, xv_plus, xv_minus, params.gain)
+    d_prime_v = feedforward_displace(beam_d.v, xh_plus, xh_minus, params.gain)
     beam_d_prime = halfwave_swap(d_prime_h, d_prime_v)
     return SwapCircuitOutput(beam_a=beam_a, beam_d_prime=beam_d_prime,
                              registry=registry)

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``fig3``            S of the teleported pair vs analyzer angle at unity gain
 * ``fig4``            S of the teleported pair vs feedforward gain
-* ``operating-point`` lossy-detector operating point at optimal gain
+* ``operating-point`` lossy-detector operating point at optimal gain, per level
 * ``threshold-scan``  S at optimal gain vs detection efficiency and the S = 1
                       crossing
 * ``selftest``        algebra/oracle invariant suite
@@ -18,7 +18,8 @@ whole parameter grid, passed as broadcasting arrays, and one call of
 * ``fig4`` builds over (gain, level) pairs.
 * ``threshold-scan`` builds over (efficiency, level) pairs at their optimal
   gains, from one :func:`cvswap.metrics.optimal_gain` call.
-* ``operating-point`` is a one-point sweep of the first level.
+* ``operating-point`` builds over the levels at their optimal gains, from one
+  :func:`cvswap.metrics.optimal_gain` call, and writes one row per level.
 
 The gain, angle and efficiency grids use the scalar expression
 ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
@@ -29,9 +30,9 @@ with underscores (``lambda_min`` for ``--lambda-min``), all read from one
 settings table that declares each flag once; the ``eta_*`` keys, like their
 flags, belong to ``threshold-scan`` and affect no other command.  Squeezing
 levels name their CSV columns by whole percent, so levels that round to the
-same percent are rejected.  Exit codes: 0 success, 1 bad flags/config or an
-unusable output directory, 2 degenerate physics (no coincidences), 3
-selftest failure.
+same percent are rejected.  Exit codes: 0 success, 1 bad flags/config, an
+unusable output directory or a grid too large for memory, 2 degenerate
+physics (no coincidences), 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ __all__ = ["ExperimentConfig", "main"]
 # factor of 16 for the sums of the CH ratio; the bare source's rates overflow
 # from chi1 ~ 177.9 on.
 _CHI1_MAX = math.log(sys.float_info.max) / 4
+
+# every number written, CSV cell or printed crossing, at 9 significant digits
+_NUMBER = "%.9g"
 
 
 @dataclass(frozen=True)
@@ -190,17 +194,13 @@ def _resolve_config(args: argparse.Namespace,
     return config
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
     """Write rows at 9 significant digits, comma-separated, LF line endings.
 
     Each row holds one value per header column and is formatted by one
-    ``%`` call, which renders every value as ``_fmt`` does.
+    ``%`` call.
     """
-    row_format = ",".join(["%.9g"] * len(header))
+    row_format = ",".join([_NUMBER] * len(header))
     lines = [",".join(header)]
     lines.extend(row_format % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -263,60 +263,56 @@ def _sweep_s(params: SwapParams, angles: AnalyzerAngles) -> np.ndarray:
     return ch_kernel(out.beam_a, out.beam_d_prime, angles)["s"]
 
 
-def _write_columns(config: ExperimentConfig, stem: str, header: Sequence[str],
-                   grid: np.ndarray, s: np.ndarray, stream: TextIO) -> list[list[float]]:
-    rows = np.column_stack([grid, s]).tolist()
-    _emit(config, stem, header, rows, stream)
-    return rows
+def _write_sweep(config: ExperimentConfig, stem: str, axis: str, prefix: str,
+                 grid: np.ndarray, s: np.ndarray, stream: TextIO) -> None:
+    # the grid column, then one S column per level, named prefix + percent
+    header = [axis] + [f"{prefix}{_pct(level)}" for level in config.squeezing_levels]
+    _emit(config, stem, header, np.column_stack([grid, s]).tolist(), stream)
 
 
 def cmd_fig3(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs analyzer angle at unity gain, one column per squeezing level."""
-    header = ["theta_a_rad"] + [f"s_{_pct(level)}" for level in config.squeezing_levels]
     thetas = _grid(0.0, math.pi / 2, config.angle_steps)
     s = _sweep_s(SwapParams(config.chi1, _chis(config), 1.0, config.eta),
                  angle_family(thetas[:, None]))
-    _write_columns(config, "fig3", header, thetas, s, stream)
+    _write_sweep(config, "fig3", "theta_a_rad", "s_", thetas, s, stream)
     return 0
 
 
 def cmd_fig4(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs feedforward gain at the maximizing angles, per squeezing level."""
-    header = ["lambda"] + [f"s_{_pct(level)}" for level in config.squeezing_levels]
     gains = _grid(config.lambda_min, config.lambda_max, config.lambda_steps)
     s = _sweep_s(SwapParams(config.chi1, _chis(config), gains[:, None], config.eta),
                  OPTIMAL_ANGLES)
-    _write_columns(config, "fig4", header, gains, s, stream)
+    _write_sweep(config, "fig4", "lambda", "s_", gains, s, stream)
     return 0
 
 
 def cmd_operating_point(config: ExperimentConfig, stream: TextIO) -> int:
-    """Optimal-gain operating point for the first configured squeezing level.
+    """Optimal-gain operating point, one row per squeezing level in the order given.
 
-    Emits the engine CH ratio, the optimal gain, and the coincidence
-    transmission factor gain^2 * eta (the teleporter acts as an attenuator of
-    that transmissivity on the paired-photon signal).
+    Each row holds the engine CH ratio, the optimal gain, and the coincidence
+    transmission factor gain^2 * eta: the teleporter attenuates the paired-photon
+    signal by that transmissivity, so S is the same at every level.
     """
-    chi2 = squeezing_to_chi(config.squeezing_levels[0])
-    gain = optimal_gain(chi2, config.eta)
-    s_ad = _sweep_s(SwapParams(config.chi1, chi2, gain, config.eta), OPTIMAL_ANGLES)
+    chis = _chis(config)
+    gains = optimal_gain(chis, config.eta)
+    s = _sweep_s(SwapParams(config.chi1, chis, gains, config.eta), OPTIMAL_ANGLES)
     _emit(config, "operating_point", ["s_ad", "lambda_op", "coincidence_ratio"],
-          [[s_ad, gain, gain * gain * config.eta]], stream)
+          np.column_stack([s, gains, gains * gains * config.eta]).tolist(), stream)
     return 0
 
 
 def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
     """S at optimal gain over an eta grid; prints the interpolated S=1 crossing."""
-    header = ["eta"] + [f"s_ad_{_pct(level)}" for level in config.squeezing_levels]
     etas = _grid(config.eta_min, config.eta_max, config.eta_steps)
     chis = _chis(config)
     gains = optimal_gain(chis, etas[:, None])
     s = _sweep_s(SwapParams(config.chi1, chis, gains, etas[:, None]), OPTIMAL_ANGLES)
-    rows = _write_columns(config, "threshold_scan", header, etas, s, stream)
-    for column, level in enumerate(config.squeezing_levels, start=1):
-        crossing = _interpolate_crossing([row[0] for row in rows],
-                                         [row[column] for row in rows])
-        value = _fmt(crossing) if crossing is not None else "none"
+    _write_sweep(config, "threshold_scan", "eta", "s_ad_", etas, s, stream)
+    for column, level in enumerate(config.squeezing_levels):
+        crossing = _interpolate_crossing(etas, s[:, column])
+        value = _NUMBER % crossing if crossing is not None else "none"
         stream.write(f"threshold_crossing_eta_{_pct(level)} = {value}\n")
     return 0
 
@@ -358,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMAND_HELP = {
     "fig3": "S vs analyzer angle at unity gain",
     "fig4": "S vs feedforward gain at maximizing angles",
-    "operating-point": "optimal-gain operating point (default eta 0.9, 50% squeezing)",
+    # argparse %-formats help text, so a literal percent sign is written %%
+    "operating-point": "optimal-gain operating point per level "
+                       "(default eta 0.9, 50%% squeezing)",
     "threshold-scan": "S at optimal gain vs detection efficiency",
     "selftest": "run the algebra/oracle invariant suite",
 }
@@ -398,10 +396,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NoCoincidencesError as exc:
         print(f"cvswap: degenerate physics: {exc}", file=sys.stderr)
         return 2
-    except (RateOverflowError, OSError) as exc:
-        # the config passed validation, but its rates exceed float range or
-        # its output directory cannot be written
-        print(f"cvswap: config error: {exc}", file=sys.stderr)
+    except (RateOverflowError, MemoryError, OSError) as exc:
+        # the config passed validation, but its rates exceed float range, its
+        # grid does not fit in memory or its output directory cannot be written
+        print(f"cvswap: config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cvswap import (
-    FeedforwardGains,
     ModeRegistry,
     SwapParams,
     beamsplitter_5050,
@@ -160,17 +159,23 @@ class TestHomodyneCurrents:
 
 class TestFeedforward:
     def test_gain_constraint(self):
-        gains = FeedforwardGains.from_gain(0.7)
-        assert gains.lambda_plus == -0.7
-        assert gains.lambda_minus == MINUS_GAIN_PHASE * 0.7
+        # lambda_plus = -gain and lambda_minus = MINUS_GAIN_PHASE * gain
+        registry = ModeRegistry()
+        _, beam_b = opo_type2(registry, 0.3, label="src")
+        beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
+        x_plus, x_minus = homodyne_currents(beam_b.h, beam_c.h, 0.8, registry)
+        out = feedforward_displace(beam_d.v, x_plus, x_minus, 0.7)
+        displacement = -0.7 * x_plus + MINUS_GAIN_PHASE * 0.7 * x_minus
+        expected = beam_d.v + displacement * (1 / math.sqrt(2))
+        np.testing.assert_allclose(out.ann, expected.ann, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.cre, expected.cre, rtol=0, atol=1e-15)
 
     def test_zero_gain_is_identity(self):
         registry = ModeRegistry()
         _, beam_b = opo_type2(registry, 0.3, label="src")
         beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
         x_plus, x_minus = homodyne_currents(beam_b.h, beam_c.h, 1.0, registry)
-        out = feedforward_displace(beam_d.v, x_plus, x_minus,
-                                   FeedforwardGains.from_gain(0.0))
+        out = feedforward_displace(beam_d.v, x_plus, x_minus, 0.0)
         assert out == beam_d.v
 
     def test_rejects_non_hermitian_currents(self):
@@ -178,16 +183,14 @@ class TestFeedforward:
         a = vacuum_field(registry.new_mode("a"))
         d = vacuum_field(registry.new_mode("d"))
         with pytest.raises(ValueError):
-            feedforward_displace(d, a, quadrature_plus(a),
-                                 FeedforwardGains.from_gain(0.5))
+            feedforward_displace(d, a, quadrature_plus(a), 0.5)
 
     def test_displaced_output_stays_canonical(self):
         registry = ModeRegistry()
         _, beam_b = opo_type2(registry, 0.3, label="src")
         beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
         x_plus, x_minus = homodyne_currents(beam_b.h, beam_c.h, 0.8, registry)
-        out = feedforward_displace(beam_d.v, x_plus, x_minus,
-                                   FeedforwardGains.from_gain(0.7))
+        out = feedforward_displace(beam_d.v, x_plus, x_minus, 0.7)
         assert commutator(out, out.adjoint()) == pytest.approx(1, abs=1e-12)
 
 

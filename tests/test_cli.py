@@ -11,6 +11,7 @@ import cvswap.circuit
 import cvswap.cli
 import cvswap.selftest
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
+from cvswap.metrics import squeezing_to_chi
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
 
@@ -140,6 +141,14 @@ class TestSettings:
             parser.parse_args(["fig3", "--eta-min", "0.8"])
         assert exc.value.code == 1
 
+    def test_command_help_renders(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default eta 0.9, 50% squeezing)" in text
+        assert "option_strings" not in text
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_1(self):
@@ -169,6 +178,17 @@ class TestExitCodes:
     def test_bad_values_exit_1_with_one_line(self, tmp_path, capsys, argv):
         # an --out in argv comes later and overrides tmp_path
         assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cvswap: config error: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cvswap.cli, "build_swap_circuit", fail)
+        assert main(["fig4", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cvswap: config error: ")
         assert err.count("\n") == 1
@@ -217,6 +237,22 @@ class TestOperatingPoint:
         _, rows = read_rows(tmp_path / "operating_point.csv")
         # CSV carries 9 significant digits
         assert rows[0][0] == pytest.approx(baseline_s(0.1), abs=5e-8)
+
+
+    def test_one_row_per_level(self, tmp_path, capsys):
+        # at the optimal gain the teleporter is an attenuator, so S does not
+        # depend on the squeezing level
+        assert main(["operating-point", "--out", str(tmp_path / "one")]) == 0
+        assert main(["operating-point", "--squeezing", "0.5", "--squeezing", "0.9",
+                     "--out", str(tmp_path / "two")]) == 0
+        capsys.readouterr()
+        one = (tmp_path / "one" / "operating_point.csv").read_text().splitlines()
+        two = (tmp_path / "two" / "operating_point.csv").read_text().splitlines()
+        assert len(two) == 3 and two[:2] == one
+        _, rows = read_rows(tmp_path / "two" / "operating_point.csv")
+        assert rows[1][0] == pytest.approx(rows[0][0], abs=1e-9)
+        chi2 = squeezing_to_chi(0.9)
+        assert rows[1][1] == pytest.approx(math.tanh(chi2) / math.sqrt(0.9), rel=1e-8)
 
 
 class TestThresholdScan:
