@@ -11,7 +11,8 @@ Subcommands:
 
 Each sweep is one :func:`cvswap.circuit.build_swap_circuit` call over its
 whole parameter grid, passed as broadcasting arrays, and one call of
-:func:`cvswap.metrics.ch_kernel`, the single CH-assembly path:
+:func:`cvswap.metrics.ch_s`, the single CH-assembly path, which returns the
+whole S grid as one array:
 
 * ``fig3`` builds over the squeezing levels and evaluates the whole angle
   grid against them.
@@ -53,7 +54,7 @@ from .metrics import (
     NoCoincidencesError,
     RateOverflowError,
     angle_family,
-    ch_kernel,
+    ch_s,
     optimal_gain,
     squeezing_to_chi,
 )
@@ -259,8 +260,7 @@ def _chis(config: ExperimentConfig) -> np.ndarray:
 
 
 def _sweep_s(params: SwapParams, angles: AnalyzerAngles) -> np.ndarray:
-    out = build_swap_circuit(params)
-    return ch_kernel(out.beam_a, out.beam_d_prime, angles)["s"]
+    return ch_s(build_swap_circuit(params), angles).s
 
 
 def _write_sweep(config: ExperimentConfig, stem: str, axis: str, prefix: str,
@@ -385,9 +385,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     default_squeezing, default_eta = _COMMAND_DEFAULTS[args.command]
     try:
         config = _resolve_config(args, default_squeezing, default_eta)
-        if args.command == "operating-point" and config.eta == 0:
-            raise ValueError("operating-point needs eta > 0: the optimal gain "
-                             "tanh(chi2)/sqrt(eta) diverges at eta = 0")
+        if args.command in ("operating-point", "threshold-scan"):
+            # the optimal gain tanh(chi2)/sqrt(eta) must be finite and nonzero
+            if args.command == "operating-point" and config.eta == 0:
+                raise ValueError("operating-point needs eta > 0: the optimal gain "
+                                 "tanh(chi2)/sqrt(eta) diverges at eta = 0")
+            zero = [s for s in config.squeezing_levels if squeezing_to_chi(s) == 0]
+            if zero:
+                raise ValueError(f"{args.command} needs chi2 > 0 at every squeezing "
+                                 "level: the optimal gain tanh(chi2)/sqrt(eta) is 0 "
+                                 f"at level {zero[0]}")
     except (ValueError, OSError) as exc:
         print(f"cvswap: config error: {exc}", file=sys.stderr)
         return 1

@@ -17,22 +17,21 @@ pair-source coincidence amplitude proportional to sin(ta - tb) and the angle
 set above maximizing.  Measuring both arms with the same handedness flips the
 amplitude to sin(ta + tb) and the same angle set would not maximize S.
 
-Every CH ratio is assembled by one kernel, :func:`ch_kernel`.  It takes the
+Every CH ratio is assembled by one function, :func:`ch_s`.  It takes the
 beams' fields with any batch axes, as one batched circuit build returns
 them, and the analyzer angles as arrays that broadcast against them, so a
-whole sweep is one numpy computation; :func:`ch_s` and :func:`maximize_s`
-call it too.
+whole sweep is one numpy computation; :func:`maximize_s` calls it too.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
 <e2+ e1+ e1 e2> is the closed three-pairing Isserlis (Wick) sum of them.
-The kernel shares every product that several rates use: the matrices are
+:func:`ch_s` shares every product that several rates use: the matrices are
 formed once per beam pair, their products with an analyzer vector once per
 distinct vector, and each beam's Gram form once per vector, so a rate costs
 two 2-term dot products and one product of two cached forms.
 :func:`coincidence_rate` keeps the general Wick sum over single fields,
-without batch axes, as the reference that the oracles and tests check the
-kernel against.
+without batch axes, as the reference that the oracles and tests check
+:func:`ch_s` against.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "analyzer",
     "coincidence_rate",
     "singles_rate",
-    "ch_kernel",
     "ch_s",
     "analytic_rate_teleported",
     "analytic_singles_teleported",
@@ -107,15 +105,16 @@ def angle_family(theta: float) -> AnalyzerAngles:
 
 @dataclass(frozen=True)
 class CHResult:
-    """Four coincidence rates, two singles rates, and the CH ratio."""
+    """Four coincidence rates, two singles rates, and the CH ratio: each a
+    float for one beam pair and an array over a batch."""
 
-    r_ab: float
-    r_ab_prime: float
-    r_a_prime_b: float
-    r_a_prime_b_prime: float
-    r_singles_a: float
-    r_singles_b: float
-    s: float
+    r_ab: float | np.ndarray
+    r_ab_prime: float | np.ndarray
+    r_a_prime_b: float | np.ndarray
+    r_a_prime_b_prime: float | np.ndarray
+    r_singles_a: float | np.ndarray
+    r_singles_b: float | np.ndarray
+    s: float | np.ndarray
 
 
 def analyzer(beam: PolarizedBeam, theta: float, side: str) -> LinearField:
@@ -207,16 +206,18 @@ def _rate(pq: np.ndarray, forms: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
-def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
-              angles: AnalyzerAngles) -> dict[str, np.ndarray]:
-    """All six rates and the CH ratio, elementwise over a batch.
+def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
+         angles: AnalyzerAngles) -> CHResult:
+    """All six rates and the CH ratio of a beam pair, elementwise over a batch.
 
-    beam_1 is analyzed on the first arm ("a" handedness), beam_2 on the
-    second ("d").  The beams' fields may carry any batch axes and any mode
-    counts (modes beyond a field's count are 0), and the four angles of
-    ``angles`` may be arrays; all of them broadcast together.  Returns
-    arrays keyed by the CHResult field names: "s" has the broadcast shape
-    of all inputs, each rate that of the beams and the angles it uses.
+    beams is a circuit output, whose beam A is analyzed on the first arm
+    ("a" handedness) and D' on the second ("d"), or a (beam_1, beam_2) pair
+    analyzed in that order.  The beams' fields may carry any batch axes and
+    any mode counts (modes beyond a field's count are 0), and the four
+    angles of ``angles`` may be arrays; all of them broadcast together.
+    Over a batch each CHResult field is an array: "s" has the broadcast
+    shape of all inputs, each rate that of the beams and the angles it
+    uses.  For one beam pair at scalar angles the fields are floats.
 
     Each rate <e2+ e1+ e1 e2>, with e1 = u . beam_p and e2 = w . beam_q for
     real analyzer vectors u and w, is the three-pairing Wick sum
@@ -233,11 +234,13 @@ def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
     per vector (the Gram diagonal for bare h and v), so each of the ten
     rates is two 2-term dot products and one product of cached forms.
 
-    The checks are those of coincidence_rate and ch_s, applied to every
-    element: ValueError on an imaginary part or a negative rate beyond
-    tolerance, RateOverflowError on a rate or CH sum beyond float range,
-    NoCoincidencesError when a singles denominator underflows.
+    The checks are those of coincidence_rate, applied to every element:
+    ValueError on an imaginary part or a negative rate beyond tolerance,
+    RateOverflowError on a rate or CH sum beyond float range, and
+    NoCoincidencesError when a singles denominator underflows (for example
+    with the pump off).
     """
+    beam_1, beam_2 = _beam_pair(beams)
     ann_1 = (beam_1.h.ann, beam_1.v.ann)
     cre_1, cre_2 = (beam_1.h.cre, beam_1.v.cre), (beam_2.h.cre, beam_2.v.cre)
     conj_1 = (cre_1[0].conj(), cre_1[1].conj())
@@ -288,19 +291,8 @@ def ch_kernel(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
     if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(denominator))):
         raise RateOverflowError("the CH sums are not finite: the rates overflow float range")
     rates["s"] = numerator / denominator
-    return rates
-
-
-def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
-         angles: AnalyzerAngles) -> CHResult:
-    """Evaluate all six rates and the CH ratio for a beam pair.
-
-    Single beams, without batch axes, through :func:`ch_kernel`.  Raises
-    NoCoincidencesError when the singles denominator underflows (for example
-    with the pump off).
-    """
-    values = ch_kernel(*_beam_pair(beams), angles)
-    return CHResult(**{name: float(value) for name, value in values.items()})
+    # [()] turns a 0-d result into a numpy.float64, a float, and keeps arrays
+    return CHResult(**{name: value[()] for name, value in rates.items()})
 
 
 @dataclass(frozen=True)
@@ -408,13 +400,13 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
                steps: int = 721) -> tuple[float, float]:
     """Grid-scan the one-parameter analyzer family and return (theta*, S*).
 
-    Scans theta over [0, pi/2] on a uniform inclusive grid in one kernel
+    Scans theta over [0, pi/2] on a uniform inclusive grid in one ch_s
     call, so family must accept an array of angles; ties are broken by the
     smallest theta.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     thetas = (math.pi / 2) * np.arange(steps) / (steps - 1)
-    s = ch_kernel(*_beam_pair(beams), family(thetas))["s"]
+    s = ch_s(beams, family(thetas)).s
     best = int(np.argmax(s))
     return float(thetas[best]), float(s[best])

@@ -21,7 +21,7 @@ from .circuit import (
     opo_type2,
     two_mode_squeezer,
 )
-from .metrics import OPTIMAL_ANGLES, analyzer, ch_kernel, ch_s, coincidence_rate
+from .metrics import OPTIMAL_ANGLES, analyzer, ch_s, coincidence_rate, optimal_gain
 from .modes import (
     LinearField,
     ModeRegistry,
@@ -172,7 +172,7 @@ def check_optimal_gain_attenuation() -> str | None:
     even though all commutators stay canonical.
     """
     chis = np.array([0.1, 0.34657359, 0.8])
-    gains = np.array([math.tanh(chi2) for chi2 in chis.tolist()])
+    gains = optimal_gain(chis, 1.0)
     out = build_swap_circuit(SwapParams(0.1, chis, gains, 1.0))
     n_modes = len(out.registry)
     _, beam_b = opo_type2(ModeRegistry(), 0.1, label="src")
@@ -202,9 +202,8 @@ def check_teleporter_transparency() -> str | None:
     reg = ModeRegistry()
     baseline = ch_s(opo_type2(reg, chi1, label="src"), OPTIMAL_ANGLES).s
     chis = np.array([0.05, 0.34657359, 0.8])
-    gains = np.array([math.tanh(chi2) for chi2 in chis.tolist()])
-    out = build_swap_circuit(SwapParams(chi1, chis, gains, 1.0))
-    change = ch_kernel(out.beam_a, out.beam_d_prime, OPTIMAL_ANGLES)["s"] - baseline
+    out = build_swap_circuit(SwapParams(chi1, chis, optimal_gain(chis, 1.0), 1.0))
+    change = ch_s(out, OPTIMAL_ANGLES).s - baseline
     bad = _first_above(np.abs(change), 1e-9)
     if bad is not None:
         return f"S changed by {change[bad]:.3e} at chi2={chis[bad]}"

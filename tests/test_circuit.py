@@ -293,7 +293,7 @@ class TestBuildSwapCircuit:
     def test_source_and_teleported_beams_commute(self):
         """[A_i, D'_j] and [A_i, D'_j+] vanish at every point of a batched build.
 
-        ch_kernel forms its contraction blocks from A to D' only and reads the
+        ch_s forms its contraction blocks from A to D' only and reads the
         reverse direction from them, which holds because of this.  Each
         commutator is bounded by 1e-9 of ||A_i|| ||D'_j||, the scale of its
         rounding error.

@@ -172,6 +172,10 @@ class TestExitCodes:
         ["fig4", "--lambda-max", "1e200"],  # the teleported rates overflow
         ["fig4", "--chi1", "177.445"],  # finite rates, overflowing CH sums
         ["fig3", "--out", __file__],  # the output directory is an existing file
+        # the optimal gain tanh(chi2)/sqrt(eta) is 0 where chi2 is 0
+        ["operating-point", "--squeezing", "0", "--squeezing", "0.5"],
+        ["threshold-scan", "--squeezing", "0"],
+        ["operating-point", "--squeezing", "1e-300"],  # 1 - s rounds to 1
     ])
     # outside pytest a warning would print more lines to stderr
     @pytest.mark.filterwarnings("error")
@@ -182,6 +186,14 @@ class TestExitCodes:
         assert err.startswith("cvswap: config error: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, level", [
+        ("operating-point", "0"), ("threshold-scan", "0"), ("operating-point", "1e-300"),
+    ])
+    def test_zero_chi2_level_is_named(self, tmp_path, capsys, command, level):
+        argv = [command, "--squeezing", "0.5", "--squeezing", level, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"at level {float(level)}\n" in capsys.readouterr().err
 
     def test_memory_error_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
         def fail(*args):
@@ -195,11 +207,11 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_other_value_errors_surface(self, tmp_path, monkeypatch):
-        # only the kernel's float-range overflow is reported as a config error
+        # only ch_s's float-range overflow is reported as a config error
         def fail(*args):
             raise ValueError("r_ab is negative beyond tolerance: -1")
 
-        monkeypatch.setattr(cvswap.cli, "ch_kernel", fail)
+        monkeypatch.setattr(cvswap.cli, "ch_s", fail)
         with pytest.raises(ValueError, match="negative beyond tolerance"):
             main(["fig3", "--angles-steps", "3", "--out", str(tmp_path)])
 
@@ -218,6 +230,20 @@ class TestExitCodes:
                      "--angles-steps", "5"])
         assert code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
+def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, command):
+    calls = []
+    for name in ("build_swap_circuit", "ch_s"):
+        def counted(*args, original=getattr(cvswap.cli, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cvswap.cli, name, counted)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == ["build_swap_circuit", "ch_s"]
 
 
 class TestOperatingPoint:

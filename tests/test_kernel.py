@@ -14,7 +14,6 @@ from cvswap.metrics import (
     NoCoincidencesError,
     analyzer,
     angle_family,
-    ch_kernel,
     ch_s,
     coincidence_rate,
     maximize_s,
@@ -43,27 +42,27 @@ def per_point_s(chi1, chi2, gain, eta, angles):
 
 
 def record_kernel(monkeypatch):
-    """The list that each CLI call of ch_kernel appends (beams, angles, result) to."""
+    """The list that each CLI call of ch_s appends ((A, D'), angles, result) to."""
     calls = []
 
-    def recording(beam_1, beam_2, angles):
-        result = ch_kernel(beam_1, beam_2, angles)
-        calls.append(((beam_1, beam_2), angles, result))
+    def recording(out, angles):
+        result = ch_s(out, angles)
+        calls.append(((out.beam_a, out.beam_d_prime), angles, result))
         return result
 
-    monkeypatch.setattr(cli, "ch_kernel", recording)
+    monkeypatch.setattr(cli, "ch_s", recording)
     return calls
 
 
 def assert_cells_match_wick(call, cells):
-    """The six kernel rates at each cell equal the general Wick sum on the
+    """The six batched rates at each cell equal the general Wick sum on the
     analyzer fields within 1e-12 relative.
 
-    ch_s, which the per-point checks compare with, is the kernel itself;
+    The per-point checks compare with ch_s on one point, the same code;
     coincidence_rate and singles_rate evaluate the general Wick sum instead.
     """
     beams, angles, result = call
-    shape = result["s"].shape
+    shape = result.s.shape
 
     def pick(beam, index):
         fields = [LinearField(*(np.broadcast_to(x, shape + x.shape[-1:])[index]
@@ -85,7 +84,7 @@ def assert_cells_match_wick(call, cells):
             "r_singles_b": singles_rate(e_b, beam_a),
         }
         for name, reference in wick.items():
-            value = np.broadcast_to(result[name], shape)[index]
+            value = np.broadcast_to(getattr(result, name), shape)[index]
             assert abs(value - reference) <= 1e-12 * abs(reference), (name, index)
 
 
@@ -155,12 +154,12 @@ def test_angles_of_four_shapes_match_per_point():
     theta_b_prime = np.array([0.05, -0.7])  # axis 2, with the beams
     out = build_swap_circuit(SwapParams(0.1, chi2, 0.8, 0.9))
     angles = AnalyzerAngles(theta_a, theta_b, theta_a_prime, theta_b_prime)
-    kernel = ch_kernel(out.beam_a, out.beam_d_prime, angles)
-    assert kernel["s"].shape == (3, 4, 2)
+    kernel = ch_s(out, angles)
+    assert kernel.s.shape == (3, 4, 2)
     assert_cells_match_wick(((out.beam_a, out.beam_d_prime), angles, kernel),
                             [(0, 0, 0), (1, 2, 1), (2, 3, 0)])
     # a rate keeps the broadcast shape of the angles it depends on
-    kernel = {name: np.broadcast_to(value, (3, 4, 2)) for name, value in kernel.items()}
+    kernel = {name: np.broadcast_to(value, (3, 4, 2)) for name, value in vars(kernel).items()}
     for i, j, k in np.ndindex(3, 4, 2):
         angles = AnalyzerAngles(float(theta_a[i, 0, 0]), theta_b,
                                 float(theta_a_prime[j, 0]), float(theta_b_prime[k]))
@@ -183,8 +182,8 @@ def test_polarization_dependent_loss_matches_wick_sum():
     lossy = PolarizedBeam(attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry), beam_b.v)
     angles = AnalyzerAngles(0.3, np.array([-0.4, 0.9])[:, None, None], 1.1,
                             np.array([0.2, -1.3, 0.5]))
-    result = ch_kernel(beam_a, lossy, angles)
-    assert result["s"].shape == (2, 2, 3)
+    result = ch_s((beam_a, lossy), angles)
+    assert result.s.shape == (2, 2, 3)
     assert_cells_match_wick(((beam_a, lossy), angles, result), list(np.ndindex(2, 2, 3)))
 
 
@@ -221,12 +220,12 @@ def test_kernel_rates_match_wick_sum(chi1, chi2, gain, eta, thetas):
     }
     if wick["r_singles_a"] + wick["r_singles_b"] <= 1e-30:
         with pytest.raises(NoCoincidencesError):
-            ch_kernel(beam_a, beam_d, angles)
+            ch_s(out, angles)
         return
-    kernel = ch_kernel(beam_a, beam_d, angles)
+    kernel = ch_s(out, angles)
     scale = max(wick.values())
     for name, value in wick.items():
-        assert kernel[name] == pytest.approx(value, rel=1e-12, abs=1e-15 * scale)
+        assert getattr(kernel, name) == pytest.approx(value, rel=1e-12, abs=1e-15 * scale)
 
 
 def test_maximize_s_breaks_ties_by_smallest_theta():

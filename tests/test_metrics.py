@@ -137,6 +137,19 @@ class TestChS:
         with pytest.raises(NoCoincidencesError):
             ch_s(source_beams(0.0), OPTIMAL_ANGLES)
 
+    def test_batched_fields_equal_one_pair_cells(self):
+        # one build over a 2x3 (gain, eta) grid against one build per cell
+        gains, etas = np.array([0.3, 0.9])[:, None], np.array([0.6, 0.85, 1.0])
+        batched = ch_s(build_swap_circuit(SwapParams(0.1, 0.5, gains, etas)),
+                       OPTIMAL_ANGLES)
+        assert batched.s.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            single = ch_s(build_swap_circuit(
+                SwapParams(0.1, 0.5, float(gains[i, 0]), float(etas[j]))), OPTIMAL_ANGLES)
+            for name, value in vars(single).items():
+                assert isinstance(value, float), name
+                assert np.broadcast_to(getattr(batched, name), (2, 3))[i, j] == value, name
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_rates_raise(self):
         # rates grow like sinh^4 chi1, past the float range at chi1 ~ 178;
