@@ -217,13 +217,21 @@ def feedforward_displace(d: LinearField, x_plus: LinearField, x_minus: LinearFie
     """Displace a beam component by the amplified photocurrents.
 
     Returns d + (lambda_plus x_plus + lambda_minus x_minus) / sqrt(2) with
-    lambda_plus = -gain and lambda_minus = MINUS_GAIN_PHASE * gain.
+    lambda_plus = -gain and lambda_minus = MINUS_GAIN_PHASE * gain, formed as
+
+        D' = d + gain * X,   X = (-x_plus + MINUS_GAIN_PHASE x_minus) / sqrt(2).
+
+    Both gains are one real factor times a fixed phase, so this is the same
+    linear map, exactly affine in the gain; X does not depend on the gain
+    and carries the gain-free batch shape, so a gain grid meets each
+    coefficient array in one multiply and one add.
     """
     for name, x in (("x_plus", x_plus), ("x_minus", x_minus)):
         if _off_by(np.abs(x.ann - x.cre.conj()).max(axis=-1), x):
             raise ValueError(f"{name} is not Hermitian")
     r = 1.0 / math.sqrt(2.0)
-    return d + r * (-gain * x_plus + MINUS_GAIN_PHASE * gain * x_minus)
+    unit_displacement = (-r) * x_plus + (r * MINUS_GAIN_PHASE) * x_minus
+    return d + gain * unit_displacement
 
 
 def halfwave_swap(d_prime_h: LinearField, d_prime_v: LinearField) -> PolarizedBeam:

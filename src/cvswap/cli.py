@@ -25,6 +25,9 @@ whole S grid as one array:
 The gain, angle and efficiency grids use the scalar expression
 ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
 
+The argparse tree is built once per process, on the first :func:`main`
+call, and reused by every later call; each parse returns its own namespace.
+
 Defaults may be placed in a flat ``key = value`` config file (``#`` comments);
 command-line flags override file values.  The config keys are the flag names
 with underscores (``lambda_min`` for ``--lambda-min``), all read from one
@@ -42,6 +45,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -333,8 +337,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    # each flag is declared once, in the parent parser of the commands it belongs to
+    # the tree depends on no call argument, so one parser serves every main()
+    # call; parse_args keeps its state in the Namespace it returns.  Each flag
+    # is declared once, in the parent parser of the commands it belongs to.
     shared, eta_grid = _Parser(add_help=False), _Parser(add_help=False)
     for key, (_, parse, flag_help) in _SETTINGS.items():
         owner = eta_grid if key.startswith("eta_") else shared

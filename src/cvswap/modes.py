@@ -108,10 +108,12 @@ class LinearField:
         return LinearField(ann + other_ann, cre + other_cre)
 
     def __sub__(self, other: "LinearField") -> "LinearField":
-        return self + (-1) * other
+        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
+        (ann, cre), (other_ann, other_cre) = self.padded(n_modes), other.padded(n_modes)
+        return LinearField(ann - other_ann, cre - other_cre)
 
     def __neg__(self) -> "LinearField":
-        return (-1) * self
+        return LinearField(-self.ann, -self.cre)
 
     def __mul__(self, c: ArrayLike) -> "LinearField":
         c = np.asarray(c)[..., None]

@@ -170,6 +170,22 @@ class TestFeedforward:
         np.testing.assert_allclose(out.ann, expected.ann, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.cre, expected.cre, rtol=0, atol=1e-15)
 
+    def test_output_is_affine_in_gain(self):
+        # D'(g) = d + g (D'(1) - d) with d = D'(0), over a (gain, level) grid
+        gains = np.array([0.0, 0.3, 0.9, 1.0, 1.7])[:, None, None]
+        chis = np.array([0.1, 0.5, 1.5])
+        grid, unit, zero = (build_swap_circuit(SwapParams(0.1, chis, gain, 0.8))
+                            for gain in (gains[..., 0], 1.0, 0.0))
+        n_modes = len(grid.registry)
+        for pol in ("h", "v"):
+            d_prime, d_one, d = (getattr(out.beam_d_prime, pol).padded(n_modes)
+                                 for out in (grid, unit, zero))
+            for got, one, zero_gain in zip(d_prime, d_one, d):
+                step = gains * (one - zero_gain)
+                scale = max(np.abs(zero_gain).max(), np.abs(step).max())
+                np.testing.assert_allclose(got, zero_gain + step, rtol=0,
+                                           atol=1e-15 * scale)
+
     def test_zero_gain_is_identity(self):
         registry = ModeRegistry()
         _, beam_b = opo_type2(registry, 0.3, label="src")

@@ -246,6 +246,26 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
     assert calls == ["build_swap_circuit", "ch_s"]
 
 
+def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setitem(cvswap.cli._COMMANDS, "threshold-scan",
+                        lambda config, stream: seen.append(config) or 0)
+    build_parser.cache_clear()
+    assert main(["threshold-scan", "--eta-min", "0.8"]) == 0
+    assert main(["threshold-scan"]) == 0
+    assert [config.eta_min for config in seen] == [0.8, 0.70]
+    for argv, columns in ((["--squeezing", "0.5"], 1), ([], 4)):
+        assert main(["fig4", "--out", str(tmp_path)] + argv) == 0
+        header, _ = read_rows(tmp_path / "fig4.csv")
+        assert len(header) == 1 + columns
+    with pytest.raises(SystemExit) as exc:
+        main(["fig4", "--no-such-flag"])
+    assert exc.value.code == 1
+    assert main(["operating-point", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 1
+
+
 class TestOperatingPoint:
     def test_default_values(self, tmp_path, capsys):
         assert main(["operating-point", "--out", str(tmp_path)]) == 0

@@ -70,6 +70,21 @@ def test_adjoint_is_involutive():
         assert f.adjoint().adjoint() == f
 
 
+def test_subtraction_and_negation_equal_scaling_by_minus_one():
+    # batch shapes (2, 3) and (3,) over 3 and 5 modes: the difference pads
+    rng = np.random.default_rng(11)
+
+    def batched(shape):
+        ann, cre = rng.normal(size=(2, 2) + shape)
+        return LinearField(ann[0] + 1j * ann[1], cre[0] + 1j * cre[1])
+
+    a, b = batched((2, 3, 3)), batched((3, 5))
+    for x, y in ((a, b), (b, a)):
+        for got, expected in ((x - y, x + (-1) * y), (-x, (-1) * x)):
+            assert np.array_equal(got.ann, expected.ann)
+            assert np.array_equal(got.cre, expected.cre)
+
+
 def test_scaling_by_zero_prunes_everything(mode_pair):
     a, _ = mode_pair
     assert is_zero(0 * a)
