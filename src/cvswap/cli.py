@@ -22,17 +22,20 @@ whole S grid as one array:
 * ``operating-point`` builds over the levels at their optimal gains, from one
   :func:`cvswap.metrics.optimal_gain` call, and writes one row per level.
 
-The gain, angle and efficiency grids use the scalar expression
-``lo + (hi - lo) * k / (steps - 1)`` elementwise.
+The gain, angle and efficiency grids, like the angle scan of
+:func:`cvswap.metrics.maximize_s`, come from one grid function, which
+evaluates ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
 
 The argparse tree is built once per process, on the first :func:`main`
 call, and reused by every later call; each parse returns its own namespace.
 
-Defaults may be placed in a flat ``key = value`` config file (``#`` comments);
-command-line flags override file values.  The config keys are the flag names
-with underscores (``lambda_min`` for ``--lambda-min``), all read from one
-settings table that declares each flag once; the ``eta_*`` keys, like their
-flags, belong to ``threshold-scan`` and affect no other command.  Squeezing
+Each setting is an :class:`ExperimentConfig` field, named by its config key
+(its flag with underscores: ``lambda_min`` for ``--lambda-min``) and holding
+its default; one per-command table holds each command's help and the defaults
+it overrides (its squeezing levels; eta 0.9 for ``operating-point``).  A flat
+``key = value`` config file (``#`` comments) overrides those, and flags
+override the file.  The ``eta_*`` keys, like their flags, belong to
+``threshold-scan`` and affect no other command.  Squeezing
 levels name their CSV columns by whole percent, so levels that round to the
 same percent are rejected.  Exit codes: 0 success, 1 bad flags/config, an
 unusable output directory or a grid too large for memory, 2 degenerate
@@ -57,6 +60,7 @@ from .metrics import (
     AnalyzerAngles,
     NoCoincidencesError,
     RateOverflowError,
+    _grid,
     angle_family,
     ch_s,
     optimal_gain,
@@ -79,28 +83,27 @@ _NUMBER = "%.9g"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one command run."""
+    """Resolved settings for one command run: one field per config key."""
 
     chi1: float = 0.1
-    squeezing_levels: tuple[float, ...] = ()
+    squeezing: tuple[float, ...] = ()
     eta: float = 1.0
     lambda_min: float = 0.01
     lambda_max: float = 2.0
     lambda_steps: int = 200
-    angle_steps: int = 721
-    eta_min: float = 0.70
+    angles_steps: int = 721
+    eta_min: float = 0.7
     eta_max: float = 1.0
     eta_steps: int = 61
-    output_dir: Path = Path(".")
-    emit_svg: bool = False
+    out: Path = Path(".")
+    svg: bool = False
 
     def validate(self) -> None:
-        if not self.squeezing_levels:
+        if not self.squeezing:
             raise ValueError("at least one squeezing level is required")
         columns: dict[str, float] = {}
-        for s in self.squeezing_levels:
-            if not 0.0 <= s < 1.0:
-                raise ValueError(f"squeezing must lie in [0, 1), got {s}")
+        for s in self.squeezing:
+            squeezing_to_chi(s)  # raises for a level outside [0, 1)
             if _pct(s) in columns:
                 raise ValueError(f"squeezing levels {columns[_pct(s)]} and {s} share "
                                  f"the CSV column suffix _{_pct(s)}; levels must "
@@ -111,11 +114,9 @@ class ExperimentConfig:
         if not 0.0 <= self.chi1 <= _CHI1_MAX:
             raise ValueError(f"chi1 must lie in [0, {_CHI1_MAX:.6g}], beyond which the "
                              f"coincidence rates overflow; got {self.chi1}")
-        for name, steps in (("lambda_steps", self.lambda_steps),
-                            ("angles_steps", self.angle_steps),
-                            ("eta_steps", self.eta_steps)):
-            if steps < 2:
-                raise ValueError(f"{name} must be >= 2, got {steps}")
+        for name in ("lambda_steps", "angles_steps", "eta_steps"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         # the gain grid's one intermediate that can overflow; nan and inf bounds land here too
         if not math.isfinite((self.lambda_max - self.lambda_min) * (self.lambda_steps - 1)):
             raise ValueError(f"lambda grid must be finite, got min {self.lambda_min}, "
@@ -140,22 +141,22 @@ def _parse_level_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# config key -> (ExperimentConfig field, value parser, flag help); the flag is
-# the key with dashes, and the eta_* grid is a threshold-scan flag only
-_SETTINGS: dict[str, tuple[str, Callable[[str], object], str]] = {
-    "chi1": ("chi1", float, "source squeezer conversion efficiency (default 0.1)"),
-    "squeezing": ("squeezing_levels", _parse_level_list,
-                  "squeezing level in [0, 1); repeatable"),
-    "eta": ("eta", float, "homodyne detection efficiency in [0, 1]"),
-    "lambda_min": ("lambda_min", float, "gain sweep lower bound (default 0.01)"),
-    "lambda_max": ("lambda_max", float, "gain sweep upper bound (default 2.0)"),
-    "lambda_steps": ("lambda_steps", int, "gain sweep point count (default 200)"),
-    "angles_steps": ("angle_steps", int, "analyzer-angle grid point count (default 721)"),
-    "out": ("output_dir", Path, "output directory for CSV/SVG files (default .)"),
-    "svg": ("emit_svg", _parse_bool, "also write a minimal SVG line plot"),
-    "eta_min": ("eta_min", float, "efficiency grid lower bound (default 0.70)"),
-    "eta_max": ("eta_max", float, "efficiency grid upper bound (default 1.0)"),
-    "eta_steps": ("eta_steps", int, "efficiency grid point count (default 61)"),
+# config key -> (value parser, flag help); the key is the ExperimentConfig
+# field, the flag is the key with dashes, a {} in the help is the field's
+# default, and the eta_* grid is a threshold-scan flag only
+_SETTINGS: dict[str, tuple[Callable[[str], object], str]] = {
+    "chi1": (float, "source squeezer conversion efficiency (default {})"),
+    "squeezing": (_parse_level_list, "squeezing level in [0, 1); repeatable"),
+    "eta": (float, "homodyne detection efficiency in [0, 1]"),
+    "lambda_min": (float, "gain sweep lower bound (default {})"),
+    "lambda_max": (float, "gain sweep upper bound (default {})"),
+    "lambda_steps": (int, "gain sweep point count (default {})"),
+    "angles_steps": (int, "analyzer-angle grid point count (default {})"),
+    "out": (Path, "output directory for CSV/SVG files (default {})"),
+    "svg": (_parse_bool, "also write a minimal SVG line plot"),
+    "eta_min": (float, "efficiency grid lower bound (default {})"),
+    "eta_max": (float, "efficiency grid upper bound (default {})"),
+    "eta_steps": (int, "efficiency grid point count (default {})"),
 }
 
 # argparse form of the parsers whose flag differs from the config value;
@@ -183,17 +184,16 @@ def read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _resolve_config(args: argparse.Namespace,
-                    default_squeezing: tuple[float, ...],
-                    default_eta: float) -> ExperimentConfig:
+def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    # the command's own defaults, then the config file, then the flags
     raw = read_config_file(Path(args.config)) if args.config is not None else {}
-    values: dict[str, object] = {"squeezing_levels": default_squeezing, "eta": default_eta}
-    for key, (field, parse, _) in _SETTINGS.items():
+    values = dict(_COMMAND_SETTINGS[args.command][1])
+    for key, (parse, _) in _SETTINGS.items():
         if key in raw:
-            values[field] = parse(raw[key])
+            values[key] = parse(raw[key])
         flag = getattr(args, key, None)  # None: flag not given or not on this command
         if flag is not None:
-            values[field] = tuple(flag) if isinstance(flag, list) else flag
+            values[key] = tuple(flag) if isinstance(flag, list) else flag
     config = ExperimentConfig(**values)
     config.validate()
     return config
@@ -241,12 +241,12 @@ def write_svg(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]
 
 def _emit(config: ExperimentConfig, stem: str, header: Sequence[str],
           rows: Sequence[Sequence[float]], stream: TextIO) -> None:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = config.output_dir / f"{stem}.csv"
+    config.out.mkdir(parents=True, exist_ok=True)
+    csv_path = config.out / f"{stem}.csv"
     write_csv(csv_path, header, rows)
     stream.write(f"wrote {csv_path}\n")
-    if config.emit_svg:
-        svg_path = config.output_dir / f"{stem}.svg"
+    if config.svg:
+        svg_path = config.out / f"{stem}.svg"
         write_svg(svg_path, header, rows)
         stream.write(f"wrote {svg_path}\n")
 
@@ -255,12 +255,8 @@ def _pct(level: float) -> str:
     return str(round(level * 100))
 
 
-def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    return lo + (hi - lo) * np.arange(steps) / (steps - 1)
-
-
 def _chis(config: ExperimentConfig) -> np.ndarray:
-    return np.array([squeezing_to_chi(level) for level in config.squeezing_levels])
+    return np.array([squeezing_to_chi(level) for level in config.squeezing])
 
 
 def _sweep_s(params: SwapParams, angles: AnalyzerAngles) -> np.ndarray:
@@ -270,13 +266,13 @@ def _sweep_s(params: SwapParams, angles: AnalyzerAngles) -> np.ndarray:
 def _write_sweep(config: ExperimentConfig, stem: str, axis: str, prefix: str,
                  grid: np.ndarray, s: np.ndarray, stream: TextIO) -> None:
     # the grid column, then one S column per level, named prefix + percent
-    header = [axis] + [f"{prefix}{_pct(level)}" for level in config.squeezing_levels]
+    header = [axis] + [f"{prefix}{_pct(level)}" for level in config.squeezing]
     _emit(config, stem, header, np.column_stack([grid, s]).tolist(), stream)
 
 
 def cmd_fig3(config: ExperimentConfig, stream: TextIO) -> int:
     """S vs analyzer angle at unity gain, one column per squeezing level."""
-    thetas = _grid(0.0, math.pi / 2, config.angle_steps)
+    thetas = _grid(0.0, math.pi / 2, config.angles_steps)
     s = _sweep_s(SwapParams(config.chi1, _chis(config), 1.0, config.eta),
                  angle_family(thetas[:, None]))
     _write_sweep(config, "fig3", "theta_a_rad", "s_", thetas, s, stream)
@@ -314,7 +310,7 @@ def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
     gains = optimal_gain(chis, etas[:, None])
     s = _sweep_s(SwapParams(config.chi1, chis, gains, etas[:, None]), OPTIMAL_ANGLES)
     _write_sweep(config, "threshold_scan", "eta", "s_ad_", etas, s, stream)
-    for column, level in enumerate(config.squeezing_levels):
+    for column, level in enumerate(config.squeezing):
         crossing = _interpolate_crossing(etas, s[:, column])
         value = _NUMBER % crossing if crossing is not None else "none"
         stream.write(f"threshold_crossing_eta_{_pct(level)} = {value}\n")
@@ -343,37 +339,35 @@ def build_parser() -> argparse.ArgumentParser:
     # call; parse_args keeps its state in the Namespace it returns.  Each flag
     # is declared once, in the parent parser of the commands it belongs to.
     shared, eta_grid = _Parser(add_help=False), _Parser(add_help=False)
-    for key, (_, parse, flag_help) in _SETTINGS.items():
+    for key, (parse, flag_help) in _SETTINGS.items():
         owner = eta_grid if key.startswith("eta_") else shared
-        owner.add_argument("--" + key.replace("_", "-"), help=flag_help,
+        owner.add_argument("--" + key.replace("_", "-"),
+                           help=flag_help.format(getattr(ExperimentConfig, key)),
                            **_FLAG_FORMS.get(parse, {"type": parse}))
     shared.add_argument("--config", help="flat key = value config file; flags override it")
     parser = _Parser(prog="cvswap",
                      description="Continuous-variable entanglement swapping sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMAND_HELP.items():
+    for command, (help_text, defaults) in _COMMAND_SETTINGS.items():
         parents = [shared, eta_grid] if command == "threshold-scan" else [shared]
-        sub.add_parser(command, help=help_text,
+        sub.add_parser(command, help=help_text.format_map(defaults),
                        parents=parents if command in _COMMANDS else [])
     return parser
 
 
-_COMMAND_HELP = {
-    "fig3": "S vs analyzer angle at unity gain",
-    "fig4": "S vs feedforward gain at maximizing angles",
-    # argparse %-formats help text, so a literal percent sign is written %%
-    "operating-point": "optimal-gain operating point per level "
-                       "(default eta 0.9, 50%% squeezing)",
-    "threshold-scan": "S at optimal gain vs detection efficiency",
-    "selftest": "run the algebra/oracle invariant suite",
-}
-
-_COMMAND_DEFAULTS: dict[str, tuple[tuple[float, ...], float]] = {
-    # command -> (default squeezing levels, default eta)
-    "fig3": ((0.99, 0.80), 1.0),
-    "fig4": ((0.10, 0.50, 0.80, 0.99), 1.0),
-    "operating-point": ((0.5,), 0.9),
-    "threshold-scan": ((0.3, 0.5, 0.9), 1.0),
+# command -> (help, the settings whose default differs from ExperimentConfig's);
+# a {} in the help is one of those defaults
+_COMMAND_SETTINGS: dict[str, tuple[str, dict[str, object]]] = {
+    "fig3": ("S vs analyzer angle at unity gain", {"squeezing": (0.99, 0.80)}),
+    "fig4": ("S vs feedforward gain at maximizing angles",
+             {"squeezing": (0.10, 0.50, 0.80, 0.99)}),
+    # argparse %-formats help text, so the percent sign that :.0% writes is doubled
+    "operating-point": ("optimal-gain operating point per level "
+                        "(default eta {eta}, {squeezing[0]:.0%}% squeezing)",
+                        {"squeezing": (0.5,), "eta": 0.9}),
+    "threshold-scan": ("S at optimal gain vs detection efficiency",
+                       {"squeezing": (0.3, 0.5, 0.9)}),
+    "selftest": ("run the algebra/oracle invariant suite", {}),
 }
 
 _COMMANDS = {
@@ -389,15 +383,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "selftest":
         return run_selftest(sys.stdout)
-    default_squeezing, default_eta = _COMMAND_DEFAULTS[args.command]
     try:
-        config = _resolve_config(args, default_squeezing, default_eta)
+        config = _resolve_config(args)
         if args.command in ("operating-point", "threshold-scan"):
             # the optimal gain tanh(chi2)/sqrt(eta) must be finite and nonzero
             if args.command == "operating-point" and config.eta == 0:
                 raise ValueError("operating-point needs eta > 0: the optimal gain "
                                  "tanh(chi2)/sqrt(eta) diverges at eta = 0")
-            zero = [s for s in config.squeezing_levels if squeezing_to_chi(s) == 0]
+            zero = [s for s, chi in zip(config.squeezing, _chis(config)) if chi == 0]
             if zero:
                 raise ValueError(f"{args.command} needs chi2 > 0 at every squeezing "
                                  "level: the optimal gain tanh(chi2)/sqrt(eta) is 0 "

@@ -69,7 +69,8 @@ __all__ = [
 
 _IMAG_TOL = 1e-12
 _RATE_FLOOR = -1e-12
-_DENOMINATOR_FLOOR = 1e-30
+# a denominator below float's smallest normal has lost precision: 0 or subnormal
+_DENOMINATOR_FLOOR = np.finfo(float).tiny
 
 
 class NoCoincidencesError(Exception):
@@ -237,8 +238,8 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     The checks are those of coincidence_rate, applied to every element:
     ValueError on an imaginary part or a negative rate beyond tolerance,
     RateOverflowError on a rate or CH sum beyond float range, and
-    NoCoincidencesError when a singles denominator underflows (for example
-    with the pump off).
+    NoCoincidencesError when a singles denominator is 0 or subnormal (for
+    example with the pump off).
     """
     beam_1, beam_2 = _beam_pair(beams)
     ann_1 = (beam_1.h.ann, beam_1.v.ann)
@@ -281,7 +282,7 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
                              f"{value[negative].flat[0]:g}")
 
     denominator = rates["r_singles_a"] + rates["r_singles_b"]
-    underflow = denominator <= _DENOMINATOR_FLOOR
+    underflow = denominator < _DENOMINATOR_FLOOR
     if np.any(underflow):
         raise NoCoincidencesError(
             f"singles denominator {denominator[underflow].flat[0]:g} underflows; "
@@ -395,6 +396,11 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
     return low, high
 
 
+def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    # the uniform inclusive grid of every sweep: lo + (hi - lo) * k / (steps - 1)
+    return lo + (hi - lo) * np.arange(steps) / (steps - 1)
+
+
 def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
                family: Callable[[np.ndarray], AnalyzerAngles] = angle_family,
                steps: int = 721) -> tuple[float, float]:
@@ -406,7 +412,7 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    thetas = (math.pi / 2) * np.arange(steps) / (steps - 1)
+    thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s
     best = int(np.argmax(s))
     return float(thetas[best]), float(s[best])

@@ -181,14 +181,11 @@ def _check_boundary(state: FockState) -> None:
             "increase the cutoff")
 
 
-def _analyzed_a(amplitudes: np.ndarray, theta: float) -> np.ndarray:
-    return (math.cos(theta) * _annihilate(amplitudes, 0)
-            + math.sin(theta) * _annihilate(amplitudes, 1))
-
-
-def _analyzed_b(amplitudes: np.ndarray, theta: float) -> np.ndarray:
-    return (math.cos(theta) * _annihilate(amplitudes, 2)
-            - math.sin(theta) * _annihilate(amplitudes, 3))
+def _analyzed(amplitudes: np.ndarray, theta: float, beam: str) -> np.ndarray:
+    # beam "a" (axes 0, 1): cos h + sin v; beam "b" (axes 2, 3): cos h - sin v
+    h_axis, sign = {"a": (0, 1.0), "b": (2, -1.0)}[beam]
+    return (math.cos(theta) * _annihilate(amplitudes, h_axis)
+            + sign * math.sin(theta) * _annihilate(amplitudes, h_axis + 1))
 
 
 def fock_coincidence_rate(state: FockState, theta_a: float, theta_b: float,
@@ -202,7 +199,7 @@ def fock_coincidence_rate(state: FockState, theta_a: float, theta_b: float,
     """
     if check_cutoff:
         _check_boundary(state)
-    reduced = _analyzed_a(_analyzed_b(state.amplitudes, theta_b), theta_a)
+    reduced = _analyzed(_analyzed(state.amplitudes, theta_b, "b"), theta_a, "a")
     return _norm_squared(reduced) / _norm_squared(state.amplitudes)
 
 
@@ -211,6 +208,6 @@ def fock_singles_rate(state: FockState, theta_a: float,
     """Rate with the first beam analyzed and both second-beam polarizations counted."""
     if check_cutoff:
         _check_boundary(state)
-    analyzed = _analyzed_a(state.amplitudes, theta_a)
+    analyzed = _analyzed(state.amplitudes, theta_a, "a")
     total = sum(_norm_squared(_annihilate(analyzed, axis)) for axis in (2, 3))
     return total / _norm_squared(state.amplitudes)

@@ -18,6 +18,7 @@ from .circuit import (
     PolarizedBeam,
     SwapParams,
     build_swap_circuit,
+    homodyne_currents,
     opo_type2,
     two_mode_squeezer,
 )
@@ -78,8 +79,6 @@ def check_canonical_commutators() -> str | None:
 
 def check_homodyne_currents_commute() -> str | None:
     """The two photocurrent quadratures commute exactly for any efficiency."""
-    from .circuit import homodyne_currents
-
     etas = np.array([0.0, 0.5, 0.83, 1.0])
     reg = ModeRegistry()
     _, b = opo_type2(reg, 0.3, label="src")

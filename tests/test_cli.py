@@ -3,6 +3,9 @@
 import argparse
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,29 +70,29 @@ class TestConfigFile:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(squeezing_levels=()).validate()
+            ExperimentConfig(squeezing=()).validate()
         with pytest.raises(ValueError):
-            ExperimentConfig(squeezing_levels=(0.5,), lambda_steps=1).validate()
+            ExperimentConfig(squeezing=(0.5,), lambda_steps=1).validate()
         with pytest.raises(ValueError):
-            ExperimentConfig(squeezing_levels=(0.5,), eta=1.3).validate()
+            ExperimentConfig(squeezing=(0.5,), eta=1.3).validate()
 
 
 # config key, ExperimentConfig field, file value, equivalent flags, parsed value,
 # and a different file value that the flags must override
 SETTINGS = [
     ("chi1", "chi1", "0.05", ["--chi1", "0.05"], 0.05, "0.2"),
-    ("squeezing", "squeezing_levels", "0.3, 0.6",
+    ("squeezing", "squeezing", "0.3, 0.6",
      ["--squeezing", "0.3", "--squeezing", "0.6"], (0.3, 0.6), "0.4"),
     ("eta", "eta", "0.8", ["--eta", "0.8"], 0.8, "0.9"),
     ("lambda_min", "lambda_min", "0.02", ["--lambda-min", "0.02"], 0.02, "0.05"),
     ("lambda_max", "lambda_max", "1.5", ["--lambda-max", "1.5"], 1.5, "1.0"),
     ("lambda_steps", "lambda_steps", "30", ["--lambda-steps", "30"], 30, "50"),
-    ("angles_steps", "angle_steps", "11", ["--angles-steps", "11"], 11, "13"),
+    ("angles_steps", "angles_steps", "11", ["--angles-steps", "11"], 11, "13"),
     ("eta_min", "eta_min", "0.75", ["--eta-min", "0.75"], 0.75, "0.8"),
     ("eta_max", "eta_max", "0.95", ["--eta-max", "0.95"], 0.95, "0.9"),
     ("eta_steps", "eta_steps", "7", ["--eta-steps", "7"], 7, "9"),
-    ("out", "output_dir", "results", ["--out", "results"], Path("results"), "elsewhere"),
-    ("svg", "emit_svg", "true", ["--svg"], True, "false"),
+    ("out", "out", "results", ["--out", "results"], Path("results"), "elsewhere"),
+    ("svg", "svg", "true", ["--svg"], True, "false"),
 ]
 
 COMMON_OPTIONS = {"-h", "--help", "--chi1", "--squeezing", "--eta", "--lambda-min",
@@ -140,6 +143,25 @@ class TestSettings:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["fig3", "--eta-min", "0.8"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command, squeezing, eta", [
+        ("fig3", (0.99, 0.80), 1.0),
+        ("fig4", (0.10, 0.50, 0.80, 0.99), 1.0),
+        ("operating-point", (0.5,), 0.9),
+        ("threshold-scan", (0.3, 0.5, 0.9), 1.0),
+    ])
+    def test_command_defaults_yield_to_file_and_flags(self, monkeypatch, tmp_path,
+                                                      command, squeezing, eta):
+        seen = []
+        monkeypatch.setitem(cvswap.cli._COMMANDS, command,
+                            lambda config, stream: seen.append(config) or 0)
+        config = tmp_path / "run.cfg"
+        config.write_text("squeezing = 0.4\neta = 0.8\n")
+        flags = ["--squeezing", "0.6", "--eta", "0.7"]
+        for argv in ([], ["--config", str(config)], ["--config", str(config)] + flags):
+            assert main([command] + argv) == 0
+        assert [(c.squeezing, c.eta) for c in seen] == [
+            (squeezing, eta), ((0.4,), 0.8), ((0.6,), 0.7)]
 
     def test_command_help_renders(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +253,24 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, s_ad", [
+        (["--squeezing", "1e-15"], "1.07030161"),  # denominator ~6e-33
+        (["--chi1", "1e-16"], "1.07854191"),  # denominator ~3e-33
+    ])
+    def test_tiny_normal_denominator_runs(self, tmp_path, capsys, argv, s_ad):
+        assert main(["operating-point", "--out", str(tmp_path)] + argv) == 0
+        assert capsys.readouterr().err == ""
+        _, row = (tmp_path / "operating_point.csv").read_text().splitlines()
+        assert row.split(",")[0] == s_ad
+
+    @pytest.mark.parametrize("chi1", ["0", "1e-160"])  # denominator 0, subnormal
+    def test_zero_or_subnormal_denominator_is_exit_2(self, tmp_path, capsys, chi1):
+        assert main(["operating-point", "--chi1", chi1, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cvswap: degenerate physics: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
 def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, command):
@@ -264,6 +304,35 @@ def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, ca
     assert main(["operating-point", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert build_parser.cache_info().misses == 1
+
+
+class TestEntryPoint:
+    """``python -m cvswap`` in a child process: exit codes and real stderr."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        src = Path(cvswap.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "cvswap", *argv, "--out",
+                               str(tmp_path / "out")], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_operating_point_writes_pinned_bytes(self, tmp_path):
+        done = self.run(tmp_path, "operating-point")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out" / "operating_point.csv").read_bytes() == (
+            b"s_ad,lambda_op,coincidence_ratio\n1.07030161,0.351364184,0.111111111\n")
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["operating-point", "--chi1", "200"], 1, "cvswap: config error: "),
+        (["fig3", "--chi1", "0", "--angles-steps", "5"], 2, "cvswap: degenerate physics: "),
+    ])
+    def test_failures_exit_with_one_stderr_line(self, tmp_path, argv, code, prefix):
+        done = self.run(tmp_path, *argv)
+        assert done.returncode == code
+        assert done.stderr.startswith(prefix)
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestOperatingPoint:
