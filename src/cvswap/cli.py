@@ -32,12 +32,12 @@ call, and reused by every later call; each parse returns its own namespace.
 Each setting is an :class:`ExperimentConfig` field, named by its config key
 (its flag with underscores: ``lambda_min`` for ``--lambda-min``) and holding
 its default; one per-command table holds each command's help and the defaults
-it overrides (its squeezing levels; eta 0.9 for ``operating-point``).  A flat
-``key = value`` config file (``#`` comments) overrides those, and flags
+it overrides (its squeezing levels, and the eta of ``operating-point``).  A
+flat ``key = value`` config file (``#`` comments) overrides those, and flags
 override the file.  The ``eta_*`` keys, like their flags, belong to
-``threshold-scan`` and affect no other command.  Squeezing
-levels name their CSV columns by whole percent, so levels that round to the
-same percent are rejected.  Exit codes: 0 success, 1 bad flags/config, an
+``threshold-scan`` and affect no other command.  Squeezing levels name their
+CSV columns by whole percent, so levels that round to the same percent are
+rejected.  Exit codes: 0 success, 1 bad flags/config, an
 unusable output directory or a grid too large for memory, 2 degenerate
 physics (no coincidences), 3 selftest failure.
 """
