@@ -75,29 +75,45 @@ def normal_order_expectation(product: Sequence[LinearField]) -> complex:
 
     Expands each field multilinearly into single-ladder monomials over its
     nonzero coefficients before rewriting, so the cost is exponential in the
-    product length; lengths above 10 are rejected.  The fields must be
-    single fields, without batch axes.
+    product length; lengths above 10 are rejected, and a product with a zero
+    field is 0.  The fields must be single fields, without batch axes.
+
+    Three kinds of word have vacuum value 0 and are never formed:
+
+    * every word of an odd-length product: each rewrite step keeps the
+      length or removes one annihilator-creator pair, so an odd word never
+      reaches the empty word, the only one with a nonzero vacuum value;
+    * words that open with a creator: <0| a^dag = 0, and no rewrite step
+      moves an operator left of the leading creator;
+    * words that close with an annihilator: a |0> = 0, and the trailing
+      annihilator has no creator to its right to swap or contract with.
+
+    So the first factor is expanded over its annihilation terms only and the
+    last over its creation terms only.  The words left are a subsequence of
+    the full expansion, in its order, with the same nonzero contributions.
     """
     if len(product) > _MAX_REWRITE_LENGTH:
         raise ValueError(f"product length {len(product)} exceeds "
                          f"{_MAX_REWRITE_LENGTH}; rewriting would blow up")
     factor_terms = []
     for field in product:
-        terms = [((int(m), kind), complex(coeffs[m]))
+        terms = [((m, kind), c)
                  for kind, coeffs in ((_ANNIHILATE, field.ann), (_CREATE, field.cre))
-                 for m in np.flatnonzero(coeffs)]
+                 for m, c in enumerate(coeffs.tolist()) if c]
         if not terms:
             return 0j
         factor_terms.append(terms)
+    if len(factor_terms) % 2:
+        return 0j
+    if factor_terms:
+        first, last = factor_terms[0], factor_terms[-1]
+        factor_terms[0] = [(op, c) for op, c in first if op[1] == _ANNIHILATE]
+        factor_terms[-1] = [(op, c) for op, c in last if op[1] == _CREATE]
     contributions = []
     for combo in cartesian(*factor_terms):
-        coefficient = 1.0 + 0j
-        for _, c in combo:
-            coefficient *= c
-        word = tuple(op for op, _ in combo)
-        scalar = _vacuum_moment_of_word(word)
+        scalar = _vacuum_moment_of_word(tuple(op for op, _ in combo))
         if scalar:
-            contributions.append(scalar * coefficient)
+            contributions.append(scalar * math.prod(c for _, c in combo))
     return complex(fsum(t.real for t in contributions),
                    fsum(t.imag for t in contributions))
 
@@ -107,7 +123,9 @@ class FockState:
     """Truncated number-basis state over the four source modes.
 
     amplitudes[n_ah, n_av, n_bh, n_bv] is the amplitude of the occupation
-    vector; every axis runs 0..cutoff.
+    vector; every axis runs 0..cutoff.  Both source forms have real
+    amplitudes, and the analyzers mix the modes with real weights, so the
+    array and every state derived from it are float64.
     """
 
     cutoff: int
@@ -119,10 +137,12 @@ class FockState:
 
 
 def _norm_squared(amplitudes: np.ndarray) -> float:
-    # elementwise, not np.vdot or np.linalg.norm: those reduce through BLAS,
-    # whose threads can cost milliseconds a call on a busy host, and vdot
-    # first copies the non-contiguous arrays that _annihilate returns
-    return float((amplitudes.real ** 2 + amplitudes.imag ** 2).sum())
+    # one pass of einsum's own sum-of-products loop over the real array; not
+    # np.dot, np.vdot or np.linalg.norm, which call BLAS, and OpenBLAS splits
+    # a dot product this long across threads that can take milliseconds to
+    # wake on a busy host
+    flat = amplitudes.ravel()
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def build_source_state(chi1: float, n_max: int, form: str) -> FockState:
@@ -143,19 +163,19 @@ def build_source_state(chi1: float, n_max: int, form: str) -> FockState:
     if chi1 < 0:
         raise ValueError(f"chi1 must be nonnegative, got {chi1}")
     dim = n_max + 1
-    amp = np.zeros((dim, dim, dim, dim), dtype=complex)
+    amp = np.zeros((dim, dim, dim, dim))
     th, ch = math.tanh(chi1), math.cosh(chi1)
+    k = np.arange(dim)
     if form == "exact_product":
-        for n in range(dim):
-            for m in range(dim):
-                amp[n, m, m, n] = th ** (n + m) / ch ** 2
+        n, m = k[:, None], k[None, :]
+        amp[n, m, m, n] = th ** (n + m) / ch ** 2
     elif form == "number_polarization":
         prefactor = 1.0 / (math.sqrt(2.0) * ch)
         amp[0, 0, 0, 0] = prefactor
-        for n in range(1, dim):
-            c = prefactor * th ** n
-            amp[n, 0, 0, n] += c
-            amp[0, n, n, 0] += c
+        n = k[1:]
+        c = prefactor * th ** n
+        amp[n, 0, 0, n] = c
+        amp[0, n, n, 0] = c
         amp /= math.sqrt(_norm_squared(amp))
     else:
         raise ValueError(f"unknown form {form!r}; "
@@ -164,11 +184,16 @@ def build_source_state(chi1: float, n_max: int, form: str) -> FockState:
 
 
 def _annihilate(amplitudes: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(amplitudes, axis, 0)
-    out = np.zeros_like(moved)
-    factors = np.sqrt(np.arange(1, moved.shape[0], dtype=float))
-    out[:-1] = moved[1:] * factors.reshape((-1,) + (1,) * (moved.ndim - 1))
-    return np.moveaxis(out, 0, axis)
+    # out[..., n, ...] = sqrt(n + 1) amplitudes[..., n + 1, ...] along axis
+    dim = amplitudes.shape[axis]
+    lead = (slice(None),) * axis
+    factors = np.sqrt(np.arange(1, dim, dtype=float))
+    out = np.empty_like(amplitudes)
+    out[lead + (-1,)] = 0.0
+    np.multiply(amplitudes[lead + (slice(1, None),)],
+                factors.reshape((-1,) + (1,) * (amplitudes.ndim - axis - 1)),
+                out=out[lead + (slice(None, -1),)])
+    return out
 
 
 def _check_boundary(state: FockState) -> None:
@@ -184,8 +209,12 @@ def _check_boundary(state: FockState) -> None:
 def _analyzed(amplitudes: np.ndarray, theta: float, beam: str) -> np.ndarray:
     # beam "a" (axes 0, 1): cos h + sin v; beam "b" (axes 2, 3): cos h - sin v
     h_axis, sign = {"a": (0, 1.0), "b": (2, -1.0)}[beam]
-    return (math.cos(theta) * _annihilate(amplitudes, h_axis)
-            + sign * math.sin(theta) * _annihilate(amplitudes, h_axis + 1))
+    out = _annihilate(amplitudes, h_axis)
+    out *= math.cos(theta)
+    v_term = _annihilate(amplitudes, h_axis + 1)
+    v_term *= sign * math.sin(theta)
+    out += v_term
+    return out
 
 
 def fock_coincidence_rate(state: FockState, theta_a: float, theta_b: float,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import product as cartesian
+from math import fsum
+
 import numpy as np
 
 from cvswap import (
@@ -14,6 +17,7 @@ from cvswap import (
     opo_type2,
 )
 from cvswap.metrics import OPTIMAL_ANGLES
+from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
 from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
 
 
@@ -46,3 +50,31 @@ def is_hermitian(field: LinearField, tol: float = 1e-12) -> bool:
 
 def is_zero(field: LinearField) -> bool:
     return not np.any(field.ann) and not np.any(field.cre)
+
+
+def unpruned_normal_order_expectation(product: list[LinearField]) -> complex:
+    """Reference rewriter: expands every word of the product, prunes none.
+
+    The full multilinear expansion that ``oracle.normal_order_expectation``
+    prunes, word by word in the same order, so that the pruned version can
+    be held to the same result with ``==``.
+    """
+    factor_terms = []
+    for field in product:
+        terms = [((int(m), kind), complex(coeffs[m]))
+                 for kind, coeffs in ((_ANNIHILATE, field.ann), (_CREATE, field.cre))
+                 for m in np.flatnonzero(coeffs)]
+        if not terms:
+            return 0j
+        factor_terms.append(terms)
+    contributions = []
+    for combo in cartesian(*factor_terms):
+        coefficient = 1.0 + 0j
+        for _, c in combo:
+            coefficient *= c
+        word = tuple(op for op, _ in combo)
+        scalar = _vacuum_moment_of_word(word)
+        if scalar:
+            contributions.append(scalar * coefficient)
+    return complex(fsum(t.real for t in contributions),
+                   fsum(t.imag for t in contributions))

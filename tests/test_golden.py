@@ -34,3 +34,8 @@ def test_default_operating_point_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "operating_point.csv").read_bytes() == (
         b"s_ad,lambda_op,coincidence_ratio\n1.07030161,0.351364184,0.111111111\n")
+
+
+def test_selftest_stdout_matches_golden(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "selftest.stdout").read_text()

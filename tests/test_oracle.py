@@ -1,9 +1,12 @@
 """Normal-ordering rewriter and truncated number-basis simulator."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from cvswap import oracle
 from cvswap import (
     ModeRegistry,
     TruncationError,
@@ -18,6 +21,7 @@ from cvswap import (
     singles_rate,
     vacuum_field,
 )
+from helpers import random_product, unpruned_normal_order_expectation
 
 
 def single_mode():
@@ -40,6 +44,41 @@ class TestRewriter:
         a = single_mode()
         with pytest.raises(ValueError):
             normal_order_expectation([a, a.adjoint()] * 6)
+        with pytest.raises(ValueError):  # odd, yet still too long to rewrite
+            normal_order_expectation([a, a.adjoint()] * 5 + [a])
+
+    @pytest.mark.parametrize("seed, n_products", [(20260809, 40), (1234, 200)])
+    def test_pruning_changes_no_bit(self, seed, n_products):
+        """The draws of max_oracle_deviation, odd lengths included, give the
+        same complex number as the full expansion."""
+        rng = random.Random(seed)
+        lengths = set()
+        for _ in range(n_products):
+            product = random_product(rng, list(range(6)))
+            lengths.add(len(product) % 2)
+            assert normal_order_expectation(product) == (
+                unpruned_normal_order_expectation(product))
+        assert lengths == {0, 1}
+
+    def test_odd_products_rewrite_no_word(self, monkeypatch):
+        calls = []
+        moment = oracle._vacuum_moment_of_word
+
+        def counted(word):
+            calls.append(word)
+            return moment(word)
+
+        monkeypatch.setattr(oracle, "_vacuum_moment_of_word", counted)
+        rng = random.Random(20260809)
+        products = [random_product(rng, list(range(6))) for _ in range(40)]
+        odd = [p for p in products if len(p) % 2]
+        assert odd
+        for product in odd:
+            assert normal_order_expectation(product) == 0j
+        assert calls == []
+        a = single_mode()
+        assert normal_order_expectation([a, a.adjoint()]) == 1
+        assert calls  # the wrapper does see the words of even products
 
 
 class TestSourceState:
@@ -53,6 +92,27 @@ class TestSourceState:
         state = build_source_state(0.2, 12, "exact_product")
         assert abs(state.norm - 1.0) < 1e-10
         assert state.norm <= 1 + 1e-12
+
+    @pytest.mark.parametrize("chi1", [0.0, 0.05, 0.3])
+    def test_amplitudes_are_real_closed_forms(self, chi1):
+        th, ch = math.tanh(chi1), math.cosh(chi1)
+        dim = 7
+        exact = np.zeros((dim,) * 4)
+        pairs = np.zeros((dim,) * 4)
+        pairs[0, 0, 0, 0] = 1.0 / (math.sqrt(2.0) * ch)
+        for n in range(dim):
+            for m in range(dim):
+                exact[n, m, m, n] = th ** (n + m) / ch ** 2
+            if n:
+                pairs[n, 0, 0, n] = pairs[0, n, n, 0] = th ** n / (math.sqrt(2.0) * ch)
+        pairs /= math.sqrt(sum(x * x for x in pairs.ravel().tolist()))
+        for form, closed in (("exact_product", exact), ("number_polarization", pairs)):
+            amplitudes = build_source_state(chi1, dim - 1, form).amplitudes
+            assert amplitudes.dtype == np.float64
+            assert np.allclose(amplitudes, closed, rtol=1e-15, atol=0)
+            assert np.array_equal(amplitudes != 0, closed != 0)
+        assert np.array_equal(build_source_state(chi1, dim - 1, "exact_product").amplitudes,
+                              exact)
 
     def test_exact_product_amplitudes(self):
         chi1 = 0.3
@@ -85,7 +145,34 @@ class TestSourceState:
             build_source_state(0.2, 4, "squeezed")
 
 
+# Fock rates at the wick-vs-fock-rates angle pairs and the singles rate at
+# theta_a = 0.3, frozen from the complex-amplitude simulator (cutoff 12)
+FOCK_ANGLES = ((math.pi / 8, -math.pi / 4), (0.0, 0.7), (0.3, 0.0), (1.1, -1.3))
+FROZEN_FOCK = {
+    ("exact_product", 0.05): ((0.002147266336591283, 0.0010472645806841917,
+                               0.00022531964516790887, 0.0011506938558251128),
+                              0.0025208653013498437),
+    ("exact_product", 0.2): ((0.03764552518427304, 0.019148313154297755,
+                              0.005326799081648251, 0.020887540589267298),
+                             0.04546573302586184),
+    ("number_polarization", 0.05): ((0.002132190894806244, 0.0010410041562015108,
+                                     0.00021905922068522757, 0.0011392377072020293),
+                                    0.002508344452384482),
+    ("number_polarization", 0.2): ((0.03383016833227282, 0.01750513078541959,
+                                    0.0036836167127700815, 0.017964040892355936),
+                                   0.0421793682881055),
+}
+
+
 class TestFockRates:
+    @pytest.mark.parametrize("form, chi1", sorted(FROZEN_FOCK))
+    def test_rates_match_frozen_values(self, form, chi1):
+        coincidences, singles = FROZEN_FOCK[form, chi1]
+        state = build_source_state(chi1, 12, form)
+        for (ta, tb), frozen in zip(FOCK_ANGLES, coincidences):
+            assert fock_coincidence_rate(state, ta, tb) == pytest.approx(frozen, rel=1e-14)
+        assert fock_singles_rate(state, 0.3) == pytest.approx(singles, rel=1e-14)
+
     def test_vacuum_rate_is_zero(self):
         state = build_source_state(0.0, 3, "exact_product")
         assert fock_coincidence_rate(state, 0.3, -0.2) == 0
