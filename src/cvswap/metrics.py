@@ -19,8 +19,9 @@ amplitude to sin(ta + tb) and the same angle set would not maximize S.
 
 Every CH ratio is assembled by one function, :func:`ch_s`.  It takes the
 beams' fields with any batch axes, as one batched circuit build returns
-them, and the analyzer angles as arrays that broadcast against them, so a
-whole sweep is one numpy computation; :func:`maximize_s` calls it too.
+them (a gain sweep's teleported beam as the two gain-free fields it is
+affine in), and the analyzer angles as arrays that broadcast against them,
+so a whole sweep is one numpy computation; :func:`maximize_s` calls it too.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
@@ -42,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import PolarizedBeam, SwapCircuitOutput
+from .circuit import PolarizedBeam, SwapCircuitOutput, _GainAffineBeam
 from .modes import LinearField, _mode_sum, vacuum_expectation
 
 __all__ = [
@@ -143,10 +144,44 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
 
 def _beam_pair(
     beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
-) -> tuple[PolarizedBeam, PolarizedBeam]:
+) -> tuple[PolarizedBeam, PolarizedBeam | _GainAffineBeam]:
     if isinstance(beams, SwapCircuitOutput):
-        return beams.beam_a, beams.beam_d_prime
+        return beams.beam_a, beams.teleported
     return beams
+
+
+def _factored_matrices(beam_1: PolarizedBeam,
+                       beam_2: _GainAffineBeam) -> tuple[np.ndarray, np.ndarray]:
+    # (P, Q) stacked on axis -3 and the Gram matrix G of beam_2 = D'(0) + g X,
+    # formed from the gain-free factors.  D' is expanded as R + t X about the
+    # gain g_r where the trace of G is least, -Re tr G_0X / tr G_XX, with
+    # R = D'(g_r) formed mode by mode and t = g - g_r: about g = 0 the
+    # photon-creating coefficients of D'(0) and g X cancel near the optimal
+    # gain, by up to cosh^2(chi2) in G.  P and Q are affine in t and G is
+    # quadratic, G = G_RR + t (G_RX + G_XR) + t^2 G_XX.  Each field's
+    # coefficients are stacked on axis -2, so one einsum forms each block matrix
+    n_modes = max(f.cre.shape[-1] for beam in (beam_2.offset, beam_2.slope)
+                  for f in (beam.h, beam.v))
+    offset, slope = (np.stack([f.padded(n_modes)[1] for f in (beam.h, beam.v)], axis=-2)
+                     for beam in (beam_2.offset, beam_2.slope))
+    g_r = -(np.einsum("...im,...im->...", offset.conj(), slope).real
+            / np.einsum("...im,...im->...", slope.conj(), slope).real)
+    centre = offset + g_r[..., None, None] * slope
+    # rows R_h, R_v, X_h, X_v
+    cre_2 = np.concatenate([centre, np.broadcast_to(slope, centre.shape)], axis=-2)
+    n_1 = max(beam_1.h.ann.shape[-1], beam_1.v.ann.shape[-1])
+    (ann_h, cre_h), (ann_v, cre_v) = beam_1.h.padded(n_1), beam_1.v.padded(n_1)
+    n = min(n_1, n_modes)
+    # rows ann_h, ann_v, conj(cre_h), conj(cre_v) of beam_1
+    left = np.stack([ann_h, ann_v, cre_h.conj(), cre_v.conj()], axis=-2)[..., :n]
+    # columns (R, X), rows (P, Q): [[P_R, P_X], [Q_R, Q_X]]
+    blocks = np.einsum("...im,...jm->...ij", left, cre_2[..., :n])
+    grams = np.einsum("...im,...jm->...ij", cre_2.conj(), cre_2)
+    t = (beam_2.gain - g_r)[..., None, None]
+    pq = blocks[..., :2] + t * blocks[..., 2:]
+    gram_2 = (grams[..., :2, :2] + t * (grams[..., :2, 2:] + grams[..., 2:, :2])
+              + t * t * grams[..., 2:, 2:])
+    return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_2
 
 
 def _matrix(xs: tuple[np.ndarray, np.ndarray],
@@ -235,6 +270,14 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     per vector (the Gram diagonal for bare h and v), so each of the ten
     rates is two 2-term dot products and one product of cached forms.
 
+    The matrices are formed from the beams' fields, except for a circuit
+    output that keeps D' factored as d + g X (see build_swap_circuit).
+    There they are formed from the fields of d and X at their gain-free
+    shape, and only their combination with the gain, affine in P and Q and
+    quadratic in G, takes the gain's axes.  The combination is expanded as
+    D' = D'(g_r) + (g - g_r) X about the gain g_r that minimizes the trace
+    of G, so that its gain orders do not cancel near the optimal gain.
+
     The checks are those of coincidence_rate, applied to every element:
     ValueError on an imaginary part or a negative rate beyond tolerance,
     RateOverflowError on a rate or CH sum beyond float range, and
@@ -243,12 +286,16 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     """
     beam_1, beam_2 = _beam_pair(beams)
     ann_1 = (beam_1.h.ann, beam_1.v.ann)
-    cre_1, cre_2 = (beam_1.h.cre, beam_1.v.cre), (beam_2.h.cre, beam_2.v.cre)
+    cre_1 = (beam_1.h.cre, beam_1.v.cre)
     conj_1 = (cre_1[0].conj(), cre_1[1].conj())
-    # (P, Q) stacked on axis -3: <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
-    pq = np.stack([_matrix(ann_1, cre_2), _matrix(conj_1, cre_2)], axis=-3)
     gram_1 = _matrix(conj_1, cre_1)
-    gram_2 = _matrix((cre_2[0].conj(), cre_2[1].conj()), cre_2)
+    if isinstance(beam_2, _GainAffineBeam):
+        pq, gram_2 = _factored_matrices(beam_1, beam_2)
+    else:
+        cre_2 = (beam_2.h.cre, beam_2.v.cre)
+        # (P, Q) stacked on axis -3: <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
+        pq = np.stack([_matrix(ann_1, cre_2), _matrix(conj_1, cre_2)], axis=-3)
+        gram_2 = _matrix((cre_2[0].conj(), cre_2[1].conj()), cre_2)
 
     u_a = _analyzer_vector(angles.theta_a, "a")
     u_a_prime = _analyzer_vector(angles.theta_a_prime, "a")

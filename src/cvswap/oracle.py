@@ -183,12 +183,12 @@ def build_source_state(chi1: float, n_max: int, form: str) -> FockState:
     return FockState(cutoff=n_max, amplitudes=amp)
 
 
-def _annihilate(amplitudes: np.ndarray, axis: int) -> np.ndarray:
-    # out[..., n, ...] = sqrt(n + 1) amplitudes[..., n + 1, ...] along axis
+def _annihilate(amplitudes: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    # out[..., n, ...] = sqrt(n + 1) amplitudes[..., n + 1, ...] along axis;
+    # out must not share memory with amplitudes
     dim = amplitudes.shape[axis]
     lead = (slice(None),) * axis
     factors = np.sqrt(np.arange(1, dim, dtype=float))
-    out = np.empty_like(amplitudes)
     out[lead + (-1,)] = 0.0
     np.multiply(amplitudes[lead + (slice(1, None),)],
                 factors.reshape((-1,) + (1,) * (amplitudes.ndim - axis - 1)),
@@ -206,12 +206,15 @@ def _check_boundary(state: FockState) -> None:
             "increase the cutoff")
 
 
-def _analyzed(amplitudes: np.ndarray, theta: float, beam: str) -> np.ndarray:
-    # beam "a" (axes 0, 1): cos h + sin v; beam "b" (axes 2, 3): cos h - sin v
+def _analyzed(amplitudes: np.ndarray, theta: float, beam: str,
+              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # beam "a" (axes 0, 1): cos h + sin v; beam "b" (axes 2, 3): cos h - sin v.
+    # Written into out, with scratch as the v term's buffer; neither may share
+    # memory with amplitudes or with each other
     h_axis, sign = {"a": (0, 1.0), "b": (2, -1.0)}[beam]
-    out = _annihilate(amplitudes, h_axis)
+    _annihilate(amplitudes, h_axis, out)
     out *= math.cos(theta)
-    v_term = _annihilate(amplitudes, h_axis + 1)
+    v_term = _annihilate(amplitudes, h_axis + 1, scratch)
     v_term *= sign * math.sin(theta)
     out += v_term
     return out
@@ -228,7 +231,11 @@ def fock_coincidence_rate(state: FockState, theta_a: float, theta_b: float,
     """
     if check_cutoff:
         _check_boundary(state)
-    reduced = _analyzed(_analyzed(state.amplitudes, theta_b, "b"), theta_a, "a")
+    # one allocation per rate for its three state-sized buffers: freed and
+    # reallocated per operator, they cost a page fault per page on each call
+    analyzed_b, reduced, scratch = np.empty((3,) + state.amplitudes.shape)
+    _analyzed(state.amplitudes, theta_b, "b", analyzed_b, scratch)
+    _analyzed(analyzed_b, theta_a, "a", reduced, scratch)
     return _norm_squared(reduced) / _norm_squared(state.amplitudes)
 
 
@@ -237,6 +244,7 @@ def fock_singles_rate(state: FockState, theta_a: float,
     """Rate with the first beam analyzed and both second-beam polarizations counted."""
     if check_cutoff:
         _check_boundary(state)
-    analyzed = _analyzed(state.amplitudes, theta_a, "a")
-    total = sum(_norm_squared(_annihilate(analyzed, axis)) for axis in (2, 3))
+    analyzed, scratch = np.empty((2,) + state.amplitudes.shape)  # see fock_coincidence_rate
+    _analyzed(state.amplitudes, theta_a, "a", analyzed, scratch)
+    total = sum(_norm_squared(_annihilate(analyzed, axis, scratch)) for axis in (2, 3))
     return total / _norm_squared(state.amplitudes)

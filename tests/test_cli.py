@@ -2,19 +2,23 @@
 
 import argparse
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvswap.circuit
 import cvswap.cli
 import cvswap.selftest
+from cvswap.circuit import PolarizedBeam, _GainAffineBeam
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
-from cvswap.metrics import squeezing_to_chi
+from cvswap.metrics import ch_s, squeezing_to_chi
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
 
@@ -284,6 +288,60 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert calls == ["build_swap_circuit", "ch_s"]
+
+
+# S of each folded sweep at its defaults, captured as float.hex before
+# build_swap_circuit could keep D' factored
+FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
+
+
+def record_ch_s(monkeypatch):
+    """The list that each CLI call of ch_s appends (D' as built, S) to."""
+    seen = []
+
+    def recording(out, angles):
+        result = ch_s(out, angles)
+        seen.append((out.teleported, result.s))
+        return result
+
+    monkeypatch.setattr(cvswap.cli, "ch_s", recording)
+    return seen
+
+
+@pytest.mark.parametrize("command", sorted(FOLDED_S))
+def test_folded_sweeps_keep_every_bit(tmp_path, monkeypatch, capsys, command):
+    seen = record_ch_s(monkeypatch)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    [(teleported, s)] = seen
+    assert isinstance(teleported, PolarizedBeam)
+    expected = np.array([float.fromhex(x) for x in FOLDED_S[command]["s"]])
+    assert np.array_equal(s, expected.reshape(FOLDED_S[command]["shape"]))
+
+
+def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
+    seen = record_ch_s(monkeypatch)
+    assert main(["fig4", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    [(teleported, s)] = seen
+    assert isinstance(teleported, _GainAffineBeam)
+    assert teleported.offset.h.ann.shape[:-1] == (4,)
+    assert s.shape == (200, 4)
+
+
+def test_fig4_memory_per_grid_point(tmp_path):
+    """The gain grid meets only the 2x2 matrices and the rates, not the mode
+    axis: under 0.8 KB per point at 8,000 points (a D' that carries the gain
+    axis over its 12 modes takes about 1.3 KB)."""
+    config = ExperimentConfig(squeezing=(0.10, 0.50, 0.80, 0.99), lambda_steps=2000,
+                              out=tmp_path)
+    tracemalloc.start()
+    try:
+        assert cvswap.cli.cmd_fig4(config, io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 8000 < 800
 
 
 def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, capsys):

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvswap import cli
-from cvswap.circuit import PolarizedBeam, SwapParams, attenuate, build_swap_circuit, opo_type2
+from cvswap.circuit import (
+    PolarizedBeam,
+    SwapParams,
+    _GainAffineBeam,
+    attenuate,
+    build_swap_circuit,
+    opo_type2,
+)
 from cvswap.metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
     NoCoincidencesError,
+    _grid,
     analyzer,
     angle_family,
     ch_s,
@@ -21,7 +29,7 @@ from cvswap.metrics import (
     singles_rate,
     squeezing_to_chi,
 )
-from cvswap.modes import LinearField, ModeRegistry
+from cvswap.modes import LinearField, ModeRegistry, pair_contraction
 from helpers import source_beams
 
 
@@ -227,6 +235,79 @@ def test_kernel_rates_match_wick_sum(chi1, chi2, gain, eta, thetas):
     scale = max(wick.values())
     for name, value in wick.items():
         assert getattr(kernel, name) == pytest.approx(value, rel=1e-12, abs=1e-15 * scale)
+
+
+def wick_term_magnitudes(beam_1, beam_2, angles):
+    """Per rate of ch_s((beam_1, beam_2), angles), the summed magnitudes of
+    its three Wick terms |<e1 e2>|^2, |sum_m conj(cre e1) cre e2|^2 and
+    <e2+ e2><e1+ e1>, elementwise over the batch."""
+    def terms(e1, e2):
+        return (np.abs(pair_contraction(e1, e2)) ** 2
+                + np.abs(pair_contraction(e1.adjoint(), e2)) ** 2
+                + np.abs(pair_contraction(e2.adjoint(), e2) * pair_contraction(e1.adjoint(), e1)))
+
+    e_a, e_a_prime = (analyzer(beam_1, theta, "a")
+                      for theta in (angles.theta_a, angles.theta_a_prime))
+    e_b, e_b_prime = (analyzer(beam_2, theta, "d")
+                      for theta in (angles.theta_b, angles.theta_b_prime))
+    return {"r_ab": terms(e_a, e_b), "r_ab_prime": terms(e_a, e_b_prime),
+            "r_a_prime_b": terms(e_a_prime, e_b),
+            "r_a_prime_b_prime": terms(e_a_prime, e_b_prime),
+            "r_singles_a": terms(e_a_prime, beam_2.h) + terms(e_a_prime, beam_2.v),
+            "r_singles_b": terms(beam_1.h, e_b) + terms(beam_1.v, e_b)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chi1=st.floats(min_value=1e-3, max_value=3.0),
+       chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
+       gain_max=st.floats(min_value=0.1, max_value=10.0),
+       eta=st.floats(min_value=0.01, max_value=1.0),
+       thetas=st.tuples(_angle, _angle, _angle, _angle))
+def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas):
+    """ch_s on a build that keeps D' factored gives the rates of ch_s on D'.
+
+    The gain grid, on an axis of its own, holds 0 and each level's optimal
+    gain, where the gain orders of D''s Gram matrix cancel most.  Each rate
+    must agree within 1e-12 of the summed magnitudes of its three Wick
+    terms, the scale of its rounding error: S is not the scale, as it
+    crosses 0 on the fig3 family.  From chi2 ~ 5 on, D''s own coefficients
+    near the optimal gain, g cosh(chi2) - sinh(chi2), lose more than that
+    to rounding, so the draw stops at chi2 = 4 (99.97% squeezing);
+    test_factored_s_at_extreme_squeezing goes further.
+    """
+    chi2 = np.array(chi2s)
+    gains = np.concatenate([[0.0], optimal_gain(chi2, eta), np.linspace(0.0, gain_max, 256)])
+    out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
+    assert isinstance(out.teleported, _GainAffineBeam)
+    angles = AnalyzerAngles(*thetas)
+    folded_beams = (out.beam_a, out.beam_d_prime)
+    try:
+        folded = ch_s(folded_beams, angles)
+    except NoCoincidencesError:
+        with pytest.raises(NoCoincidencesError):
+            ch_s(out, angles)
+        return
+    factored = ch_s(out, angles)
+    for name, scale in wick_term_magnitudes(*folded_beams, angles).items():
+        deviation = np.abs(getattr(factored, name) - getattr(folded, name))
+        assert np.all(deviation <= 1e-12 * scale), name
+
+
+@pytest.mark.parametrize("chi1", [1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+def test_factored_s_at_extreme_squeezing(chi1, eta):
+    """On fig4's gain grid up to 1 - 1e-14 squeezing (chi2 ~ 16), factored S
+    stays within 1e-13 of folded S.  The factored form expands D' about the
+    gain that minimizes its Gram trace; expanded about gain 0, its gain
+    orders cancel by cosh^2(chi2) near the optimal gain and S moved by up
+    to 6e-3."""
+    chi2 = np.array([squeezing_to_chi(1 - 10.0 ** -k) for k in range(2, 15, 2)])
+    gains = _grid(0.01, 2.0, 200)
+    out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
+    assert isinstance(out.teleported, _GainAffineBeam)
+    folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES).s
+    factored = ch_s(out, OPTIMAL_ANGLES).s
+    assert np.all(np.abs(factored - folded) <= 1e-13 * np.abs(folded))
 
 
 def test_maximize_s_breaks_ties_by_smallest_theta():

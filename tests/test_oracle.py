@@ -173,6 +173,21 @@ class TestFockRates:
             assert fock_coincidence_rate(state, ta, tb) == pytest.approx(frozen, rel=1e-14)
         assert fock_singles_rate(state, 0.3) == pytest.approx(singles, rel=1e-14)
 
+    @pytest.mark.parametrize("form", ["exact_product", "number_polarization"])
+    def test_rates_leave_the_state_unchanged(self, form):
+        """Each rate writes into its own work buffers, never into the state,
+        and a repeated call gives the same bits."""
+        state = build_source_state(0.2, 12, form)
+        before = state.amplitudes.copy()
+        for ta, tb in FOCK_ANGLES:
+            rate = fock_coincidence_rate(state, ta, tb)
+            assert np.array_equal(state.amplitudes, before)
+            assert fock_coincidence_rate(state, ta, tb, check_cutoff=False) == rate
+            assert np.array_equal(state.amplitudes, before)
+            singles = fock_singles_rate(state, ta)
+            assert np.array_equal(state.amplitudes, before)
+            assert fock_singles_rate(state, ta) == singles
+
     def test_vacuum_rate_is_zero(self):
         state = build_source_state(0.0, 3, "exact_product")
         assert fock_coincidence_rate(state, 0.3, -0.2) == 0
