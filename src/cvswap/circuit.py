@@ -55,12 +55,6 @@ __all__ = [
 
 _CANONICAL_TOL = 1e-9
 
-# Grid size from which build_swap_circuit keeps a gain sweep's D' factored.
-# Below it factoring saves nothing that shows (build + ch_s within 5% of
-# folding from 8 to 256 points, 1.27x faster at 768), while a folded grid
-# gives each cell the bits of a build for that point alone.
-_MIN_FACTORED_POINTS = 256
-
 # Phase of the minus-quadrature feedforward gain.  With lambda_plus = -gain,
 # the choice +1j makes the measured beam's content enter the displaced output
 # as an annihilation operator of net amplitude gain*sqrt(eta); the opposite
@@ -105,42 +99,26 @@ class SwapParams:
 
 
 @dataclass(frozen=True)
-class _GainAffineBeam:
-    """A beam D' = offset + gain * slope, kept factored.
-
-    offset and slope carry the gain-free batch shape; the gain adds its own
-    batch axes.  folded() forms D' by the elementwise d + gain * X of
-    feedforward_displace, so its coefficients are those of a folded build.
-    """
-
-    offset: PolarizedBeam
-    slope: PolarizedBeam
-    gain: np.ndarray
-
-    def folded(self) -> PolarizedBeam:
-        return PolarizedBeam(h=self.offset.h + self.gain * self.slope.h,
-                             v=self.offset.v + self.gain * self.slope.v)
-
-
-@dataclass(frozen=True)
 class SwapCircuitOutput:
-    """The source beam A, the teleported beam D', and the mode registry.
+    """The source beam A, the teleported beam D' in its gain-affine parts,
+    and the mode registry.
 
-    teleported is D' itself, or D' as a _GainAffineBeam (D'(0), X, gain)
-    when build_swap_circuit keeps it factored; ch_s then contracts the
-    factors and never forms D'.  beam_d_prime is D' either way, formed from
-    the factors on each access.
+    D' = beam_d0 + gain * beam_x exactly (see feedforward_displace):
+    beam_d0 and beam_x carry the gain-free batch shape, and the gain may add
+    batch axes of its own.  beam_d_prime forms D' from these parts, on each
+    access.
     """
 
     beam_a: PolarizedBeam
-    teleported: PolarizedBeam | _GainAffineBeam
+    beam_d0: PolarizedBeam
+    beam_x: PolarizedBeam
+    gain: np.ndarray
     registry: ModeRegistry
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        if isinstance(self.teleported, _GainAffineBeam):
-            return self.teleported.folded()
-        return self.teleported
+        return PolarizedBeam(h=self.beam_d0.h + self.gain * self.beam_x.h,
+                             v=self.beam_d0.v + self.gain * self.beam_x.v)
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
@@ -285,11 +263,10 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     Array parameters give one build for their whole broadcast grid: each
     field's batch shape is that of the parameters it depends on, so A
     carries the shape of chi1 alone and D' the shape of all four.  D' is
-    affine in the gain, D' = D'(0) + gain X (see feedforward_displace).
-    When the gain broadcasts beyond the batch shape of D'(0) and X, as a
-    gain sweep does, and the grid holds at least _MIN_FACTORED_POINTS
-    points, the output keeps D' as a _GainAffineBeam and no coefficient
-    array takes the gain's axes; otherwise the gain is folded into D' here.
+    affine in the gain, D' = D'(0) + gain X (see feedforward_displace), and
+    the output holds D'(0), X and the gain, not D' itself: D'(0) and X
+    carry the gain-free shape, and whether the gain is folded into D'
+    (beam_d_prime) or contracted against the two parts is left to ch_s.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 
@@ -308,17 +285,11 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
                                           registry, label="homodyne_v")
     # h-polarized photocurrents modulate D_v and vice versa; the half-wave
     # plate swaps the labels of D'(0) and X alike
-    teleported = _GainAffineBeam(
-        offset=halfwave_swap(beam_d.h, beam_d.v),
-        slope=halfwave_swap(_unit_displacement(xv_plus, xv_minus),
-                            _unit_displacement(xh_plus, xh_minus)),
-        gain=np.asarray(params.gain))
-    gain_free = np.broadcast_shapes(*(f.ann.shape[:-1] for beam in (
-        teleported.offset, teleported.slope) for f in (beam.h, beam.v)))
-    shape = np.broadcast_shapes(gain_free, teleported.gain.shape)
-    if shape == gain_free or math.prod(shape) < _MIN_FACTORED_POINTS:
-        teleported = teleported.folded()
-    return SwapCircuitOutput(beam_a=beam_a, teleported=teleported, registry=registry)
+    return SwapCircuitOutput(
+        beam_a=beam_a, beam_d0=halfwave_swap(beam_d.h, beam_d.v),
+        beam_x=halfwave_swap(_unit_displacement(xv_plus, xv_minus),
+                             _unit_displacement(xh_plus, xh_minus)),
+        gain=np.asarray(params.gain), registry=registry)
 
 
 def single_mode_teleporter(a_in: LinearField, chi: float, gain: float,

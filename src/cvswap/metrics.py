@@ -19,9 +19,12 @@ amplitude to sin(ta + tb) and the same angle set would not maximize S.
 
 Every CH ratio is assembled by one function, :func:`ch_s`.  It takes the
 beams' fields with any batch axes, as one batched circuit build returns
-them (a gain sweep's teleported beam as the two gain-free fields it is
-affine in), and the analyzer angles as arrays that broadcast against them,
-so a whole sweep is one numpy computation; :func:`maximize_s` calls it too.
+them, and the analyzer angles as arrays that broadcast against them, so a
+whole sweep is one numpy computation; :func:`maximize_s` calls it too.
+A build returns the teleported beam as the two gain-free fields it is
+affine in and the gain; :func:`ch_s` alone decides whether to fold the
+gain into it or to contract the two fields, so a gain sweep's grid never
+meets the mode axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
@@ -43,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import PolarizedBeam, SwapCircuitOutput, _GainAffineBeam
-from .modes import LinearField, _mode_sum, vacuum_expectation
+from .circuit import PolarizedBeam, SwapCircuitOutput
+from .modes import LinearField, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
@@ -142,54 +145,64 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
     return coincidence_rate(e_other, beam.h) + coincidence_rate(e_other, beam.v)
 
 
-def _beam_pair(
-    beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
-) -> tuple[PolarizedBeam, PolarizedBeam | _GainAffineBeam]:
-    if isinstance(beams, SwapCircuitOutput):
-        return beams.beam_a, beams.teleported
-    return beams
+# Grid size from which ch_s contracts a gain sweep's D' in its two parts.
+# Below it factoring saves nothing that shows (build + ch_s within 5% of
+# folding from 8 to 256 points, 1.27x faster at 768), while a folded grid
+# gives each cell the bits of a build for that point alone.
+_MIN_FACTORED_POINTS = 256
 
 
-def _factored_matrices(beam_1: PolarizedBeam,
-                       beam_2: _GainAffineBeam) -> tuple[np.ndarray, np.ndarray]:
-    # (P, Q) stacked on axis -3 and the Gram matrix G of beam_2 = D'(0) + g X,
-    # formed from the gain-free factors.  D' is expanded as R + t X about the
-    # gain g_r where the trace of G is least, -Re tr G_0X / tr G_XX, with
-    # R = D'(g_r) formed mode by mode and t = g - g_r: about g = 0 the
-    # photon-creating coefficients of D'(0) and g X cancel near the optimal
-    # gain, by up to cosh^2(chi2) in G.  P and Q are affine in t and G is
-    # quadratic, G = G_RR + t (G_RX + G_XR) + t^2 G_XX.  Each field's
-    # coefficients are stacked on axis -2, so one einsum forms each block matrix
-    n_modes = max(f.cre.shape[-1] for beam in (beam_2.offset, beam_2.slope)
-                  for f in (beam.h, beam.v))
-    offset, slope = (np.stack([f.padded(n_modes)[1] for f in (beam.h, beam.v)], axis=-2)
-                     for beam in (beam_2.offset, beam_2.slope))
-    g_r = -(np.einsum("...im,...im->...", offset.conj(), slope).real
-            / np.einsum("...im,...im->...", slope.conj(), slope).real)
-    centre = offset + g_r[..., None, None] * slope
-    # rows R_h, R_v, X_h, X_v
-    cre_2 = np.concatenate([centre, np.broadcast_to(slope, centre.shape)], axis=-2)
-    n_1 = max(beam_1.h.ann.shape[-1], beam_1.v.ann.shape[-1])
-    (ann_h, cre_h), (ann_v, cre_v) = beam_1.h.padded(n_1), beam_1.v.padded(n_1)
-    n = min(n_1, n_modes)
-    # rows ann_h, ann_v, conj(cre_h), conj(cre_v) of beam_1
-    left = np.stack([ann_h, ann_v, cre_h.conj(), cre_v.conj()], axis=-2)[..., :n]
-    # columns (R, X), rows (P, Q): [[P_R, P_X], [Q_R, Q_X]]
-    blocks = np.einsum("...im,...jm->...ij", left, cre_2[..., :n])
-    grams = np.einsum("...im,...jm->...ij", cre_2.conj(), cre_2)
-    t = (beam_2.gain - g_r)[..., None, None]
-    pq = blocks[..., :2] + t * blocks[..., 2:]
-    gram_2 = (grams[..., :2, :2] + t * (grams[..., :2, 2:] + grams[..., 2:, :2])
-              + t * t * grams[..., 2:, 2:])
-    return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_2
+def _factored(out: SwapCircuitOutput) -> bool:
+    # True if ch_s contracts D'(0) and X rather than D': the gain adds batch
+    # axes to theirs and the grid holds at least _MIN_FACTORED_POINTS points
+    gain_free = np.broadcast_shapes(*(f.ann.shape[:-1] for beam in (out.beam_d0, out.beam_x)
+                                      for f in (beam.h, beam.v)))
+    shape = np.broadcast_shapes(gain_free, out.gain.shape)
+    return shape != gain_free and math.prod(shape) >= _MIN_FACTORED_POINTS
 
 
-def _matrix(xs: tuple[np.ndarray, np.ndarray],
-            ys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    # (..., 2, 2) matrices of _mode_sum(xs[i], ys[j]) over the (h, v) components,
-    # read from the fields' own arrays without stacking or padding them
-    entries = np.broadcast_arrays(*[_mode_sum(x, y) for x in xs for y in ys])
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+    # coefficient arrays stacked on axis -2 over their broadcast batch shape,
+    # zero-padded to one mode count
+    n_modes = max(x.shape[-1] for x in arrays)
+    batch = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+    rows = np.zeros(batch + (len(arrays), n_modes), dtype=complex)
+    for i, x in enumerate(arrays):
+        rows[..., i, :x.shape[-1]] = x
+    return rows
+
+
+def _contractions(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
+                  slope: PolarizedBeam | None = None,
+                  gain: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (P, Q) stacked on axis -3 and the Gram matrices G_1, G_2 of beam_1 and
+    # beam_2, or of D' = beam_2 + g slope without forming it.  Each is one
+    # einsum of coefficient rows: ann_h, ann_v, conj cre_h, conj cre_v of
+    # beam_1 against cre_h, cre_v of beam_2.  With a slope X, D' is expanded
+    # as R + t X about the gain g_r where the trace of G_2 is least,
+    # -Re tr G_0X / tr G_XX, with R = D'(g_r) formed mode by mode and
+    # t = g - g_r: about g = 0 the photon-creating coefficients of D'(0) and
+    # g X cancel near the optimal gain, by up to cosh^2(chi2) in G_2.  Beam
+    # 2's rows are then R_h, R_v, X_h, X_v; P and Q are affine in t and G_2
+    # is quadratic, G_2 = G_RR + t (G_RX + G_XR) + t^2 G_XX.
+    left = _rows([beam_1.h.ann, beam_1.v.ann, beam_1.h.cre.conj(), beam_1.v.cre.conj()])
+    fields_2 = [beam_2.h, beam_2.v] + ([slope.h, slope.v] if slope is not None else [])
+    right = _rows([f.cre for f in fields_2])
+    if slope is not None:
+        offset, x = right[..., :2, :], right[..., 2:, :]
+        g_r = -(np.einsum("...im,...im->...", offset.conj(), x).real
+                / np.einsum("...im,...im->...", x.conj(), x).real)
+        offset += g_r[..., None, None] * x
+    n = min(left.shape[-1], right.shape[-1])
+    pq = np.einsum("...im,...jm->...ij", left[..., :n], right[..., :n])
+    gram_1 = np.einsum("...im,...jm->...ij", left[..., 2:, :], left[..., 2:, :].conj())
+    gram_2 = np.einsum("...im,...jm->...ij", right.conj(), right)
+    if slope is not None:
+        t = (gain - g_r)[..., None, None]
+        pq = pq[..., :2] + t * pq[..., 2:]
+        gram_2 = (gram_2[..., :2, :2] + t * (gram_2[..., :2, 2:] + gram_2[..., 2:, :2])
+                  + t * t * gram_2[..., 2:, 2:])
+    return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_1, gram_2
 
 
 def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -270,13 +283,16 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     per vector (the Gram diagonal for bare h and v), so each of the ten
     rates is two 2-term dot products and one product of cached forms.
 
-    The matrices are formed from the beams' fields, except for a circuit
-    output that keeps D' factored as d + g X (see build_swap_circuit).
-    There they are formed from the fields of d and X at their gain-free
-    shape, and only their combination with the gain, affine in P and Q and
-    quadratic in G, takes the gain's axes.  The combination is expanded as
-    D' = D'(g_r) + (g - g_r) X about the gain g_r that minimizes the trace
-    of G, so that its gain orders do not cancel near the optimal gain.
+    A circuit output holds D' as d + g X (see build_swap_circuit), and
+    ch_s decides how to contract it.  When the gain adds batch axes to d
+    and X and the grid holds at least 256 points, the matrices are formed
+    from the fields of d and X at their gain-free shape, and only their
+    combination with the gain, affine in P and Q and quadratic in G, takes
+    the gain's axes.  The combination is expanded as D' = D'(g_r) +
+    (g - g_r) X about the gain g_r that minimizes the trace of G, so that
+    its gain orders do not cancel near the optimal gain.  Otherwise the
+    gain is folded into D' (beam_d_prime), and each cell gets the bits of
+    a build for that point alone.
 
     The checks are those of coincidence_rate, applied to every element:
     ValueError on an imaginary part or a negative rate beyond tolerance,
@@ -284,18 +300,10 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     NoCoincidencesError when a singles denominator is 0 or subnormal (for
     example with the pump off).
     """
-    beam_1, beam_2 = _beam_pair(beams)
-    ann_1 = (beam_1.h.ann, beam_1.v.ann)
-    cre_1 = (beam_1.h.cre, beam_1.v.cre)
-    conj_1 = (cre_1[0].conj(), cre_1[1].conj())
-    gram_1 = _matrix(conj_1, cre_1)
-    if isinstance(beam_2, _GainAffineBeam):
-        pq, gram_2 = _factored_matrices(beam_1, beam_2)
-    else:
-        cre_2 = (beam_2.h.cre, beam_2.v.cre)
-        # (P, Q) stacked on axis -3: <X_i Y_j> and sum_m conj(cre X_i) cre Y_j
-        pq = np.stack([_matrix(ann_1, cre_2), _matrix(conj_1, cre_2)], axis=-3)
-        gram_2 = _matrix((cre_2[0].conj(), cre_2[1].conj()), cre_2)
+    if isinstance(beams, SwapCircuitOutput):
+        beams = ((beams.beam_a, beams.beam_d0, beams.beam_x, beams.gain) if _factored(beams)
+                 else (beams.beam_a, beams.beam_d_prime))
+    pq, gram_1, gram_2 = _contractions(*beams)
 
     u_a = _analyzer_vector(angles.theta_a, "a")
     u_a_prime = _analyzer_vector(angles.theta_a_prime, "a")
@@ -455,10 +463,15 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
 
     Scans theta over [0, pi/2] on a uniform inclusive grid in one ch_s
     call, so family must accept an array of angles; ties are broken by the
-    smallest theta.
+    smallest theta.  beams must be one beam pair: ValueError if a beam's
+    fields, or a circuit output's gain, carry batch axes.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if isinstance(beams, SwapCircuitOutput):
+        beams = (beams.beam_a, beams.beam_d_prime)
+    if any(f.ann.ndim > 1 for beam in beams for f in (beam.h, beam.v)):
+        raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s
     best = int(np.argmax(s))

@@ -174,9 +174,10 @@ def check_optimal_gain_attenuation() -> str | None:
     gains = optimal_gain(chis, 1.0)
     out = build_swap_circuit(SwapParams(0.1, chis, gains, 1.0))
     n_modes = len(out.registry)
+    beam_d_prime = out.beam_d_prime  # folded on each access
     _, beam_b = opo_type2(ModeRegistry(), 0.1, label="src")
     for pol in ("h", "v"):
-        ann, cre = getattr(out.beam_d_prime, pol).padded(n_modes)
+        ann, cre = getattr(beam_d_prime, pol).padded(n_modes)
         base_ann, base_cre = getattr(beam_b, pol).padded(n_modes)
         source = (base_ann != 0) | (base_cre != 0)
         fresh_weight = np.sqrt((np.abs(ann[:, ~source]) ** 2).sum(axis=-1))

@@ -16,9 +16,8 @@ import pytest
 import cvswap.circuit
 import cvswap.cli
 import cvswap.selftest
-from cvswap.circuit import PolarizedBeam, _GainAffineBeam
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
-from cvswap.metrics import ch_s, squeezing_to_chi
+from cvswap.metrics import _factored, ch_s, squeezing_to_chi
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
 
@@ -291,17 +290,17 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
 
 
 # S of each folded sweep at its defaults, captured as float.hex before
-# build_swap_circuit could keep D' factored
+# ch_s could contract D' in its two parts
 FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
 
 
 def record_ch_s(monkeypatch):
-    """The list that each CLI call of ch_s appends (D' as built, S) to."""
+    """The list that each CLI call of ch_s appends (the circuit output, S) to."""
     seen = []
 
     def recording(out, angles):
         result = ch_s(out, angles)
-        seen.append((out.teleported, result.s))
+        seen.append((out, result.s))
         return result
 
     monkeypatch.setattr(cvswap.cli, "ch_s", recording)
@@ -313,8 +312,8 @@ def test_folded_sweeps_keep_every_bit(tmp_path, monkeypatch, capsys, command):
     seen = record_ch_s(monkeypatch)
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(teleported, s)] = seen
-    assert isinstance(teleported, PolarizedBeam)
+    [(out, s)] = seen
+    assert not _factored(out)
     expected = np.array([float.fromhex(x) for x in FOLDED_S[command]["s"]])
     assert np.array_equal(s, expected.reshape(FOLDED_S[command]["shape"]))
 
@@ -323,9 +322,9 @@ def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
     seen = record_ch_s(monkeypatch)
     assert main(["fig4", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(teleported, s)] = seen
-    assert isinstance(teleported, _GainAffineBeam)
-    assert teleported.offset.h.ann.shape[:-1] == (4,)
+    [(out, s)] = seen
+    assert _factored(out)
+    assert out.beam_d0.h.ann.shape[:-1] == (4,)
     assert s.shape == (200, 4)
 
 

@@ -10,7 +10,6 @@ from cvswap import cli
 from cvswap.circuit import (
     PolarizedBeam,
     SwapParams,
-    _GainAffineBeam,
     attenuate,
     build_swap_circuit,
     opo_type2,
@@ -19,6 +18,7 @@ from cvswap.metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
     NoCoincidencesError,
+    _factored,
     _grid,
     analyzer,
     angle_family,
@@ -264,7 +264,8 @@ def wick_term_magnitudes(beam_1, beam_2, angles):
        eta=st.floats(min_value=0.01, max_value=1.0),
        thetas=st.tuples(_angle, _angle, _angle, _angle))
 def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas):
-    """ch_s on a build that keeps D' factored gives the rates of ch_s on D'.
+    """ch_s on a circuit output it contracts in D''s two gain-free parts
+    gives the rates of ch_s on D'.
 
     The gain grid, on an axis of its own, holds 0 and each level's optimal
     gain, where the gain orders of D''s Gram matrix cancel most.  Each rate
@@ -278,7 +279,7 @@ def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas):
     chi2 = np.array(chi2s)
     gains = np.concatenate([[0.0], optimal_gain(chi2, eta), np.linspace(0.0, gain_max, 256)])
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert isinstance(out.teleported, _GainAffineBeam)
+    assert _factored(out)
     angles = AnalyzerAngles(*thetas)
     folded_beams = (out.beam_a, out.beam_d_prime)
     try:
@@ -296,18 +297,36 @@ def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas):
 @pytest.mark.parametrize("chi1", [1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_factored_s_at_extreme_squeezing(chi1, eta):
-    """On fig4's gain grid up to 1 - 1e-14 squeezing (chi2 ~ 16), factored S
-    stays within 1e-13 of folded S.  The factored form expands D' about the
+    """On fig4's gain grid up to 1 - 1e-14 squeezing (chi2 ~ 16), S that ch_s
+    contracts from D''s two parts stays within 1e-13 of S on folded D'.  The factored form expands D' about the
     gain that minimizes its Gram trace; expanded about gain 0, its gain
     orders cancel by cosh^2(chi2) near the optimal gain and S moved by up
     to 6e-3."""
     chi2 = np.array([squeezing_to_chi(1 - 10.0 ** -k) for k in range(2, 15, 2)])
     gains = _grid(0.01, 2.0, 200)
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert isinstance(out.teleported, _GainAffineBeam)
+    assert _factored(out)
     folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES).s
     factored = ch_s(out, OPTIMAL_ANGLES).s
     assert np.all(np.abs(factored - folded) <= 1e-13 * np.abs(folded))
+
+
+@pytest.mark.parametrize("chi2, gain, factored", [
+    (0.5, _grid(0.01, 2.0, 255), False),  # gain axis below 256 points
+    (0.5, _grid(0.01, 2.0, 256), True),
+    (np.linspace(0.1, 2.0, 300), 0.9, False),  # gain adds no axes
+    (np.linspace(0.1, 2.0, 300), _grid(0.01, 2.0, 300), False),
+])
+def test_fold_or_factor_boundary(chi2, gain, factored):
+    """ch_s factors D' from 256 grid points on, and only when the gain adds
+    batch axes; a folded output gives every bit of ch_s on (A, D')."""
+    out = build_swap_circuit(SwapParams(0.1, chi2, gain, 0.9))
+    assert _factored(out) is factored
+    if not factored:
+        result = ch_s(out, OPTIMAL_ANGLES)
+        folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES)
+        for name, value in vars(folded).items():
+            assert np.array_equal(getattr(result, name), value), name
 
 
 def test_maximize_s_breaks_ties_by_smallest_theta():

@@ -345,6 +345,17 @@ class TestMaximizeS:
         angles = angle_family(math.pi / 8)
         assert angles == AnalyzerAngles(math.pi / 8, -math.pi / 4, 3 * math.pi / 8, 0.0)
 
+    @pytest.mark.parametrize("params", [
+        SwapParams(0.1, 0.5, np.linspace(0.1, 1.0, 721), 1.0),  # would pair gain i with theta i
+        SwapParams(0.1, np.array([0.3, 0.5]), 1.0, 1.0),  # would not broadcast against theta
+    ], ids=["gain-batch", "squeezing-batch"])
+    @pytest.mark.parametrize("as_pair", [False, True], ids=["circuit-output", "beam-pair"])
+    def test_rejects_a_batch(self, params, as_pair):
+        out = build_swap_circuit(params)
+        beams = (out.beam_a, out.beam_d_prime) if as_pair else out
+        with pytest.raises(ValueError, match="one beam pair, not a batch"):
+            maximize_s(beams)
+
 
 class TestEngineAnalyticConsistency:
     def test_deviation_bounded_by_chi1_squared(self):
