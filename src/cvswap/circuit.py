@@ -16,6 +16,16 @@ carry the broadcast shape as batch axes, one build covers the whole grid,
 and every check applies to each of its points.  Circuit construction
 mutates its ModeRegistry and is single-threaded; the returned fields are
 immutable and can be evaluated concurrently.
+
+The h and v chains of the network are identical, so the build carries
+each beam, from its vacuum inputs to the output, as one field whose
+coefficient arrays hold the two polarization components on a batch axis
+of length 2, shape (..., 2, n_modes), h first (PolarizedBeam.stacked gives
+this form).  Each component then runs once per build for both chains, and
+a parameter gets a trailing unit axis to broadcast over the polarization
+axis.  The arithmetic per coefficient is that of one chain at a time.  The
+beams leave the build as PolarizedBeams, whose h and v fields are views of
+the stacked arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from .modes import (
     LinearField,
     ModeRegistry,
-    commutator,
+    _rows,
     quadrature_minus,
     quadrature_plus,
     vacuum_field,
@@ -69,6 +79,11 @@ class PolarizedBeam:
 
     h: LinearField
     v: LinearField
+
+    def stacked(self) -> LinearField:
+        """One field with the h and v components on axis -2 of its coefficient
+        arrays, over their broadcast batch shape, zero-padded to one mode count."""
+        return LinearField(_rows([self.h.ann, self.v.ann]), _rows([self.h.cre, self.v.cre]))
 
 
 @dataclass(frozen=True)
@@ -142,13 +157,26 @@ def _off_by(value: np.ndarray, *fields: LinearField) -> bool:
 
 
 def _require_canonical(*fields: LinearField) -> None:
+    # every [F_i, F_j+] and [F_i, F_j] from one einsum over stacked rows, with
+    # rows[..., s, i, :] the ann (s = 0) or cre (s = 1) array of input i:
+    # [F_i, F_j+] = sum a_i conj(a_j) - c_i conj(c_j) and
+    # [F_i, F_j] = sum a_i c_j - c_i a_j.  Checked in the order of a loop
+    # over the inputs, each input before the pairs it opens
+    k = len(fields)
+    rows = _rows([f.ann for f in fields] + [f.cre for f in fields])
+    rows = rows.reshape(rows.shape[:-2] + (2, k, rows.shape[-1]))
+    duals = np.concatenate([rows.conj(), rows[..., ::-1, :, :]], axis=-2)
+    duals[..., 1, :, :] *= -1  # the cre rows enter with a minus sign
+    off = np.abs(np.einsum("...sim,...sjm->...ij", rows, duals) - np.eye(k, 2 * k))
+    if np.all(off <= _CANONICAL_TOL):
+        return
     for i, f in enumerate(fields):
-        if _off_by(np.abs(commutator(f, f.adjoint()) - 1), f):
+        if _off_by(off[..., i, i], f):
             raise ValueError(f"input {i} is not a canonical mode ([F, F+] != 1)")
-        for g in fields[i + 1:]:
-            if _off_by(np.abs(commutator(f, g.adjoint())), f, g):
+        for j in range(i + 1, k):
+            if _off_by(off[..., i, j], f, fields[j]):
                 raise ValueError("inputs are not independent modes ([F, G+] != 0)")
-            if _off_by(np.abs(commutator(f, g)), f, g):
+            if _off_by(off[..., i, k + j], f, fields[j]):
                 raise ValueError("inputs are not independent modes ([F, G] != 0)")
 
 
@@ -159,7 +187,9 @@ def two_mode_squeezer(in1: LinearField, in2: LinearField,
     out1 = in1 cosh(chi) + in2^dag sinh(chi)
     out2 = in2 cosh(chi) + in1^dag sinh(chi)
 
-    Both outputs are canonical for any chi (cosh^2 - sinh^2 = 1).
+    Both outputs are canonical for any chi (cosh^2 - sinh^2 = 1).  Fields
+    with batch axes squeeze each element with its counterpart, so stacked
+    inputs squeeze several pairs at once.
     """
     _require_canonical(in1, in2)
     ch, sh = np.cosh(chi), np.sinh(chi)
@@ -172,16 +202,32 @@ def opo_type2(registry: ModeRegistry, chi: ArrayLike,
               label: str = "opo") -> tuple[PolarizedBeam, PolarizedBeam]:
     """Type-II parametric oscillator: two beams with cross-polarized squeezing.
 
-    Allocates four vacuum inputs and squeezes the (a_h, b_v) and (a_v, b_h)
-    pairs, so photons arrive in orthogonally polarized pairs, one per beam.
+    Allocates four vacuum inputs, a0_h, a0_v, b0_h and b0_v in that order,
+    and squeezes the (a_h, b_v) and (a_v, b_h) pairs, so photons arrive in
+    orthogonally polarized pairs, one per beam.  Both pairs go through one
+    two_mode_squeezer call: the inputs a0 = (a0_h, a0_v) and (b0_v, b0_h)
+    are stacked on a polarization axis, and chi gets a trailing unit axis
+    to broadcast over it.  The beams' fields carry the batch shape of chi.
     """
-    a0h = vacuum_field(registry.new_mode(f"{label}.a0_h"))
-    a0v = vacuum_field(registry.new_mode(f"{label}.a0_v"))
-    b0h = vacuum_field(registry.new_mode(f"{label}.b0_h"))
-    b0v = vacuum_field(registry.new_mode(f"{label}.b0_v"))
-    a_h, b_v = two_mode_squeezer(a0h, b0v, chi)
-    a_v, b_h = two_mode_squeezer(a0v, b0h, chi)
-    return PolarizedBeam(h=a_h, v=a_v), PolarizedBeam(h=b_h, v=b_v)
+    a, b = _opo_fields(registry, chi, label)
+    return PolarizedBeam(*_components(a)), PolarizedBeam(*_components(b))
+
+
+def _opo_fields(registry: ModeRegistry, chi: ArrayLike,
+                label: str) -> tuple[LinearField, LinearField]:
+    # beams A and B of opo_type2, each one field with h and v on axis -2
+    a0_h, a0_v, b0_h, b0_v = (registry.new_mode(f"{label}.{name}")
+                              for name in ("a0_h", "a0_v", "b0_h", "b0_v"))
+    # row p of a0 is squeezed with row p of (b0_v, b0_h)
+    a, b_vh = two_mode_squeezer(vacuum_field([a0_h, a0_v]), vacuum_field([b0_v, b0_h]),
+                                np.asarray(chi)[..., None])
+    return a, LinearField(b_vh.ann[..., ::-1, :], b_vh.cre[..., ::-1, :])
+
+
+def _components(field: LinearField) -> tuple[LinearField, LinearField]:
+    # the two fields stacked on axis -2, such as the h and v of a beam, as views
+    return (LinearField(field.ann[..., 0, :], field.cre[..., 0, :]),
+            LinearField(field.ann[..., 1, :], field.cre[..., 1, :]))
 
 
 def beamsplitter_5050(f: LinearField, g: LinearField) -> tuple[LinearField, LinearField]:
@@ -202,27 +248,43 @@ def attenuate(f: LinearField, transmissivity: ArrayLike, registry: ModeRegistry,
     return np.sqrt(transmissivity) * f + np.sqrt(1.0 - transmissivity) * fresh
 
 
-def homodyne_currents(b_pol: LinearField, c_pol: LinearField, eta: ArrayLike,
+def homodyne_currents(b: LinearField, c: LinearField, eta: ArrayLike,
                       registry: ModeRegistry,
                       label: str = "homodyne") -> tuple[LinearField, LinearField]:
-    """Dual homodyne measurement of a 50:50 mix of two beam components.
+    """Dual homodyne measurements of a 50:50 mix of two beams, per polarization.
 
-    The two splitter ports go to an amplitude (X+) and a phase (X-) detector.
-    Detection loss admixes an independent fresh vacuum mode per detector,
-    entering only through that detector's own quadrature:
+    b and c carry their h and v components on axis -2 of their coefficient
+    arrays, shape (..., 2, n_modes) (see PolarizedBeam.stacked), and each
+    component of b is mixed with the same component of c.  The two splitter
+    ports go to an amplitude (X+) and a phase (X-) detector.  Detection loss
+    admixes an independent fresh vacuum mode per detector, entering only
+    through that detector's own quadrature:
 
         x_pm = sqrt(1-eta) X_pm(loss) + sqrt(eta) X_pm(port)
 
-    Both photocurrents are Hermitian and commute with each other for any eta.
+    The four loss modes are allocated as {label}_h.loss_plus,
+    {label}_h.loss_minus, {label}_v.loss_plus and {label}_v.loss_minus, in
+    that order.  eta gets a trailing unit axis and broadcasts against the
+    batch axes before the polarization axis.  Returns (x_plus, x_minus),
+    each with the h and v photocurrents on axis -2.  Both photocurrents are
+    Hermitian and commute with each other for any eta.
     """
     _require_unit_interval("eta", eta)
-    port_plus, port_minus = beamsplitter_5050(b_pol, c_pol)
-    loss_plus = vacuum_field(registry.new_mode(f"{label}.loss_plus"))
-    loss_minus = vacuum_field(registry.new_mode(f"{label}.loss_minus"))
+    if b.ann.shape[-2:-1] != (2,) or c.ann.shape[-2:-1] != (2,):
+        raise ValueError("b and c must stack their h and v components on axis -2")
+    port_plus, port_minus = beamsplitter_5050(b, c)
+    modes = [registry.new_mode(f"{label}_{pol}.loss_{quadrature}")
+             for pol in ("h", "v") for quadrature in ("plus", "minus")]
+    # the vacua as one (polarization, quadrature) array, so that both currents
+    # span the same modes and _unit_displacement combines arrays of one shape
+    loss_plus, loss_minus = _components(vacuum_field(np.reshape(modes, (2, 2))))
+    eta = np.asarray(eta)[..., None]
     root_eta = np.sqrt(eta)
     root_loss = np.sqrt(1.0 - eta)
-    x_plus = root_loss * quadrature_plus(loss_plus) + root_eta * quadrature_plus(port_plus)
-    x_minus = root_loss * quadrature_minus(loss_minus) + root_eta * quadrature_minus(port_minus)
+    x_plus = _combination((root_loss, quadrature_plus(loss_plus)),
+                          (root_eta, quadrature_plus(port_plus)))
+    x_minus = _combination((root_loss, quadrature_minus(loss_minus)),
+                           (root_eta, quadrature_minus(port_minus)))
     return x_plus, x_minus
 
 
@@ -238,7 +300,9 @@ def feedforward_displace(d: LinearField, x_plus: LinearField, x_minus: LinearFie
     Both gains are one real factor times a fixed phase, so this is the same
     linear map, exactly affine in the gain; X does not depend on the gain
     and carries the gain-free batch shape, so a gain grid meets each
-    coefficient array in one multiply and one add.
+    coefficient array in one multiply and one add.  The gain broadcasts
+    against the fields' batch axes, the polarization axis of stacked
+    fields included.
     """
     return d + gain * _unit_displacement(x_plus, x_minus)
 
@@ -249,7 +313,22 @@ def _unit_displacement(x_plus: LinearField, x_minus: LinearField) -> LinearField
         if _off_by(np.abs(x.ann - x.cre.conj()).max(axis=-1), x):
             raise ValueError(f"{name} is not Hermitian")
     r = 1.0 / math.sqrt(2.0)
-    return (-r) * x_plus + (r * MINUS_GAIN_PHASE) * x_minus
+    return _combination((-r, x_plus), (r * MINUS_GAIN_PHASE, x_minus))
+
+
+def _combination(*terms: tuple[ArrayLike, LinearField]) -> LinearField:
+    # c1 F1 + c2 F2 + ... with the arithmetic of the operators, each product
+    # added in turn into one zero-padded result, so that one product array
+    # at a time is alive: over a grid these arrays are the build's largest
+    n_modes = max(f.ann.shape[-1] for _, f in terms)
+    batch = np.broadcast_shapes(*(np.shape(c) for c, _ in terms),
+                                *(f.ann.shape[:-1] for _, f in terms))
+    ann, cre = (np.zeros(batch + (n_modes,), dtype=complex) for _ in range(2))
+    for c, f in terms:
+        c = np.asarray(c)[..., None]
+        ann[..., :f.ann.shape[-1]] += c * f.ann
+        cre[..., :f.cre.shape[-1]] += c * f.cre
+    return LinearField(ann, cre)
 
 
 def halfwave_swap(d_prime_h: LinearField, d_prime_v: LinearField) -> PolarizedBeam:
@@ -277,18 +356,15 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     and the choice gain = tanh(chi2) cancels the photon-creating term.
     """
     registry = ModeRegistry()
-    beam_a, beam_b = opo_type2(registry, params.chi1, label="opo1")
-    beam_c, beam_d = opo_type2(registry, params.chi2, label="opo2")
-    xh_plus, xh_minus = homodyne_currents(beam_b.h, beam_c.h, params.eta,
-                                          registry, label="homodyne_h")
-    xv_plus, xv_minus = homodyne_currents(beam_b.v, beam_c.v, params.eta,
-                                          registry, label="homodyne_v")
+    beam_a, beam_b = _opo_fields(registry, params.chi1, label="opo1")
+    beam_c, beam_d = _opo_fields(registry, params.chi2, label="opo2")
+    x_h, x_v = _components(_unit_displacement(
+        *homodyne_currents(beam_b, beam_c, params.eta, registry)))
     # h-polarized photocurrents modulate D_v and vice versa; the half-wave
     # plate swaps the labels of D'(0) and X alike
     return SwapCircuitOutput(
-        beam_a=beam_a, beam_d0=halfwave_swap(beam_d.h, beam_d.v),
-        beam_x=halfwave_swap(_unit_displacement(xv_plus, xv_minus),
-                             _unit_displacement(xh_plus, xh_minus)),
+        beam_a=PolarizedBeam(*_components(beam_a)),
+        beam_d0=halfwave_swap(*_components(beam_d)), beam_x=halfwave_swap(x_v, x_h),
         gain=np.asarray(params.gain), registry=registry)
 
 

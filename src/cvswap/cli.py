@@ -310,8 +310,9 @@ def cmd_threshold_scan(config: ExperimentConfig, stream: TextIO) -> int:
     gains = optimal_gain(chis, etas[:, None])
     s = _sweep_s(SwapParams(config.chi1, chis, gains, etas[:, None]), OPTIMAL_ANGLES)
     _write_sweep(config, "threshold_scan", "eta", "s_ad_", etas, s, stream)
-    for column, level in enumerate(config.squeezing):
-        crossing = _interpolate_crossing(etas, s[:, column])
+    grid = etas.tolist()
+    for level, values in zip(config.squeezing, s.T.tolist()):
+        crossing = _interpolate_crossing(grid, values)
         value = _NUMBER % crossing if crossing is not None else "none"
         stream.write(f"threshold_crossing_eta_{_pct(level)} = {value}\n")
     return 0

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import PolarizedBeam, SwapCircuitOutput
-from .modes import LinearField, vacuum_expectation
+from .modes import LinearField, _rows, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
@@ -159,17 +159,6 @@ def _factored(out: SwapCircuitOutput) -> bool:
                                       for f in (beam.h, beam.v)))
     shape = np.broadcast_shapes(gain_free, out.gain.shape)
     return shape != gain_free and math.prod(shape) >= _MIN_FACTORED_POINTS
-
-
-def _rows(arrays: list[np.ndarray]) -> np.ndarray:
-    # coefficient arrays stacked on axis -2 over their broadcast batch shape,
-    # zero-padded to one mode count
-    n_modes = max(x.shape[-1] for x in arrays)
-    batch = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
-    rows = np.zeros(batch + (len(arrays), n_modes), dtype=complex)
-    for i, x in enumerate(arrays):
-        rows[..., i, :x.shape[-1]] = x
-    return rows
 
 
 def _contractions(beam_1: PolarizedBeam, beam_2: PolarizedBeam,

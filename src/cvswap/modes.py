@@ -132,11 +132,28 @@ class LinearField:
         return f"LinearField(ann={self.ann!r}, cre={self.cre!r})"
 
 
-def vacuum_field(mode: int) -> LinearField:
-    """The annihilation operator of a single vacuum mode."""
-    ann = np.zeros(mode + 1, dtype=complex)
-    ann[mode] = 1.0
+def vacuum_field(mode: int | Sequence[int]) -> LinearField:
+    """The annihilation operator of a single vacuum mode.
+
+    Given a sequence of modes, possibly nested, the annihilation operators
+    of each, with the sequence's shape as batch axes: a flat sequence
+    stacks them on axis -2 of the coefficient arrays, in its order.
+    """
+    modes = np.asarray(mode)
+    # row m of the identity over the modes up to the largest holds a_m
+    ann = np.identity(modes.max() + 1, dtype=complex)[modes]
     return LinearField(ann, np.zeros_like(ann))
+
+
+def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    # coefficient arrays stacked on axis -2 over their broadcast batch shape,
+    # zero-padded to one mode count
+    n_modes = max(x.shape[-1] for x in arrays)
+    batch = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+    rows = np.zeros(batch + (len(arrays), n_modes), dtype=complex)
+    for i, x in enumerate(arrays):
+        rows[..., i, :x.shape[-1]] = x
+    return rows
 
 
 def _mode_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -7,7 +7,11 @@ Two oracles, deliberately sharing no code with the pairing-based engine:
   reading off the fully contracted scalar, and
 * a truncated number-basis state-vector simulator that builds the
   pair source's output state explicitly and computes coincidence rates by
-  applying annihilation operators.
+  applying annihilation operators.  Both analyzers are linear in the
+  polarization modes, so it applies b_h and b_v once and reads the 4x4
+  Gram matrix G of the states a_x b_y psi from shifted slices of them;
+  each rate is then the quadratic form c^T G c of the analyzer weights c,
+  and one call evaluates any array of angle pairs.
 
 Neither oracle simulates the feedforward teleporter; they validate the mode
 algebra and the source-beam rates on which everything downstream rests.
@@ -20,11 +24,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian
 from math import fsum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .modes import LinearField
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "TruncationError",
@@ -206,23 +213,41 @@ def _check_boundary(state: FockState) -> None:
             "increase the cutoff")
 
 
-def _analyzed(amplitudes: np.ndarray, theta: float, beam: str,
-              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    # beam "a" (axes 0, 1): cos h + sin v; beam "b" (axes 2, 3): cos h - sin v.
-    # Written into out, with scratch as the v term's buffer; neither may share
-    # memory with amplitudes or with each other
-    h_axis, sign = {"a": (0, 1.0), "b": (2, -1.0)}[beam]
-    _annihilate(amplitudes, h_axis, out)
-    out *= math.cos(theta)
-    v_term = _annihilate(amplitudes, h_axis + 1, scratch)
-    v_term *= sign * math.sin(theta)
-    out += v_term
-    return out
+def _gram(state: FockState) -> np.ndarray:
+    # G[2x + y, 2x' + y'] = <a_x b_y psi, a_x' b_y' psi> / <psi, psi> for
+    # x, y in (h, v).  Only chi_y = b_y psi is formed; each entry is a dot of
+    # shifted slices of chi_y and chi_y' weighted by the a-side factors, for
+    # example <a_h chi, a_v chi'> = sum sqrt(i+1) sqrt(j+1) chi[i+1, j] chi'[i, j+1]
+    # over the a occupations (i, j).  The einsums sum the real arrays in their
+    # own loops, like _norm_squared, and leave one small array per slice pair
+    amp = state.amplitudes
+    chi = np.empty((2,) + amp.shape)
+    _annihilate(amp, 2, chi[0])
+    _annihilate(amp, 3, chi[1])
+    n = np.arange(1, amp.shape[0], dtype=float)
+    root = np.sqrt(n)
+    hh = np.einsum("yijkl,zijkl->yzi", chi[:, 1:], chi[:, 1:]) @ n
+    vv = np.einsum("yijkl,zijkl->yzj", chi[:, :, 1:], chi[:, :, 1:]) @ n
+    hv = np.einsum("yijkl,zijkl->yzij", chi[:, 1:, :-1], chi[:, :-1, 1:]) @ root @ root
+    return np.block([[hh, hv], [hv.T, vv]]) / _norm_squared(amp)
 
 
-def fock_coincidence_rate(state: FockState, theta_a: float, theta_b: float,
-                          check_cutoff: bool = True) -> float:
+def _analyzer_weights(theta: ArrayLike, sign: float) -> np.ndarray:
+    # (cos theta, sign sin theta) on a last axis: the h and v weights of an analyzer
+    return np.stack(np.broadcast_arrays(np.cos(theta), sign * np.sin(theta)), axis=-1)
+
+
+def fock_coincidence_rate(state: FockState, theta_a: ArrayLike, theta_b: ArrayLike,
+                          check_cutoff: bool = True) -> float | np.ndarray:
     """Coincidence rate <E_A+ E_B+ E_B E_A> on the truncated source state.
+
+    E_A = cos(ta) a_h + sin(ta) a_v and E_B = cos(tb) b_h - sin(tb) b_v, so
+    E_B E_A psi = sum_p c_p a_x b_y psi over p = (x, y) with analyzer
+    weights c(ta, tb), and every rate is the quadratic form c^T G c of the
+    4x4 Gram matrix G of the states a_x b_y psi (over <psi, psi>).  G is
+    formed once per call, and the angles may be arrays that broadcast
+    together: the result is then an array of their shape, and a float for
+    scalar angles.
 
     Exact for occupations below the cutoff; raises TruncationError when the
     boundary of the truncated basis carries non-negligible amplitude.  Pass
@@ -231,20 +256,21 @@ def fock_coincidence_rate(state: FockState, theta_a: float, theta_b: float,
     """
     if check_cutoff:
         _check_boundary(state)
-    # one allocation per rate for its three state-sized buffers: freed and
-    # reallocated per operator, they cost a page fault per page on each call
-    analyzed_b, reduced, scratch = np.empty((3,) + state.amplitudes.shape)
-    _analyzed(state.amplitudes, theta_b, "b", analyzed_b, scratch)
-    _analyzed(analyzed_b, theta_a, "a", reduced, scratch)
-    return _norm_squared(reduced) / _norm_squared(state.amplitudes)
+    u, w = _analyzer_weights(theta_a, 1.0), _analyzer_weights(theta_b, -1.0)
+    c = u[..., :, None] * w[..., None, :]
+    c = c.reshape(c.shape[:-2] + (4,))
+    return np.einsum("...p,pq,...q->...", c, _gram(state), c)[()]
 
 
-def fock_singles_rate(state: FockState, theta_a: float,
-                      check_cutoff: bool = True) -> float:
-    """Rate with the first beam analyzed and both second-beam polarizations counted."""
+def fock_singles_rate(state: FockState, theta_a: ArrayLike,
+                      check_cutoff: bool = True) -> float | np.ndarray:
+    """Rate with the first beam analyzed and both second-beam polarizations counted.
+
+    The sum over y of the forms u^T G_y u, with u the weights of E_A and G_y
+    the block of the Gram matrix of fock_coincidence_rate at b polarization
+    y; theta_a may be an array, as there.
+    """
     if check_cutoff:
         _check_boundary(state)
-    analyzed, scratch = np.empty((2,) + state.amplitudes.shape)  # see fock_coincidence_rate
-    _analyzed(state.amplitudes, theta_a, "a", analyzed, scratch)
-    total = sum(_norm_squared(_annihilate(analyzed, axis, scratch)) for axis in (2, 3))
-    return total / _norm_squared(state.amplitudes)
+    u = _analyzer_weights(theta_a, 1.0)
+    return np.einsum("...x,xyzy,...z->...", u, _gram(state).reshape(2, 2, 2, 2), u)[()]

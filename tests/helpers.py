@@ -12,9 +12,15 @@ from cvswap import (
     ModeRegistry,
     PolarizedBeam,
     SwapParams,
+    beamsplitter_5050,
     build_swap_circuit,
     ch_s,
+    feedforward_displace,
     opo_type2,
+    quadrature_minus,
+    quadrature_plus,
+    two_mode_squeezer,
+    vacuum_field,
 )
 from cvswap.metrics import OPTIMAL_ANGLES
 from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
@@ -78,3 +84,53 @@ def unpruned_normal_order_expectation(product: list[LinearField]) -> complex:
             contributions.append(scalar * coefficient)
     return complex(fsum(t.real for t in contributions),
                    fsum(t.imag for t in contributions))
+
+
+def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam,
+                                                      PolarizedBeam, PolarizedBeam]:
+    """The registry and beams A, D'(0) and X of build_swap_circuit, composed
+    one polarization component at a time, h then v.
+
+    The reference for the build that carries both components in one field:
+    each component gets the same arithmetic, the modes the same ids, and X
+    comes from feedforward_displace at unit gain on a zero field.
+    """
+    registry = ModeRegistry()
+
+    def source(chi, label):
+        a0_h, a0_v, b0_h, b0_v = (vacuum_field(registry.new_mode(f"{label}.{name}"))
+                                  for name in ("a0_h", "a0_v", "b0_h", "b0_v"))
+        a_h, b_v = two_mode_squeezer(a0_h, b0_v, chi)
+        a_v, b_h = two_mode_squeezer(a0_v, b0_h, chi)
+        return PolarizedBeam(a_h, a_v), PolarizedBeam(b_h, b_v)
+
+    def unit_displacement(b, c, pol):
+        port_plus, port_minus = beamsplitter_5050(b, c)
+        loss_plus = vacuum_field(registry.new_mode(f"homodyne_{pol}.loss_plus"))
+        loss_minus = vacuum_field(registry.new_mode(f"homodyne_{pol}.loss_minus"))
+        root_eta, root_loss = np.sqrt(params.eta), np.sqrt(1.0 - params.eta)
+        x_plus = root_loss * quadrature_plus(loss_plus) + root_eta * quadrature_plus(port_plus)
+        x_minus = (root_loss * quadrature_minus(loss_minus)
+                   + root_eta * quadrature_minus(port_minus))
+        return feedforward_displace(LinearField([0j], [0j]), x_plus, x_minus, 1.0)
+
+    beam_a, beam_b = source(params.chi1, "opo1")
+    beam_c, beam_d = source(params.chi2, "opo2")
+    x_h = unit_displacement(beam_b.h, beam_c.h, "h")
+    x_v = unit_displacement(beam_b.v, beam_c.v, "v")
+    # the h currents displace D_v, and the half-wave plate swaps D's labels
+    return registry, beam_a, PolarizedBeam(beam_d.v, beam_d.h), PolarizedBeam(x_h, x_v)
+
+
+def assert_matches_per_component_build(params: SwapParams) -> None:
+    """build_swap_circuit gives the bits, shapes and mode ids of
+    per_component_build for A, D'(0) and X."""
+    out = build_swap_circuit(params)
+    registry, *reference = per_component_build(params)
+    assert out.registry.names == registry.names
+    n_modes = len(registry)
+    for beam, expected in zip((out.beam_a, out.beam_d0, out.beam_x), reference):
+        for pol in ("h", "v"):
+            for got, want in zip(getattr(beam, pol).padded(n_modes),
+                                 getattr(expected, pol).padded(n_modes)):
+                assert got.shape == want.shape and np.array_equal(got, want)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvswap import (
+    LinearField,
     ModeRegistry,
     SwapParams,
     beamsplitter_5050,
@@ -22,8 +23,12 @@ from cvswap import (
     vacuum_expectation,
     vacuum_field,
 )
-from cvswap.circuit import MINUS_GAIN_PHASE
-from helpers import is_hermitian, support
+from cvswap.circuit import MINUS_GAIN_PHASE, _components
+from hypothesis import given, settings, strategies as st
+
+import cvswap.cli
+import cvswap.selftest
+from helpers import assert_matches_per_component_build, is_hermitian, support
 
 
 def fresh_pair():
@@ -66,6 +71,73 @@ class TestTwoModeSqueezer:
             two_mode_squeezer(2 * a, b, 0.3)
         with pytest.raises(ValueError):
             two_mode_squeezer(a, a, 0.3)
+
+
+def canonical_mix(size, registry, excess=0.0):
+    """alpha a + beta b+ on two fresh modes, with |alpha|^2 + |beta|^2 = size
+    and [F, F+] = |alpha|^2 - |beta|^2 = 1 + excess."""
+    a, b = (vacuum_field(registry.new_mode(name)) for name in ("a", "b"))
+    alpha, beta = math.sqrt((size + 1 + excess) / 2), math.sqrt((size - 1 - excess) / 2)
+    return alpha * a + beta * b.adjoint(), a
+
+
+class TestCanonicalCheck:
+    """The components' input check: each message from its own fault, tolerances
+    scaled by sum |coeff|^2 per field and by the geometric mean for a pair."""
+
+    @pytest.mark.parametrize("inputs, message", [
+        (lambda a, b: (2 * a, b), "input 0 is not a canonical mode"),
+        (lambda a, b: (a, 2 * b), "input 1 is not a canonical mode"),
+        (lambda a, b: (a, a), r"\[F, G\+\] != 0"),
+        # a+ is no canonical mode either, but the pair is checked first
+        (lambda a, b: (a, a.adjoint()), r"\[F, G\] != 0"),
+        (lambda a, b: (2 * a, a), "input 0 is not a canonical mode"),
+    ])
+    def test_each_fault_names_itself_in_loop_order(self, inputs, message):
+        a, b, _ = fresh_pair()
+        for component in (beamsplitter_5050, lambda f, g: two_mode_squeezer(f, g, 0.3)):
+            with pytest.raises(ValueError, match=message):
+                component(*inputs(a, b))
+
+    def test_fault_in_one_stacked_row_fails(self):
+        registry = ModeRegistry()
+        a_h, a_v, b_h, b_v = (registry.new_mode(name) for name in ("a_h", "a_v", "b_h", "b_v"))
+        a, b = vacuum_field([a_h, a_v]), vacuum_field([b_h, b_v])
+        two_mode_squeezer(a, b, 0.3)
+        with pytest.raises(ValueError, match="input 1 is not a canonical mode"):
+            two_mode_squeezer(a, np.array([1.0, 1.5]) * b, 0.3)
+        with pytest.raises(ValueError, match=r"\[F, G\+\] != 0"):
+            two_mode_squeezer(a, vacuum_field([a_h, b_v]), 0.3)
+
+    def test_tolerance_scales_with_the_field_size(self):
+        registry = ModeRegistry()
+        c = vacuum_field(registry.new_mode("c"))
+        # the tolerance is 1e-9 * (|alpha|^2 + |beta|^2) = 1e-3
+        beamsplitter_5050(canonical_mix(1e6, registry, excess=0.5e-3)[0], c)
+        with pytest.raises(ValueError, match="input 0 is not a canonical mode"):
+            beamsplitter_5050(canonical_mix(1e6, registry, excess=2e-3)[0], c)
+
+    def test_pair_tolerance_is_the_geometric_mean(self):
+        registry = ModeRegistry()
+        f, a = canonical_mix(1e6, registry)
+        c = vacuum_field(registry.new_mode("c"))
+        alpha = f.ann[np.flatnonzero(a.ann)[0]].real
+        # [F, G+] = alpha eps against 1e-9 sqrt(1e6 * 1): 1e-6, where the
+        # larger size would allow 1e-3 and the smaller 1e-9
+        beamsplitter_5050(f, c + (5e-7 / alpha) * a)
+        with pytest.raises(ValueError, match=r"\[F, G\+\] != 0"):
+            beamsplitter_5050(f, c + (2e-6 / alpha) * a)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_pair_scale_fails_closed(self):
+        # each size is 2e160 and passes on its own; their product overflows,
+        # so the pair's scale is inf and [F, G+] = 1 fails
+        registry = ModeRegistry()
+        a, b, c, d = (vacuum_field(registry.new_mode(name)) for name in "abcd")
+        f = 1e80 * a + 1e80 * b.adjoint()
+        g = 1e80 * c + 1e80 * d.adjoint() + 1e-80 * a
+        with pytest.raises(ValueError, match=r"\[F, G\+\] != 0"):
+            beamsplitter_5050(f, g)
 
 
 class TestOpoType2:
@@ -125,48 +197,74 @@ class TestHomodyneCurrents:
         self.registry = ModeRegistry()
         _, self.beam_b = opo_type2(self.registry, 0.3, label="src")
         self.beam_c, _ = opo_type2(self.registry, 0.5, label="tele")
+        self.b, self.c = self.beam_b.stacked(), self.beam_c.stacked()
 
     def test_lossless_form(self):
         """At eta = 1 the currents are the bare port quadratures, no loss mode."""
         before = len(self.registry)
-        x_plus, x_minus = homodyne_currents(self.beam_b.h, self.beam_c.h, 1.0,
-                                            self.registry)
-        assert len(self.registry) == before + 2  # loss modes allocated but unused
-        port_plus, port_minus = beamsplitter_5050(self.beam_b.h, self.beam_c.h)
+        x_plus, x_minus = homodyne_currents(self.b, self.c, 1.0, self.registry)
+        assert len(self.registry) == before + 4  # loss modes allocated but unused
+        port_plus, port_minus = beamsplitter_5050(self.b, self.c)
         assert x_plus == quadrature_plus(port_plus)
-        loss_modes = support(x_minus) - (support(self.beam_b.h) | support(self.beam_c.h))
+        loss_modes = (support(x_plus) | support(x_minus)) - (support(self.b) | support(self.c))
         assert not loss_modes
+
+    def test_allocates_loss_modes_h_then_v(self):
+        before = len(self.registry)
+        homodyne_currents(self.b, self.c, 0.8, self.registry, label="hd")
+        assert [self.registry.names[m] for m in range(before, before + 4)] == [
+            "hd_h.loss_plus", "hd_h.loss_minus", "hd_v.loss_plus", "hd_v.loss_minus"]
+
+    def test_measures_each_polarization_pair(self):
+        """Row p of the currents measures the p components of b and c alone."""
+        x_plus, x_minus = homodyne_currents(self.b, self.c, 0.8, self.registry)
+        loss = {m for m, name in self.registry.names.items() if "loss" in name}
+        for x in (x_plus, x_minus):
+            x_h, x_v = _components(x)
+            assert support(x_h) - loss == support(self.beam_b.h) | support(self.beam_c.h)
+            assert support(x_v) - loss == support(self.beam_b.v) | support(self.beam_c.v)
+            assert not (support(x_h) & support(x_v))
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.83, 0.9, 1.0])
     def test_currents_commute(self, eta):
-        x_plus, x_minus = homodyne_currents(self.beam_b.h, self.beam_c.h, eta,
-                                            self.registry)
+        x_plus, x_minus = homodyne_currents(self.b, self.c, eta, self.registry)
         assert is_hermitian(x_plus) and is_hermitian(x_minus)
-        assert commutator(x_plus, x_minus) == pytest.approx(0, abs=1e-12)
+        assert commutator(x_plus, x_minus) == pytest.approx([0, 0], abs=1e-12)
 
     def test_total_loss_leaves_unit_variance(self):
-        x_plus, x_minus = homodyne_currents(self.beam_b.h, self.beam_c.h, 0.0,
-                                            self.registry)
-        assert vacuum_expectation([x_plus, x_plus]) == pytest.approx(1.0)
-        assert vacuum_expectation([x_minus, x_minus]) == pytest.approx(1.0)
+        x_plus, x_minus = homodyne_currents(self.b, self.c, 0.0, self.registry)
+        for x in _components(x_plus) + _components(x_minus):
+            assert vacuum_expectation([x, x]) == pytest.approx(1.0)
 
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
-            homodyne_currents(self.beam_b.h, self.beam_c.h, 1.2, self.registry)
+            homodyne_currents(self.b, self.c, 1.2, self.registry)
         with pytest.raises(ValueError):
-            homodyne_currents(self.beam_b.h, self.beam_c.h, -0.1, self.registry)
+            homodyne_currents(self.b, self.c, -0.1, self.registry)
+
+    def test_rejects_single_components(self):
+        with pytest.raises(ValueError, match="axis -2"):
+            homodyne_currents(self.beam_b.h, self.beam_c.h, 0.8, self.registry)
+
+
+def teleporter_parts(eta):
+    """Photocurrents of a source beam B and a second squeezer's beam C, and
+    the displaced beam D with its components in the order the currents
+    modulate them: the h currents modulate D_v and vice versa."""
+    registry = ModeRegistry()
+    _, beam_b = opo_type2(registry, 0.3, label="src")
+    beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
+    x_plus, x_minus = homodyne_currents(beam_b.stacked(), beam_c.stacked(), eta, registry)
+    return x_plus, x_minus, halfwave_swap(beam_d.h, beam_d.v).stacked()
 
 
 class TestFeedforward:
     def test_gain_constraint(self):
         # lambda_plus = -gain and lambda_minus = MINUS_GAIN_PHASE * gain
-        registry = ModeRegistry()
-        _, beam_b = opo_type2(registry, 0.3, label="src")
-        beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
-        x_plus, x_minus = homodyne_currents(beam_b.h, beam_c.h, 0.8, registry)
-        out = feedforward_displace(beam_d.v, x_plus, x_minus, 0.7)
+        x_plus, x_minus, d = teleporter_parts(0.8)
+        out = feedforward_displace(d, x_plus, x_minus, 0.7)
         displacement = -0.7 * x_plus + MINUS_GAIN_PHASE * 0.7 * x_minus
-        expected = beam_d.v + displacement * (1 / math.sqrt(2))
+        expected = d + displacement * (1 / math.sqrt(2))
         np.testing.assert_allclose(out.ann, expected.ann, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.cre, expected.cre, rtol=0, atol=1e-15)
 
@@ -187,12 +285,8 @@ class TestFeedforward:
                                            atol=1e-15 * scale)
 
     def test_zero_gain_is_identity(self):
-        registry = ModeRegistry()
-        _, beam_b = opo_type2(registry, 0.3, label="src")
-        beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
-        x_plus, x_minus = homodyne_currents(beam_b.h, beam_c.h, 1.0, registry)
-        out = feedforward_displace(beam_d.v, x_plus, x_minus, 0.0)
-        assert out == beam_d.v
+        x_plus, x_minus, d = teleporter_parts(1.0)
+        assert feedforward_displace(d, x_plus, x_minus, 0.0) == d
 
     def test_rejects_non_hermitian_currents(self):
         registry = ModeRegistry()
@@ -202,12 +296,18 @@ class TestFeedforward:
             feedforward_displace(d, a, quadrature_plus(a), 0.5)
 
     def test_displaced_output_stays_canonical(self):
-        registry = ModeRegistry()
-        _, beam_b = opo_type2(registry, 0.3, label="src")
-        beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
-        x_plus, x_minus = homodyne_currents(beam_b.h, beam_c.h, 0.8, registry)
-        out = feedforward_displace(beam_d.v, x_plus, x_minus, 0.7)
-        assert commutator(out, out.adjoint()) == pytest.approx(1, abs=1e-12)
+        x_plus, x_minus, d = teleporter_parts(0.8)
+        out = feedforward_displace(d, x_plus, x_minus, 0.7)
+        assert commutator(out, out.adjoint()) == pytest.approx([1, 1], abs=1e-12)
+
+
+def test_stacked_beam_holds_its_components():
+    registry = ModeRegistry()
+    beam_a, beam_b = opo_type2(registry, np.array([0.1, 0.7]), label="src")
+    for beam in (beam_a, beam_b):
+        stacked = beam.stacked()
+        assert stacked.ann.shape == (2, 2, 4)
+        assert _components(stacked) == (beam.h, beam.v)
 
 
 def test_halfwave_swap_twice_is_identity():
@@ -409,3 +509,43 @@ def test_swap_params_validation():
         SwapParams(0.1, 0.5, -0.7, 0.8)
     with pytest.raises(ValueError):
         SwapParams(0.1, math.inf, 0.7, 0.8)
+
+
+def recorded_params(monkeypatch, module, run):
+    """The SwapParams of every build_swap_circuit call that run makes from module."""
+    seen = []
+
+    def recording(params):
+        seen.append(params)
+        return build_swap_circuit(params)
+
+    monkeypatch.setattr(module, "build_swap_circuit", recording)
+    run()
+    return seen
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "operating-point", "threshold-scan"])
+def test_stacked_build_matches_per_component_build_on_default_grid(
+        tmp_path, monkeypatch, capsys, command):
+    [params] = recorded_params(monkeypatch, cvswap.cli,
+                               lambda: cvswap.cli.main([command, "--out", str(tmp_path)]))
+    capsys.readouterr()
+    assert_matches_per_component_build(params)
+
+
+def test_stacked_build_matches_per_component_build_on_selftest_grid(monkeypatch):
+    [params] = recorded_params(monkeypatch, cvswap.selftest,
+                               cvswap.selftest.check_canonical_commutators)
+    assert np.broadcast_shapes(*map(np.shape, vars(params).values())) == (5, 5, 4)
+    assert_matches_per_component_build(params)
+
+
+_axis = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chi1=_axis, chi2=_axis, gain=_axis, eta=_axis)
+def test_stacked_build_matches_per_component_build_on_drawn_grid(chi1, chi2, gain, eta):
+    assert_matches_per_component_build(SwapParams(
+        3 * np.array(chi1)[:, None, None, None], 4 * np.array(chi2)[:, None, None],
+        3 * np.array(gain)[:, None], np.array(eta)))

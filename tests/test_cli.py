@@ -289,6 +289,40 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
     assert calls == ["build_swap_circuit", "ch_s"]
 
 
+# calls per build of each component that runs once for both polarizations,
+# and the LinearField constructions of one build; a build that ran each
+# polarization chain on its own made 4, 2 and 6 calls and 108 fields
+COMPONENT_CALLS = {"two_mode_squeezer": 2, "beamsplitter_5050": 1, "_require_canonical": 3}
+FIELDS_PER_BUILD = 48
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
+def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, command):
+    calls, per_build = [], []
+    for name in COMPONENT_CALLS:
+        def counted(*args, original=getattr(cvswap.circuit, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cvswap.circuit, name, counted)
+
+    def counting_init(field, *args, original=cvswap.circuit.LinearField.__init__):
+        calls.append("LinearField")
+        original(field, *args)
+
+    def build(params, original=cvswap.cli.build_swap_circuit):
+        calls.clear()
+        out = original(params)
+        per_build.append({name: calls.count(name) for name in [*COMPONENT_CALLS, "LinearField"]})
+        return out
+
+    monkeypatch.setattr(cvswap.circuit.LinearField, "__init__", counting_init)
+    monkeypatch.setattr(cvswap.cli, "build_swap_circuit", build)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert per_build == [{**COMPONENT_CALLS, "LinearField": FIELDS_PER_BUILD}]
+
+
 # S of each folded sweep at its defaults, captured as float.hex before
 # ch_s could contract D' in its two parts
 FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())

@@ -42,6 +42,17 @@ def test_vacuum_field_is_canonical(mode_pair):
     assert commutator(a, a.adjoint()) == 1
 
 
+def test_vacuum_fields_of_a_mode_sequence_stack_in_its_order():
+    stacked = vacuum_field([3, 1])
+    assert stacked.ann.shape == stacked.cre.shape == (2, 4)
+    for row, mode in enumerate((3, 1)):
+        single = vacuum_field(mode)
+        assert LinearField(stacked.ann[row], stacked.cre[row]) == single
+    nested = vacuum_field([[0, 2], [1, 3]])
+    assert nested.ann.shape == (2, 2, 4)
+    assert np.array_equal(nested.ann.reshape(4, 4), np.identity(4)[[0, 2, 1, 3]])
+
+
 def test_fresh_modes_are_independent(mode_pair):
     a, b = mode_pair
     assert pair_contraction(a, b.adjoint()) == 0

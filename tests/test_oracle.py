@@ -173,6 +173,20 @@ class TestFockRates:
             assert fock_coincidence_rate(state, ta, tb) == pytest.approx(frozen, rel=1e-14)
         assert fock_singles_rate(state, 0.3) == pytest.approx(singles, rel=1e-14)
 
+    def test_rates_broadcast_over_angle_arrays(self):
+        """One call over arrays of angles gives the bits of a call per angle;
+        a call at scalar angles returns a float."""
+        state = build_source_state(0.2, 12, "exact_product")
+        theta_a, theta_b = np.array(FOCK_ANGLES).T
+        rates = fock_coincidence_rate(state, theta_a[:, None], theta_b)
+        assert rates.shape == (4, 4)
+        singles = fock_singles_rate(state, theta_a)
+        for i, ta in enumerate(theta_a.tolist()):
+            for j, tb in enumerate(theta_b.tolist()):
+                rate = fock_coincidence_rate(state, ta, tb)
+                assert isinstance(rate, float) and rate == rates[i, j]
+            assert fock_singles_rate(state, ta) == singles[i]
+
     @pytest.mark.parametrize("form", ["exact_product", "number_polarization"])
     def test_rates_leave_the_state_unchanged(self, form):
         """Each rate writes into its own work buffers, never into the state,
