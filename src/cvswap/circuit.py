@@ -17,15 +17,13 @@ and every check applies to each of its points.  Circuit construction
 mutates its ModeRegistry and is single-threaded; the returned fields are
 immutable and can be evaluated concurrently.
 
-The h and v chains of the network are identical, so the build carries
-each beam, from its vacuum inputs to the output, as one field whose
-coefficient arrays hold the two polarization components on a batch axis
-of length 2, shape (..., 2, n_modes), h first (PolarizedBeam.stacked gives
-this form).  Each component then runs once per build for both chains, and
-a parameter gets a trailing unit axis to broadcast over the polarization
-axis.  The arithmetic per coefficient is that of one chain at a time.  The
-beams leave the build as PolarizedBeams, whose h and v fields are views of
-the stacked arrays.
+The h and v chains of the network are identical, so a beam is one field
+whose coefficient arrays hold the two polarization components on a batch
+axis of length 2, shape (..., 2, n_modes), h first: a PolarizedBeam wraps
+that field, from the vacuum inputs to the output.  Each component then
+runs once per build for both chains, and a parameter gets a trailing unit
+axis to broadcast over the polarization axis.  The arithmetic per
+coefficient is that of one chain at a time.
 """
 
 from __future__ import annotations
@@ -75,15 +73,30 @@ MINUS_GAIN_PHASE = 1j
 
 @dataclass(frozen=True)
 class PolarizedBeam:
-    """One spatial beam as a pair of polarization-component field operators."""
+    """One spatial beam: a field whose coefficient arrays hold the beam's h
+    and v polarization components on axis -2, shape (..., 2, n_modes), h
+    first.  The components h and v are views of those arrays."""
 
-    h: LinearField
-    v: LinearField
+    field: LinearField
 
-    def stacked(self) -> LinearField:
-        """One field with the h and v components on axis -2 of its coefficient
-        arrays, over their broadcast batch shape, zero-padded to one mode count."""
-        return LinearField(_rows([self.h.ann, self.v.ann]), _rows([self.h.cre, self.v.cre]))
+    def __post_init__(self) -> None:
+        if self.field.ann.shape[-2:-1] != (2,):
+            raise ValueError("a beam holds its h and v components on axis -2, got "
+                             f"coefficient arrays of shape {self.field.ann.shape}")
+
+    @classmethod
+    def of(cls, h: LinearField, v: LinearField) -> PolarizedBeam:
+        """The beam of components h and v, over their broadcast batch shape,
+        zero-padded to one mode count."""
+        return cls(LinearField(_rows([h.ann, v.ann]), _rows([h.cre, v.cre])))
+
+    @property
+    def h(self) -> LinearField:
+        return LinearField(self.field.ann[..., 0, :], self.field.cre[..., 0, :])
+
+    @property
+    def v(self) -> LinearField:
+        return LinearField(self.field.ann[..., 1, :], self.field.cre[..., 1, :])
 
 
 @dataclass(frozen=True)
@@ -120,8 +133,8 @@ class SwapCircuitOutput:
 
     D' = beam_d0 + gain * beam_x exactly (see feedforward_displace):
     beam_d0 and beam_x carry the gain-free batch shape, and the gain may add
-    batch axes of its own.  beam_d_prime forms D' from these parts, on each
-    access.
+    batch axes of its own.  beam_d_prime forms D' from these parts on each
+    access, adding the gain's product with X in place into the result.
     """
 
     beam_a: PolarizedBeam
@@ -132,8 +145,8 @@ class SwapCircuitOutput:
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        return PolarizedBeam(h=self.beam_d0.h + self.gain * self.beam_x.h,
-                             v=self.beam_d0.v + self.gain * self.beam_x.v)
+        return PolarizedBeam(_combination((1.0, self.beam_d0.field),
+                                          (self.gain[..., None], self.beam_x.field)))
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
@@ -206,28 +219,15 @@ def opo_type2(registry: ModeRegistry, chi: ArrayLike,
     and squeezes the (a_h, b_v) and (a_v, b_h) pairs, so photons arrive in
     orthogonally polarized pairs, one per beam.  Both pairs go through one
     two_mode_squeezer call: the inputs a0 = (a0_h, a0_v) and (b0_v, b0_h)
-    are stacked on a polarization axis, and chi gets a trailing unit axis
-    to broadcast over it.  The beams' fields carry the batch shape of chi.
+    are stacked on the polarization axis, and chi gets a trailing unit axis
+    to broadcast over it.  The beams carry the batch shape of chi.
     """
-    a, b = _opo_fields(registry, chi, label)
-    return PolarizedBeam(*_components(a)), PolarizedBeam(*_components(b))
-
-
-def _opo_fields(registry: ModeRegistry, chi: ArrayLike,
-                label: str) -> tuple[LinearField, LinearField]:
-    # beams A and B of opo_type2, each one field with h and v on axis -2
     a0_h, a0_v, b0_h, b0_v = (registry.new_mode(f"{label}.{name}")
                               for name in ("a0_h", "a0_v", "b0_h", "b0_v"))
     # row p of a0 is squeezed with row p of (b0_v, b0_h)
     a, b_vh = two_mode_squeezer(vacuum_field([a0_h, a0_v]), vacuum_field([b0_v, b0_h]),
                                 np.asarray(chi)[..., None])
-    return a, LinearField(b_vh.ann[..., ::-1, :], b_vh.cre[..., ::-1, :])
-
-
-def _components(field: LinearField) -> tuple[LinearField, LinearField]:
-    # the two fields stacked on axis -2, such as the h and v of a beam, as views
-    return (LinearField(field.ann[..., 0, :], field.cre[..., 0, :]),
-            LinearField(field.ann[..., 1, :], field.cre[..., 1, :]))
+    return PolarizedBeam(a), halfwave_swap(PolarizedBeam(b_vh))
 
 
 def beamsplitter_5050(f: LinearField, g: LinearField) -> tuple[LinearField, LinearField]:
@@ -248,17 +248,15 @@ def attenuate(f: LinearField, transmissivity: ArrayLike, registry: ModeRegistry,
     return np.sqrt(transmissivity) * f + np.sqrt(1.0 - transmissivity) * fresh
 
 
-def homodyne_currents(b: LinearField, c: LinearField, eta: ArrayLike,
+def homodyne_currents(b: PolarizedBeam, c: PolarizedBeam, eta: ArrayLike,
                       registry: ModeRegistry,
                       label: str = "homodyne") -> tuple[LinearField, LinearField]:
     """Dual homodyne measurements of a 50:50 mix of two beams, per polarization.
 
-    b and c carry their h and v components on axis -2 of their coefficient
-    arrays, shape (..., 2, n_modes) (see PolarizedBeam.stacked), and each
-    component of b is mixed with the same component of c.  The two splitter
-    ports go to an amplitude (X+) and a phase (X-) detector.  Detection loss
-    admixes an independent fresh vacuum mode per detector, entering only
-    through that detector's own quadrature:
+    Each polarization component of b is mixed with the same component of c.
+    The two splitter ports go to an amplitude (X+) and a phase (X-)
+    detector.  Detection loss admixes an independent fresh vacuum mode per
+    detector, entering only through that detector's own quadrature:
 
         x_pm = sqrt(1-eta) X_pm(loss) + sqrt(eta) X_pm(port)
 
@@ -266,18 +264,18 @@ def homodyne_currents(b: LinearField, c: LinearField, eta: ArrayLike,
     {label}_h.loss_minus, {label}_v.loss_plus and {label}_v.loss_minus, in
     that order.  eta gets a trailing unit axis and broadcasts against the
     batch axes before the polarization axis.  Returns (x_plus, x_minus),
-    each with the h and v photocurrents on axis -2.  Both photocurrents are
-    Hermitian and commute with each other for any eta.
+    each a field with the h and v photocurrents on axis -2, as a beam's.
+    Both photocurrents are Hermitian and commute with each other for any
+    eta.
     """
     _require_unit_interval("eta", eta)
-    if b.ann.shape[-2:-1] != (2,) or c.ann.shape[-2:-1] != (2,):
-        raise ValueError("b and c must stack their h and v components on axis -2")
-    port_plus, port_minus = beamsplitter_5050(b, c)
+    port_plus, port_minus = beamsplitter_5050(b.field, c.field)
     modes = [registry.new_mode(f"{label}_{pol}.loss_{quadrature}")
              for pol in ("h", "v") for quadrature in ("plus", "minus")]
-    # the vacua as one (polarization, quadrature) array, so that both currents
+    # the vacua as one (quadrature, polarization) array, so that both currents
     # span the same modes and _unit_displacement combines arrays of one shape
-    loss_plus, loss_minus = _components(vacuum_field(np.reshape(modes, (2, 2))))
+    loss = vacuum_field(np.reshape(modes, (2, 2)).T)
+    loss_plus, loss_minus = map(LinearField, loss.ann, loss.cre)
     eta = np.asarray(eta)[..., None]
     root_eta = np.sqrt(eta)
     root_loss = np.sqrt(1.0 - eta)
@@ -331,9 +329,9 @@ def _combination(*terms: tuple[ArrayLike, LinearField]) -> LinearField:
     return LinearField(ann, cre)
 
 
-def halfwave_swap(d_prime_h: LinearField, d_prime_v: LinearField) -> PolarizedBeam:
-    """Half-wave plate: exchanges the polarization labels of a beam."""
-    return PolarizedBeam(h=d_prime_v, v=d_prime_h)
+def halfwave_swap(beam: PolarizedBeam) -> PolarizedBeam:
+    """Half-wave plate: exchanges the polarization labels of a beam (a view)."""
+    return PolarizedBeam(LinearField(beam.field.ann[..., ::-1, :], beam.field.cre[..., ::-1, :]))
 
 
 def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
@@ -356,15 +354,13 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     and the choice gain = tanh(chi2) cancels the photon-creating term.
     """
     registry = ModeRegistry()
-    beam_a, beam_b = _opo_fields(registry, params.chi1, label="opo1")
-    beam_c, beam_d = _opo_fields(registry, params.chi2, label="opo2")
-    x_h, x_v = _components(_unit_displacement(
-        *homodyne_currents(beam_b, beam_c, params.eta, registry)))
-    # h-polarized photocurrents modulate D_v and vice versa; the half-wave
-    # plate swaps the labels of D'(0) and X alike
+    beam_a, beam_b = opo_type2(registry, params.chi1, label="opo1")
+    beam_c, beam_d = opo_type2(registry, params.chi2, label="opo2")
+    x = _unit_displacement(*homodyne_currents(beam_b, beam_c, params.eta, registry))
+    # h-polarized photocurrents modulate D_v and vice versa, so after the
+    # half-wave plate D'(0) is D swapped and X keeps its (h, v) rows
     return SwapCircuitOutput(
-        beam_a=PolarizedBeam(*_components(beam_a)),
-        beam_d0=halfwave_swap(*_components(beam_d)), beam_x=halfwave_swap(x_v, x_h),
+        beam_a=beam_a, beam_d0=halfwave_swap(beam_d), beam_x=PolarizedBeam(x),
         gain=np.asarray(params.gain), registry=registry)
 
 

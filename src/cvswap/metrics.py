@@ -155,8 +155,8 @@ _MIN_FACTORED_POINTS = 256
 def _factored(out: SwapCircuitOutput) -> bool:
     # True if ch_s contracts D'(0) and X rather than D': the gain adds batch
     # axes to theirs and the grid holds at least _MIN_FACTORED_POINTS points
-    gain_free = np.broadcast_shapes(*(f.ann.shape[:-1] for beam in (out.beam_d0, out.beam_x)
-                                      for f in (beam.h, beam.v)))
+    gain_free = np.broadcast_shapes(out.beam_d0.field.ann.shape[:-2],
+                                    out.beam_x.field.ann.shape[:-2])
     shape = np.broadcast_shapes(gain_free, out.gain.shape)
     return shape != gain_free and math.prod(shape) >= _MIN_FACTORED_POINTS
 
@@ -167,17 +167,17 @@ def _contractions(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
     # (P, Q) stacked on axis -3 and the Gram matrices G_1, G_2 of beam_1 and
     # beam_2, or of D' = beam_2 + g slope without forming it.  Each is one
     # einsum of coefficient rows: ann_h, ann_v, conj cre_h, conj cre_v of
-    # beam_1 against cre_h, cre_v of beam_2.  With a slope X, D' is expanded
+    # beam_1 against beam_2's own cre array.  With a slope X, D' is expanded
     # as R + t X about the gain g_r where the trace of G_2 is least,
     # -Re tr G_0X / tr G_XX, with R = D'(g_r) formed mode by mode and
     # t = g - g_r: about g = 0 the photon-creating coefficients of D'(0) and
     # g X cancel near the optimal gain, by up to cosh^2(chi2) in G_2.  Beam
-    # 2's rows are then R_h, R_v, X_h, X_v; P and Q are affine in t and G_2
-    # is quadratic, G_2 = G_RR + t (G_RX + G_XR) + t^2 G_XX.
-    left = _rows([beam_1.h.ann, beam_1.v.ann, beam_1.h.cre.conj(), beam_1.v.cre.conj()])
-    fields_2 = [beam_2.h, beam_2.v] + ([slope.h, slope.v] if slope is not None else [])
-    right = _rows([f.cre for f in fields_2])
+    # 2's rows are then R_h, R_v, X_h, X_v in a fresh array; P and Q are
+    # affine in t and G_2 quadratic, G_2 = G_RR + t (G_RX + G_XR) + t^2 G_XX.
+    left = np.concatenate([beam_1.field.ann, beam_1.field.cre.conj()], axis=-2)
+    right = beam_2.field.cre
     if slope is not None:
+        right = _rows([f.cre[..., p, :] for f in (beam_2.field, slope.field) for p in (0, 1)])
         offset, x = right[..., :2, :], right[..., 2:, :]
         g_r = -(np.einsum("...im,...im->...", offset.conj(), x).real
                 / np.einsum("...im,...im->...", x.conj(), x).real)
@@ -459,7 +459,7 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
         raise ValueError("steps must be at least 2")
     if isinstance(beams, SwapCircuitOutput):
         beams = (beams.beam_a, beams.beam_d_prime)
-    if any(f.ann.ndim > 1 for beam in beams for f in (beam.h, beam.v)):
+    if any(beam.field.ann.ndim > 2 for beam in beams):
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s

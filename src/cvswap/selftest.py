@@ -39,9 +39,10 @@ _TOL = 1e-12
 
 
 def _beam_commutators(beam: PolarizedBeam) -> np.ndarray:
-    return np.maximum.reduce([np.abs(commutator(beam.h, beam.h.adjoint()) - 1),
-                              np.abs(commutator(beam.v, beam.v.adjoint()) - 1),
-                              np.abs(commutator(beam.h, beam.v.adjoint()))])
+    h, v = beam.h, beam.v  # each access makes a view
+    return np.maximum.reduce([np.abs(commutator(h, h.adjoint()) - 1),
+                              np.abs(commutator(v, v.adjoint()) - 1),
+                              np.abs(commutator(h, v.adjoint()))])
 
 
 def _first_above(values: np.ndarray, tol: float) -> tuple[int, ...] | None:
@@ -84,7 +85,7 @@ def check_homodyne_currents_commute() -> str | None:
     reg = ModeRegistry()
     _, b = opo_type2(reg, 0.3, label="src")
     c, _ = opo_type2(reg, 0.5, label="tele")
-    x_plus, x_minus = homodyne_currents(b.stacked(), c.stacked(), etas, reg)
+    x_plus, x_minus = homodyne_currents(b, c, etas, reg)
     value = np.abs(commutator(x_plus, x_minus))  # (eta, polarization)
     bad = _first_above(value, _TOL)
     if bad is not None:

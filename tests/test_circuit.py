@@ -8,7 +8,9 @@ import pytest
 from cvswap import (
     LinearField,
     ModeRegistry,
+    PolarizedBeam,
     SwapParams,
+    attenuate,
     beamsplitter_5050,
     build_swap_circuit,
     commutator,
@@ -23,7 +25,7 @@ from cvswap import (
     vacuum_expectation,
     vacuum_field,
 )
-from cvswap.circuit import MINUS_GAIN_PHASE, _components
+from cvswap.circuit import MINUS_GAIN_PHASE
 from hypothesis import given, settings, strategies as st
 
 import cvswap.cli
@@ -197,12 +199,12 @@ class TestHomodyneCurrents:
         self.registry = ModeRegistry()
         _, self.beam_b = opo_type2(self.registry, 0.3, label="src")
         self.beam_c, _ = opo_type2(self.registry, 0.5, label="tele")
-        self.b, self.c = self.beam_b.stacked(), self.beam_c.stacked()
+        self.b, self.c = self.beam_b.field, self.beam_c.field
 
     def test_lossless_form(self):
         """At eta = 1 the currents are the bare port quadratures, no loss mode."""
         before = len(self.registry)
-        x_plus, x_minus = homodyne_currents(self.b, self.c, 1.0, self.registry)
+        x_plus, x_minus = homodyne_currents(self.beam_b, self.beam_c, 1.0, self.registry)
         assert len(self.registry) == before + 4  # loss modes allocated but unused
         port_plus, port_minus = beamsplitter_5050(self.b, self.c)
         assert x_plus == quadrature_plus(port_plus)
@@ -211,40 +213,45 @@ class TestHomodyneCurrents:
 
     def test_allocates_loss_modes_h_then_v(self):
         before = len(self.registry)
-        homodyne_currents(self.b, self.c, 0.8, self.registry, label="hd")
+        homodyne_currents(self.beam_b, self.beam_c, 0.8, self.registry, label="hd")
         assert [self.registry.names[m] for m in range(before, before + 4)] == [
             "hd_h.loss_plus", "hd_h.loss_minus", "hd_v.loss_plus", "hd_v.loss_minus"]
 
     def test_measures_each_polarization_pair(self):
         """Row p of the currents measures the p components of b and c alone."""
-        x_plus, x_minus = homodyne_currents(self.b, self.c, 0.8, self.registry)
+        x_plus, x_minus = homodyne_currents(self.beam_b, self.beam_c, 0.8, self.registry)
         loss = {m for m, name in self.registry.names.items() if "loss" in name}
         for x in (x_plus, x_minus):
-            x_h, x_v = _components(x)
+            x_h, x_v = PolarizedBeam(x).h, PolarizedBeam(x).v
             assert support(x_h) - loss == support(self.beam_b.h) | support(self.beam_c.h)
             assert support(x_v) - loss == support(self.beam_b.v) | support(self.beam_c.v)
             assert not (support(x_h) & support(x_v))
 
+    def test_rejects_single_components(self):
+        """The inputs are beams, and a beam's field must hold h and v on
+        axis -2, as a build's do."""
+        for field in (self.beam_b.h, LinearField(np.zeros((3, 4)), np.zeros((3, 4))),
+                      LinearField(np.zeros((2, 1, 4)), np.zeros((2, 1, 4)))):
+            with pytest.raises(ValueError, match="axis -2"):
+                PolarizedBeam(field)
+
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.83, 0.9, 1.0])
     def test_currents_commute(self, eta):
-        x_plus, x_minus = homodyne_currents(self.b, self.c, eta, self.registry)
+        x_plus, x_minus = homodyne_currents(self.beam_b, self.beam_c, eta, self.registry)
         assert is_hermitian(x_plus) and is_hermitian(x_minus)
         assert commutator(x_plus, x_minus) == pytest.approx([0, 0], abs=1e-12)
 
     def test_total_loss_leaves_unit_variance(self):
-        x_plus, x_minus = homodyne_currents(self.b, self.c, 0.0, self.registry)
-        for x in _components(x_plus) + _components(x_minus):
+        x_plus, x_minus = homodyne_currents(self.beam_b, self.beam_c, 0.0, self.registry)
+        for x in (PolarizedBeam(x_plus).h, PolarizedBeam(x_plus).v,
+                  PolarizedBeam(x_minus).h, PolarizedBeam(x_minus).v):
             assert vacuum_expectation([x, x]) == pytest.approx(1.0)
 
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
-            homodyne_currents(self.b, self.c, 1.2, self.registry)
+            homodyne_currents(self.beam_b, self.beam_c, 1.2, self.registry)
         with pytest.raises(ValueError):
-            homodyne_currents(self.b, self.c, -0.1, self.registry)
-
-    def test_rejects_single_components(self):
-        with pytest.raises(ValueError, match="axis -2"):
-            homodyne_currents(self.beam_b.h, self.beam_c.h, 0.8, self.registry)
+            homodyne_currents(self.beam_b, self.beam_c, -0.1, self.registry)
 
 
 def teleporter_parts(eta):
@@ -254,8 +261,8 @@ def teleporter_parts(eta):
     registry = ModeRegistry()
     _, beam_b = opo_type2(registry, 0.3, label="src")
     beam_c, beam_d = opo_type2(registry, 0.5, label="tele")
-    x_plus, x_minus = homodyne_currents(beam_b.stacked(), beam_c.stacked(), eta, registry)
-    return x_plus, x_minus, halfwave_swap(beam_d.h, beam_d.v).stacked()
+    x_plus, x_minus = homodyne_currents(beam_b, beam_c, eta, registry)
+    return x_plus, x_minus, halfwave_swap(beam_d).field
 
 
 class TestFeedforward:
@@ -302,21 +309,37 @@ class TestFeedforward:
 
 
 def test_stacked_beam_holds_its_components():
+    """h and v are views of the beam's field and round-trip through of."""
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, np.array([0.1, 0.7]), label="src")
     for beam in (beam_a, beam_b):
-        stacked = beam.stacked()
-        assert stacked.ann.shape == (2, 2, 4)
-        assert _components(stacked) == (beam.h, beam.v)
+        assert beam.field.ann.shape == (2, 2, 4)
+        for component in (beam.h, beam.v):
+            assert component.ann.shape == (2, 4)
+            assert np.shares_memory(component.ann, beam.field.ann)
+            assert np.shares_memory(component.cre, beam.field.cre)
+        assert PolarizedBeam.of(beam.h, beam.v).field == beam.field
+
+
+def test_beam_of_broadcasts_batches_and_pads_modes():
+    registry = ModeRegistry()
+    _, beam_b = opo_type2(registry, np.array([0.1, 0.6])[:, None], label="src")
+    lossy_h = attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry)
+    assert lossy_h.ann.shape == (2, 3, 5) and beam_b.v.ann.shape == (2, 1, 4)
+    beam = PolarizedBeam.of(lossy_h, beam_b.v)
+    assert beam.field.ann.shape == (2, 3, 2, 5)
+    for got, want in ((beam.h, lossy_h), (beam.v, beam_b.v)):
+        for x, y in zip((got.ann, got.cre), want.padded(5)):
+            assert np.array_equal(x, np.broadcast_to(y, x.shape))
 
 
 def test_halfwave_swap_twice_is_identity():
-    registry = ModeRegistry()
-    _, beam = opo_type2(registry, 0.4)
-    swapped = halfwave_swap(beam.h, beam.v)
+    _, beam = opo_type2(ModeRegistry(), np.array([0.4, 1.2]))
+    swapped = halfwave_swap(beam)
     assert swapped.h == beam.v and swapped.v == beam.h
-    back = halfwave_swap(swapped.h, swapped.v)
-    assert back.h == beam.h and back.v == beam.v
+    back = halfwave_swap(swapped)
+    for x, y in ((back.field.ann, beam.field.ann), (back.field.cre, beam.field.cre)):
+        assert x.shape == y.shape and np.array_equal(x, y)
 
 
 class TestBuildSwapCircuit:

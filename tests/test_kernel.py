@@ -75,7 +75,7 @@ def assert_cells_match_wick(call, cells):
     def pick(beam, index):
         fields = [LinearField(*(np.broadcast_to(x, shape + x.shape[-1:])[index]
                                 for x in (f.ann, f.cre))) for f in (beam.h, beam.v)]
-        return PolarizedBeam(*fields)
+        return PolarizedBeam.of(*fields)
 
     for index in cells:
         beam_a, beam_d = (pick(beam, index) for beam in beams)
@@ -187,7 +187,7 @@ def test_polarization_dependent_loss_matches_wick_sum():
     """
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, np.array([0.1, 0.6])[:, None], label="src")
-    lossy = PolarizedBeam(attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry), beam_b.v)
+    lossy = PolarizedBeam.of(attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry), beam_b.v)
     angles = AnalyzerAngles(0.3, np.array([-0.4, 0.9])[:, None, None], 1.1,
                             np.array([0.2, -1.3, 0.5]))
     result = ch_s((beam_a, lossy), angles)
