@@ -199,20 +199,24 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    """Write rows at 9 significant digits, comma-separated, LF line endings.
+def write_csv(path: Path, header: Sequence[str],
+              table: np.ndarray | Sequence[Sequence[float]]) -> None:
+    """Write a table at 9 significant digits, comma-separated, LF line endings.
 
-    Each row holds one value per header column and is formatted by one
-    ``%`` call.
+    table is a 2-D array, or a sequence of rows, with one value per header
+    column in each row.  The whole table is formatted by one ``%`` call,
+    which raises TypeError if its width differs from the header's.
     """
-    row_format = ",".join([_NUMBER] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    table = np.asarray(table, dtype=float)
+    row_format = "\n" + ",".join([_NUMBER] * len(header))
+    text = (row_format * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(",".join(header) + text + "\n", newline="\n")
 
 
-def write_svg(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+def write_svg(path: Path, header: Sequence[str],
+              table: np.ndarray | Sequence[Sequence[float]]) -> None:
     """Minimal line plot: one polyline per data column against column 0."""
+    rows = np.asarray(table, dtype=float).tolist()
     width, height, margin = 640.0, 480.0, 40.0
     xs = [row[0] for row in rows]
     ys = [value for row in rows for value in row[1:]]
@@ -240,14 +244,14 @@ def write_svg(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]
 
 
 def _emit(config: ExperimentConfig, stem: str, header: Sequence[str],
-          rows: Sequence[Sequence[float]], stream: TextIO) -> None:
+          table: np.ndarray, stream: TextIO) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
     csv_path = config.out / f"{stem}.csv"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, table)
     stream.write(f"wrote {csv_path}\n")
     if config.svg:
         svg_path = config.out / f"{stem}.svg"
-        write_svg(svg_path, header, rows)
+        write_svg(svg_path, header, table)
         stream.write(f"wrote {svg_path}\n")
 
 
@@ -267,7 +271,7 @@ def _write_sweep(config: ExperimentConfig, stem: str, axis: str, prefix: str,
                  grid: np.ndarray, s: np.ndarray, stream: TextIO) -> None:
     # the grid column, then one S column per level, named prefix + percent
     header = [axis] + [f"{prefix}{_pct(level)}" for level in config.squeezing]
-    _emit(config, stem, header, np.column_stack([grid, s]).tolist(), stream)
+    _emit(config, stem, header, np.column_stack([grid, s]), stream)
 
 
 def cmd_fig3(config: ExperimentConfig, stream: TextIO) -> int:
@@ -299,7 +303,7 @@ def cmd_operating_point(config: ExperimentConfig, stream: TextIO) -> int:
     gains = optimal_gain(chis, config.eta)
     s = _sweep_s(SwapParams(config.chi1, chis, gains, config.eta), OPTIMAL_ANGLES)
     _emit(config, "operating_point", ["s_ad", "lambda_op", "coincidence_ratio"],
-          np.column_stack([s, gains, gains * gains * config.eta]).tolist(), stream)
+          np.column_stack([s, gains, gains * gains * config.eta]), stream)
     return 0
 
 

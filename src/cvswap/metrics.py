@@ -23,8 +23,9 @@ them, and the analyzer angles as arrays that broadcast against them, so a
 whole sweep is one numpy computation; :func:`maximize_s` calls it too.
 A build returns the teleported beam as the two gain-free fields it is
 affine in and the gain; :func:`ch_s` alone decides whether to fold the
-gain into it or to contract the two fields, so a gain sweep's grid never
-meets the mode axis.
+gain into it or to contract the two fields.  Contracted, every rate is a
+quadratic in the gain with coefficients at the gain-free shape, so a gain
+sweep's grid meets only the rate polynomials, never the mode axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
@@ -41,7 +42,7 @@ without batch axes, as the reference that the oracles and tests check
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -146,8 +147,8 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
 
 
 # Grid size from which ch_s contracts a gain sweep's D' in its two parts.
-# Below it factoring saves nothing that shows (build + ch_s within 5% of
-# folding from 8 to 256 points, 1.27x faster at 768), while a folded grid
+# Factoring is faster at every size (build + ch_s over 4 levels: 1.04x at
+# 8 points, 1.22x at 128, 1.36x at 256, 2.35x at 768), but a folded grid
 # gives each cell the bits of a build for that point alone.
 _MIN_FACTORED_POINTS = 256
 
@@ -161,37 +162,20 @@ def _factored(out: SwapCircuitOutput) -> bool:
     return shape != gain_free and math.prod(shape) >= _MIN_FACTORED_POINTS
 
 
-def _contractions(beam_1: PolarizedBeam, beam_2: PolarizedBeam,
-                  slope: PolarizedBeam | None = None,
-                  gain: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (P, Q) stacked on axis -3 and the Gram matrices G_1, G_2 of beam_1 and
-    # beam_2, or of D' = beam_2 + g slope without forming it.  Each is one
-    # einsum of coefficient rows: ann_h, ann_v, conj cre_h, conj cre_v of
-    # beam_1 against beam_2's own cre array.  With a slope X, D' is expanded
-    # as R + t X about the gain g_r where the trace of G_2 is least,
-    # -Re tr G_0X / tr G_XX, with R = D'(g_r) formed mode by mode and
-    # t = g - g_r: about g = 0 the photon-creating coefficients of D'(0) and
-    # g X cancel near the optimal gain, by up to cosh^2(chi2) in G_2.  Beam
-    # 2's rows are then R_h, R_v, X_h, X_v in a fresh array; P and Q are
-    # affine in t and G_2 quadratic, G_2 = G_RR + t (G_RX + G_XR) + t^2 G_XX.
+def _contractions(beam_1: PolarizedBeam,
+                  right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (P, Q) stacked on axis -3 and the Gram matrices G_1 of beam_1 and G_2
+    # of the creation rows `right` of the second beam, each one einsum of
+    # coefficient rows: ann_h, ann_v, conj cre_h, conj cre_v of beam_1
+    # against `right`.  With rows (h, v) of D', P and Q are 2x2; with rows
+    # (R_h, R_v, X_h, X_v) of D' = R + t X (see _factored_rates) they and
+    # G_2 hold the R and X columns side by side.
     left = np.concatenate([beam_1.field.ann, beam_1.field.cre.conj()], axis=-2)
-    right = beam_2.field.cre
-    if slope is not None:
-        right = _rows([f.cre[..., p, :] for f in (beam_2.field, slope.field) for p in (0, 1)])
-        offset, x = right[..., :2, :], right[..., 2:, :]
-        g_r = -(np.einsum("...im,...im->...", offset.conj(), x).real
-                / np.einsum("...im,...im->...", x.conj(), x).real)
-        offset += g_r[..., None, None] * x
     n = min(left.shape[-1], right.shape[-1])
     pq = np.einsum("...im,...jm->...ij", left[..., :n], right[..., :n])
     gram_1 = np.einsum("...im,...jm->...ij", left[..., 2:, :], left[..., 2:, :].conj())
     gram_2 = np.einsum("...im,...jm->...ij", right.conj(), right)
-    if slope is not None:
-        t = (gain - g_r)[..., None, None]
-        pq = pq[..., :2] + t * pq[..., 2:]
-        gram_2 = (gram_2[..., :2, :2] + t * (gram_2[..., :2, 2:] + gram_2[..., 2:, :2])
-                  + t * t * gram_2[..., 2:, 2:])
-    return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_1, gram_2
+    return pq.reshape(pq.shape[:-2] + (2, 2, -1)), gram_1, gram_2
 
 
 def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -243,6 +227,58 @@ def _rate(pq: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return _checked_real(rate)
 
 
+def _at(value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # value, broadcast over axes it does not depend on, at its own shape
+    lead = value.ndim - len(shape)
+    return value[(0,) * lead + tuple(slice(None) if n == m else slice(1)
+                                     for n, m in zip(shape, value.shape[lead:]))]
+
+
+def _vectors(angles: AnalyzerAngles) -> tuple[np.ndarray, ...]:
+    # u_a, u_a', w_b, w_b'
+    return (_analyzer_vector(angles.theta_a, "a"), _analyzer_vector(angles.theta_a_prime, "a"),
+            _analyzer_vector(angles.theta_b, "d"), _analyzer_vector(angles.theta_b_prime, "d"))
+
+
+def _factored_rates(out: SwapCircuitOutput, angles: AnalyzerAngles) -> dict[str, np.ndarray]:
+    # the rates of ch_s on D' = R + t X, g_r = argmin tr G_D', as quadratics in t (see ch_s)
+    right = _rows([f.cre[..., p, :] for f in (out.beam_d0.field, out.beam_x.field) for p in (0, 1)])
+    # a unit axis for each of the gain's own, so the part axis below stays left of them
+    right = right.reshape((1,) * (out.gain.ndim + 2 - right.ndim) + right.shape)
+    offset, x = right[..., :2, :], right[..., 2:, :]
+    g_r = -(np.einsum("...im,...im->...", offset.conj(), x).real
+            / np.einsum("...im,...im->...", x.conj(), x).real)
+    offset += g_r[..., None, None] * x
+    pq, gram_1, gram_2 = _contractions(out.beam_a, right)
+    # m[b, c] = p_b p_c^H + q_b q_c^H + G_1 (x) G_2^bc over (b, c) in (R, X)
+    pq = pq.reshape(pq.shape[:-3] + (2,) * 4)  # (P, Q), i, (R, X), j
+    gram_2 = gram_2.reshape(gram_2.shape[:-2] + (2,) * 4)  # (R, X), j, (R, X), l
+    m = (np.einsum("...aibj,...akcl->bc...ijkl", pq, pq.conj())
+         + np.einsum("...ik,...bjcl->bc...ijkl", gram_1, gram_2))
+    m = m.reshape(m.shape[:-4] + (4, 4))
+    h = np.stack([m[0, 0], m[0, 1] + m[1, 0], m[1, 1]], axis=-3)
+    u_a, u_a_prime, w_b, w_b_prime, e_h, e_v = np.broadcast_arrays(
+        *_vectors(angles), *np.identity(2, dtype=complex))
+    # the four coincidences, then the h and v halves of each singles rate
+    us = np.stack([u_a, u_a, u_a_prime, u_a_prime, u_a_prime, u_a_prime, e_h, e_v])
+    ws = np.stack([w_b, w_b_prime, w_b, w_b_prime, e_h, e_v, w_b, w_b])
+    c = (us[..., :, None] * ws[..., None, :]).reshape(us.shape[:-1] + (4,))
+    coefficients = np.einsum("p...i,...kij,p...j->kp...", c, h, c)
+    t = out.gain - g_r
+    part = coefficients[2] * t  # in place from here: one array of the grid's size
+    part += coefficients[1]
+    part *= t
+    part += coefficients[0]
+    part = _checked_real(part)
+    # each rate at the broadcast shape of the beams and the angles it uses
+    a, b, a_prime, b_prime = (np.shape(theta) for theta in vars(angles).values())
+    beams = np.broadcast_shapes(pq.shape[:-4], t.shape)
+    values = [part[0], part[1], part[2], part[3], part[4] + part[5], part[6] + part[7]]
+    uses = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime), (a_prime,), (b,)]
+    return {field.name: _at(value, np.broadcast_shapes(beams, *used))
+            for field, value, used in zip(fields(CHResult), values, uses)}
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
 def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
          angles: AnalyzerAngles) -> CHResult:
@@ -274,14 +310,15 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
 
     A circuit output holds D' as d + g X (see build_swap_circuit), and
     ch_s decides how to contract it.  When the gain adds batch axes to d
-    and X and the grid holds at least 256 points, the matrices are formed
-    from the fields of d and X at their gain-free shape, and only their
-    combination with the gain, affine in P and Q and quadratic in G, takes
-    the gain's axes.  The combination is expanded as D' = D'(g_r) +
-    (g - g_r) X about the gain g_r that minimizes the trace of G, so that
-    its gain orders do not cancel near the optimal gain.  Otherwise the
-    gain is folded into D' (beam_d_prime), and each cell gets the bits of
-    a build for that point alone.
+    and X and the grid holds at least 256 points, D' = R + t X is expanded
+    about the gain g_r that minimizes the trace of its Gram matrix (R =
+    D'(g_r), t = g - g_r), so that its gain orders do not cancel near the
+    optimal gain.  With p, q = vec P, vec Q, each rate part is then c^T (H_0
+    + t H_1 + t^2 H_2) c at c = u (x) w, the H_k formed from p, q and G of R
+    and X at the gain-free shape; only the eight parts' quadratics, stacked
+    on one axis, and the checks take the gain's axes.  Otherwise the gain
+    is folded into D' (beam_d_prime), and each cell gets the bits of a
+    build for that point alone.
 
     The checks are those of coincidence_rate, applied to every element:
     ValueError on an imaginary part or a negative rate beyond tolerance,
@@ -290,14 +327,12 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     example with the pump off).
     """
     if isinstance(beams, SwapCircuitOutput):
-        beams = ((beams.beam_a, beams.beam_d0, beams.beam_x, beams.gain) if _factored(beams)
-                 else (beams.beam_a, beams.beam_d_prime))
-    pq, gram_1, gram_2 = _contractions(*beams)
+        if _factored(beams):
+            return _ch_result(_factored_rates(beams, angles))
+        beams = (beams.beam_a, beams.beam_d_prime)
+    pq, gram_1, gram_2 = _contractions(beams[0], beams[1].field.cre)
 
-    u_a = _analyzer_vector(angles.theta_a, "a")
-    u_a_prime = _analyzer_vector(angles.theta_a_prime, "a")
-    w_b = _analyzer_vector(angles.theta_b, "d")
-    w_b_prime = _analyzer_vector(angles.theta_b_prime, "d")
+    u_a, u_a_prime, w_b, w_b_prime = _vectors(angles)
     form_a, form_a_prime = _form(u_a, gram_1), _form(u_a_prime, gram_1)
     form_b, form_b_prime = _form(w_b, gram_2), _form(w_b_prime, gram_2)
     h_1, v_1 = gram_1[..., 0, 0], gram_1[..., 1, 1]
@@ -317,6 +352,11 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     # (P w_b, Q w_b) on axes (-2, -1); (P w_b)_i = <X_i e_b> = <e_b X_i>, as the beams commute
     right = _right(pq, w_b[..., None, :])
     rates["r_singles_b"] = _rate(right[..., 0], h_1 * form_b) + _rate(right[..., 1], v_1 * form_b)
+    return _ch_result(rates)
+
+
+def _ch_result(rates: dict[str, np.ndarray]) -> CHResult:
+    # the checks of each rate in CHResult order, then the CH sums and S
     for name, value in rates.items():
         if not np.all(np.isfinite(value)):
             raise RateOverflowError(f"{name} is not finite: the rates overflow float range")

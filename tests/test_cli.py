@@ -17,7 +17,8 @@ import cvswap.circuit
 import cvswap.cli
 import cvswap.selftest
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
-from cvswap.metrics import _factored, ch_s, squeezing_to_chi
+from cvswap.circuit import SwapParams, build_swap_circuit
+from cvswap.metrics import OPTIMAL_ANGLES, _factored, _grid, ch_s, squeezing_to_chi
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
 
@@ -378,6 +379,25 @@ def test_fig4_memory_per_grid_point(tmp_path):
     assert peak / 8000 < 800
 
 
+def test_factored_ch_s_memory_per_grid_point():
+    """ch_s alone on fig4's four levels x 2,000 gains, which it factors: the
+    gain grid meets only the eight rate parts' quadratics and the checks,
+    about 210 B of tracemalloc peak per point.  One more (gain, level, 2, 2)
+    complex array would add 64 B, and contracting gain-expanded P, Q and
+    Gram matrices peaks at about 417 B."""
+    chis = np.array([squeezing_to_chi(level) for level in (0.10, 0.50, 0.80, 0.99)])
+    gains = _grid(0.01, 2.0, 2000)
+    out = build_swap_circuit(SwapParams(0.1, chis, gains[:, None], 1.0))
+    assert _factored(out)
+    tracemalloc.start()
+    try:
+        ch_s(out, OPTIMAL_ANGLES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 8000 < 256
+
+
 def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, capsys):
     seen = []
     monkeypatch.setitem(cvswap.cli._COMMANDS, "threshold-scan",
@@ -558,6 +578,11 @@ class TestOutputFormat:
         cvswap.cli.write_csv(tmp_path / "t.csv", ["x", "y"], rows)
         expected = ["x,y"] + [",".join(f"{x:.9g}" for x in row) for row in rows]
         assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
+    def test_csv_table_width_must_match_header(self, tmp_path):
+        for table in ([[1.0, 2.0, 3.0]], [[1.0], [2.0]], np.zeros((3, 1))):
+            with pytest.raises(TypeError):
+                cvswap.cli.write_csv(tmp_path / "t.csv", ["x", "y"], table)
 
     def test_svg_polyline_per_column(self, tmp_path, capsys):
         main(["fig3", "--out", str(tmp_path), "--angles-steps", "13", "--svg"])

@@ -294,6 +294,34 @@ def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas):
         assert np.all(deviation <= 1e-12 * scale), name
 
 
+def test_factored_rates_match_folded_at_array_angles():
+    """Each angle on a batch axis of its own, against a 256-point gain grid:
+    every cell of every rate that ch_s contracts from D''s two parts agrees
+    with ch_s on folded D' within 1e-12 of its Wick-term scale, and each
+    rate has the broadcast shape of the beams and the angles it uses."""
+    chi2 = np.array([0.4, 1.7])
+    out = build_swap_circuit(SwapParams(0.2, chi2, _grid(0.01, 2.0, 256)[:, None], 0.9))
+    assert _factored(out)
+    theta_a = np.array([0.1, 0.5, 1.2])[:, None, None, None, None, None]  # axis 0
+    theta_b = np.array([-0.4, 0.9])[:, None, None, None, None]  # axis 1
+    theta_a_prime = np.array([0.3, 1.5])[:, None, None, None]  # axis 2
+    theta_b_prime = np.array([0.05, -0.7])[:, None, None]  # axis 3; the beams take 4 and 5
+    angles = AnalyzerAngles(theta_a, theta_b, theta_a_prime, theta_b_prime)
+    folded_beams = (out.beam_a, out.beam_d_prime)
+    folded = ch_s(folded_beams, angles)
+    factored = ch_s(out, angles)
+    uses = {"r_ab": (theta_a, theta_b), "r_ab_prime": (theta_a, theta_b_prime),
+            "r_a_prime_b": (theta_a_prime, theta_b),
+            "r_a_prime_b_prime": (theta_a_prime, theta_b_prime),
+            "r_singles_a": (theta_a_prime,), "r_singles_b": (theta_b,)}
+    for name, scale in wick_term_magnitudes(*folded_beams, angles).items():
+        value = getattr(factored, name)
+        assert value.shape == np.broadcast_shapes((256, 2), *map(np.shape, uses[name])), name
+        assert value.shape == getattr(folded, name).shape, name
+        assert np.all(np.abs(value - getattr(folded, name)) <= 1e-12 * scale), name
+    assert factored.s.shape == (3, 2, 2, 2, 256, 2)
+
+
 @pytest.mark.parametrize("chi1", [1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_factored_s_at_extreme_squeezing(chi1, eta):
