@@ -342,8 +342,9 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     carries the shape of chi1 alone and D' the shape of all four.  D' is
     affine in the gain, D' = D'(0) + gain X (see feedforward_displace), and
     the output holds D'(0), X and the gain, not D' itself: D'(0) and X
-    carry the gain-free shape, and whether the gain is folded into D'
-    (beam_d_prime) or contracted against the two parts is left to ch_s.
+    carry the gain-free shape.  ch_s folds the gain into D' (beam_d_prime)
+    when it adds no batch axes to them, and otherwise contracts the two
+    parts as two blocks of one beam, each rate a quadratic in the gain.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 

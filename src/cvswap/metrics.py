@@ -23,9 +23,10 @@ them, and the analyzer angles as arrays that broadcast against them, so a
 whole sweep is one numpy computation; :func:`maximize_s` calls it too.
 A build returns the teleported beam as the two gain-free fields it is
 affine in and the gain; :func:`ch_s` alone decides whether to fold the
-gain into it or to contract the two fields.  Contracted, every rate is a
-quadratic in the gain with coefficients at the gain-free shape, so a gain
-sweep's grid meets only the rate polynomials, never the mode axis.
+gain into it or to contract the two fields, as two blocks of the second
+beam in the same rate kernel.  Contracted, every rate is a quadratic in
+the gain with coefficients at the gain-free shape, so a gain sweep's grid
+meets only the rate polynomials, never the mode axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
@@ -42,7 +43,7 @@ without batch axes, as the reference that the oracles and tests check
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -146,36 +147,44 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
     return coincidence_rate(e_other, beam.h) + coincidence_rate(e_other, beam.v)
 
 
-# Grid size from which ch_s contracts a gain sweep's D' in its two parts.
-# Factoring is faster at every size (build + ch_s over 4 levels: 1.04x at
-# 8 points, 1.22x at 128, 1.36x at 256, 2.35x at 768), but a folded grid
-# gives each cell the bits of a build for that point alone.
-_MIN_FACTORED_POINTS = 256
-
-
 def _factored(out: SwapCircuitOutput) -> bool:
-    # True if ch_s contracts D'(0) and X rather than D': the gain adds batch
-    # axes to theirs and the grid holds at least _MIN_FACTORED_POINTS points
+    # True if ch_s contracts D' in its two centred parts (see _expansion)
+    # rather than folding the gain into it: the gain adds batch axes to theirs
     gain_free = np.broadcast_shapes(out.beam_d0.field.ann.shape[:-2],
                                     out.beam_x.field.ann.shape[:-2])
-    shape = np.broadcast_shapes(gain_free, out.gain.shape)
-    return shape != gain_free and math.prod(shape) >= _MIN_FACTORED_POINTS
+    return np.broadcast_shapes(gain_free, out.gain.shape) != gain_free
+
+
+def _expansion(out: SwapCircuitOutput) -> tuple[np.ndarray, np.ndarray]:
+    # D' = R + t X as the blocks (R, X) of its creation rows, on axis -3, and
+    # t, complex since it only multiplies complex arrays.  D' is expanded
+    # about the gain g_r where the trace of its Gram matrix is least,
+    # -Re tr G_0X / tr G_XX, with R = D'(g_r) and t = g - g_r: about g = 0
+    # the photon-creating coefficients of D'(0) and g X cancel near the
+    # optimal gain, by up to cosh^2(chi2) in the Gram matrix
+    right = _rows([f.cre[..., p, :] for f in (out.beam_d0.field, out.beam_x.field) for p in (0, 1)])
+    right = right.reshape(right.shape[:-2] + (2, 2, -1))
+    x = right[..., 1, :, :]
+    traces = np.einsum("...bim,...im->...b", right.conj(), x).real
+    g_r = -traces[..., 0] / traces[..., 1]
+    right[..., 0, :, :] += g_r[..., None, None] * x
+    return right, (out.gain - g_r).astype(complex)
 
 
 def _contractions(beam_1: PolarizedBeam,
                   right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (P, Q) stacked on axis -3 and the Gram matrices G_1 of beam_1 and G_2
-    # of the creation rows `right` of the second beam, each one einsum of
-    # coefficient rows: ann_h, ann_v, conj cre_h, conj cre_v of beam_1
-    # against `right`.  With rows (h, v) of D', P and Q are 2x2; with rows
-    # (R_h, R_v, X_h, X_v) of D' = R + t X (see _factored_rates) they and
-    # G_2 hold the R and X columns side by side.
+    # (P_b, Q_b) stacked on axis -3 for each block b, on axis -4, of the
+    # second beam's creation rows `right`, shape (..., blocks, 2, n_modes),
+    # the Gram matrix G_1 of beam_1 and the Gram blocks G_2,bc, with (b, c)
+    # on axes (-4, -3), each one einsum of coefficient rows: ann_h, ann_v,
+    # conj cre_h, conj cre_v of beam_1 against each block's (h, v) rows.  A
+    # beam has one block, D' = R + t X two (see _expansion).
     left = np.concatenate([beam_1.field.ann, beam_1.field.cre.conj()], axis=-2)
     n = min(left.shape[-1], right.shape[-1])
-    pq = np.einsum("...im,...jm->...ij", left[..., :n], right[..., :n])
+    pq = np.einsum("...im,...bjm->...bij", left[..., :n], right[..., :n])
     gram_1 = np.einsum("...im,...jm->...ij", left[..., 2:, :], left[..., 2:, :].conj())
-    gram_2 = np.einsum("...im,...jm->...ij", right.conj(), right)
-    return pq.reshape(pq.shape[:-2] + (2, 2, -1)), gram_1, gram_2
+    gram_2 = np.einsum("...bim,...cjm->...bcij", right.conj(), right)
+    return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_1, gram_2
 
 
 def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -193,9 +202,10 @@ def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
     # would cost numpy a cast in every product
     if side not in ("a", "d"):
         raise ValueError(f"side must be 'a' or 'd', got {side!r}")
-    sign = 1.0 if side == "a" else -1.0
-    weights = np.broadcast_arrays(np.cos(theta), sign * np.sin(theta))
-    return np.stack(weights, axis=-1).astype(complex)
+    u = np.empty(np.shape(theta) + (2,), dtype=complex)
+    u[..., 0] = np.cos(theta)
+    u[..., 1] = (1.0 if side == "a" else -1.0) * np.sin(theta)
+    return u
 
 
 def _form(u: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -206,7 +216,7 @@ def _form(u: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def _checked_real(rate: np.ndarray) -> np.ndarray:
     imaginary = np.abs(rate.imag) > _IMAG_TOL
-    if np.any(imaginary):
+    if imaginary.any():
         raise ValueError(f"coincidence rate has imaginary part "
                          f"{rate.imag[imaginary].flat[0]:g}")
     return rate.real.copy()  # not a view that keeps rate alive
@@ -217,66 +227,31 @@ def _right(left: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _weighted(w, left.swapaxes(-1, -2))
 
 
-def _rate(pq: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    # <e2+ e1+ e1 e2> from pq = (<e1 e2>, sum_m conj(cre e1) cre e2) on axis -1
-    # and the product <e2+ e2><e1+ e1> of the two Gram forms
-    square = pq.conj()
-    square *= pq
-    rate = square[..., 0] + square[..., 1]
-    rate += forms
+def _rate(a: np.ndarray, forms: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+    # <e2+ e1+ e1 e2> for e2 = sum_b t^b e2_b, from a = (<e1 e2_b>,
+    # sum_m conj(cre e1) cre e2_b) on axes (-2, -1) and the products forms_bc
+    # = <e2_b+ e2_c><e1+ e1> of the Gram forms: the sum over blocks b, c of
+    # t^(b+c) (a_b . conj(a_c) + forms_bc), of which one block (t None) has
+    # one term.  conj(a_c) a_b is formed in place, [..., b, c, :]: over an
+    # angle grid it is among the largest arrays
+    square = np.conj(a[..., None, :, :], out=np.empty(a.shape[:-1] + a.shape[-2:], complex))
+    square *= a[..., :, None, :]
+    m = square[..., 0] + square[..., 1]
+    m += forms
+    if t is None:
+        return _checked_real(m[..., 0, 0])
+    # a quadratic in t, its coefficients the anti-diagonal sums of m
+    rate = t * m[..., 1, 1]  # in place from here: one array of the grid's size
+    rate += m[..., 0, 1] + m[..., 1, 0]
+    rate *= t
+    rate += m[..., 0, 0]
     return _checked_real(rate)
-
-
-def _at(value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # value, broadcast over axes it does not depend on, at its own shape
-    lead = value.ndim - len(shape)
-    return value[(0,) * lead + tuple(slice(None) if n == m else slice(1)
-                                     for n, m in zip(shape, value.shape[lead:]))]
 
 
 def _vectors(angles: AnalyzerAngles) -> tuple[np.ndarray, ...]:
     # u_a, u_a', w_b, w_b'
     return (_analyzer_vector(angles.theta_a, "a"), _analyzer_vector(angles.theta_a_prime, "a"),
             _analyzer_vector(angles.theta_b, "d"), _analyzer_vector(angles.theta_b_prime, "d"))
-
-
-def _factored_rates(out: SwapCircuitOutput, angles: AnalyzerAngles) -> dict[str, np.ndarray]:
-    # the rates of ch_s on D' = R + t X, g_r = argmin tr G_D', as quadratics in t (see ch_s)
-    right = _rows([f.cre[..., p, :] for f in (out.beam_d0.field, out.beam_x.field) for p in (0, 1)])
-    # a unit axis for each of the gain's own, so the part axis below stays left of them
-    right = right.reshape((1,) * (out.gain.ndim + 2 - right.ndim) + right.shape)
-    offset, x = right[..., :2, :], right[..., 2:, :]
-    g_r = -(np.einsum("...im,...im->...", offset.conj(), x).real
-            / np.einsum("...im,...im->...", x.conj(), x).real)
-    offset += g_r[..., None, None] * x
-    pq, gram_1, gram_2 = _contractions(out.beam_a, right)
-    # m[b, c] = p_b p_c^H + q_b q_c^H + G_1 (x) G_2^bc over (b, c) in (R, X)
-    pq = pq.reshape(pq.shape[:-3] + (2,) * 4)  # (P, Q), i, (R, X), j
-    gram_2 = gram_2.reshape(gram_2.shape[:-2] + (2,) * 4)  # (R, X), j, (R, X), l
-    m = (np.einsum("...aibj,...akcl->bc...ijkl", pq, pq.conj())
-         + np.einsum("...ik,...bjcl->bc...ijkl", gram_1, gram_2))
-    m = m.reshape(m.shape[:-4] + (4, 4))
-    h = np.stack([m[0, 0], m[0, 1] + m[1, 0], m[1, 1]], axis=-3)
-    u_a, u_a_prime, w_b, w_b_prime, e_h, e_v = np.broadcast_arrays(
-        *_vectors(angles), *np.identity(2, dtype=complex))
-    # the four coincidences, then the h and v halves of each singles rate
-    us = np.stack([u_a, u_a, u_a_prime, u_a_prime, u_a_prime, u_a_prime, e_h, e_v])
-    ws = np.stack([w_b, w_b_prime, w_b, w_b_prime, e_h, e_v, w_b, w_b])
-    c = (us[..., :, None] * ws[..., None, :]).reshape(us.shape[:-1] + (4,))
-    coefficients = np.einsum("p...i,...kij,p...j->kp...", c, h, c)
-    t = out.gain - g_r
-    part = coefficients[2] * t  # in place from here: one array of the grid's size
-    part += coefficients[1]
-    part *= t
-    part += coefficients[0]
-    part = _checked_real(part)
-    # each rate at the broadcast shape of the beams and the angles it uses
-    a, b, a_prime, b_prime = (np.shape(theta) for theta in vars(angles).values())
-    beams = np.broadcast_shapes(pq.shape[:-4], t.shape)
-    values = [part[0], part[1], part[2], part[3], part[4] + part[5], part[6] + part[7]]
-    uses = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime), (a_prime,), (b,)]
-    return {field.name: _at(value, np.broadcast_shapes(beams, *used))
-            for field, value, used in zip(fields(CHResult), values, uses)}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
@@ -308,17 +283,22 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     per vector (the Gram diagonal for bare h and v), so each of the ten
     rates is two 2-term dot products and one product of cached forms.
 
-    A circuit output holds D' as d + g X (see build_swap_circuit), and
-    ch_s decides how to contract it.  When the gain adds batch axes to d
-    and X and the grid holds at least 256 points, D' = R + t X is expanded
-    about the gain g_r that minimizes the trace of its Gram matrix (R =
-    D'(g_r), t = g - g_r), so that its gain orders do not cancel near the
-    optimal gain.  With p, q = vec P, vec Q, each rate part is then c^T (H_0
-    + t H_1 + t^2 H_2) c at c = u (x) w, the H_k formed from p, q and G of R
-    and X at the gain-free shape; only the eight parts' quadratics, stacked
-    on one axis, and the checks take the gain's axes.  Otherwise the gain
-    is folded into D' (beam_d_prime), and each cell gets the bits of a
-    build for that point alone.
+    A circuit output holds D' as d + g X (see build_swap_circuit).  When
+    the gain adds no batch axes to d and X, it is folded into D'
+    (beam_d_prime), and each cell gets the bits of a build for that point
+    alone.  Otherwise D' = R + t X is expanded about the gain g_r that
+    minimizes the trace of its Gram matrix (R = D'(g_r), t = g - g_r), so
+    that its gain orders do not cancel near the optimal gain, and R and X
+    enter as two blocks b of the second beam's rows: P_b, Q_b and the Gram
+    blocks G_2,bc are formed at the gain-free shape, and with a_b =
+    (u^T P_b w, u^T Q_b w) each rate is
+
+        sum_bc t^(b+c) (a_b . conj(a_c) + (w^T G_2,bc w)(u^T G_1 u)),
+
+    a quadratic in t whose coefficients are the anti-diagonal sums of that
+    2x2 block matrix.  Only its Horner evaluation and the checks take the
+    gain's axes.  A beam, or D' folded, is one block, and the sum is the
+    Wick sum above.
 
     The checks are those of coincidence_rate, applied to every element:
     ValueError on an imaginary part or a negative rate beyond tolerance,
@@ -326,54 +306,63 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     NoCoincidencesError when a singles denominator is 0 or subnormal (for
     example with the pump off).
     """
-    if isinstance(beams, SwapCircuitOutput):
-        if _factored(beams):
-            return _ch_result(_factored_rates(beams, angles))
-        beams = (beams.beam_a, beams.beam_d_prime)
-    pq, gram_1, gram_2 = _contractions(beams[0], beams[1].field.cre)
+    if isinstance(beams, SwapCircuitOutput) and _factored(beams):
+        beam_1, (right, t) = beams.beam_a, _expansion(beams)
+    else:  # one block, with no gain to expand in
+        if isinstance(beams, SwapCircuitOutput):
+            beams = (beams.beam_a, beams.beam_d_prime)
+        beam_1, right, t = beams[0], beams[1].field.cre[..., None, :, :], None
+    pq, gram_1, gram_2 = _contractions(beam_1, right)
 
     u_a, u_a_prime, w_b, w_b_prime = _vectors(angles)
-    form_a, form_a_prime = _form(u_a, gram_1), _form(u_a_prime, gram_1)
-    form_b, form_b_prime = _form(w_b, gram_2), _form(w_b_prime, gram_2)
-    h_1, v_1 = gram_1[..., 0, 0], gram_1[..., 1, 1]
+    # the Gram forms, each on axes (-2, -1): u^T G_1 u on unit axes, w^T G_2,bc w
+    # over the blocks (b, c), and the diagonals for bare h and v
+    form_a, form_a_prime = (_form(u, gram_1)[..., None, None] for u in (u_a, u_a_prime))
+    form_b, form_b_prime = (_form(w[..., None, None, :], gram_2) for w in (w_b, w_b_prime))
+    h_1, v_1 = gram_1[..., 0, 0, None, None], gram_1[..., 1, 1, None, None]
     h_2, v_2 = gram_2[..., 0, 0], gram_2[..., 1, 1]
-    # (u^T P, u^T Q) on axes (-2, -1), once per distinct left vector u; only
+    # u against the (h, v) axis of each block's P_b and Q_b, w against the rows it leaves
+    u_a, u_a_prime = u_a[..., None, None, :], u_a_prime[..., None, None, :]
+    w_b, w_b_prime = w_b[..., None, :], w_b_prime[..., None, :]
+    # (u^T P_b, u^T Q_b) on axes (-3, -2, -1), once per distinct left vector u; only
     # one is alive at a time, since over an angle grid each is the largest array
-    left = _weighted(u_a[..., None, :], pq)
-    rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a),
-             "r_ab_prime": _rate(_right(left, w_b_prime), form_b_prime * form_a)}
+    left = _weighted(u_a, pq)
+    rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a, t),
+             "r_ab_prime": _rate(_right(left, w_b_prime), form_b_prime * form_a, t)}
     del left
-    left = _weighted(u_a_prime[..., None, :], pq)
-    rates["r_a_prime_b"] = _rate(_right(left, w_b), form_b * form_a_prime)
-    rates["r_a_prime_b_prime"] = _rate(_right(left, w_b_prime), form_b_prime * form_a_prime)
-    rates["r_singles_a"] = (_rate(left[..., 0], h_2 * form_a_prime)
-                            + _rate(left[..., 1], v_2 * form_a_prime))
+    left = _weighted(u_a_prime, pq)
+    rates["r_a_prime_b"] = _rate(_right(left, w_b), form_b * form_a_prime, t)
+    rates["r_a_prime_b_prime"] = _rate(_right(left, w_b_prime), form_b_prime * form_a_prime, t)
+    rates["r_singles_a"] = (_rate(left[..., 0], h_2 * form_a_prime, t)
+                            + _rate(left[..., 1], v_2 * form_a_prime, t))
     del left
-    # (P w_b, Q w_b) on axes (-2, -1); (P w_b)_i = <X_i e_b> = <e_b X_i>, as the beams commute
+    # (P_b w_b, Q_b w_b) on axes (-3, -2, -1); (P w_b)_i = <X_i e_b> = <e_b X_i>,
+    # as the beams commute
     right = _right(pq, w_b[..., None, :])
-    rates["r_singles_b"] = _rate(right[..., 0], h_1 * form_b) + _rate(right[..., 1], v_1 * form_b)
+    rates["r_singles_b"] = (_rate(right[..., 0], h_1 * form_b, t)
+                            + _rate(right[..., 1], v_1 * form_b, t))
     return _ch_result(rates)
 
 
 def _ch_result(rates: dict[str, np.ndarray]) -> CHResult:
     # the checks of each rate in CHResult order, then the CH sums and S
     for name, value in rates.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise RateOverflowError(f"{name} is not finite: the rates overflow float range")
         negative = value < _RATE_FLOOR
-        if np.any(negative):
+        if negative.any():
             raise ValueError(f"{name} is negative beyond tolerance: "
                              f"{value[negative].flat[0]:g}")
 
     denominator = rates["r_singles_a"] + rates["r_singles_b"]
     underflow = denominator < _DENOMINATOR_FLOOR
-    if np.any(underflow):
+    if underflow.any():
         raise NoCoincidencesError(
             f"singles denominator {denominator[underflow].flat[0]:g} underflows; "
             "no signal")
     numerator = (rates["r_ab"] - rates["r_ab_prime"]
                  + rates["r_a_prime_b"] + rates["r_a_prime_b_prime"])
-    if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(denominator))):
+    if not (np.isfinite(numerator).all() and np.isfinite(denominator).all()):
         raise RateOverflowError("the CH sums are not finite: the rates overflow float range")
     rates["s"] = numerator / denominator
     # [()] turns a 0-d result into a numpy.float64, a float, and keeps arrays

@@ -381,10 +381,11 @@ def test_fig4_memory_per_grid_point(tmp_path):
 
 def test_factored_ch_s_memory_per_grid_point():
     """ch_s alone on fig4's four levels x 2,000 gains, which it factors: the
-    gain grid meets only the eight rate parts' quadratics and the checks,
-    about 210 B of tracemalloc peak per point.  One more (gain, level, 2, 2)
-    complex array would add 64 B, and contracting gain-expanded P, Q and
-    Gram matrices peaks at about 417 B."""
+    gain grid meets only each rate's quadratic, one at a time, and the
+    checks, about 97 B of tracemalloc peak per point.  One more (gain,
+    level, 2, 2) complex array would add 64 B, the eight rate parts'
+    quadratics stacked on one axis peak at about 210 B, and contracting
+    gain-expanded P, Q and Gram matrices at about 417 B."""
     chis = np.array([squeezing_to_chi(level) for level in (0.10, 0.50, 0.80, 0.99)])
     gains = _grid(0.01, 2.0, 2000)
     out = build_swap_circuit(SwapParams(0.1, chis, gains[:, None], 1.0))
@@ -395,7 +396,7 @@ def test_factored_ch_s_memory_per_grid_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 8000 < 256
+    assert peak / 8000 < 160
 
 
 def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, capsys):

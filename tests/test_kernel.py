@@ -262,22 +262,25 @@ def wick_term_magnitudes(beam_1, beam_2, angles):
        chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
        gain_max=st.floats(min_value=0.1, max_value=10.0),
        eta=st.floats(min_value=0.01, max_value=1.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle))
-def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas):
+       thetas=st.tuples(_angle, _angle, _angle, _angle),
+       points=st.integers(min_value=1, max_value=300))
+def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points):
     """ch_s on a circuit output it contracts in D''s two gain-free parts
     gives the rates of ch_s on D'.
 
-    The gain grid, on an axis of its own, holds 0 and each level's optimal
-    gain, where the gain orders of D''s Gram matrix cancel most.  Each rate
-    must agree within 1e-12 of the summed magnitudes of its three Wick
-    terms, the scale of its rounding error: S is not the scale, as it
-    crosses 0 on the fig3 family.  From chi2 ~ 5 on, D''s own coefficients
-    near the optimal gain, g cosh(chi2) - sinh(chi2), lose more than that
-    to rounding, so the draw stops at chi2 = 4 (99.97% squeezing);
+    The gain grid, of 1 to 300 points on an axis of its own, starts with 0
+    and each level's optimal gain, where the gain orders of D''s Gram
+    matrix cancel most, and goes on up to gain_max.  Each rate must agree
+    within 1e-12 of the summed magnitudes of its three Wick terms, the
+    scale of its rounding error: S is not the scale, as it crosses 0 on
+    the fig3 family.  From chi2 ~ 5 on, D''s own coefficients near the
+    optimal gain, g cosh(chi2) - sinh(chi2), lose more than that to
+    rounding, so the draw stops at chi2 = 4 (99.97% squeezing);
     test_factored_s_at_extreme_squeezing goes further.
     """
     chi2 = np.array(chi2s)
-    gains = np.concatenate([[0.0], optimal_gain(chi2, eta), np.linspace(0.0, gain_max, 256)])
+    gains = np.concatenate([[0.0], optimal_gain(chi2, eta),
+                            np.linspace(0.0, gain_max, points)])[:points]
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
     assert _factored(out)
     angles = AnalyzerAngles(*thetas)
@@ -340,14 +343,14 @@ def test_factored_s_at_extreme_squeezing(chi1, eta):
 
 
 @pytest.mark.parametrize("chi2, gain, factored", [
-    (0.5, _grid(0.01, 2.0, 255), False),  # gain axis below 256 points
+    (0.5, _grid(0.01, 2.0, 8), True),  # at any grid size
     (0.5, _grid(0.01, 2.0, 256), True),
     (np.linspace(0.1, 2.0, 300), 0.9, False),  # gain adds no axes
     (np.linspace(0.1, 2.0, 300), _grid(0.01, 2.0, 300), False),
 ])
 def test_fold_or_factor_boundary(chi2, gain, factored):
-    """ch_s factors D' from 256 grid points on, and only when the gain adds
-    batch axes; a folded output gives every bit of ch_s on (A, D')."""
+    """ch_s factors D' exactly when the gain adds batch axes, whatever the
+    grid size; a folded output gives every bit of ch_s on (A, D')."""
     out = build_swap_circuit(SwapParams(0.1, chi2, gain, 0.9))
     assert _factored(out) is factored
     if not factored:

@@ -138,14 +138,16 @@ class TestChS:
             ch_s(source_beams(0.0), OPTIMAL_ANGLES)
 
     def test_batched_fields_equal_one_pair_cells(self):
-        # one build over a 2x3 (gain, eta) grid against one build per cell
-        gains, etas = np.array([0.3, 0.9])[:, None], np.array([0.6, 0.85, 1.0])
-        batched = ch_s(build_swap_circuit(SwapParams(0.1, 0.5, gains, etas)),
+        # one build over a 2x3 ((chi2, gain), eta) grid, whose gain adds no
+        # batch axes, against one build per cell
+        chi2s, gains = np.array([0.2, 0.5])[:, None], np.array([0.3, 0.9])[:, None]
+        etas = np.array([0.6, 0.85, 1.0])
+        batched = ch_s(build_swap_circuit(SwapParams(0.1, chi2s, gains, etas)),
                        OPTIMAL_ANGLES)
         assert batched.s.shape == (2, 3)
         for i, j in np.ndindex(2, 3):
-            single = ch_s(build_swap_circuit(
-                SwapParams(0.1, 0.5, float(gains[i, 0]), float(etas[j]))), OPTIMAL_ANGLES)
+            single = ch_s(build_swap_circuit(SwapParams(
+                0.1, float(chi2s[i, 0]), float(gains[i, 0]), float(etas[j]))), OPTIMAL_ANGLES)
             for name, value in vars(single).items():
                 assert isinstance(value, float), name
                 assert np.broadcast_to(getattr(batched, name), (2, 3))[i, j] == value, name
