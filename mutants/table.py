@@ -1,4 +1,4 @@
-"""Mutants of the CH rate kernel and the teleporter, for test_mutants.py.
+"""Mutants of the CH rate kernel, the circuit and its checks, for test_mutants.py.
 
 Each row names a file under src/cvswap, the exact text the mutant replaces
 (it must occur exactly once, so a refactor that removes it fails loudly),
@@ -46,8 +46,8 @@ MUTANTS = [
         "the singles denominator counts beam D' at theta_b' instead of theta_b"),
     Mutant(
         "x-polarizations-swapped", "circuit.py",
-        "beam_x=PolarizedBeam(x)",
-        "beam_x=halfwave_swap(PolarizedBeam(x))",
+        "beam_x=_beam(x)",
+        "beam_x=halfwave_swap(_beam(x))",
         "h-polarized photocurrents displace D'_h instead of D'_v, so the "
         "teleported polarization no longer matches the measured one"),
     Mutant(
@@ -66,6 +66,63 @@ MUTANTS = [
         'rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a, t),',
         'rates = {"r_ab": 1.001 * _rate(_right(left, w_b), form_b * form_a, t),',
         "r_ab, and with it S, is 0.1% high"),
+    Mutant(
+        "loss-modes-not-transposed", "circuit.py",
+        "loss = vacuum_field(np.reshape(modes, (2, 2)).T)",
+        "loss = vacuum_field(np.reshape(modes, (2, 2)))",
+        "the h minus-detector's loss mode enters the v plus-current and vice "
+        "versa, so the stacked build no longer matches the per-component one"),
+    Mutant(
+        "loss-modes-quadrature-first", "circuit.py",
+        'for pol in ("h", "v") for quadrature in ("plus", "minus")]',
+        'for quadrature in ("plus", "minus") for pol in ("h", "v")]',
+        "the four loss modes are allocated plus-h, plus-v, minus-h, minus-v, "
+        "not per polarization"),
+    Mutant(
+        "canonical-check-skipped", "circuit.py",
+        "    k = len(fields)\n",
+        "    return\n    k = len(fields)\n",
+        "_require_canonical accepts any inputs, so a squeezer or splitter "
+        "builds non-canonical modes without a word"),
+    Mutant(
+        "commutator-signs-flipped", "circuit.py",
+        "duals[..., 1, :, :] *= -1",
+        "duals[..., 1, :, :] *= 1",
+        "the cre rows enter the commutators with a plus sign, so every "
+        "squeezed mode fails its canonical check"),
+    Mutant(
+        "b-left-in-v-h-order", "circuit.py",
+        "return _beam(a), halfwave_swap(_beam(b_vh))",
+        "return _beam(a), _beam(b_vh)",
+        "beam B keeps its (v, h) rows, so each pair photon is labelled with "
+        "its partner's polarization and S falls below 1"),
+    Mutant(
+        "off-by-bare-comparison-flipped", "circuit.py",
+        "if (value <= _CANONICAL_TOL).all():",
+        "if (value > _CANONICAL_TOL).all():",
+        "_off_by passes a commutator that is off at every element"),
+    Mutant(
+        "off-by-scaled-comparison-flipped", "circuit.py",
+        "return not ((value <= _CANONICAL_TOL * scale) & np.isfinite(scale)).all()",
+        "return not ((value > _CANONICAL_TOL * scale) & np.isfinite(scale)).all()",
+        "_off_by passes a commutator that is off beyond its scaled tolerance"),
+    Mutant(
+        "hermiticity-check-skipped", "circuit.py",
+        "        if _off_by(np.abs(x.ann - x.cre.conj()).max(axis=-1), x):\n",
+        "        if False:\n",
+        "_unit_displacement accepts non-Hermitian photocurrents"),
+    Mutant(
+        "one-block-gain-add-dropped", "metrics.py",
+        "        right[..., 0, :, :] += gain[..., None, None] * x\n",
+        "",
+        "with one block, ch_s evaluates D'(0), the teleporter at gain 0, "
+        "instead of D' at the gain"),
+    Mutant(
+        "one-block-branch-never-taken", "metrics.py",
+        "    if np.broadcast_shapes(right.shape[:-3], gain.shape) == right.shape[:-3]:\n",
+        "    if False:\n",
+        "every circuit output takes two blocks about g_r, which moves the bits "
+        "of S on the gain-free sweeps"),
     Mutant(
         "imaginary-check-disabled", "metrics.py",
         "    if imaginary.any():\n",

@@ -71,24 +71,18 @@ _CANONICAL_TOL = 1e-9
 MINUS_GAIN_PHASE = 1j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolarizedBeam:
-    """One spatial beam: a field whose coefficient arrays hold the beam's h
-    and v polarization components on axis -2, shape (..., 2, n_modes), h
-    first.  The components h and v are views of those arrays."""
+    """One spatial beam of polarization components h and v: a field whose
+    coefficient arrays hold them on axis -2, shape (..., 2, n_modes), h
+    first, over their broadcast batch shape, zero-padded to one mode count.
+    The components h and v are views of those arrays."""
 
     field: LinearField
 
-    def __post_init__(self) -> None:
-        if self.field.ann.shape[-2:-1] != (2,):
-            raise ValueError("a beam holds its h and v components on axis -2, got "
-                             f"coefficient arrays of shape {self.field.ann.shape}")
-
-    @classmethod
-    def of(cls, h: LinearField, v: LinearField) -> PolarizedBeam:
-        """The beam of components h and v, over their broadcast batch shape,
-        zero-padded to one mode count."""
-        return cls(LinearField(_rows([h.ann, v.ann]), _rows([h.cre, v.cre])))
+    def __init__(self, h: LinearField, v: LinearField) -> None:
+        field = LinearField(_rows([h.ann, v.ann]), _rows([h.cre, v.cre]))
+        object.__setattr__(self, "field", field)
 
     @property
     def h(self) -> LinearField:
@@ -97,6 +91,13 @@ class PolarizedBeam:
     @property
     def v(self) -> LinearField:
         return LinearField(self.field.ann[..., 1, :], self.field.cre[..., 1, :])
+
+
+def _beam(field: LinearField) -> PolarizedBeam:
+    # the beam whose components a field already holds on axis -2, not a copy
+    beam = object.__new__(PolarizedBeam)
+    object.__setattr__(beam, "field", field)
+    return beam
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ class SwapParams:
     def __post_init__(self) -> None:
         for name in ("chi1", "chi2", "gain", "eta"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if np.any(np.less(self.chi1, 0) | np.less(self.chi2, 0) | np.less(self.gain, 0)):
+        if (np.less(self.chi1, 0) | np.less(self.chi2, 0) | np.less(self.gain, 0)).any():
             raise ValueError("chi1, chi2 and gain must be nonnegative")
         _require_unit_interval("eta", self.eta)
 
@@ -145,12 +146,12 @@ class SwapCircuitOutput:
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        return PolarizedBeam(_combination((1.0, self.beam_d0.field),
-                                          (self.gain[..., None], self.beam_x.field)))
+        return _beam(_combination((1.0, self.beam_d0.field),
+                                  (self.gain[..., None], self.beam_x.field)))
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
-    if not np.all(np.greater_equal(value, 0.0) & np.less_equal(value, 1.0)):
+    if not (np.greater_equal(value, 0.0) & np.less_equal(value, 1.0)).all():
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
@@ -162,11 +163,11 @@ def _off_by(value: np.ndarray, *fields: LinearField) -> bool:
     # at least 1, so it is only needed when the bare tolerance fails.  nan
     # fails every comparison and an overflowed scale is rejected, so a build
     # that leaves float range fails closed.
-    if np.all(value <= _CANONICAL_TOL):
+    if (value <= _CANONICAL_TOL).all():
         return False
     sizes = [(np.abs(f.ann) ** 2 + np.abs(f.cre) ** 2).sum(axis=-1) for f in fields]
     scale = np.maximum(1.0, math.prod(sizes) ** (1 / len(sizes)))
-    return not np.all((value <= _CANONICAL_TOL * scale) & np.isfinite(scale))
+    return not ((value <= _CANONICAL_TOL * scale) & np.isfinite(scale)).all()
 
 
 def _require_canonical(*fields: LinearField) -> None:
@@ -181,7 +182,7 @@ def _require_canonical(*fields: LinearField) -> None:
     duals = np.concatenate([rows.conj(), rows[..., ::-1, :, :]], axis=-2)
     duals[..., 1, :, :] *= -1  # the cre rows enter with a minus sign
     off = np.abs(np.einsum("...sim,...sjm->...ij", rows, duals) - np.eye(k, 2 * k))
-    if np.all(off <= _CANONICAL_TOL):
+    if (off <= _CANONICAL_TOL).all():
         return
     for i, f in enumerate(fields):
         if _off_by(off[..., i, i], f):
@@ -227,7 +228,7 @@ def opo_type2(registry: ModeRegistry, chi: ArrayLike,
     # row p of a0 is squeezed with row p of (b0_v, b0_h)
     a, b_vh = two_mode_squeezer(vacuum_field([a0_h, a0_v]), vacuum_field([b0_v, b0_h]),
                                 np.asarray(chi)[..., None])
-    return PolarizedBeam(a), halfwave_swap(PolarizedBeam(b_vh))
+    return _beam(a), halfwave_swap(_beam(b_vh))
 
 
 def beamsplitter_5050(f: LinearField, g: LinearField) -> tuple[LinearField, LinearField]:
@@ -331,7 +332,7 @@ def _combination(*terms: tuple[ArrayLike, LinearField]) -> LinearField:
 
 def halfwave_swap(beam: PolarizedBeam) -> PolarizedBeam:
     """Half-wave plate: exchanges the polarization labels of a beam (a view)."""
-    return PolarizedBeam(LinearField(beam.field.ann[..., ::-1, :], beam.field.cre[..., ::-1, :]))
+    return _beam(LinearField(beam.field.ann[..., ::-1, :], beam.field.cre[..., ::-1, :]))
 
 
 def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
@@ -342,9 +343,10 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     carries the shape of chi1 alone and D' the shape of all four.  D' is
     affine in the gain, D' = D'(0) + gain X (see feedforward_displace), and
     the output holds D'(0), X and the gain, not D' itself: D'(0) and X
-    carry the gain-free shape.  ch_s folds the gain into D' (beam_d_prime)
-    when it adds no batch axes to them, and otherwise contracts the two
-    parts as two blocks of one beam, each rate a quadratic in the gain.
+    carry the gain-free shape.  ch_s expands D' = R + t X about a centre
+    gain c, R = D'(c), t = g - c: about the gain itself, R alone, where it
+    adds no batch axes, and otherwise R and X as two blocks, each rate a
+    quadratic in t.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 
@@ -361,7 +363,7 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     # h-polarized photocurrents modulate D_v and vice versa, so after the
     # half-wave plate D'(0) is D swapped and X keeps its (h, v) rows
     return SwapCircuitOutput(
-        beam_a=beam_a, beam_d0=halfwave_swap(beam_d), beam_x=PolarizedBeam(x),
+        beam_a=beam_a, beam_d0=halfwave_swap(beam_d), beam_x=_beam(x),
         gain=np.asarray(params.gain), registry=registry)
 
 

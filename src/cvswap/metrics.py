@@ -21,12 +21,12 @@ Every CH ratio is assembled by one function, :func:`ch_s`.  It takes the
 beams' fields with any batch axes, as one batched circuit build returns
 them, and the analyzer angles as arrays that broadcast against them, so a
 whole sweep is one numpy computation; :func:`maximize_s` calls it too.
-A build returns the teleported beam as the two gain-free fields it is
-affine in and the gain; :func:`ch_s` alone decides whether to fold the
-gain into it or to contract the two fields, as two blocks of the second
-beam in the same rate kernel.  Contracted, every rate is a quadratic in
-the gain with coefficients at the gain-free shape, so a gain sweep's grid
-meets only the rate polynomials, never the mode axis.
+A build returns the teleported beam D' = d + g X as gain-free d and X and
+the gain g; :func:`ch_s` expands it as R + t X about a centre gain c, R =
+D'(c) and t = g - c, as blocks of the second beam in one rate kernel.  If
+the gain adds no batch axes to d and X, c is the gain and X drops out;
+otherwise every rate is a quadratic in t with coefficients at the gain-free
+shape, so a gain grid meets only the rate polynomials, never the mode axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
@@ -147,28 +147,27 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
     return coincidence_rate(e_other, beam.h) + coincidence_rate(e_other, beam.v)
 
 
-def _factored(out: SwapCircuitOutput) -> bool:
-    # True if ch_s contracts D' in its two centred parts (see _expansion)
-    # rather than folding the gain into it: the gain adds batch axes to theirs
-    gain_free = np.broadcast_shapes(out.beam_d0.field.ann.shape[:-2],
-                                    out.beam_x.field.ann.shape[:-2])
-    return np.broadcast_shapes(gain_free, out.gain.shape) != gain_free
-
-
-def _expansion(out: SwapCircuitOutput) -> tuple[np.ndarray, np.ndarray]:
-    # D' = R + t X as the blocks (R, X) of its creation rows, on axis -3, and
-    # t, complex since it only multiplies complex arrays.  D' is expanded
-    # about the gain g_r where the trace of its Gram matrix is least,
-    # -Re tr G_0X / tr G_XX, with R = D'(g_r) and t = g - g_r: about g = 0
-    # the photon-creating coefficients of D'(0) and g X cancel near the
-    # optimal gain, by up to cosh^2(chi2) in the Gram matrix
-    right = _rows([f.cre[..., p, :] for f in (out.beam_d0.field, out.beam_x.field) for p in (0, 1)])
+def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
+              ) -> tuple[PolarizedBeam, np.ndarray, np.ndarray | None]:
+    # ch_s's operands: the first beam, the second beam's creation rows in
+    # blocks on axis -3, shape (..., blocks, 2, n_modes), and t (complex, as
+    # it only multiplies complex arrays), None for one block: a beam, or
+    # D' = R + t X about c = g where the gain adds no batch axes.  Otherwise
+    # c = g_r = -Re tr G_dX / tr G_XX, where D''s Gram trace is least: about
+    # 0, d and g X would cancel near the optimal gain by up to cosh^2(chi2)
+    if not isinstance(beams, SwapCircuitOutput):
+        return beams[0], beams[1].field.cre[..., None, :, :], None
+    right = _rows([f.cre[..., p, :] for f in (beams.beam_d0.field, beams.beam_x.field)
+                   for p in (0, 1)])
     right = right.reshape(right.shape[:-2] + (2, 2, -1))
-    x = right[..., 1, :, :]
+    x, gain = right[..., 1, :, :], beams.gain
+    if np.broadcast_shapes(right.shape[:-3], gain.shape) == right.shape[:-3]:
+        right[..., 0, :, :] += gain[..., None, None] * x
+        return beams.beam_a, right[..., :1, :, :], None
     traces = np.einsum("...bim,...im->...b", right.conj(), x).real
     g_r = -traces[..., 0] / traces[..., 1]
     right[..., 0, :, :] += g_r[..., None, None] * x
-    return right, (out.gain - g_r).astype(complex)
+    return beams.beam_a, right, (gain - g_r).astype(complex)
 
 
 def _contractions(beam_1: PolarizedBeam,
@@ -178,7 +177,7 @@ def _contractions(beam_1: PolarizedBeam,
     # the Gram matrix G_1 of beam_1 and the Gram blocks G_2,bc, with (b, c)
     # on axes (-4, -3), each one einsum of coefficient rows: ann_h, ann_v,
     # conj cre_h, conj cre_v of beam_1 against each block's (h, v) rows.  A
-    # beam has one block, D' = R + t X two (see _expansion).
+    # beam has one block, D' = R + t X two (see _operands).
     left = np.concatenate([beam_1.field.ann, beam_1.field.cre.conj()], axis=-2)
     n = min(left.shape[-1], right.shape[-1])
     pq = np.einsum("...im,...bjm->...bij", left[..., :n], right[..., :n])
@@ -283,13 +282,14 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     per vector (the Gram diagonal for bare h and v), so each of the ten
     rates is two 2-term dot products and one product of cached forms.
 
-    A circuit output holds D' as d + g X (see build_swap_circuit).  When
-    the gain adds no batch axes to d and X, it is folded into D'
-    (beam_d_prime), and each cell gets the bits of a build for that point
-    alone.  Otherwise D' = R + t X is expanded about the gain g_r that
-    minimizes the trace of its Gram matrix (R = D'(g_r), t = g - g_r), so
-    that its gain orders do not cancel near the optimal gain, and R and X
-    enter as two blocks b of the second beam's rows: P_b, Q_b and the Gram
+    A circuit output holds D' as d + g X (see build_swap_circuit), and D'
+    = R + t X is expanded about a centre gain c, with R = D'(c) and t = g
+    - c.  When the gain adds no batch axes to d and X, c is the gain
+    itself: t = 0, X drops out, and each cell gets the bits of D' with the
+    gain folded in (beam_d_prime), those of a build for that point alone.
+    Otherwise c is the gain that minimizes the trace of D''s Gram matrix,
+    so that its gain orders do not cancel near the optimal gain, and R and
+    X enter as two blocks b of the second beam's rows: P_b, Q_b and the Gram
     blocks G_2,bc are formed at the gain-free shape, and with a_b =
     (u^T P_b w, u^T Q_b w) each rate is
 
@@ -297,7 +297,7 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
 
     a quadratic in t whose coefficients are the anti-diagonal sums of that
     2x2 block matrix.  Only its Horner evaluation and the checks take the
-    gain's axes.  A beam, or D' folded, is one block, and the sum is the
+    gain's axes.  A beam, or R alone, is one block, and the sum is the
     Wick sum above.
 
     The checks are those of coincidence_rate, applied to every element:
@@ -306,12 +306,7 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     NoCoincidencesError when a singles denominator is 0 or subnormal (for
     example with the pump off).
     """
-    if isinstance(beams, SwapCircuitOutput) and _factored(beams):
-        beam_1, (right, t) = beams.beam_a, _expansion(beams)
-    else:  # one block, with no gain to expand in
-        if isinstance(beams, SwapCircuitOutput):
-            beams = (beams.beam_a, beams.beam_d_prime)
-        beam_1, right, t = beams[0], beams[1].field.cre[..., None, :, :], None
+    beam_1, right, t = _operands(beams)
     pq, gram_1, gram_2 = _contractions(beam_1, right)
 
     u_a, u_a_prime, w_b, w_b_prime = _vectors(angles)
@@ -424,7 +419,7 @@ def optimal_gain(chi2: np.ndarray | float, eta: np.ndarray | float) -> np.ndarra
     elementwise over arrays that broadcast; every eta must lie in (0, 1]."""
     etas = np.asarray(eta)
     outside = ~((etas > 0.0) & (etas <= 1.0))  # nan too
-    if np.any(outside):
+    if outside.any():
         raise ValueError(f"eta must lie in (0, 1], got {etas[outside].flat[0]}")
     return np.tanh(chi2) / np.sqrt(etas)
 
@@ -486,9 +481,8 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if isinstance(beams, SwapCircuitOutput):
-        beams = (beams.beam_a, beams.beam_d_prime)
-    if any(beam.field.ann.ndim > 2 for beam in beams):
+    beam_1, right, t = _operands(beams)
+    if t is not None or beam_1.field.ann.ndim > 2 or right.ndim > 3:
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s

@@ -102,7 +102,7 @@ def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam
                                   for name in ("a0_h", "a0_v", "b0_h", "b0_v"))
         a_h, b_v = two_mode_squeezer(a0_h, b0_v, chi)
         a_v, b_h = two_mode_squeezer(a0_v, b0_h, chi)
-        return PolarizedBeam.of(a_h, a_v), PolarizedBeam.of(b_h, b_v)
+        return PolarizedBeam(a_h, a_v), PolarizedBeam(b_h, b_v)
 
     def unit_displacement(b, c, pol):
         port_plus, port_minus = beamsplitter_5050(b, c)
@@ -119,7 +119,7 @@ def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam
     x_h = unit_displacement(beam_b.h, beam_c.h, "h")
     x_v = unit_displacement(beam_b.v, beam_c.v, "v")
     # the h currents displace D_v, and the half-wave plate swaps D's labels
-    return registry, beam_a, PolarizedBeam.of(beam_d.v, beam_d.h), PolarizedBeam.of(x_h, x_v)
+    return registry, beam_a, PolarizedBeam(beam_d.v, beam_d.h), PolarizedBeam(x_h, x_v)
 
 
 def assert_matches_per_component_build(params: SwapParams) -> None:

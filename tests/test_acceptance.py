@@ -127,7 +127,7 @@ def test_criterion_6_attenuation_equivalence():
                           OPTIMAL_ANGLES)
         registry = ModeRegistry()
         beam_a, beam_b = opo_type2(registry, 0.1, label="opo1")
-        attenuated = PolarizedBeam.of(
+        attenuated = PolarizedBeam(
             h=attenuate(beam_b.h, gain * gain, registry, "attenuator_h"),
             v=attenuate(beam_b.v, gain * gain, registry, "attenuator_v"))
         direct = ch_s((beam_a, attenuated), OPTIMAL_ANGLES)

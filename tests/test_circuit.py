@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from cvswap import (
-    LinearField,
+    OPTIMAL_ANGLES,
     ModeRegistry,
     PolarizedBeam,
     SwapParams,
     attenuate,
     beamsplitter_5050,
     build_swap_circuit,
+    ch_s,
     commutator,
     feedforward_displace,
     halfwave_swap,
@@ -25,7 +26,7 @@ from cvswap import (
     vacuum_expectation,
     vacuum_field,
 )
-from cvswap.circuit import MINUS_GAIN_PHASE
+from cvswap.circuit import MINUS_GAIN_PHASE, _beam
 from hypothesis import given, settings, strategies as st
 
 import cvswap.cli
@@ -222,18 +223,21 @@ class TestHomodyneCurrents:
         x_plus, x_minus = homodyne_currents(self.beam_b, self.beam_c, 0.8, self.registry)
         loss = {m for m, name in self.registry.names.items() if "loss" in name}
         for x in (x_plus, x_minus):
-            x_h, x_v = PolarizedBeam(x).h, PolarizedBeam(x).v
+            x_h, x_v = _beam(x).h, _beam(x).v
             assert support(x_h) - loss == support(self.beam_b.h) | support(self.beam_c.h)
             assert support(x_v) - loss == support(self.beam_b.v) | support(self.beam_c.v)
             assert not (support(x_h) & support(x_v))
 
     def test_rejects_single_components(self):
-        """The inputs are beams, and a beam's field must hold h and v on
-        axis -2, as a build's do."""
-        for field in (self.beam_b.h, LinearField(np.zeros((3, 4)), np.zeros((3, 4))),
-                      LinearField(np.zeros((2, 1, 4)), np.zeros((2, 1, 4)))):
-            with pytest.raises(ValueError, match="axis -2"):
-                PolarizedBeam(field)
+        """A beam is made of its h and v components: one component alone is
+        not a beam, not even one whose last batch axis has length 2, which
+        would pass as a field of stacked components."""
+        beam_a, beam_b = opo_type2(ModeRegistry(), np.array([0.1, 0.7]))
+        for component in (self.beam_b.h, beam_b.h):
+            with pytest.raises(TypeError):
+                PolarizedBeam(component)
+        with pytest.raises(TypeError):
+            ch_s((beam_a, PolarizedBeam(beam_b.h)), OPTIMAL_ANGLES)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.83, 0.9, 1.0])
     def test_currents_commute(self, eta):
@@ -243,8 +247,7 @@ class TestHomodyneCurrents:
 
     def test_total_loss_leaves_unit_variance(self):
         x_plus, x_minus = homodyne_currents(self.beam_b, self.beam_c, 0.0, self.registry)
-        for x in (PolarizedBeam(x_plus).h, PolarizedBeam(x_plus).v,
-                  PolarizedBeam(x_minus).h, PolarizedBeam(x_minus).v):
+        for x in (_beam(x_plus).h, _beam(x_plus).v, _beam(x_minus).h, _beam(x_minus).v):
             assert vacuum_expectation([x, x]) == pytest.approx(1.0)
 
     def test_rejects_bad_eta(self):
@@ -309,7 +312,7 @@ class TestFeedforward:
 
 
 def test_stacked_beam_holds_its_components():
-    """h and v are views of the beam's field and round-trip through of."""
+    """h and v are views of the beam's field and round-trip through the constructor."""
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, np.array([0.1, 0.7]), label="src")
     for beam in (beam_a, beam_b):
@@ -318,7 +321,7 @@ def test_stacked_beam_holds_its_components():
             assert component.ann.shape == (2, 4)
             assert np.shares_memory(component.ann, beam.field.ann)
             assert np.shares_memory(component.cre, beam.field.cre)
-        assert PolarizedBeam.of(beam.h, beam.v).field == beam.field
+        assert PolarizedBeam(beam.h, beam.v).field == beam.field
 
 
 def test_beam_of_broadcasts_batches_and_pads_modes():
@@ -326,7 +329,7 @@ def test_beam_of_broadcasts_batches_and_pads_modes():
     _, beam_b = opo_type2(registry, np.array([0.1, 0.6])[:, None], label="src")
     lossy_h = attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry)
     assert lossy_h.ann.shape == (2, 3, 5) and beam_b.v.ann.shape == (2, 1, 4)
-    beam = PolarizedBeam.of(lossy_h, beam_b.v)
+    beam = PolarizedBeam(lossy_h, beam_b.v)
     assert beam.field.ann.shape == (2, 3, 2, 5)
     for got, want in ((beam.h, lossy_h), (beam.v, beam_b.v)):
         for x, y in zip((got.ann, got.cre), want.padded(5)):

@@ -18,7 +18,7 @@ import cvswap.cli
 import cvswap.selftest
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
 from cvswap.circuit import SwapParams, build_swap_circuit
-from cvswap.metrics import OPTIMAL_ANGLES, _factored, _grid, ch_s, squeezing_to_chi
+from cvswap.metrics import OPTIMAL_ANGLES, _grid, _operands, ch_s, squeezing_to_chi
 from cvswap.selftest import run_selftest
 from helpers import baseline_s
 
@@ -349,7 +349,7 @@ def test_folded_sweeps_keep_every_bit(tmp_path, monkeypatch, capsys, command):
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     [(out, s)] = seen
-    assert not _factored(out)
+    assert _operands(out)[1].shape[-3] == 1
     expected = np.array([float.fromhex(x) for x in FOLDED_S[command]["s"]])
     assert np.array_equal(s, expected.reshape(FOLDED_S[command]["shape"]))
 
@@ -359,7 +359,7 @@ def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
     assert main(["fig4", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     [(out, s)] = seen
-    assert _factored(out)
+    assert _operands(out)[1].shape[-3] == 2
     assert out.beam_d0.h.ann.shape[:-1] == (4,)
     assert s.shape == (200, 4)
 
@@ -389,7 +389,7 @@ def test_factored_ch_s_memory_per_grid_point():
     chis = np.array([squeezing_to_chi(level) for level in (0.10, 0.50, 0.80, 0.99)])
     gains = _grid(0.01, 2.0, 2000)
     out = build_swap_circuit(SwapParams(0.1, chis, gains[:, None], 1.0))
-    assert _factored(out)
+    assert _operands(out)[1].shape[-3] == 2
     tracemalloc.start()
     try:
         ch_s(out, OPTIMAL_ANGLES)

@@ -18,8 +18,8 @@ from cvswap.metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
     NoCoincidencesError,
-    _factored,
     _grid,
+    _operands,
     analyzer,
     angle_family,
     ch_s,
@@ -75,7 +75,7 @@ def assert_cells_match_wick(call, cells):
     def pick(beam, index):
         fields = [LinearField(*(np.broadcast_to(x, shape + x.shape[-1:])[index]
                                 for x in (f.ann, f.cre))) for f in (beam.h, beam.v)]
-        return PolarizedBeam.of(*fields)
+        return PolarizedBeam(*fields)
 
     for index in cells:
         beam_a, beam_d = (pick(beam, index) for beam in beams)
@@ -187,7 +187,7 @@ def test_polarization_dependent_loss_matches_wick_sum():
     """
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, np.array([0.1, 0.6])[:, None], label="src")
-    lossy = PolarizedBeam.of(attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry), beam_b.v)
+    lossy = PolarizedBeam(attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry), beam_b.v)
     angles = AnalyzerAngles(0.3, np.array([-0.4, 0.9])[:, None, None], 1.1,
                             np.array([0.2, -1.3, 0.5]))
     result = ch_s((beam_a, lossy), angles)
@@ -282,7 +282,7 @@ def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points)
     gains = np.concatenate([[0.0], optimal_gain(chi2, eta),
                             np.linspace(0.0, gain_max, points)])[:points]
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert _factored(out)
+    assert _operands(out)[1].shape[-3] == 2
     angles = AnalyzerAngles(*thetas)
     folded_beams = (out.beam_a, out.beam_d_prime)
     try:
@@ -304,7 +304,7 @@ def test_factored_rates_match_folded_at_array_angles():
     rate has the broadcast shape of the beams and the angles it uses."""
     chi2 = np.array([0.4, 1.7])
     out = build_swap_circuit(SwapParams(0.2, chi2, _grid(0.01, 2.0, 256)[:, None], 0.9))
-    assert _factored(out)
+    assert _operands(out)[1].shape[-3] == 2
     theta_a = np.array([0.1, 0.5, 1.2])[:, None, None, None, None, None]  # axis 0
     theta_b = np.array([-0.4, 0.9])[:, None, None, None, None]  # axis 1
     theta_a_prime = np.array([0.3, 1.5])[:, None, None, None]  # axis 2
@@ -336,7 +336,7 @@ def test_factored_s_at_extreme_squeezing(chi1, eta):
     chi2 = np.array([squeezing_to_chi(1 - 10.0 ** -k) for k in range(2, 15, 2)])
     gains = _grid(0.01, 2.0, 200)
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert _factored(out)
+    assert _operands(out)[1].shape[-3] == 2
     folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES).s
     factored = ch_s(out, OPTIMAL_ANGLES).s
     assert np.all(np.abs(factored - folded) <= 1e-13 * np.abs(folded))
@@ -347,12 +347,17 @@ def test_factored_s_at_extreme_squeezing(chi1, eta):
     (0.5, _grid(0.01, 2.0, 256), True),
     (np.linspace(0.1, 2.0, 300), 0.9, False),  # gain adds no axes
     (np.linspace(0.1, 2.0, 300), _grid(0.01, 2.0, 300), False),
+    (np.linspace(0.1, 2.0, 300), np.array([0.9]), False),
+    (np.linspace(0.1, 2.0, 5), _grid(0.01, 2.0, 5)[None, :], True),  # a leading unit axis
 ])
 def test_fold_or_factor_boundary(chi2, gain, factored):
-    """ch_s factors D' exactly when the gain adds batch axes, whatever the
-    grid size; a folded output gives every bit of ch_s on (A, D')."""
+    """ch_s expands D' in two blocks, R and X, exactly when the gain adds
+    batch axes, whatever the grid size; otherwise in one, about the gain
+    itself, which gives every bit of ch_s on (A, D')."""
     out = build_swap_circuit(SwapParams(0.1, chi2, gain, 0.9))
-    assert _factored(out) is factored
+    _, right, t = _operands(out)
+    assert right.shape[-3] == (2 if factored else 1)
+    assert (t is None) is not factored
     if not factored:
         result = ch_s(out, OPTIMAL_ANGLES)
         folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES)

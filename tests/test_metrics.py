@@ -383,7 +383,7 @@ class TestAttenuationInvariance:
         out = build_swap_circuit(SwapParams(0.1, chi2, gain, 1.0))
         registry = ModeRegistry()
         beam_a, beam_b = opo_type2(registry, 0.1, label="opo1")
-        attenuated = PolarizedBeam.of(
+        attenuated = PolarizedBeam(
             h=attenuate(beam_b.h, gain * gain, registry, "attenuator_h"),
             v=attenuate(beam_b.v, gain * gain, registry, "attenuator_v"))
         teleported = ch_s(out, OPTIMAL_ANGLES)
