@@ -125,16 +125,27 @@ MUTANTS = [
         "of S on the gain-free sweeps"),
     Mutant(
         "imaginary-check-disabled", "metrics.py",
-        "    if imaginary.any():\n",
-        "    if False:\n",
-        "ch_s accepts rates with an imaginary part: no circuit beam has one, "
-        "since each Gram matrix is exactly Hermitian",
-        survives=True),
+        "        if imaginary.any():\n",
+        "        if False:\n",
+        "ch_s accepts rates with an imaginary part beyond its scaled tolerance; "
+        "no circuit beam has one, since each Gram matrix is exactly Hermitian, "
+        "so only the direct test of _checked_real kills it"),
+    Mutant(
+        "imaginary-check-unscaled", "metrics.py",
+        "        imaginary &= np.abs(rate.imag) > _IMAG_TOL * np.abs(rate.real)\n",
+        "",
+        "ch_s compares each rate's imaginary part with the bare tolerance "
+        "alone, so it rejects valid beams once the rates grow large"),
+    Mutant(
+        "reference-imaginary-check-unscaled", "metrics.py",
+        "if abs(value.imag) > _IMAG_TOL and abs(value.imag) > _IMAG_TOL * abs(value.real):",
+        "if abs(value.imag) > _IMAG_TOL:",
+        "coincidence_rate rejects valid beams once the rates grow large"),
     Mutant(
         "negative-rate-check-disabled", "metrics.py",
         "negative = value < _RATE_FLOOR",
         "negative = value < -np.inf",
-        "ch_s accepts negative rates: no circuit beam gives one, since each "
-        "rate is a sum of squared magnitudes and a product of Gram forms",
-        survives=True),
+        "ch_s accepts negative rates; no circuit beam gives one, since each "
+        "rate is a sum of squared magnitudes and a product of Gram forms, so "
+        "only the direct test of _ch_result kills it"),
 ]

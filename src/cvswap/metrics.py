@@ -73,6 +73,7 @@ __all__ = [
     "maximize_s",
 ]
 
+# a rate's imaginary part is rounding up to _IMAG_TOL, above rate 1 up to _IMAG_TOL |Re|
 _IMAG_TOL = 1e-12
 _RATE_FLOOR = -1e-12
 # a denominator below float's smallest normal has lost precision: 0 or subnormal
@@ -137,7 +138,7 @@ def analyzer(beam: PolarizedBeam, theta: float, side: str) -> LinearField:
 def coincidence_rate(e1: LinearField, e2: LinearField) -> float:
     """Photon coincidence rate <e2+ e1+ e1 e2> between two analyzer fields."""
     value = vacuum_expectation([e2.adjoint(), e1.adjoint(), e1, e2])
-    if abs(value.imag) > _IMAG_TOL:
+    if abs(value.imag) > _IMAG_TOL and abs(value.imag) > _IMAG_TOL * abs(value.real):
         raise ValueError(f"coincidence rate has imaginary part {value.imag:g}")
     return value.real
 
@@ -216,8 +217,10 @@ def _form(u: np.ndarray, gram: np.ndarray) -> np.ndarray:
 def _checked_real(rate: np.ndarray) -> np.ndarray:
     imaginary = np.abs(rate.imag) > _IMAG_TOL
     if imaginary.any():
-        raise ValueError(f"coincidence rate has imaginary part "
-                         f"{rate.imag[imaginary].flat[0]:g}")
+        imaginary &= np.abs(rate.imag) > _IMAG_TOL * np.abs(rate.real)
+        if imaginary.any():
+            raise ValueError(f"coincidence rate has imaginary part "
+                             f"{rate.imag[imaginary].flat[0]:g}")
     return rate.real.copy()  # not a view that keeps rate alive
 
 
@@ -245,12 +248,6 @@ def _rate(a: np.ndarray, forms: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     rate *= t
     rate += m[..., 0, 0]
     return _checked_real(rate)
-
-
-def _vectors(angles: AnalyzerAngles) -> tuple[np.ndarray, ...]:
-    # u_a, u_a', w_b, w_b'
-    return (_analyzer_vector(angles.theta_a, "a"), _analyzer_vector(angles.theta_a_prime, "a"),
-            _analyzer_vector(angles.theta_b, "d"), _analyzer_vector(angles.theta_b_prime, "d"))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
@@ -301,15 +298,18 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     Wick sum above.
 
     The checks are those of coincidence_rate, applied to every element:
-    ValueError on an imaginary part or a negative rate beyond tolerance,
-    RateOverflowError on a rate or CH sum beyond float range, and
-    NoCoincidencesError when a singles denominator is 0 or subnormal (for
-    example with the pump off).
+    ValueError on a negative rate or an imaginary part beyond tolerance
+    (scaled by the rate above 1), RateOverflowError on a rate or CH sum
+    beyond float range, and NoCoincidencesError when a singles denominator
+    is 0 or subnormal (for example with the pump off).
     """
     beam_1, right, t = _operands(beams)
     pq, gram_1, gram_2 = _contractions(beam_1, right)
 
-    u_a, u_a_prime, w_b, w_b_prime = _vectors(angles)
+    u_a, u_a_prime = (_analyzer_vector(theta, "a")
+                      for theta in (angles.theta_a, angles.theta_a_prime))
+    w_b, w_b_prime = (_analyzer_vector(theta, "d")
+                      for theta in (angles.theta_b, angles.theta_b_prime))
     # the Gram forms, each on axes (-2, -1): u^T G_1 u on unit axes, w^T G_2,bc w
     # over the blocks (b, c), and the diagonals for bare h and v
     form_a, form_a_prime = (_form(u, gram_1)[..., None, None] for u in (u_a, u_a_prime))
@@ -379,10 +379,6 @@ class AnalyticInputs:
         return math.sinh(self.chi2) - self.gain * math.sqrt(self.eta) * math.cosh(self.chi2)
 
 
-def _noise_photons(inputs: AnalyticInputs) -> float:
-    return inputs.n ** 2 + inputs.gain ** 2 * (1.0 - inputs.eta)
-
-
 def analytic_rate_teleported(r_ab: float, inputs: AnalyticInputs,
                              rate_unit: float = 1.0) -> float:
     """Closed-form teleported coincidence rate.
@@ -394,13 +390,14 @@ def analytic_rate_teleported(r_ab: float, inputs: AnalyticInputs,
     rate_unit rescales it to the caller's units: engine rates at pump chi1
     correspond to rate_unit = 2*chi1**2.
     """
-    return inputs.gain ** 2 * inputs.eta * r_ab + 0.5 * _noise_photons(inputs) * rate_unit
+    noise_photons = inputs.n ** 2 + inputs.gain ** 2 * (1.0 - inputs.eta)
+    return inputs.gain ** 2 * inputs.eta * r_ab + 0.5 * noise_photons * rate_unit
 
 
 def analytic_singles_teleported(r_singles: float, inputs: AnalyticInputs,
                                 rate_unit: float = 1.0) -> float:
     """Closed-form teleported singles rate (offset doubled: both polarizations)."""
-    return inputs.gain ** 2 * inputs.eta * r_singles + _noise_photons(inputs) * rate_unit
+    return analytic_rate_teleported(r_singles, inputs, 2.0 * rate_unit)
 
 
 def analytic_s_ad(inputs: AnalyticInputs) -> float:
@@ -446,7 +443,8 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
 
     Returns (low, high) clipped at gain 0, or None when no gain qualifies
     (eta at or below the 1/s_ab threshold).  The window degenerates to the
-    single point tanh(chi2)/sqrt(eta) as eta approaches the threshold.  Note
+    single point tanh(chi2)/sqrt(eta), low == high, as eta approaches the
+    threshold or once it is narrower than float spacing.  Note
     the noise photons are compared against the headroom per unit signal; the
     sweep-level S > 1 region additionally weights them by 1/gain^2.
     """
@@ -459,7 +457,7 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
     scale = math.sqrt(eta) * math.cosh(chi2)
     low = max(0.0, (math.sinh(chi2) - half) / scale)
     high = (math.sinh(chi2) + half) / scale
-    if high <= low:
+    if high < low:
         return None
     return low, high
 
@@ -481,8 +479,10 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    beam_1, right, t = _operands(beams)
-    if t is not None or beam_1.field.ann.ndim > 2 or right.ndim > 3:
+    circuit = isinstance(beams, SwapCircuitOutput)
+    parts = (beams.beam_a, beams.beam_d0, beams.beam_x) if circuit else beams
+    # without batch axes a gain is 0-d and a beam's coefficient arrays (2, n_modes)
+    if (circuit and np.ndim(beams.gain)) or any(beam.field.ann.ndim > 2 for beam in parts):
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s

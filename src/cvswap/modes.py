@@ -48,15 +48,13 @@ class ModeRegistry:
     """Issues unique, stable identifiers for independent vacuum modes."""
 
     def __init__(self) -> None:
-        self._next_id = 0
         self.names: dict[int, str] = {}
 
     def new_mode(self, name: str) -> int:
         """Allocate a fresh mode id carrying a human-readable name."""
         if not name:
             raise ValueError("mode name must be nonempty")
-        mode = self._next_id
-        self._next_id += 1
+        mode = len(self.names)
         self.names[mode] = name
         return mode
 
@@ -235,8 +233,7 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
         return 1.0 + 0j
     if n % 2:
         return 0j
-    n_modes = max(f.ann.shape[-1] for f in product)
-    ann, cre = map(np.stack, zip(*(f.padded(n_modes) for f in product)))
+    ann, cre = _rows([f.ann for f in product]), _rows([f.cre for f in product])
     # contractions[i, j] = <F_i F_j> = sum_m ann_i[m] cre_j[m]
     contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
     pairs = _matching_pairs(n)

@@ -504,6 +504,13 @@ class TestSingleModeTeleporter:
         out = single_mode_teleporter(a_in, chi, gain, registry)
         assert commutator(out, out.adjoint()) == pytest.approx(1, abs=1e-12)
 
+    @pytest.mark.parametrize("chi, gain", [(-0.1, 0.5), (0.5, -0.1)])
+    def test_rejects_negative_chi_or_gain(self, chi, gain):
+        registry = ModeRegistry()
+        a_in = vacuum_field(registry.new_mode("in"))
+        with pytest.raises(ValueError, match="chi and gain must be nonnegative"):
+            single_mode_teleporter(a_in, chi, gain, registry)
+
     def test_strong_squeezing_unity_gain_passes_input_through(self):
         registry = ModeRegistry()
         a_in = vacuum_field(registry.new_mode("in"))

@@ -202,6 +202,11 @@ class TestExitCodes:
         ["operating-point", "--squeezing", "0", "--squeezing", "0.5"],
         ["threshold-scan", "--squeezing", "0"],
         ["operating-point", "--squeezing", "1e-300"],  # 1 - s rounds to 1
+        ["fig4", "--lambda-min", "0"],
+        ["fig4", "--lambda-min", "1.5", "--lambda-max", "1.0"],
+        ["threshold-scan", "--eta-min", "0.9", "--eta-max", "0.8"],
+        ["threshold-scan", "--eta-max", "1.1"],
+        ["fig3", "--config", str(Path(__file__).with_name("svg_maybe.cfg"))],
     ])
     # outside pytest a warning would print more lines to stderr
     @pytest.mark.filterwarnings("error")

@@ -1,5 +1,6 @@
 """Batched CH evaluation against the per-point engine and the Wick reference."""
 
+import cmath
 import math
 
 import numpy as np
@@ -193,6 +194,22 @@ def test_polarization_dependent_loss_matches_wick_sum():
     result = ch_s((beam_a, lossy), angles)
     assert result.s.shape == (2, 2, 3)
     assert_cells_match_wick(((beam_a, lossy), angles, result), list(np.ndindex(2, 2, 3)))
+
+
+@pytest.mark.parametrize("chi1", [5.0, 10.0, 30.0])  # rates ~1e7, 1e16, 1e51
+@pytest.mark.parametrize("rotate_a", [False, True], ids=["b-rotated", "both-rotated"])
+def test_rotated_beams_match_wick_sum_at_large_rates(chi1, rotate_a):
+    """A wave plate with a phase mixes h and v with complex weights, so each
+    rate carries an imaginary rounding that grows with the rate; the
+    imaginary-part checks of ch_s and coincidence_rate scale with it."""
+    r, p = 2 ** -0.5, cmath.exp(0.7j)
+
+    def rotated(beam):
+        return PolarizedBeam(r * beam.h + r * p * beam.v, -r * p.conjugate() * beam.h + r * beam.v)
+
+    beam_a, beam_b = opo_type2(ModeRegistry(), chi1)
+    beams = (rotated(beam_a) if rotate_a else beam_a, rotated(beam_b))
+    assert_cells_match_wick((beams, OPTIMAL_ANGLES, ch_s(beams, OPTIMAL_ANGLES)), [()])
 
 
 _angle = st.floats(min_value=-math.pi, max_value=math.pi)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cvswap.metrics
 from cvswap import (
     AnalyticInputs,
     ModeRegistry,
@@ -28,9 +29,12 @@ from cvswap import (
     squeezing_to_chi,
 )
 from cvswap.metrics import (
+    _RATE_FLOOR,
     OPTIMAL_ANGLES,
     AnalyzerAngles,
     RateOverflowError,
+    _ch_result,
+    _checked_real,
     angle_family,
 )
 from helpers import baseline_s, source_beams, support
@@ -178,6 +182,21 @@ class TestChS:
                                             math.tanh(squeezing_chi), 1.0))
         assert ch_s(out, OPTIMAL_ANGLES).s == pytest.approx(baseline, abs=1e-9)
 
+    def test_imaginary_part_check_scales_with_the_rate(self):
+        # bare below rate 1, relative to |Re| above it
+        assert _checked_real(np.array([0.5 + 9e-13j, 1e20 + 9e7j])).tolist() == [0.5, 1e20]
+        for rate in (0.5 + 2e-12j, 1e20 + 2e8j):
+            with pytest.raises(ValueError, match="imaginary part"):
+                _checked_real(np.array([1.0, rate]))
+
+    def test_negative_rate_is_named(self):
+        rates = {name: np.array([1.0, 2.0]) for name in (
+            "r_ab", "r_ab_prime", "r_a_prime_b", "r_a_prime_b_prime",
+            "r_singles_a", "r_singles_b")}
+        rates["r_ab"] = np.array([1.0, 10 * _RATE_FLOOR])
+        with pytest.raises(ValueError, match="r_ab is negative beyond tolerance"):
+            _ch_result(rates)
+
     def test_scale_invariance(self):
         result = ch_s(source_beams(0.1), OPTIMAL_ANGLES)
         scale = 7.3
@@ -312,6 +331,7 @@ class TestGainWindow:
     def test_no_violation_no_window(self):
         assert gain_window(0.5, 1.0, 1.0) is None
         assert gain_window(0.5, 0.5, S_LIMIT) is None
+        assert gain_window(-0.5, 1.0, S_LIMIT) is None  # every gain lies below 0
 
     def test_degenerates_at_threshold(self):
         chi2 = squeezing_to_chi(0.5)
@@ -322,6 +342,16 @@ class TestGainWindow:
         assert just_above[1] - just_above[0] < 0.01
         center = 0.5 * (just_above[0] + just_above[1])
         assert center == pytest.approx(optimal_gain(chi2, eta_star + 1e-6), abs=0.01)
+
+    @pytest.mark.parametrize("chi2, eta", [
+        (40.0, 1.0),  # tanh 40 = 1.0 makes the noise term exactly 0.0
+        (30.0, (1 + 1e-15) / S_LIMIT),  # eta s_ab - 1 ~ 1e-15
+    ])
+    def test_window_below_float_spacing_is_one_point(self, chi2, eta):
+        window = gain_window(chi2, eta, S_LIMIT)
+        assert window is not None
+        low, high = window
+        assert low == high == pytest.approx(optimal_gain(chi2, eta), rel=1e-15)
 
 
 class TestMaximizeS:
@@ -342,6 +372,20 @@ class TestMaximizeS:
         _, s_star = maximize_s(out)
         assert s_star == pytest.approx(0.9994066037610987, rel=1e-12)
         assert s_star == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("steps", [1, 0])
+    def test_rejects_fewer_than_two_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be at least 2"):
+            maximize_s(source_beams(0.1), steps=steps)
+
+    def test_expands_a_circuit_output_once(self, monkeypatch):
+        calls = []
+        operands = cvswap.metrics._operands
+        monkeypatch.setattr(cvswap.metrics, "_operands",
+                            lambda beams: calls.append(beams) or operands(beams))
+        out = build_swap_circuit(SwapParams(0.1, squeezing_to_chi(0.5), 0.3, 0.9))
+        maximize_s(out, steps=5)
+        assert len(calls) == 1 and calls[0] is out
 
     def test_family_contains_optimal_set(self):
         angles = angle_family(math.pi / 8)

@@ -68,6 +68,11 @@ def test_registry_counts_and_rejects_empty_names():
         registry.new_mode("")
 
 
+def test_coefficient_arrays_must_share_one_shape():
+    with pytest.raises(ValueError, match="ann and cre shapes differ"):
+        LinearField(np.zeros(3), np.zeros(4))
+
+
 def test_adjoint_swaps_ladder_kind(mode_pair):
     a, _ = mode_pair
     adj = a.adjoint()
