@@ -31,18 +31,17 @@ MUTANTS = [
         "the teleporter no longer transmits the signal at amplitude g sqrt(eta)"),
     Mutant(
         "u-a-prime-for-r-ab-prime", "metrics.py",
-        '"r_ab_prime": _rate(_right(left, w_b_prime), form_b_prime * form_a, t)}',
-        '"r_ab_prime": _rate(_right(_weighted(u_a_prime, pq), w_b_prime),\n'
-        '                                   form_b_prime * form_a_prime, t)}',
+        "_blocks(_right(left, w_b_prime), form_b_prime * form_a)]",
+        "_blocks(_right(_weighted(u_a_prime, pq), w_b_prime), form_b_prime * form_a_prime)]",
         "r_ab' is evaluated at analyzer angle theta_a' instead of theta_a"),
     Mutant(
         "singles-b-from-w-b-prime", "metrics.py",
         "    right = _right(pq, w_b[..., None, :])\n"
-        '    rates["r_singles_b"] = (_rate(right[..., 0], h_1 * form_b, t)\n'
-        "                            + _rate(right[..., 1], v_1 * form_b, t))",
+        "    blocks += [_blocks(right[..., 0], h_1 * form_b), "
+        "_blocks(right[..., 1], v_1 * form_b)]",
         "    right = _right(pq, w_b_prime[..., None, :])\n"
-        '    rates["r_singles_b"] = (_rate(right[..., 0], h_1 * form_b_prime, t)\n'
-        "                            + _rate(right[..., 1], v_1 * form_b_prime, t))",
+        "    blocks += [_blocks(right[..., 0], h_1 * form_b_prime),\n"
+        "               _blocks(right[..., 1], v_1 * form_b_prime)]",
         "the singles denominator counts beam D' at theta_b' instead of theta_b"),
     Mutant(
         "x-polarizations-swapped", "circuit.py",
@@ -52,19 +51,19 @@ MUTANTS = [
         "teleported polarization no longer matches the measured one"),
     Mutant(
         "uncentred-expansion", "metrics.py",
-        "g_r = -traces[..., 0] / traces[..., 1]",
-        "g_r = 0.0 * traces[..., 0]",
+        "centres = [-x[..., 0] / x[..., k] for k, x in enumerate(traces, start=1)]",
+        "centres = [0.0 * x[..., 0] for k, x in enumerate(traces, start=1)]",
         "D' is expanded about gain 0, where its gain orders cancel near the "
         "optimal gain by up to cosh^2(chi2) and factored S loses its digits"),
     Mutant(
         "t-linear-term-dropped", "metrics.py",
-        "    rate += m[..., 0, 1] + m[..., 1, 0]\n",
+        "        h += m[..., 0, k] + m[..., k, 0]\n",
         "",
         "each factored rate loses its cross term between R and X, linear in t"),
     Mutant(
         "r-ab-scaled", "metrics.py",
-        'rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a, t),',
-        'rates = {"r_ab": 1.001 * _rate(_right(left, w_b), form_b * form_a, t),',
+        'return _ch_result({"r_ab": r[0],',
+        'return _ch_result({"r_ab": 1.001 * r[0],',
         "r_ab, and with it S, is 0.1% high"),
     Mutant(
         "loss-modes-not-transposed", "circuit.py",
@@ -113,13 +112,25 @@ MUTANTS = [
         "_unit_displacement accepts non-Hermitian photocurrents"),
     Mutant(
         "one-block-gain-add-dropped", "metrics.py",
-        "        right[..., 0, :, :] += gain[..., None, None] * x\n",
-        "",
+        "        centres = weights\n",
+        "        centres = 0.0 * weights\n",
         "with one block, ch_s evaluates D'(0), the teleporter at gain 0, "
         "instead of D' at the gain"),
     Mutant(
+        "detector-weights-swapped", "circuit.py",
+        "weights = np.array([gain * np.sqrt(eta), gain * np.sqrt(1.0 - eta)])",
+        "weights = np.array([gain * np.sqrt(1.0 - eta), gain * np.sqrt(eta)])",
+        "on an efficiency grid the port part X(1) gets the weight "
+        "g sqrt(1 - eta) and the loss part X(0) g sqrt(eta)"),
+    Mutant(
+        "loss-part-dropped", "metrics.py",
+        "parts = [beams.beam_d0.field.cre, *beams.beam_x.field.cre]",
+        "parts = [beams.beam_d0.field.cre, *beams.beam_x.field.cre[:1]]",
+        "on an efficiency grid ch_s contracts D' without its detector-loss "
+        "part, as if the lost light brought no vacuum noise"),
+    Mutant(
         "one-block-branch-never-taken", "metrics.py",
-        "    if np.broadcast_shapes(right.shape[:-3], gain.shape) == right.shape[:-3]:\n",
+        "    if np.broadcast_shapes(right.shape[:-3], weights.shape[1:]) == right.shape[:-3]:\n",
         "    if False:\n",
         "every circuit output takes two blocks about g_r, which moves the bits "
         "of S on the gain-free sweeps"),
@@ -132,7 +143,7 @@ MUTANTS = [
         "so only the direct test of _checked_real kills it"),
     Mutant(
         "imaginary-check-unscaled", "metrics.py",
-        "        imaginary &= np.abs(rate.imag) > _IMAG_TOL * np.abs(rate.real)\n",
+        "        imaginary &= size > _IMAG_TOL * np.abs(_horner(m.real, t))\n",
         "",
         "ch_s compares each rate's imaginary part with the bare tolerance "
         "alone, so it rejects valid beams once the rates grow large"),

@@ -11,11 +11,12 @@ the teleported beam D'.
 
 Every component maps canonical annihilation operators to canonical
 annihilation operators, which the constructors verify via commutators.
-Parameters may be numpy arrays that broadcast together: the fields then
-carry the broadcast shape as batch axes, one build covers the whole grid,
-and every check applies to each of its points.  Circuit construction
-mutates its ModeRegistry and is single-threaded; the returned fields are
-immutable and can be evaluated concurrently.
+Parameters may be numpy arrays that broadcast together: one build covers
+the whole grid, every check applies to each of its points, and each field
+carries the batch shape of the parameters it depends on (the gain, and an
+efficiency grid, only weight the teleported beam's parts).  Circuit
+construction mutates its ModeRegistry and is single-threaded; the
+returned fields are immutable and can be evaluated concurrently.
 
 The h and v chains of the network are identical, so a beam is one field
 whose coefficient arrays hold the two polarization components on a batch
@@ -129,13 +130,14 @@ class SwapParams:
 
 @dataclass(frozen=True)
 class SwapCircuitOutput:
-    """The source beam A, the teleported beam D' in its gain-affine parts,
-    and the mode registry.
+    """The source beam A, the teleported beam D' in its weighted parts, and
+    the mode registry.
 
-    D' = beam_d0 + gain * beam_x exactly (see feedforward_displace):
-    beam_d0 and beam_x carry the gain-free batch shape, and the gain may add
-    batch axes of its own.  beam_d_prime forms D' from these parts on each
-    access, adding the gain's product with X in place into the result.
+    D' = beam_d0 + sum_k gain[k] X_k exactly (see build_swap_circuit), the
+    parts X_k and their weights on the leading axis of beam_x's coefficient
+    arrays and of gain.  The weights share one shape and may add batch axes
+    of their own.  beam_d_prime forms D' from the parts on each access,
+    adding each weight's product with its part in place into the result.
     """
 
     beam_a: PolarizedBeam
@@ -146,8 +148,9 @@ class SwapCircuitOutput:
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
+        parts = map(LinearField, self.beam_x.field.ann, self.beam_x.field.cre)
         return _beam(_combination((1.0, self.beam_d0.field),
-                                  (self.gain[..., None], self.beam_x.field)))
+                                  *zip(self.gain[..., None], parts)))
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
@@ -299,9 +302,9 @@ def feedforward_displace(d: LinearField, x_plus: LinearField, x_minus: LinearFie
     Both gains are one real factor times a fixed phase, so this is the same
     linear map, exactly affine in the gain; X does not depend on the gain
     and carries the gain-free batch shape, so a gain grid meets each
-    coefficient array in one multiply and one add.  The gain broadcasts
-    against the fields' batch axes, the polarization axis of stacked
-    fields included.
+    coefficient array in one multiply and one add (build_swap_circuit also
+    splits X in sqrt(eta) and sqrt(1-eta)).  The gain broadcasts against the
+    fields' batch axes, the polarization axis of stacked fields included.
     """
     return d + gain * _unit_displacement(x_plus, x_minus)
 
@@ -340,13 +343,14 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
 
     Array parameters give one build for their whole broadcast grid: each
     field's batch shape is that of the parameters it depends on, so A
-    carries the shape of chi1 alone and D' the shape of all four.  D' is
-    affine in the gain, D' = D'(0) + gain X (see feedforward_displace), and
-    the output holds D'(0), X and the gain, not D' itself: D'(0) and X
-    carry the gain-free shape.  ch_s expands D' = R + t X about a centre
-    gain c, R = D'(c), t = g - c: about the gain itself, R alone, where it
-    adds no batch axes, and otherwise R and X as two blocks, each rate a
-    quadratic in t.
+    carries the shape of chi1 alone.  D' = D'(0) + gain X is affine in the
+    gain (see feedforward_displace), and the output holds D'(0), the parts
+    of X and their weights, not D' itself.  Where eta adds no batch axes
+    beyond chi1's and chi2's, X(eta) is one part of weight g.  Otherwise
+    the photocurrents, affine in (sqrt(eta), sqrt(1-eta)), are formed once
+    at eta = 1 and 0 on a leading axis: X = sqrt(eta) X(1) + sqrt(1-eta)
+    X(0) exactly, and eta meets only the weights g sqrt(eta) and
+    g sqrt(1-eta).  ch_s folds the parts into D' or contracts them as blocks.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 
@@ -359,12 +363,19 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, params.chi1, label="opo1")
     beam_c, beam_d = opo_type2(registry, params.chi2, label="opo2")
-    x = _unit_displacement(*homodyne_currents(beam_b, beam_c, params.eta, registry))
+    squeezers = np.broadcast(params.chi1, params.chi2).shape
+    gain, eta = np.asarray(params.gain), np.asarray(params.eta)
+    # the parts' efficiencies on a leading axis, ahead of the squeezers' axes
+    etas, weights = eta.reshape((1,) * (1 + len(squeezers) - eta.ndim) + eta.shape), gain[None]
+    if np.broadcast(params.chi1, params.chi2, eta).shape != squeezers:
+        etas = np.reshape([1.0, 0.0], (2,) + (1,) * len(squeezers))
+        weights = np.array([gain * np.sqrt(eta), gain * np.sqrt(1.0 - eta)])
+    x = _unit_displacement(*homodyne_currents(beam_b, beam_c, etas, registry))
     # h-polarized photocurrents modulate D_v and vice versa, so after the
     # half-wave plate D'(0) is D swapped and X keeps its (h, v) rows
     return SwapCircuitOutput(
         beam_a=beam_a, beam_d0=halfwave_swap(beam_d), beam_x=_beam(x),
-        gain=np.asarray(params.gain), registry=registry)
+        gain=weights, registry=registry)
 
 
 def single_mode_teleporter(a_in: LinearField, chi: float, gain: float,

@@ -17,8 +17,8 @@ whole S grid as one array:
 * ``fig3`` builds over the squeezing levels and evaluates the whole angle
   grid against them.
 * ``fig4`` builds over (gain, level) pairs.
-* ``threshold-scan`` builds over (efficiency, level) pairs at their optimal
-  gains, from one :func:`cvswap.metrics.optimal_gain` call.
+* ``threshold-scan`` builds over the levels, its efficiencies and their
+  optimal gains (one :func:`cvswap.metrics.optimal_gain` call) in weights.
 * ``operating-point`` builds over the levels at their optimal gains, from one
   :func:`cvswap.metrics.optimal_gain` call, and writes one row per level.
 

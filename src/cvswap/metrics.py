@@ -21,12 +21,13 @@ Every CH ratio is assembled by one function, :func:`ch_s`.  It takes the
 beams' fields with any batch axes, as one batched circuit build returns
 them, and the analyzer angles as arrays that broadcast against them, so a
 whole sweep is one numpy computation; :func:`maximize_s` calls it too.
-A build returns the teleported beam D' = d + g X as gain-free d and X and
-the gain g; :func:`ch_s` expands it as R + t X about a centre gain c, R =
-D'(c) and t = g - c, as blocks of the second beam in one rate kernel.  If
-the gain adds no batch axes to d and X, c is the gain and X drops out;
-otherwise every rate is a quadratic in t with coefficients at the gain-free
-shape, so a gain grid meets only the rate polynomials, never the mode axis.
+A build returns the teleported beam D' = d + sum_k w_k X_k as d and its
+weighted parts; :func:`ch_s` expands it as R + sum_k t_k X_k about a
+centre, as blocks of the second beam in one rate kernel.  If the weights
+add no batch axes to d and X, the parts fold into R; otherwise every rate
+is a quadratic in the t_k with coefficients at the squeezers' shape, so a
+gain or efficiency grid meets only the rate polynomials, never the mode
+axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
@@ -149,26 +150,30 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
 
 
 def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
-              ) -> tuple[PolarizedBeam, np.ndarray, np.ndarray | None]:
+              ) -> tuple[PolarizedBeam, np.ndarray, list[np.ndarray] | None]:
     # ch_s's operands: the first beam, the second beam's creation rows in
-    # blocks on axis -3, shape (..., blocks, 2, n_modes), and t (complex, as
-    # it only multiplies complex arrays), None for one block: a beam, or
-    # D' = R + t X about c = g where the gain adds no batch axes.  Otherwise
-    # c = g_r = -Re tr G_dX / tr G_XX, where D''s Gram trace is least: about
-    # 0, d and g X would cancel near the optimal gain by up to cosh^2(chi2)
+    # blocks on axis -3, shape (..., blocks, 2, n_modes), and the weights t
+    # of the blocks after the first, None for one block: a beam, or D' = d +
+    # sum_k w_k X_k about c_k = w_k where the weights add no batch axes.
+    # Otherwise c_k = -Re tr G(d, X_k) / tr G(X_k, X_k), where D''s Gram
+    # trace is least: about 0, d and g X would cancel near the optimal gain
+    # by up to cosh^2(chi2).  c_k is 0 for the loss part, which shares no mode with d
     if not isinstance(beams, SwapCircuitOutput):
         return beams[0], beams[1].field.cre[..., None, :, :], None
-    right = _rows([f.cre[..., p, :] for f in (beams.beam_d0.field, beams.beam_x.field)
-                   for p in (0, 1)])
-    right = right.reshape(right.shape[:-2] + (2, 2, -1))
-    x, gain = right[..., 1, :, :], beams.gain
-    if np.broadcast_shapes(right.shape[:-3], gain.shape) == right.shape[:-3]:
-        right[..., 0, :, :] += gain[..., None, None] * x
-        return beams.beam_a, right[..., :1, :, :], None
-    traces = np.einsum("...bim,...im->...b", right.conj(), x).real
-    g_r = -traces[..., 0] / traces[..., 1]
-    right[..., 0, :, :] += g_r[..., None, None] * x
-    return beams.beam_a, right, (gain - g_r).astype(complex)
+    parts = [beams.beam_d0.field.cre, *beams.beam_x.field.cre]
+    right = _rows([x[..., p, :] for x in parts for p in (0, 1)])
+    right = right.reshape(right.shape[:-2] + (len(parts), 2, -1))
+    weights, t = beams.gain, None
+    if np.broadcast_shapes(right.shape[:-3], weights.shape[1:]) == right.shape[:-3]:
+        centres = weights
+    else:
+        traces = [np.einsum("...bim,...im->...b", right.conj(), right[..., k, :, :]).real
+                  for k in range(1, len(parts))]
+        centres = [-x[..., 0] / x[..., k] for k, x in enumerate(traces, start=1)]
+        t = [w - c for w, c in zip(weights, centres)]
+    for k, c in enumerate(centres, start=1):
+        right[..., 0, :, :] += c[..., None, None] * right[..., k, :, :]
+    return beams.beam_a, right if t else right[..., :1, :, :], t
 
 
 def _contractions(beam_1: PolarizedBeam,
@@ -214,40 +219,55 @@ def _form(u: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return u_gram[..., 0] * u[..., 0] + u_gram[..., 1] * u[..., 1]
 
 
-def _checked_real(rate: np.ndarray) -> np.ndarray:
-    imaginary = np.abs(rate.imag) > _IMAG_TOL
-    if imaginary.any():
-        imaginary &= np.abs(rate.imag) > _IMAG_TOL * np.abs(rate.real)
-        if imaginary.any():
-            raise ValueError(f"coincidence rate has imaginary part "
-                             f"{rate.imag[imaginary].flat[0]:g}")
-    return rate.real.copy()  # not a view that keeps rate alive
-
-
 def _right(left: np.ndarray, w: np.ndarray) -> np.ndarray:
     # sum_j left[..., k, j] w[..., j]: cached left products against a right vector
     return _weighted(w, left.swapaxes(-1, -2))
 
 
-def _rate(a: np.ndarray, forms: np.ndarray, t: np.ndarray | None) -> np.ndarray:
-    # <e2+ e1+ e1 e2> for e2 = sum_b t^b e2_b, from a = (<e1 e2_b>,
+def _horner(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
+    # sum_bc t_b t_c m_bc over the blocks (b, c) on axes (-2, -1), t_0 = 1
+    # and t_b = t[b - 1]: one nested Horner pass per weight, each in place
+    rate = m[..., 0, 0]
+    for k in range(1, m.shape[-1]):
+        h = t[k - 1] * m[..., k, k]
+        h += m[..., 0, k] + m[..., k, 0]
+        for j in range(1, k):
+            h += t[j - 1] * (m[..., j, k] + m[..., k, j])
+        h *= t[k - 1]
+        h += rate
+        rate = h
+    return rate
+
+
+def _blocks(a: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    # the block matrix m_bc = a_b . conj(a_c) + forms_bc of the rate
+    # <e2+ e1+ e1 e2> for e2 = sum_b t_b e2_b, from a = (<e1 e2_b>,
     # sum_m conj(cre e1) cre e2_b) on axes (-2, -1) and the products forms_bc
-    # = <e2_b+ e2_c><e1+ e1> of the Gram forms: the sum over blocks b, c of
-    # t^(b+c) (a_b . conj(a_c) + forms_bc), of which one block (t None) has
-    # one term.  conj(a_c) a_b is formed in place, [..., b, c, :]: over an
-    # angle grid it is among the largest arrays
+    # = <e2_b+ e2_c><e1+ e1> of the Gram forms.  conj(a_c) a_b is formed in
+    # place, [..., b, c, :]: over an angle grid it is among the largest arrays
     square = np.conj(a[..., None, :, :], out=np.empty(a.shape[:-1] + a.shape[-2:], complex))
     square *= a[..., :, None, :]
     m = square[..., 0] + square[..., 1]
     m += forms
-    if t is None:
-        return _checked_real(m[..., 0, 0])
-    # a quadratic in t, its coefficients the anti-diagonal sums of m
-    rate = t * m[..., 1, 1]  # in place from here: one array of the grid's size
-    rate += m[..., 0, 1] + m[..., 1, 0]
-    rate *= t
-    rate += m[..., 0, 0]
-    return _checked_real(rate)
+    return m
+
+
+def _rate(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
+    # the rates sum_bc t_b t_c m_bc.  The weights are real, so the real and
+    # imaginary parts are real Horner passes, each bit for bit that of a
+    # complex one; the imaginary part, rounding up to _IMAG_TOL (above rate 1
+    # up to _IMAG_TOL |Re|), is checked and dropped before the real part is formed
+    imag = _horner(m.imag, t)
+    size = np.abs(imag, out=imag if imag.base is None else None)  # in place if fresh
+    imaginary = size > _IMAG_TOL
+    if imaginary.any():
+        imaginary &= size > _IMAG_TOL * np.abs(_horner(m.real, t))
+        if imaginary.any():
+            raise ValueError(f"coincidence rate has imaginary part "
+                             f"{_horner(m.imag, t)[imaginary].flat[0]:g}")
+    del imag, size, imaginary
+    rate = _horner(m.real, t)
+    return rate if rate.base is None else rate.copy()  # not a view that keeps m alive
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
@@ -279,23 +299,22 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     per vector (the Gram diagonal for bare h and v), so each of the ten
     rates is two 2-term dot products and one product of cached forms.
 
-    A circuit output holds D' as d + g X (see build_swap_circuit), and D'
-    = R + t X is expanded about a centre gain c, with R = D'(c) and t = g
-    - c.  When the gain adds no batch axes to d and X, c is the gain
-    itself: t = 0, X drops out, and each cell gets the bits of D' with the
-    gain folded in (beam_d_prime), those of a build for that point alone.
-    Otherwise c is the gain that minimizes the trace of D''s Gram matrix,
-    so that its gain orders do not cancel near the optimal gain, and R and
-    X enter as two blocks b of the second beam's rows: P_b, Q_b and the Gram
-    blocks G_2,bc are formed at the gain-free shape, and with a_b =
-    (u^T P_b w, u^T Q_b w) each rate is
+    A circuit output holds D' as d + sum_k w_k X_k (see build_swap_circuit):
+    one part of weight g, or the port and detector-loss parts of weights
+    g sqrt(eta) and g sqrt(1-eta).  Where the weights add no batch axes to
+    d and the parts, they are folded into R = D', one block, and each cell
+    gets the bits of D' (beam_d_prime).  Otherwise D' = R + sum_k t_k X_k,
+    each part about c_k, the weight that minimizes the trace of D''s Gram
+    matrix, so that its orders do not cancel near the optimal gain, and R,
+    X_1, ... enter as blocks b of the second beam's rows: P_b, Q_b and the
+    Gram blocks G_2,bc are formed at the squeezers' shape, and with a_b =
+    (u^T P_b w, u^T Q_b w) and t_0 = 1 each rate is the quadratic
 
-        sum_bc t^(b+c) (a_b . conj(a_c) + (w^T G_2,bc w)(u^T G_1 u)),
+        sum_bc t_b t_c (a_b . conj(a_c) + (w^T G_2,bc w)(u^T G_1 u)).
 
-    a quadratic in t whose coefficients are the anti-diagonal sums of that
-    2x2 block matrix.  Only its Horner evaluation and the checks take the
-    gain's axes.  A beam, or R alone, is one block, and the sum is the
-    Wick sum above.
+    The eight rate parts (each singles rate in two) are stacked on one axis,
+    and only their nested Horner evaluation and the checks take the grid's
+    axes.  With one block the sum is the Wick sum above.
 
     The checks are those of coincidence_rate, applied to every element:
     ValueError on a negative rate or an imaginary part beyond tolerance
@@ -320,23 +339,31 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     u_a, u_a_prime = u_a[..., None, None, :], u_a_prime[..., None, None, :]
     w_b, w_b_prime = w_b[..., None, :], w_b_prime[..., None, :]
     # (u^T P_b, u^T Q_b) on axes (-3, -2, -1), once per distinct left vector u; only
-    # one is alive at a time, since over an angle grid each is the largest array
+    # one is alive at a time, since over an angle grid each is the largest array;
+    # the block matrices of the eight rate parts, each singles rate in two
     left = _weighted(u_a, pq)
-    rates = {"r_ab": _rate(_right(left, w_b), form_b * form_a, t),
-             "r_ab_prime": _rate(_right(left, w_b_prime), form_b_prime * form_a, t)}
+    blocks = [_blocks(_right(left, w_b), form_b * form_a),
+              _blocks(_right(left, w_b_prime), form_b_prime * form_a)]
     del left
     left = _weighted(u_a_prime, pq)
-    rates["r_a_prime_b"] = _rate(_right(left, w_b), form_b * form_a_prime, t)
-    rates["r_a_prime_b_prime"] = _rate(_right(left, w_b_prime), form_b_prime * form_a_prime, t)
-    rates["r_singles_a"] = (_rate(left[..., 0], h_2 * form_a_prime, t)
-                            + _rate(left[..., 1], v_2 * form_a_prime, t))
+    blocks += [_blocks(_right(left, w_b), form_b * form_a_prime),
+               _blocks(_right(left, w_b_prime), form_b_prime * form_a_prime),
+               _blocks(left[..., 0], h_2 * form_a_prime),
+               _blocks(left[..., 1], v_2 * form_a_prime)]
     del left
     # (P_b w_b, Q_b w_b) on axes (-3, -2, -1); (P w_b)_i = <X_i e_b> = <e_b X_i>,
     # as the beams commute
     right = _right(pq, w_b[..., None, :])
-    rates["r_singles_b"] = (_rate(right[..., 0], h_1 * form_b, t)
-                            + _rate(right[..., 1], v_1 * form_b, t))
-    return _ch_result(rates)
+    blocks += [_blocks(right[..., 0], h_1 * form_b), _blocks(right[..., 1], v_1 * form_b)]
+    if len({m.shape for m in blocks}) > 1:  # each rate at the shape of the angles it uses
+        r = [_rate(m, t) for m in blocks]
+    elif t is None:  # stacked on axis 0, so that each check runs once for all eight
+        r = _rate(np.stack(blocks), None)
+    else:  # on axis -3, so that each Horner operation on the grid runs innermost over them
+        r = np.moveaxis(_rate(np.stack(blocks, axis=-3), [w[..., None] for w in t]), -1, 0)
+    return _ch_result({"r_ab": r[0], "r_ab_prime": r[1], "r_a_prime_b": r[2],
+                       "r_a_prime_b_prime": r[3], "r_singles_a": r[4] + r[5],
+                       "r_singles_b": r[6] + r[7]})
 
 
 def _ch_result(rates: dict[str, np.ndarray]) -> CHResult:
@@ -480,9 +507,11 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     if steps < 2:
         raise ValueError("steps must be at least 2")
     circuit = isinstance(beams, SwapCircuitOutput)
-    parts = (beams.beam_a, beams.beam_d0, beams.beam_x) if circuit else beams
-    # without batch axes a gain is 0-d and a beam's coefficient arrays (2, n_modes)
-    if (circuit and np.ndim(beams.gain)) or any(beam.field.ann.ndim > 2 for beam in parts):
+    beam_pair = (beams.beam_a, beams.beam_d0) if circuit else beams
+    # without batch axes a beam's coefficient arrays are (2, n_modes), and a
+    # circuit output's weights (parts,) and parts (parts, 2, n_modes)
+    if ((circuit and (beams.gain.ndim > 1 or beams.beam_x.field.ann.ndim > 3))
+            or any(beam.field.ann.ndim > 2 for beam in beam_pair)):
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product as cartesian
 from math import fsum
 
@@ -22,7 +23,8 @@ from cvswap import (
     two_mode_squeezer,
     vacuum_field,
 )
-from cvswap.metrics import OPTIMAL_ANGLES
+from cvswap.metrics import OPTIMAL_ANGLES, analyzer
+from cvswap.modes import pair_contraction
 from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
 from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
 
@@ -124,13 +126,39 @@ def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam
 
 def assert_matches_per_component_build(params: SwapParams) -> None:
     """build_swap_circuit gives the bits, shapes and mode ids of
-    per_component_build for A, D'(0) and X."""
+    per_component_build for A, D'(0) and each part of X: X(eta) for one
+    part, and X(1) and X(0), the port and loss parts, for two."""
     out = build_swap_circuit(params)
-    registry, *reference = per_component_build(params)
-    assert out.registry.names == registry.names
-    n_modes = len(registry)
-    for beam, expected in zip((out.beam_a, out.beam_d0, out.beam_x), reference):
-        for pol in ("h", "v"):
-            for got, want in zip(getattr(beam, pol).padded(n_modes),
-                                 getattr(expected, pol).padded(n_modes)):
-                assert got.shape == want.shape and np.array_equal(got, want)
+    parts = out.beam_x.field.ann.shape[0]
+    etas = [params.eta] if parts == 1 else [1.0, 0.0]
+    assert len(etas) == parts
+    for k, eta in enumerate(etas):
+        registry, *reference = per_component_build(replace(params, eta=eta))
+        assert out.registry.names == registry.names
+        n_modes = len(registry)
+        x = PolarizedBeam(*(LinearField(f.ann[k], f.cre[k]) for f in (out.beam_x.h, out.beam_x.v)))
+        for beam, expected in zip((out.beam_a, out.beam_d0, x), reference):
+            for pol in ("h", "v"):
+                for got, want in zip(getattr(beam, pol).padded(n_modes),
+                                     getattr(expected, pol).padded(n_modes)):
+                    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def wick_term_magnitudes(beam_1, beam_2, angles):
+    """Per rate of ch_s((beam_1, beam_2), angles), the summed magnitudes of
+    its three Wick terms |<e1 e2>|^2, |sum_m conj(cre e1) cre e2|^2 and
+    <e2+ e2><e1+ e1>, elementwise over the batch."""
+    def terms(e1, e2):
+        return (np.abs(pair_contraction(e1, e2)) ** 2
+                + np.abs(pair_contraction(e1.adjoint(), e2)) ** 2
+                + np.abs(pair_contraction(e2.adjoint(), e2) * pair_contraction(e1.adjoint(), e1)))
+
+    e_a, e_a_prime = (analyzer(beam_1, theta, "a")
+                      for theta in (angles.theta_a, angles.theta_a_prime))
+    e_b, e_b_prime = (analyzer(beam_2, theta, "d")
+                      for theta in (angles.theta_b, angles.theta_b_prime))
+    return {"r_ab": terms(e_a, e_b), "r_ab_prime": terms(e_a, e_b_prime),
+            "r_a_prime_b": terms(e_a_prime, e_b),
+            "r_a_prime_b_prime": terms(e_a_prime, e_b_prime),
+            "r_singles_a": terms(e_a_prime, beam_2.h) + terms(e_a_prime, beam_2.v),
+            "r_singles_b": terms(beam_1.h, e_b) + terms(beam_1.v, e_b)}

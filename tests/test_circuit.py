@@ -413,10 +413,14 @@ class TestBuildSwapCircuit:
                 assert commutator(beam.h, beam.v.adjoint()) == pytest.approx(0, abs=1e-12)
 
     def test_batched_build_matches_scalar_builds(self):
-        """One build over a (chi1, chi2, gain, eta) grid equals a build per point."""
+        """One build over a (chi1, chi2, gain, eta) grid equals a build per
+        point: A and D'(0) bit for bit, and D' within 1e-15 of the summed
+        magnitudes of its terms d and w_k X_k, coefficient for coefficient.
+        The eta axis splits X into its port and loss parts, each bit for bit
+        that of a build at eta = 1 or 0 (assert_matches_per_component_build),
+        so D' is rounded in other steps than a build at one eta."""
         def coefficients(out):
-            return [x for f in (out.beam_a.h, out.beam_a.v,
-                                out.beam_d_prime.h, out.beam_d_prime.v)
+            return [x for f in (out.beam_a.field, out.beam_d0.field, out.beam_d_prime.field)
                     for x in f.padded(12)]
 
         axes = (np.array([0.1, 0.5])[:, None, None, None],  # chi1
@@ -425,12 +429,19 @@ class TestBuildSwapCircuit:
                 np.array([0.0, 0.83, 1.0]))  # eta
         grid = np.broadcast_arrays(*axes)
         shape = grid[0].shape
-        batched = [np.broadcast_to(x, shape + (12,))
-                   for x in coefficients(build_swap_circuit(SwapParams(*axes)))]
+        out = build_swap_circuit(SwapParams(*axes))
+        batched = [np.broadcast_to(x, shape + x.shape[-2:]) for x in coefficients(out)]
+        scale = [np.broadcast_to(np.abs(d) + sum(np.abs(w[..., None, None] * x)
+                                                for w, x in zip(out.gain, parts)),
+                                 shape + d.shape[-2:])
+                 for d, parts in zip(out.beam_d0.field.padded(12), out.beam_x.field.padded(12))]
         for index in np.ndindex(shape):
             single = build_swap_circuit(SwapParams(*(float(p[index]) for p in grid)))
-            for x, y in zip(batched, coefficients(single)):
+            *exact, ann, cre = coefficients(single)
+            for x, y in zip(batched, exact):
                 np.testing.assert_array_equal(x[index], y)
+            for x, y, terms in zip(batched[-2:], (ann, cre), scale):
+                assert np.all(np.abs(x[index] - y) <= 1e-15 * terms[index])
 
     def test_source_and_teleported_beams_commute(self):
         """[A_i, D'_j] and [A_i, D'_j+] vanish at every point of a batched build.

@@ -18,9 +18,16 @@ import cvswap.cli
 import cvswap.selftest
 from cvswap.cli import ExperimentConfig, build_parser, main, read_config_file
 from cvswap.circuit import SwapParams, build_swap_circuit
-from cvswap.metrics import OPTIMAL_ANGLES, _grid, _operands, ch_s, squeezing_to_chi
+from cvswap.metrics import (
+    OPTIMAL_ANGLES,
+    _grid,
+    _operands,
+    ch_s,
+    optimal_gain,
+    squeezing_to_chi,
+)
 from cvswap.selftest import run_selftest
-from helpers import baseline_s
+from helpers import baseline_s, wick_term_magnitudes
 
 
 def read_rows(path):
@@ -331,7 +338,8 @@ def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, comma
 
 
 # S of each folded sweep at its defaults, captured as float.hex before
-# ch_s could contract D' in its two parts
+# ch_s could contract D' in its parts; threshold-scan, whose efficiency axis
+# now splits X, is checked against folded D' at the term scale instead
 FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
 
 
@@ -357,6 +365,49 @@ def test_folded_sweeps_keep_every_bit(tmp_path, monkeypatch, capsys, command):
     assert _operands(out)[1].shape[-3] == 1
     expected = np.array([float.fromhex(x) for x in FOLDED_S[command]["s"]])
     assert np.array_equal(s, expected.reshape(FOLDED_S[command]["shape"]))
+
+
+def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, capsys):
+    """threshold-scan's one build holds X in its port and loss parts at the
+    levels' shape alone, and ch_s contracts them as blocks: every cell of S
+    lies within 4e-15 of S on D' folded at that cell's eta, relative to the
+    numerator's Wick-term magnitudes over the denominator (the numerator can
+    cancel, so S itself is no scale)."""
+    seen = record_ch_s(monkeypatch)
+    assert main(["threshold-scan", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    [(out, s)] = seen
+    n_modes = len(out.registry)
+    assert out.beam_a.field.ann.shape == (2, 4)
+    assert out.beam_d0.field.ann.shape == (3, 2, 8)
+    assert out.beam_x.field.ann.shape == (2, 3, 2, n_modes)
+    assert out.gain.shape == (2, 61, 3)
+    assert _operands(out)[1].shape[-3] == 3
+    chis = np.array([squeezing_to_chi(level) for level in (0.3, 0.5, 0.9)])
+    for i, eta in enumerate(_grid(0.7, 1.0, 61)):
+        folded = build_swap_circuit(SwapParams(0.1, chis, optimal_gain(chis, eta), eta))
+        assert folded.beam_x.field.ann.shape[0] == 1 and _operands(folded)[2] is None
+        beams = (folded.beam_a, folded.beam_d_prime)
+        result = ch_s(beams, OPTIMAL_ANGLES)
+        terms = wick_term_magnitudes(*beams, OPTIMAL_ANGLES)
+        numerator = sum(terms[name] for name in ("r_ab", "r_ab_prime", "r_a_prime_b",
+                                                 "r_a_prime_b_prime"))
+        scale = numerator / (result.r_singles_a + result.r_singles_b)
+        assert np.all(np.abs(s[i] - result.s) <= 4e-15 * scale)
+
+
+def test_threshold_scan_memory_per_grid_point(tmp_path):
+    """The efficiency grid meets only the parts' weights, the 2x2 matrices
+    and the rates, not the mode axis: under 0.8 KB per point at 8,100
+    points (the build over (efficiency, level) pairs took about 2.7 KB)."""
+    config = ExperimentConfig(squeezing=(0.3, 0.5, 0.9), eta_steps=2700, out=tmp_path)
+    tracemalloc.start()
+    try:
+        assert cvswap.cli.cmd_threshold_scan(config, io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 8100 < 800
 
 
 def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
@@ -386,11 +437,12 @@ def test_fig4_memory_per_grid_point(tmp_path):
 
 def test_factored_ch_s_memory_per_grid_point():
     """ch_s alone on fig4's four levels x 2,000 gains, which it factors: the
-    gain grid meets only each rate's quadratic, one at a time, and the
-    checks, about 97 B of tracemalloc peak per point.  One more (gain,
-    level, 2, 2) complex array would add 64 B, the eight rate parts'
-    quadratics stacked on one axis peak at about 210 B, and contracting
-    gain-expanded P, Q and Gram matrices at about 417 B."""
+    gain grid meets only the eight rate parts' quadratics, stacked on one
+    axis and evaluated as real and imaginary parts in turn, and the checks,
+    about 116 B of tracemalloc peak per point.  One more (gain, level, 2, 2)
+    complex array would add 64 B, the stacked quadratics evaluated as
+    complex numbers peak at about 210 B, and contracting gain-expanded P, Q
+    and Gram matrices at about 417 B."""
     chis = np.array([squeezing_to_chi(level) for level in (0.10, 0.50, 0.80, 0.99)])
     gains = _grid(0.01, 2.0, 2000)
     out = build_swap_circuit(SwapParams(0.1, chis, gains[:, None], 1.0))

@@ -30,8 +30,8 @@ from cvswap.metrics import (
     singles_rate,
     squeezing_to_chi,
 )
-from cvswap.modes import LinearField, ModeRegistry, pair_contraction
-from helpers import source_beams
+from cvswap.modes import LinearField, ModeRegistry
+from helpers import source_beams, wick_term_magnitudes
 
 
 def cli_rows(monkeypatch, tmp_path, argv):
@@ -254,26 +254,6 @@ def test_kernel_rates_match_wick_sum(chi1, chi2, gain, eta, thetas):
         assert getattr(kernel, name) == pytest.approx(value, rel=1e-12, abs=1e-15 * scale)
 
 
-def wick_term_magnitudes(beam_1, beam_2, angles):
-    """Per rate of ch_s((beam_1, beam_2), angles), the summed magnitudes of
-    its three Wick terms |<e1 e2>|^2, |sum_m conj(cre e1) cre e2|^2 and
-    <e2+ e2><e1+ e1>, elementwise over the batch."""
-    def terms(e1, e2):
-        return (np.abs(pair_contraction(e1, e2)) ** 2
-                + np.abs(pair_contraction(e1.adjoint(), e2)) ** 2
-                + np.abs(pair_contraction(e2.adjoint(), e2) * pair_contraction(e1.adjoint(), e1)))
-
-    e_a, e_a_prime = (analyzer(beam_1, theta, "a")
-                      for theta in (angles.theta_a, angles.theta_a_prime))
-    e_b, e_b_prime = (analyzer(beam_2, theta, "d")
-                      for theta in (angles.theta_b, angles.theta_b_prime))
-    return {"r_ab": terms(e_a, e_b), "r_ab_prime": terms(e_a, e_b_prime),
-            "r_a_prime_b": terms(e_a_prime, e_b),
-            "r_a_prime_b_prime": terms(e_a_prime, e_b_prime),
-            "r_singles_a": terms(e_a_prime, beam_2.h) + terms(e_a_prime, beam_2.v),
-            "r_singles_b": terms(beam_1.h, e_b) + terms(beam_1.v, e_b)}
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(chi1=st.floats(min_value=1e-3, max_value=3.0),
        chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
@@ -380,6 +360,87 @@ def test_fold_or_factor_boundary(chi2, gain, factored):
         folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES)
         for name, value in vars(folded).items():
             assert np.array_equal(getattr(result, name), value), name
+
+
+@pytest.mark.parametrize("chi1, chi2, gain, eta, parts", [
+    (0.1, np.linspace(0.1, 2.0, 5), 0.9, 0.9, 1),  # scalar eta
+    (0.1, np.linspace(0.1, 2.0, 5), 0.9, np.linspace(0.5, 1.0, 5), 1),  # chi2's axis
+    (np.array([[0.05], [0.1]]), np.linspace(0.1, 2.0, 5), 0.9, np.array([[0.6], [0.9]]), 1),
+    (0.1, np.linspace(0.1, 2.0, 5), _grid(0.01, 2.0, 5), np.array([[0.6], [0.9]]), 2),
+    (0.1, np.linspace(0.1, 2.0, 5), 0.9, np.array([[0.6], [0.9]]), 2),  # an axis of its own
+    (0.1, np.linspace(0.1, 2.0, 5), 0.9, np.linspace(0.5, 1.0, 5)[None, :], 2),  # a unit axis
+])
+def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
+    """The build splits X into its port and loss parts exactly when eta adds
+    batch axes beyond chi1's and chi2's; the parts then carry no eta axis,
+    and D' folded from them equals a one-part build at each eta within 1e-15
+    of its terms' magnitudes, coefficient for coefficient.  _operands folds
+    every part, t None, exactly when the weights add no batch axes."""
+    out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
+    squeezers = np.broadcast_shapes(np.shape(chi1), np.shape(chi2))
+    n_modes = len(out.registry)
+    assert out.beam_x.field.ann.shape == (parts,) + squeezers + (2, n_modes)
+    assert out.gain.shape[0] == parts
+    _, right, t = _operands(out)
+    folded = np.broadcast_shapes(right.shape[:-3], out.gain.shape[1:]) == right.shape[:-3]
+    assert (t is None) is folded
+    assert right.shape[-3] == (1 if folded else 1 + parts)
+    if parts == 1:
+        return
+    shape = np.broadcast_shapes(squeezers, np.shape(gain), np.shape(eta))
+    d_prime = [np.broadcast_to(x, shape + (2, n_modes))
+               for x in out.beam_d_prime.field.padded(n_modes)]
+    terms = [np.broadcast_to(np.abs(d) + sum(np.abs(w[..., None, None] * x)
+                                            for w, x in zip(out.gain, xs)), shape + (2, n_modes))
+             for d, xs in zip(out.beam_d0.field.padded(n_modes), out.beam_x.field.padded(n_modes))]
+    grid = np.broadcast_arrays(chi1, chi2, gain, eta)
+    for index in np.ndindex(shape):
+        one = build_swap_circuit(SwapParams(*(float(p[index]) for p in grid)))
+        assert one.beam_x.field.ann.shape[0] == 1
+        for x, y, scale in zip(d_prime, one.beam_d_prime.field.padded(n_modes), terms):
+            assert np.all(np.abs(x[index] - y) <= 1e-15 * scale[index])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chi1=st.floats(min_value=1e-3, max_value=3.0),
+       chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
+       etas=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),
+       gain_max=st.floats(min_value=0.1, max_value=10.0),
+       thetas=st.tuples(_angle, _angle, _angle, _angle),
+       points=st.integers(min_value=1, max_value=40))
+def test_two_part_rates_match_folded(chi1, chi2s, etas, gain_max, thetas, points):
+    """ch_s on a circuit output whose efficiency axis splits X into its port
+    and loss parts gives the rates of ch_s on D' folded at each eta.
+
+    The grid is (gains, efficiencies, levels); its gains are each level's
+    optimal gain at each eta, where D''s orders cancel most, and a grid from
+    0 to gain_max.  Each rate must agree within 1e-12 of the summed
+    magnitudes of its three Wick terms; where there is no coincidence
+    signal, both must raise NoCoincidencesError.
+    """
+    chi2, eta = np.array(chi2s), np.array(etas)[:, None]
+    grid = np.linspace(0.0, gain_max, points)[:, None, None]
+    gains = np.concatenate([optimal_gain(chi2, eta)[None],
+                            np.broadcast_to(grid, (points, len(etas), len(chi2s)))])
+    out = build_swap_circuit(SwapParams(chi1, chi2, gains, eta))
+    assert out.beam_x.field.ann.shape[:2] == (2, len(chi2s))
+    angles = AnalyzerAngles(*thetas)
+    folded = []
+    try:
+        for e in range(len(etas)):
+            one = build_swap_circuit(SwapParams(chi1, chi2, gains[:, e], etas[e]))
+            beams = (one.beam_a, one.beam_d_prime)
+            folded.append((ch_s(beams, angles), wick_term_magnitudes(*beams, angles)))
+    except NoCoincidencesError:
+        with pytest.raises(NoCoincidencesError):
+            ch_s(out, angles)
+        return
+    split = ch_s(out, angles)
+    for e, (result, scales) in enumerate(folded):
+        for name, scale in scales.items():
+            value = np.broadcast_to(getattr(split, name), gains.shape)[:, e]
+            deviation = np.abs(value - getattr(result, name))
+            assert np.all(deviation <= 1e-12 * scale), name
 
 
 def test_maximize_s_breaks_ties_by_smallest_theta():

@@ -34,7 +34,7 @@ from cvswap.metrics import (
     AnalyzerAngles,
     RateOverflowError,
     _ch_result,
-    _checked_real,
+    _rate,
     angle_family,
 )
 from helpers import baseline_s, source_beams, support
@@ -142,19 +142,27 @@ class TestChS:
             ch_s(source_beams(0.0), OPTIMAL_ANGLES)
 
     def test_batched_fields_equal_one_pair_cells(self):
-        # one build over a 2x3 ((chi2, gain), eta) grid, whose gain adds no
-        # batch axes, against one build per cell
+        # one build over a ((chi2, gain), eta) grid, whose gain adds no batch
+        # axes, against one build per cell.  With eta on chi2's axis X is one
+        # part, folded, and every bit is kept; eta on an axis of its own
+        # splits X into its port and loss parts, two blocks whose rounding
+        # differs: each rate, a sum of nonnegative Wick terms, and S within
+        # 1e-15 relative
         chi2s, gains = np.array([0.2, 0.5])[:, None], np.array([0.3, 0.9])[:, None]
-        etas = np.array([0.6, 0.85, 1.0])
-        batched = ch_s(build_swap_circuit(SwapParams(0.1, chi2s, gains, etas)),
-                       OPTIMAL_ANGLES)
-        assert batched.s.shape == (2, 3)
-        for i, j in np.ndindex(2, 3):
-            single = ch_s(build_swap_circuit(SwapParams(
-                0.1, float(chi2s[i, 0]), float(gains[i, 0]), float(etas[j]))), OPTIMAL_ANGLES)
-            for name, value in vars(single).items():
-                assert isinstance(value, float), name
-                assert np.broadcast_to(getattr(batched, name), (2, 3))[i, j] == value, name
+        for etas, rel in ((np.array([0.6, 0.85])[:, None], 0.0),
+                          (np.array([0.6, 0.85, 1.0]), 1e-15)):
+            shape = np.broadcast_shapes(chi2s.shape, etas.shape)
+            batched = ch_s(build_swap_circuit(SwapParams(0.1, chi2s, gains, etas)),
+                           OPTIMAL_ANGLES)
+            assert batched.s.shape == shape
+            for i, j in np.ndindex(shape):
+                single = ch_s(build_swap_circuit(SwapParams(
+                    0.1, float(chi2s[i, 0]), float(gains[i, 0]),
+                    float(np.broadcast_to(etas, shape)[i, j]))), OPTIMAL_ANGLES)
+                for name, value in vars(single).items():
+                    assert isinstance(value, float), name
+                    cell = np.broadcast_to(getattr(batched, name), shape)[i, j]
+                    assert abs(cell - value) <= rel * abs(value), name
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_rates_raise(self):
@@ -183,11 +191,15 @@ class TestChS:
         assert ch_s(out, OPTIMAL_ANGLES).s == pytest.approx(baseline, abs=1e-9)
 
     def test_imaginary_part_check_scales_with_the_rate(self):
-        # bare below rate 1, relative to |Re| above it
-        assert _checked_real(np.array([0.5 + 9e-13j, 1e20 + 9e7j])).tolist() == [0.5, 1e20]
+        # bare below rate 1, relative to |Re| above it; each rate is a 1x1
+        # block matrix
+        def checked_real(rates):
+            return _rate(rates[:, None, None], None)
+
+        assert checked_real(np.array([0.5 + 9e-13j, 1e20 + 9e7j])).tolist() == [0.5, 1e20]
         for rate in (0.5 + 2e-12j, 1e20 + 2e8j):
             with pytest.raises(ValueError, match="imaginary part"):
-                _checked_real(np.array([1.0, rate]))
+                checked_real(np.array([1.0, rate]))
 
     def test_negative_rate_is_named(self):
         rates = {name: np.array([1.0, 2.0]) for name in (
