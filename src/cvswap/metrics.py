@@ -312,9 +312,10 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
 
         sum_bc t_b t_c (a_b . conj(a_c) + (w^T G_2,bc w)(u^T G_1 u)).
 
-    The eight rate parts (each singles rate in two) are stacked on one axis,
-    and only their nested Horner evaluation and the checks take the grid's
-    axes.  With one block the sum is the Wick sum above.
+    With weights, the eight rate parts (each singles rate in two) are
+    stacked on one axis, and only their nested Horner evaluation and the
+    checks take the grid's axes.  With one block the sum is the Wick sum
+    above, evaluated rate by rate.
 
     The checks are those of coincidence_rate, applied to every element:
     ValueError on a negative rate or an imaginary part beyond tolerance
@@ -355,10 +356,9 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     # as the beams commute
     right = _right(pq, w_b[..., None, :])
     blocks += [_blocks(right[..., 0], h_1 * form_b), _blocks(right[..., 1], v_1 * form_b)]
-    if len({m.shape for m in blocks}) > 1:  # each rate at the shape of the angles it uses
+    # one block, or each rate at the shape of the angles it uses: one rate at a time
+    if t is None or len({m.shape for m in blocks}) > 1:
         r = [_rate(m, t) for m in blocks]
-    elif t is None:  # stacked on axis 0, so that each check runs once for all eight
-        r = _rate(np.stack(blocks), None)
     else:  # on axis -3, so that each Horner operation on the grid runs innermost over them
         r = np.moveaxis(_rate(np.stack(blocks, axis=-3), [w[..., None] for w in t]), -1, 0)
     return _ch_result({"r_ab": r[0], "r_ab_prime": r[1], "r_a_prime_b": r[2],
