@@ -130,7 +130,7 @@ MUTANTS = [
         "part, as if the lost light brought no vacuum noise"),
     Mutant(
         "one-block-branch-never-taken", "metrics.py",
-        "    if np.broadcast_shapes(right.shape[:-3], weights.shape[1:]) == right.shape[:-3]:\n",
+        "    if np.broadcast(right[..., 0, 0, 0], weights[0]).shape == right.shape[:-3]:\n",
         "    if False:\n",
         "every circuit output takes two blocks about g_r, which moves the bits "
         "of S on the gain-free sweeps"),

@@ -323,8 +323,8 @@ def _combination(*terms: tuple[ArrayLike, LinearField]) -> LinearField:
     # added in turn into one zero-padded result, so that one product array
     # at a time is alive: over a grid these arrays are the build's largest
     n_modes = max(f.ann.shape[-1] for _, f in terms)
-    batch = np.broadcast_shapes(*(np.shape(c) for c, _ in terms),
-                                *(f.ann.shape[:-1] for _, f in terms))
+    batch = np.broadcast(*(np.asarray(c)[..., None] for c, _ in terms),
+                         *(f.ann[..., :1] for _, f in terms)).shape[:-1]
     ann, cre = (np.zeros(batch + (n_modes,), dtype=complex) for _ in range(2))
     for c, f in terms:
         c = np.asarray(c)[..., None]

@@ -164,7 +164,7 @@ def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
     right = _rows([x[..., p, :] for x in parts for p in (0, 1)])
     right = right.reshape(right.shape[:-2] + (len(parts), 2, -1))
     weights, t = beams.gain, None
-    if np.broadcast_shapes(right.shape[:-3], weights.shape[1:]) == right.shape[:-3]:
+    if np.broadcast(right[..., 0, 0, 0], weights[0]).shape == right.shape[:-3]:
         centres = weights
     else:
         traces = [np.einsum("...bim,...im->...b", right.conj(), right[..., k, :, :]).real

@@ -145,9 +145,10 @@ def vacuum_field(mode: int | Sequence[int]) -> LinearField:
 
 def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     # coefficient arrays stacked on axis -2 over their broadcast batch shape,
-    # zero-padded to one mode count
+    # zero-padded to one mode count; the batch shape is that of views cut to
+    # at most one mode, which broadcast whatever the mode counts
     n_modes = max(x.shape[-1] for x in arrays)
-    batch = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+    batch = np.broadcast(*(x[..., :1] for x in arrays)).shape[:-1]
     rows = np.zeros(batch + (len(arrays), n_modes), dtype=complex)
     for i, x in enumerate(arrays):
         rows[..., i, :x.shape[-1]] = x

@@ -195,6 +195,20 @@ class TestBeamsplitter:
             assert not np.any(diff.cre)
 
 
+class TestAttenuate:
+    def test_output_is_canonical_over_transmissivity(self):
+        """sqrt(T) F + sqrt(1-T) v keeps [F, F+] = 1 at every T: normally
+        ordered rates never see the fresh vacuum's coefficient, so only the
+        commutator shows a wrong one."""
+        a, b, registry = fresh_pair()
+        squeezed, _ = two_mode_squeezer(a, b, 0.8)
+        transmissivity = np.linspace(0.0, 1.0, 11)
+        out = attenuate(squeezed, transmissivity, registry)
+        assert out.ann.shape == (11, 3)
+        assert np.all(np.abs(commutator(out, out.adjoint()) - 1.0) <= 1e-12)
+        assert np.all(np.abs(commutator(out, out)) <= 1e-12)
+
+
 class TestHomodyneCurrents:
     def setup_method(self):
         self.registry = ModeRegistry()

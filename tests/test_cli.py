@@ -211,6 +211,7 @@ class TestExitCodes:
         ["operating-point", "--squeezing", "1e-300"],  # 1 - s rounds to 1
         ["fig4", "--lambda-min", "0"],
         ["fig4", "--lambda-min", "1.5", "--lambda-max", "1.0"],
+        ["fig4", "--lambda-min", "0.5", "--lambda-max", "0.5"],  # an empty range
         ["threshold-scan", "--eta-min", "0.9", "--eta-max", "0.8"],
         ["threshold-scan", "--eta-max", "1.1"],
         ["fig3", "--config", str(Path(__file__).with_name("svg_maybe.cfg"))],
@@ -585,6 +586,12 @@ class TestFig3:
         header, _ = read_rows(tmp_path / "fig3.csv")
         assert header == ["theta_a_rad", "s_99", "s_80"]
 
+
+    def test_two_angle_steps_give_both_ends(self, tmp_path, capsys):
+        assert main(["fig3", "--out", str(tmp_path), "--angles-steps", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(tmp_path / "fig3.csv")
+        assert [row[0] for row in rows] == [0.0, pytest.approx(math.pi / 2, rel=1e-8)]
 
 class TestFig4:
     def test_argmax_and_equal_maxima(self, tmp_path, capsys):

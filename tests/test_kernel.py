@@ -12,6 +12,7 @@ from cvswap.circuit import (
     PolarizedBeam,
     SwapParams,
     attenuate,
+    beamsplitter_5050,
     build_swap_circuit,
     opo_type2,
 )
@@ -19,7 +20,9 @@ from cvswap.metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
     NoCoincidencesError,
+    _contractions,
     _grid,
+    _horner,
     _operands,
     analyzer,
     angle_family,
@@ -30,7 +33,7 @@ from cvswap.metrics import (
     singles_rate,
     squeezing_to_chi,
 )
-from cvswap.modes import LinearField, ModeRegistry
+from cvswap.modes import LinearField, ModeRegistry, vacuum_field
 from helpers import source_beams, wick_term_magnitudes
 
 
@@ -194,6 +197,26 @@ def test_polarization_dependent_loss_matches_wick_sum():
     result = ch_s((beam_a, lossy), angles)
     assert result.s.shape == (2, 2, 3)
     assert_cells_match_wick(((beam_a, lossy), angles, result), list(np.ndindex(2, 2, 3)))
+
+
+def test_split_beam_pair_with_normal_order_contraction_matches_wick_sum():
+    """The two outputs of a 50:50 splitter fed with a squeezed beam and
+    vacuum share its photons, so the normal-order cross contraction
+    Q = <X1+ X2> between them is nonzero (on every circuit output it is
+    exactly 0), and the rates depend on the sign and size of its term."""
+    registry = ModeRegistry()
+    beam, _ = opo_type2(registry, 0.4)
+    vacuum = PolarizedBeam(*(vacuum_field(registry.new_mode(f"vacuum_{pol}")) for pol in "hv"))
+    (h_1, h_2), (v_1, v_2) = (beamsplitter_5050(beam.h, vacuum.h),
+                              beamsplitter_5050(beam.v, vacuum.v))
+    beams = (PolarizedBeam(h_1, v_1), PolarizedBeam(h_2, v_2))
+    pq = _contractions(*_operands(beams)[:2])[0]
+    assert np.abs(pq[..., 1, :, :]).max() > 0.08
+    angles = AnalyzerAngles(np.array([0.3, -1.1, 2.0])[:, None], 0.7,
+                            np.array([1.2, -0.4]), -2.5)
+    result = ch_s(beams, angles)
+    assert result.s.shape == (3, 2)
+    assert_cells_match_wick((beams, angles, result), list(np.ndindex(3, 2)))
 
 
 @pytest.mark.parametrize("chi1", [5.0, 10.0, 30.0])  # rates ~1e7, 1e16, 1e51
@@ -441,6 +464,21 @@ def test_two_part_rates_match_folded(chi1, chi2s, etas, gain_max, thetas, points
             value = np.broadcast_to(getattr(split, name), gains.shape)[:, e]
             deviation = np.abs(value - getattr(result, name))
             assert np.all(deviation <= 1e-12 * scale), name
+
+
+def test_horner_matches_double_sum_on_three_blocks():
+    """sum_bc t_b t_c m_bc with t_0 = 1, on blocks whose cross terms are
+    nonzero and not symmetric: on a circuit output every term between the
+    port and loss parts is 0, so there the loop over cross parts adds zeros."""
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(5, 4, 3, 3))
+    t = [rng.normal(size=(5, 1)), rng.normal(size=4)]
+    weights = [1.0, *t]
+    terms = [weights[b] * weights[c] * m[..., b, c] for b in range(3) for c in range(3)]
+    direct, scale = sum(terms), sum(np.abs(term) for term in terms)
+    rate = _horner(m, t)
+    assert rate.shape == (5, 4)
+    assert np.all(np.abs(rate - direct) <= 1e-15 * scale)
 
 
 def test_maximize_s_breaks_ties_by_smallest_theta():

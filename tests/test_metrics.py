@@ -385,6 +385,11 @@ class TestMaximizeS:
         assert s_star == pytest.approx(0.9994066037610987, rel=1e-12)
         assert s_star == pytest.approx(1.0, abs=0.02)
 
+    def test_two_steps_scan_both_ends(self):
+        theta_star, s_star = maximize_s(source_beams(0.1), steps=2)
+        assert theta_star in (0.0, math.pi / 2)
+        assert isinstance(s_star, float)
+
     @pytest.mark.parametrize("steps", [1, 0])
     def test_rejects_fewer_than_two_steps(self, steps):
         with pytest.raises(ValueError, match="steps must be at least 2"):
