@@ -31,17 +31,18 @@ MUTANTS = [
         "the teleporter no longer transmits the signal at amplitude g sqrt(eta)"),
     Mutant(
         "u-a-prime-for-r-ab-prime", "metrics.py",
-        "_blocks(_right(left, w_b_prime), form_b_prime * form_a)]",
-        "_blocks(_right(_weighted(u_a_prime, pq), w_b_prime), form_b_prime * form_a_prime)]",
+        '"r_ab_prime": (u_a, w_b_prime)',
+        '"r_ab_prime": (u_a_prime, w_b_prime)',
         "r_ab' is evaluated at analyzer angle theta_a' instead of theta_a"),
     Mutant(
         "singles-b-from-w-b-prime", "metrics.py",
-        "    right = _right(pq, w_b[..., None, :])\n"
-        "    blocks += [_blocks(right[..., 0], h_1 * form_b), "
-        "_blocks(right[..., 1], v_1 * form_b)]",
-        "    right = _right(pq, w_b_prime[..., None, :])\n"
-        "    blocks += [_blocks(right[..., 0], h_1 * form_b_prime),\n"
-        "               _blocks(right[..., 1], v_1 * form_b_prime)]",
+        '"r_singles_b": (bare_h, w_b)}.items()}\n'
+        "    # each singles rate is two forms, against the other beam's bare h and v\n"
+        '    rates["r_singles_a"] += _rate(u_a_prime, bare_v, h, t)\n'
+        '    rates["r_singles_b"] += _rate(bare_v, w_b, h, t)\n',
+        '"r_singles_b": (bare_h, w_b_prime)}.items()}\n'
+        '    rates["r_singles_a"] += _rate(u_a_prime, bare_v, h, t)\n'
+        '    rates["r_singles_b"] += _rate(bare_v, w_b_prime, h, t)\n',
         "the singles denominator counts beam D' at theta_b' instead of theta_b"),
     Mutant(
         "x-polarizations-swapped", "circuit.py",
@@ -62,8 +63,8 @@ MUTANTS = [
         "each factored rate loses its cross term between R and X, linear in t"),
     Mutant(
         "r-ab-scaled", "metrics.py",
-        'return _ch_result({"r_ab": r[0],',
-        'return _ch_result({"r_ab": 1.001 * r[0],',
+        "    return _ch_result(rates)\n",
+        '    rates["r_ab"] = 1.001 * rates["r_ab"]\n    return _ch_result(rates)\n',
         "r_ab, and with it S, is 0.1% high"),
     Mutant(
         "loss-modes-not-transposed", "circuit.py",
@@ -135,18 +136,32 @@ MUTANTS = [
         "every circuit output takes two blocks about g_r, which moves the bits "
         "of S on the gain-free sweeps"),
     Mutant(
-        "imaginary-check-disabled", "metrics.py",
-        "        if imaginary.any():\n",
-        "        if False:\n",
-        "ch_s accepts rates with an imaginary part beyond its scaled tolerance; "
-        "no circuit beam has one, since each Gram matrix is exactly Hermitian, "
-        "so only the direct test of _checked_real kills it"),
+        "semidefinite-check-disabled", "metrics.py",
+        "    if indefinite.any():\n",
+        "    if False:\n",
+        "ch_s accepts an indefinite rate form; no circuit beam gives one, since "
+        "each block matrix [H_bc] is a sum of Gram-like terms, so only the "
+        "direct tests of _require_semidefinite kill it"),
     Mutant(
-        "imaginary-check-unscaled", "metrics.py",
-        "        imaginary &= size > _IMAG_TOL * np.abs(_horner(m.real, t))\n",
-        "",
-        "ch_s compares each rate's imaginary part with the bare tolerance "
-        "alone, so it rejects valid beams once the rates grow large"),
+        "semidefinite-check-unscaled", "metrics.py",
+        "    indefinite = low < -_PSD_TOL * trace\n",
+        "    indefinite = low < -_PSD_TOL\n",
+        "ch_s compares the form's smallest eigenvalue with the bare tolerance, "
+        "not relative to its trace, so it rejects valid forms once the rates "
+        "grow large and misses indefinite ones when they are small"),
+    Mutant(
+        "q-term-dropped", "metrics.py",
+        "    vectors = pq.reshape(pq.shape[:-3] + (2, 4))\n",
+        "    vectors = pq[..., :1, :, :].reshape(pq.shape[:-3] + (1, 4))\n",
+        "the rate form drops |u^T Q w|^2, the normal-order cross contraction's "
+        "term; Q is exactly 0 on every circuit output, so only a beam pair "
+        "split from one squeezed beam shows it"),
+    Mutant(
+        "attenuator-vacuum-weight", "circuit.py",
+        "np.sqrt(1.0 - transmissivity) * fresh",
+        "np.sqrt(1.0 + transmissivity) * fresh",
+        "the attenuator's fresh vacuum enters with weight sqrt(1+T), so its "
+        "output is not canonical; normally ordered rates do not see it"),
     Mutant(
         "reference-imaginary-check-unscaled", "metrics.py",
         "if abs(value.imag) > _IMAG_TOL and abs(value.imag) > _IMAG_TOL * abs(value.real):",

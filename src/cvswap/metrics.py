@@ -31,11 +31,12 @@ axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
-<e2+ e1+ e1 e2> is the closed three-pairing Isserlis (Wick) sum of them.
-:func:`ch_s` shares every product that several rates use: the matrices are
-formed once per beam pair, their products with an analyzer vector once per
-distinct vector, and each beam's Gram form once per vector, so a rate costs
-two 2-term dot products and one product of two cached forms.
+<e2+ e1+ e1 e2>, the closed three-pairing Isserlis (Wick) sum of them, is
+a real quadratic form c^T H c in c = u (x) w, the product of the two real
+analyzer vectors.  :func:`ch_s` forms the real 4x4 matrices H once per beam
+pair and block pair, at the squeezers' shape, checks that they are positive
+semidefinite, and evaluates every rate as the angle vector c against H c,
+so every grid axis (angle, gain or efficiency) meets only their entries.
 :func:`coincidence_rate` keeps the general Wick sum over single fields,
 without batch axes, as the reference that the oracles and tests check
 :func:`ch_s` against.
@@ -76,6 +77,8 @@ __all__ = [
 
 # a rate's imaginary part is rounding up to _IMAG_TOL, above rate 1 up to _IMAG_TOL |Re|
 _IMAG_TOL = 1e-12
+# a rate form's negative eigenvalues are rounding up to _PSD_TOL of its trace
+_PSD_TOL = 1e-12
 _RATE_FLOOR = -1e-12
 # a denominator below float's smallest normal has lost precision: 0 or subnormal
 _DENOMINATOR_FLOOR = np.finfo(float).tiny
@@ -192,36 +195,46 @@ def _contractions(beam_1: PolarizedBeam,
     return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_1, gram_2
 
 
-def _weighted(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sum_i u[..., i] x[..., i, :]: analyzer weights applied along axis -2 of
-    # x.  The products are einsums: the * ufunc would allocate buffers for its
-    # broadcast operands, doubling the peak memory over an angle grid
-    out = np.einsum("...,...->...", u[..., 0, None], x[..., 0, :])
-    out += np.einsum("...,...->...", u[..., 1, None], x[..., 1, :])
-    return out
+def _hermitian_form(beam_1: PolarizedBeam, right: np.ndarray) -> np.ndarray:
+    # the real matrices H_bc = Re(p_b p_c^H + q_b q_c^H) + Re G_1 (x) Re G_2,bc
+    # on axes (..., b, c, 4, 4), p = vec P and q = vec Q, whose rows and
+    # columns run over (i, j), i the first beam's polarization and j the
+    # second's.  Re(p p^H + q q^H) sums the outer products of Re p, Re q,
+    # Im p and Im q.  Re G_1 (x) Re G_2 drops Re(G_1 (x) G_2)'s
+    # -Im G_1 (x) Im G_2, which no product vector u (x) w sees and which
+    # could leave [H_bc] indefinite for complex Gram matrices
+    pq, gram_1, gram_2 = _contractions(beam_1, right)
+    vectors = pq.reshape(pq.shape[:-3] + (2, 4))
+    vectors = np.concatenate([vectors.real, vectors.imag], axis=-2)
+    h = np.einsum("...bkp,...ckq->...bcpq", vectors, vectors)
+    h += np.einsum("...ik,...bcjl->...bcijkl",
+                   gram_1.real, gram_2.real).reshape(h.shape)
+    return h
+
+
+def _require_semidefinite(h: np.ndarray) -> None:
+    # every rate is C^T [H_bc] C, a sum of squared magnitudes and a product
+    # of Gram forms, so the block matrix [H_bc] over the blocks is positive
+    # semidefinite: its smallest eigenvalue is rounding, up to _PSD_TOL of its
+    # trace, below 0.  A matrix beyond float range is left to the rates' checks
+    blocks = h.shape[-3]
+    full = h.swapaxes(-3, -2).reshape(h.shape[:-4] + (4 * blocks, 4 * blocks))
+    full = full[np.isfinite(full).all(axis=(-2, -1))]
+    low, trace = np.linalg.eigvalsh(full)[:, 0], np.trace(full, axis1=-2, axis2=-1)
+    indefinite = low < -_PSD_TOL * trace
+    if indefinite.any():
+        raise ValueError(f"the rates' Hermitian form is indefinite: eigenvalue "
+                         f"{low[indefinite][0]:g} at trace {trace[indefinite][0]:g}")
 
 
 def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
-    # polarization weights of analyzer(beam, theta, side), stacked on axis -1;
-    # complex, since they only multiply complex arrays: a real operand
-    # would cost numpy a cast in every product
+    # polarization weights of analyzer(beam, theta, side), stacked on axis -1
     if side not in ("a", "d"):
         raise ValueError(f"side must be 'a' or 'd', got {side!r}")
-    u = np.empty(np.shape(theta) + (2,), dtype=complex)
+    u = np.empty(np.shape(theta) + (2,))
     u[..., 0] = np.cos(theta)
     u[..., 1] = (1.0 if side == "a" else -1.0) * np.sin(theta)
     return u
-
-
-def _form(u: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    # u^T gram u over the polarization axis, broadcast over the rest
-    u_gram = _weighted(u, gram)
-    return u_gram[..., 0] * u[..., 0] + u_gram[..., 1] * u[..., 1]
-
-
-def _right(left: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # sum_j left[..., k, j] w[..., j]: cached left products against a right vector
-    return _weighted(w, left.swapaxes(-1, -2))
 
 
 def _horner(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
@@ -239,35 +252,16 @@ def _horner(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
     return rate
 
 
-def _blocks(a: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    # the block matrix m_bc = a_b . conj(a_c) + forms_bc of the rate
-    # <e2+ e1+ e1 e2> for e2 = sum_b t_b e2_b, from a = (<e1 e2_b>,
-    # sum_m conj(cre e1) cre e2_b) on axes (-2, -1) and the products forms_bc
-    # = <e2_b+ e2_c><e1+ e1> of the Gram forms.  conj(a_c) a_b is formed in
-    # place, [..., b, c, :]: over an angle grid it is among the largest arrays
-    square = np.conj(a[..., None, :, :], out=np.empty(a.shape[:-1] + a.shape[-2:], complex))
-    square *= a[..., :, None, :]
-    m = square[..., 0] + square[..., 1]
-    m += forms
-    return m
-
-
-def _rate(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
-    # the rates sum_bc t_b t_c m_bc.  The weights are real, so the real and
-    # imaginary parts are real Horner passes, each bit for bit that of a
-    # complex one; the imaginary part, rounding up to _IMAG_TOL (above rate 1
-    # up to _IMAG_TOL |Re|), is checked and dropped before the real part is formed
-    imag = _horner(m.imag, t)
-    size = np.abs(imag, out=imag if imag.base is None else None)  # in place if fresh
-    imaginary = size > _IMAG_TOL
-    if imaginary.any():
-        imaginary &= size > _IMAG_TOL * np.abs(_horner(m.real, t))
-        if imaginary.any():
-            raise ValueError(f"coincidence rate has imaginary part "
-                             f"{_horner(m.imag, t)[imaginary].flat[0]:g}")
-    del imag, size, imaginary
-    rate = _horner(m.real, t)
-    return rate if rate.base is None else rate.copy()  # not a view that keeps m alive
+def _rate(u: np.ndarray, w: np.ndarray, h: np.ndarray,
+          t: list[np.ndarray] | None) -> np.ndarray:
+    # the rate sum_bc t_b t_c c^T H_bc c for c = u (x) w: the angle-only
+    # vector c meets H's entries in two einsums, c^T (H c), and only the
+    # Horner pass takes the blocks' weights t.  Forming the weights c_p c_q
+    # instead would hold 16 entries per angle; the outer product is an
+    # einsum, as the * ufunc would allocate buffers for its broadcast operands
+    c = np.einsum("...i,...j->...ij", u, w)
+    c = c.reshape(c.shape[:-2] + (4,))
+    return _horner(np.einsum("...p,...bcp->...bc", c, np.einsum("...q,...bcpq->...bcp", c, h)), t)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, by name
@@ -284,86 +278,65 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     shape of all inputs, each rate that of the beams and the angles it
     uses.  For one beam pair at scalar angles the fields are floats.
 
-    Each rate <e2+ e1+ e1 e2>, with e1 = u . beam_p and e2 = w . beam_q for
+    Each rate <e2+ e1+ e1 e2>, with e1 = u . beam_1 and e2 = w . beam_2 for
     real analyzer vectors u and w, is the three-pairing Wick sum
 
         |<e1 e2>|^2 + |sum_m conj(cre e1) cre e2|^2 + <e2+ e2><e1+ e1>
-        = |u^T P w|^2 + |u^T Q w|^2 + (w^T G_q w)(u^T G_p u)
+        = |u^T P w|^2 + |u^T Q w|^2 + (w^T G_2 w)(u^T G_1 u)
 
     over the 2x2 contraction matrices P, Q from beam_1's (h, v) components
-    to beam_2's and each beam's Gram matrix G.  P and Q are formed in this
-    direction only: the beams commute, so a rate is symmetric in e1 and e2
-    and the singles of w_b against beam_1's bare h and v come from the
-    right products P w_b and Q w_b.  The left products u^T P and u^T Q are
-    formed once per distinct left vector (u_a and u_a'), the Gram forms once
-    per vector (the Gram diagonal for bare h and v), so each of the ten
-    rates is two 2-term dot products and one product of cached forms.
+    to beam_2's and each beam's Gram matrix G.  With c = u (x) w, a real
+    4-vector, that is the real quadratic form c^T H c of
+
+        H = Re(p p^H + q q^H) + Re G_1 (x) Re G_2,    p = vec P, q = vec Q,
+
+    one real symmetric 4x4 matrix per beam pair, formed at the beams'
+    shape.  All four coincidence rates use it, and each singles rate is
+    two forms, against the second beam's bare h and v (r_singles_a) or
+    the first's (r_singles_b).
 
     A circuit output holds D' as d + sum_k w_k X_k (see build_swap_circuit):
     one part of weight g, or the port and detector-loss parts of weights
     g sqrt(eta) and g sqrt(1-eta).  Where the weights add no batch axes to
-    d and the parts, they are folded into R = D', one block, and each cell
-    gets the bits of D' (beam_d_prime).  Otherwise D' = R + sum_k t_k X_k,
-    each part about c_k, the weight that minimizes the trace of D''s Gram
-    matrix, so that its orders do not cancel near the optimal gain, and R,
-    X_1, ... enter as blocks b of the second beam's rows: P_b, Q_b and the
-    Gram blocks G_2,bc are formed at the squeezers' shape, and with a_b =
-    (u^T P_b w, u^T Q_b w) and t_0 = 1 each rate is the quadratic
+    d and the parts, they are folded into R = D', one block.  Otherwise
+    D' = R + sum_k t_k X_k, each part about c_k, the weight that minimizes
+    the trace of D''s Gram matrix, so that its orders do not cancel near
+    the optimal gain, and R, X_1, ... enter as blocks b of the second
+    beam's rows: H_bc carries the block pair, formed from P_b, Q_b and
+    G_2,bc at the squeezers' shape, and with t_0 = 1 each rate is
 
-        sum_bc t_b t_c (a_b . conj(a_c) + (w^T G_2,bc w)(u^T G_1 u)).
+        sum_bc t_b t_c c^T H_bc c.
 
-    With weights, the eight rate parts (each singles rate in two) are
-    stacked on one axis, and only their nested Horner evaluation and the
-    checks take the grid's axes.  With one block the sum is the Wick sum
-    above, evaluated rate by rate.
+    So an angle, gain or efficiency grid meets only the entries of the
+    H_bc: each form is the angle vector c against H_bc c, and the gain and
+    efficiency axes enter only its Horner evaluation.  One path serves one
+    block and many.
 
-    The checks are those of coincidence_rate, applied to every element:
-    ValueError on a negative rate or an imaginary part beyond tolerance
-    (scaled by the rate above 1), RateOverflowError on a rate or CH sum
-    beyond float range, and NoCoincidencesError when a singles denominator
-    is 0 or subnormal (for example with the pump off).
+    H is real by construction, so the rates have no imaginary part to
+    check.  Instead ValueError is raised where the block matrix [H_bc] is
+    not positive semidefinite relative to its trace, as a sum of squared
+    magnitudes and a product of Gram forms must be.  The other checks are
+    applied to every element: ValueError on a negative rate,
+    RateOverflowError on a rate or CH sum beyond float range, and
+    NoCoincidencesError when a singles denominator is 0 or subnormal (for
+    example with the pump off).
     """
     beam_1, right, t = _operands(beams)
-    pq, gram_1, gram_2 = _contractions(beam_1, right)
-
+    h = _hermitian_form(beam_1, right)
+    _require_semidefinite(h)
     u_a, u_a_prime = (_analyzer_vector(theta, "a")
                       for theta in (angles.theta_a, angles.theta_a_prime))
     w_b, w_b_prime = (_analyzer_vector(theta, "d")
                       for theta in (angles.theta_b, angles.theta_b_prime))
-    # the Gram forms, each on axes (-2, -1): u^T G_1 u on unit axes, w^T G_2,bc w
-    # over the blocks (b, c), and the diagonals for bare h and v
-    form_a, form_a_prime = (_form(u, gram_1)[..., None, None] for u in (u_a, u_a_prime))
-    form_b, form_b_prime = (_form(w[..., None, None, :], gram_2) for w in (w_b, w_b_prime))
-    h_1, v_1 = gram_1[..., 0, 0, None, None], gram_1[..., 1, 1, None, None]
-    h_2, v_2 = gram_2[..., 0, 0], gram_2[..., 1, 1]
-    # u against the (h, v) axis of each block's P_b and Q_b, w against the rows it leaves
-    u_a, u_a_prime = u_a[..., None, None, :], u_a_prime[..., None, None, :]
-    w_b, w_b_prime = w_b[..., None, :], w_b_prime[..., None, :]
-    # (u^T P_b, u^T Q_b) on axes (-3, -2, -1), once per distinct left vector u; only
-    # one is alive at a time, since over an angle grid each is the largest array;
-    # the block matrices of the eight rate parts, each singles rate in two
-    left = _weighted(u_a, pq)
-    blocks = [_blocks(_right(left, w_b), form_b * form_a),
-              _blocks(_right(left, w_b_prime), form_b_prime * form_a)]
-    del left
-    left = _weighted(u_a_prime, pq)
-    blocks += [_blocks(_right(left, w_b), form_b * form_a_prime),
-               _blocks(_right(left, w_b_prime), form_b_prime * form_a_prime),
-               _blocks(left[..., 0], h_2 * form_a_prime),
-               _blocks(left[..., 1], v_2 * form_a_prime)]
-    del left
-    # (P_b w_b, Q_b w_b) on axes (-3, -2, -1); (P w_b)_i = <X_i e_b> = <e_b X_i>,
-    # as the beams commute
-    right = _right(pq, w_b[..., None, :])
-    blocks += [_blocks(right[..., 0], h_1 * form_b), _blocks(right[..., 1], v_1 * form_b)]
-    # one block, or each rate at the shape of the angles it uses: one rate at a time
-    if t is None or len({m.shape for m in blocks}) > 1:
-        r = [_rate(m, t) for m in blocks]
-    else:  # on axis -3, so that each Horner operation on the grid runs innermost over them
-        r = np.moveaxis(_rate(np.stack(blocks, axis=-3), [w[..., None] for w in t]), -1, 0)
-    return _ch_result({"r_ab": r[0], "r_ab_prime": r[1], "r_a_prime_b": r[2],
-                       "r_a_prime_b_prime": r[3], "r_singles_a": r[4] + r[5],
-                       "r_singles_b": r[6] + r[7]})
+    bare_h, bare_v = np.eye(2)
+    rates = {name: _rate(u, w, h, t) for name, (u, w) in {
+        "r_ab": (u_a, w_b), "r_ab_prime": (u_a, w_b_prime),
+        "r_a_prime_b": (u_a_prime, w_b), "r_a_prime_b_prime": (u_a_prime, w_b_prime),
+        "r_singles_a": (u_a_prime, bare_h), "r_singles_b": (bare_h, w_b)}.items()}
+    # each singles rate is two forms, against the other beam's bare h and v
+    rates["r_singles_a"] += _rate(u_a_prime, bare_v, h, t)
+    rates["r_singles_b"] += _rate(bare_v, w_b, h, t)
+    return _ch_result(rates)
 
 
 def _ch_result(rates: dict[str, np.ndarray]) -> CHResult:

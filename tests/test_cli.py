@@ -22,6 +22,7 @@ from cvswap.metrics import (
     OPTIMAL_ANGLES,
     _grid,
     _operands,
+    angle_family,
     ch_s,
     optimal_gain,
     squeezing_to_chi,
@@ -339,8 +340,9 @@ def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, comma
 
 
 # S of each folded sweep at its defaults, captured as float.hex before
-# ch_s could contract D' in its parts; threshold-scan, whose efficiency axis
-# now splits X, is checked against folded D' at the term scale instead
+# ch_s could contract D' in its parts or evaluate its rates as real
+# quadratic forms; threshold-scan, whose efficiency axis splits X, is
+# checked against folded D' at the term scale instead
 FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
 
 
@@ -358,14 +360,29 @@ def record_ch_s(monkeypatch):
 
 
 @pytest.mark.parametrize("command", sorted(FOLDED_S))
-def test_folded_sweeps_keep_every_bit(tmp_path, monkeypatch, capsys, command):
-    seen = record_ch_s(monkeypatch)
+def test_folded_sweeps_s_within_term_rounding_of_pin(tmp_path, monkeypatch, capsys, command):
+    """Each folded sweep contracts D' in one block, and every cell of S lies
+    within 4e-15 of its pinned value, relative to the numerator's Wick-term
+    magnitudes over the denominator (the numerator can cancel, so S itself
+    is no scale)."""
+    seen = []
+
+    def recording(out, angles):
+        seen.append((out, angles, ch_s(out, angles)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cvswap.cli, "ch_s", recording)
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(out, s)] = seen
+    [(out, angles, result)] = seen
     assert _operands(out)[1].shape[-3] == 1
     expected = np.array([float.fromhex(x) for x in FOLDED_S[command]["s"]])
-    assert np.array_equal(s, expected.reshape(FOLDED_S[command]["shape"]))
+    assert result.s.shape == tuple(FOLDED_S[command]["shape"])
+    terms = wick_term_magnitudes(out.beam_a, out.beam_d_prime, angles)
+    numerator = sum(terms[name] for name in ("r_ab", "r_ab_prime", "r_a_prime_b",
+                                             "r_a_prime_b_prime"))
+    scale = numerator / (result.r_singles_a + result.r_singles_b)
+    assert np.all(np.abs(result.s - expected.reshape(result.s.shape)) <= 4e-15 * scale)
 
 
 def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, capsys):
@@ -436,14 +453,32 @@ def test_fig4_memory_per_grid_point(tmp_path):
     assert peak / 8000 < 800
 
 
+def test_angle_grid_ch_s_memory_per_cell():
+    """ch_s alone on fig3's default grid of 721 angles x 2 levels: each
+    rate's angle-only vector c = u (x) w meets the one-block form H in H c
+    and c^T (H c), and the rates and S are what stay, about 133 B of
+    tracemalloc peak per S cell.  The weights c_p c_q formed as one
+    16-entry array per rate peak at about 157 B, and the parent kernel's
+    analyzer products of the 2x2 contraction matrices at about 384 B."""
+    chis = np.array([squeezing_to_chi(level) for level in (0.99, 0.80)])
+    out = build_swap_circuit(SwapParams(0.1, chis, 1.0, 1.0))
+    angles = angle_family(_grid(0.0, math.pi / 2, 721)[:, None])
+    tracemalloc.start()
+    try:
+        s = ch_s(out, angles).s
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (721, 2)
+    assert peak / s.size < 150
+
+
 def test_factored_ch_s_memory_per_grid_point():
     """ch_s alone on fig4's four levels x 2,000 gains, which it factors: the
-    gain grid meets only the eight rate parts' quadratics, stacked on one
-    axis and evaluated as real and imaginary parts in turn, and the checks,
-    about 116 B of tracemalloc peak per point.  One more (gain, level, 2, 2)
-    complex array would add 64 B, the stacked quadratics evaluated as
-    complex numbers peak at about 210 B, and contracting gain-expanded P, Q
-    and Gram matrices at about 417 B."""
+    gain grid meets only the Horner evaluation of each rate part's
+    quadratic and the checks, about 94 B of tracemalloc peak per point.
+    One more (gain, level, 2, 2) complex array would add 64 B, and
+    contracting gain-expanded P, Q and Gram matrices peaks at about 417 B."""
     chis = np.array([squeezing_to_chi(level) for level in (0.10, 0.50, 0.80, 0.99)])
     gains = _grid(0.01, 2.0, 2000)
     out = build_swap_circuit(SwapParams(0.1, chis, gains[:, None], 1.0))

@@ -222,9 +222,11 @@ def test_split_beam_pair_with_normal_order_contraction_matches_wick_sum():
 @pytest.mark.parametrize("chi1", [5.0, 10.0, 30.0])  # rates ~1e7, 1e16, 1e51
 @pytest.mark.parametrize("rotate_a", [False, True], ids=["b-rotated", "both-rotated"])
 def test_rotated_beams_match_wick_sum_at_large_rates(chi1, rotate_a):
-    """A wave plate with a phase mixes h and v with complex weights, so each
-    rate carries an imaginary rounding that grows with the rate; the
-    imaginary-part checks of ch_s and coincidence_rate scale with it."""
+    """A wave plate with a phase mixes h and v with complex weights, so the
+    Gram matrices are complex: ch_s's real form H drops Im G_1 (x) Im G_2,
+    which no product vector sees, and stays positive semidefinite, and each
+    Wick rate carries an imaginary rounding that grows with the rate, which
+    coincidence_rate's imaginary-part check scales with."""
     r, p = 2 ** -0.5, cmath.exp(0.7j)
 
     def rotated(beam):

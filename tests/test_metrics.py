@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cvswap.cli
 import cvswap.metrics
 from cvswap import (
     AnalyticInputs,
@@ -34,7 +35,10 @@ from cvswap.metrics import (
     AnalyzerAngles,
     RateOverflowError,
     _ch_result,
-    _rate,
+    _contractions,
+    _hermitian_form,
+    _operands,
+    _require_semidefinite,
     angle_family,
 )
 from helpers import baseline_s, source_beams, support
@@ -190,16 +194,40 @@ class TestChS:
                                             math.tanh(squeezing_chi), 1.0))
         assert ch_s(out, OPTIMAL_ANGLES).s == pytest.approx(baseline, abs=1e-9)
 
-    def test_imaginary_part_check_scales_with_the_rate(self):
-        # bare below rate 1, relative to |Re| above it; each rate is a 1x1
-        # block matrix
-        def checked_real(rates):
-            return _rate(rates[:, None, None], None)
+    def test_semidefinite_check_scales_with_the_trace(self):
+        # a rate form's negative eigenvalues are rounding up to 1e-12 of its
+        # trace: bare 1e-12 would reject the first, and miss the second
+        def form(diagonal):
+            return np.diag(diagonal)[None, None]  # one block
 
-        assert checked_real(np.array([0.5 + 9e-13j, 1e20 + 9e7j])).tolist() == [0.5, 1e20]
-        for rate in (0.5 + 2e-12j, 1e20 + 2e8j):
-            with pytest.raises(ValueError, match="imaginary part"):
-                checked_real(np.array([1.0, rate]))
+        _require_semidefinite(form([1e20, 1e20, 1e20, -1e6]))
+        with pytest.raises(ValueError, match="indefinite: eigenvalue -1e-30"):
+            _require_semidefinite(form([1e-20, 1e-20, 1e-20, -1e-30]))
+
+    @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
+    def test_semidefinite_check_rejects_a_negated_gram_term(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        """Each default build's block matrix [H_bc] is accepted, with its
+        smallest eigenvalue above 1e-6 of its trace; with the Gram term
+        Re G_1 (x) Re G_2 negated, every one is rejected."""
+        seen = []
+        monkeypatch.setattr(cvswap.cli, "ch_s",
+                            lambda out, angles: seen.append(out) or ch_s(out, angles))
+        assert cvswap.cli.main([command, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        beam_1, right, _ = _operands(seen[0])
+        h = _hermitian_form(beam_1, right)
+        _require_semidefinite(h)
+        blocks = h.shape[-3]
+        full = h.swapaxes(-3, -2).reshape(h.shape[:-4] + (4 * blocks, 4 * blocks))
+        low = np.linalg.eigvalsh(full)[..., 0]
+        assert np.all(low > 1e-6 * np.trace(full, axis1=-2, axis2=-1))
+        _, gram_1, gram_2 = _contractions(beam_1, right)
+        gram = np.einsum("...ik,...bcjl->...bcijkl", gram_1.real, gram_2.real)
+        broken = h - 2 * gram.reshape(h.shape)
+        for index in np.ndindex(h.shape[:-4]):
+            with pytest.raises(ValueError, match="indefinite"):
+                _require_semidefinite(broken[index])
 
     def test_negative_rate_is_named(self):
         rates = {name: np.array([1.0, 2.0]) for name in (
