@@ -458,8 +458,8 @@ def test_angle_grid_ch_s_memory_per_cell():
     rate's angle-only vector c = u (x) w meets the one-block form H in H c
     and c^T (H c), and the rates and S are what stay, about 133 B of
     tracemalloc peak per S cell.  The weights c_p c_q formed as one
-    16-entry array per rate peak at about 157 B, and the parent kernel's
-    analyzer products of the 2x2 contraction matrices at about 384 B."""
+    16-entry array per rate would peak at about 157 B, and products of the
+    2x2 contraction matrices with each analyzer vector at about 384 B."""
     chis = np.array([squeezing_to_chi(level) for level in (0.99, 0.80)])
     out = build_swap_circuit(SwapParams(0.1, chis, 1.0, 1.0))
     angles = angle_family(_grid(0.0, math.pi / 2, 721)[:, None])
@@ -621,12 +621,12 @@ class TestFig3:
         header, _ = read_rows(tmp_path / "fig3.csv")
         assert header == ["theta_a_rad", "s_99", "s_80"]
 
-
     def test_two_angle_steps_give_both_ends(self, tmp_path, capsys):
         assert main(["fig3", "--out", str(tmp_path), "--angles-steps", "2"]) == 0
         assert capsys.readouterr().err == ""
         _, rows = read_rows(tmp_path / "fig3.csv")
         assert [row[0] for row in rows] == [0.0, pytest.approx(math.pi / 2, rel=1e-8)]
+
 
 class TestFig4:
     def test_argmax_and_equal_maxima(self, tmp_path, capsys):
