@@ -46,8 +46,8 @@ MUTANTS = [
         "the singles denominator counts beam D' at theta_b' instead of theta_b"),
     Mutant(
         "x-polarizations-swapped", "circuit.py",
-        "beam_x=_beam(x)",
-        "beam_x=halfwave_swap(_beam(x))",
+        "parts=_beam(x)",
+        "parts=halfwave_swap(_beam(x))",
         "h-polarized photocurrents displace D'_h instead of D'_v, so the "
         "teleported polarization no longer matches the measured one"),
     Mutant(
@@ -112,11 +112,11 @@ MUTANTS = [
         "        if False:\n",
         "_unit_displacement accepts non-Hermitian photocurrents"),
     Mutant(
-        "one-block-gain-add-dropped", "metrics.py",
-        "        centres = weights\n",
-        "        centres = 0.0 * weights\n",
-        "with one block, ch_s evaluates D'(0), the teleporter at gain 0, "
-        "instead of D' at the gain"),
+        "one-block-gain-add-dropped", "circuit.py",
+        "*zip(self.weights[..., None], parts)))",
+        "*zip(0.0 * self.weights[..., None], parts)))",
+        "beam_d_prime sums no part into D', so every one-block ch_s call "
+        "evaluates D'(0), the teleporter at gain 0, instead of D' at the gain"),
     Mutant(
         "detector-weights-swapped", "circuit.py",
         "weights = np.array([gain * np.sqrt(eta), gain * np.sqrt(1.0 - eta)])",
@@ -125,16 +125,16 @@ MUTANTS = [
         "g sqrt(1 - eta) and the loss part X(0) g sqrt(eta)"),
     Mutant(
         "loss-part-dropped", "metrics.py",
-        "parts = [beams.beam_d0.field.cre, *beams.beam_x.field.cre]",
-        "parts = [beams.beam_d0.field.cre, *beams.beam_x.field.cre[:1]]",
+        "parts = [beams.beam_d0.field.cre, *beams.parts.field.cre]",
+        "parts = [beams.beam_d0.field.cre, *beams.parts.field.cre[:1]]",
         "on an efficiency grid ch_s contracts D' without its detector-loss "
         "part, as if the lost light brought no vacuum noise"),
     Mutant(
         "one-block-branch-never-taken", "metrics.py",
-        "    if np.broadcast(right[..., 0, 0, 0], weights[0]).shape == right.shape[:-3]:\n",
+        "    if np.broadcast(right[..., 0, 0, 0], beams.weights[0]).shape == right.shape[:-3]:\n",
         "    if False:\n",
-        "every circuit output takes two blocks about g_r, which moves the bits "
-        "of S on the gain-free sweeps"),
+        "every circuit output takes the centred block expansion, which moves "
+        "the bits of S on the gain-free sweeps"),
     Mutant(
         "semidefinite-check-disabled", "metrics.py",
         "    if indefinite.any():\n",
@@ -167,6 +167,12 @@ MUTANTS = [
         "if abs(value.imag) > _IMAG_TOL and abs(value.imag) > _IMAG_TOL * abs(value.real):",
         "if abs(value.imag) > _IMAG_TOL:",
         "coincidence_rate rejects valid beams once the rates grow large"),
+    Mutant(
+        "svg-y-axis-upright", "cli.py",
+        "return height - margin - (y - y_lo) / y_span * (height - 2 * margin)",
+        "return margin + (y - y_lo) / y_span * (height - 2 * margin)",
+        "write_svg plots the largest value at the bottom of the plot box and "
+        "the least at the top"),
     Mutant(
         "negative-rate-check-disabled", "metrics.py",
         "negative = value < _RATE_FLOOR",

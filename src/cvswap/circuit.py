@@ -13,8 +13,7 @@ Every component maps canonical annihilation operators to canonical
 annihilation operators, which the constructors verify via commutators.
 Parameters may be numpy arrays that broadcast together: one build covers
 the whole grid, every check applies to each of its points, and each field
-carries the batch shape of the parameters it depends on (the gain, and an
-efficiency grid, only weight the teleported beam's parts).  Circuit
+carries the batch shape of the parameters it depends on.  Circuit
 construction mutates its ModeRegistry and is single-threaded; the
 returned fields are immutable and can be evaluated concurrently.
 
@@ -130,27 +129,29 @@ class SwapParams:
 
 @dataclass(frozen=True)
 class SwapCircuitOutput:
-    """The source beam A, the teleported beam D' in its weighted parts, and
-    the mode registry.
+    """The source beam A, the teleported beam D' in weighted parts, and the
+    mode registry.
 
-    D' = beam_d0 + sum_k gain[k] X_k exactly (see build_swap_circuit), the
-    parts X_k and their weights on the leading axis of beam_x's coefficient
-    arrays and of gain.  The weights share one shape and may add batch axes
-    of their own.  beam_d_prime forms D' from the parts on each access,
-    adding each weight's product with its part in place into the result.
+    D' = beam_d0 + sum_k weights[k] X_k exactly, the parts X_k on the
+    leading axis of the parts beam's coefficient arrays and their weights on
+    that of weights: one part X(eta) of weight g, or, where eta adds batch
+    axes of its own, the port part X(1) and the detector-loss part X(0) of
+    weights g sqrt(eta) and g sqrt(1-eta).  The weights may add batch axes
+    of their own.  beam_d_prime is the one sum of the parts into D', formed
+    on each access.
     """
 
     beam_a: PolarizedBeam
     beam_d0: PolarizedBeam
-    beam_x: PolarizedBeam
-    gain: np.ndarray
+    parts: PolarizedBeam
+    weights: np.ndarray
     registry: ModeRegistry
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        parts = map(LinearField, self.beam_x.field.ann, self.beam_x.field.cre)
+        parts = map(LinearField, self.parts.field.ann, self.parts.field.cre)
         return _beam(_combination((1.0, self.beam_d0.field),
-                                  *zip(self.gain[..., None], parts)))
+                                  *zip(self.weights[..., None], parts)))
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
@@ -302,9 +303,9 @@ def feedforward_displace(d: LinearField, x_plus: LinearField, x_minus: LinearFie
     Both gains are one real factor times a fixed phase, so this is the same
     linear map, exactly affine in the gain; X does not depend on the gain
     and carries the gain-free batch shape, so a gain grid meets each
-    coefficient array in one multiply and one add (build_swap_circuit also
-    splits X in sqrt(eta) and sqrt(1-eta)).  The gain broadcasts against the
-    fields' batch axes, the polarization axis of stacked fields included.
+    coefficient array in one multiply and one add.  The gain broadcasts
+    against the fields' batch axes, the polarization axis of stacked
+    fields included.
     """
     return d + gain * _unit_displacement(x_plus, x_minus)
 
@@ -344,13 +345,10 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     Array parameters give one build for their whole broadcast grid: each
     field's batch shape is that of the parameters it depends on, so A
     carries the shape of chi1 alone.  D' = D'(0) + gain X is affine in the
-    gain (see feedforward_displace), and the output holds D'(0), the parts
-    of X and their weights, not D' itself.  Where eta adds no batch axes
-    beyond chi1's and chi2's, X(eta) is one part of weight g.  Otherwise
+    gain (see feedforward_displace), and the output holds D' in its
+    weighted parts (see SwapCircuitOutput), not D' itself.  For two parts
     the photocurrents, affine in (sqrt(eta), sqrt(1-eta)), are formed once
-    at eta = 1 and 0 on a leading axis: X = sqrt(eta) X(1) + sqrt(1-eta)
-    X(0) exactly, and eta meets only the weights g sqrt(eta) and
-    g sqrt(1-eta).  ch_s folds the parts into D' or contracts them as blocks.
+    at eta = 1 and 0 on a leading axis, so that eta meets only the weights.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 
@@ -374,8 +372,8 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     # h-polarized photocurrents modulate D_v and vice versa, so after the
     # half-wave plate D'(0) is D swapped and X keeps its (h, v) rows
     return SwapCircuitOutput(
-        beam_a=beam_a, beam_d0=halfwave_swap(beam_d), beam_x=_beam(x),
-        gain=weights, registry=registry)
+        beam_a=beam_a, beam_d0=halfwave_swap(beam_d), parts=_beam(x),
+        weights=weights, registry=registry)
 
 
 def single_mode_teleporter(a_in: LinearField, chi: float, gain: float,

@@ -21,22 +21,16 @@ Every CH ratio is assembled by one function, :func:`ch_s`.  It takes the
 beams' fields with any batch axes, as one batched circuit build returns
 them, and the analyzer angles as arrays that broadcast against them, so a
 whole sweep is one numpy computation; :func:`maximize_s` calls it too.
-A build returns the teleported beam D' = d + sum_k w_k X_k as d and its
-weighted parts; :func:`ch_s` expands it as R + sum_k t_k X_k about a
-centre, as blocks of the second beam in one rate kernel.  If the weights
-add no batch axes to d and X, the parts fold into R; otherwise every rate
-is a quadratic in the t_k with coefficients at the squeezers' shape, so a
-gain or efficiency grid meets only the rate polynomials, never the mode
-axis.
 Because each analyzer field is linear in (cos t, sin t), all two-point
 contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
 <e2+ e1+ e1 e2>, the closed three-pairing Isserlis (Wick) sum of them, is
 a real quadratic form c^T H c in c = u (x) w, the product of the two real
 analyzer vectors.  :func:`ch_s` forms the real 4x4 matrices H once per beam
-pair and block pair, at the squeezers' shape, checks that they are positive
-semidefinite, and evaluates every rate as the angle vector c against H c,
-so every grid axis (angle, gain or efficiency) meets only their entries.
+pair and block pair of the teleported beam's parts, at the squeezers'
+shape, checks that they are positive semidefinite, and evaluates every rate
+as the angle vector c against H c, so every grid axis (angle, gain or
+efficiency) meets only their entries.
 :func:`coincidence_rate` keeps the general Wick sum over single fields,
 without batch axes, as the reference that the oracles and tests check
 :func:`ch_s` against.
@@ -153,30 +147,28 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
 
 
 def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
-              ) -> tuple[PolarizedBeam, np.ndarray, list[np.ndarray] | None]:
+              ) -> tuple[PolarizedBeam, np.ndarray, list[np.ndarray]]:
     # ch_s's operands: the first beam, the second beam's creation rows in
     # blocks on axis -3, shape (..., blocks, 2, n_modes), and the weights t
-    # of the blocks after the first, None for one block: a beam, or D' = d +
-    # sum_k w_k X_k about c_k = w_k where the weights add no batch axes.
-    # Otherwise c_k = -Re tr G(d, X_k) / tr G(X_k, X_k), where D''s Gram
-    # trace is least: about 0, d and g X would cancel near the optimal gain
-    # by up to cosh^2(chi2).  c_k is 0 for the loss part, which shares no mode with d
+    # of the blocks after the first.  A beam pair is one block, and so is a
+    # circuit output whose weights add no batch axes, as (A, D').  Otherwise
+    # each part enters about c_k = -Re tr G(d, X_k) / tr G(X_k, X_k), where
+    # D''s Gram trace is least: about 0, d and g X would cancel near the
+    # optimal gain by up to cosh^2(chi2).  c_k is 0 for the loss part, which
+    # shares no mode with d
     if not isinstance(beams, SwapCircuitOutput):
-        return beams[0], beams[1].field.cre[..., None, :, :], None
-    parts = [beams.beam_d0.field.cre, *beams.beam_x.field.cre]
+        return beams[0], beams[1].field.cre[..., None, :, :], []
+    parts = [beams.beam_d0.field.cre, *beams.parts.field.cre]
     right = _rows([x[..., p, :] for x in parts for p in (0, 1)])
     right = right.reshape(right.shape[:-2] + (len(parts), 2, -1))
-    weights, t = beams.gain, None
-    if np.broadcast(right[..., 0, 0, 0], weights[0]).shape == right.shape[:-3]:
-        centres = weights
-    else:
-        traces = [np.einsum("...bim,...im->...b", right.conj(), right[..., k, :, :]).real
-                  for k in range(1, len(parts))]
-        centres = [-x[..., 0] / x[..., k] for k, x in enumerate(traces, start=1)]
-        t = [w - c for w, c in zip(weights, centres)]
+    if np.broadcast(right[..., 0, 0, 0], beams.weights[0]).shape == right.shape[:-3]:
+        return _operands((beams.beam_a, beams.beam_d_prime))
+    traces = [np.einsum("...bim,...im->...b", right.conj(), right[..., k, :, :]).real
+              for k in range(1, len(parts))]
+    centres = [-x[..., 0] / x[..., k] for k, x in enumerate(traces, start=1)]
     for k, c in enumerate(centres, start=1):
         right[..., 0, :, :] += c[..., None, None] * right[..., k, :, :]
-    return beams.beam_a, right if t else right[..., :1, :, :], t
+    return beams.beam_a, right, [w - c for w, c in zip(beams.weights, centres)]
 
 
 def _contractions(beam_1: PolarizedBeam,
@@ -185,8 +177,7 @@ def _contractions(beam_1: PolarizedBeam,
     # second beam's creation rows `right`, shape (..., blocks, 2, n_modes),
     # the Gram matrix G_1 of beam_1 and the Gram blocks G_2,bc, with (b, c)
     # on axes (-4, -3), each one einsum of coefficient rows: ann_h, ann_v,
-    # conj cre_h, conj cre_v of beam_1 against each block's (h, v) rows.  A
-    # beam has one block, D' = R + t X two (see _operands).
+    # conj cre_h, conj cre_v of beam_1 against each block's (h, v) rows
     left = np.concatenate([beam_1.field.ann, beam_1.field.cre.conj()], axis=-2)
     n = min(left.shape[-1], right.shape[-1])
     pq = np.einsum("...im,...bjm->...bij", left[..., :n], right[..., :n])
@@ -237,7 +228,7 @@ def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
     return u
 
 
-def _horner(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
+def _horner(m: np.ndarray, t: list[np.ndarray]) -> np.ndarray:
     # sum_bc t_b t_c m_bc over the blocks (b, c) on axes (-2, -1), t_0 = 1
     # and t_b = t[b - 1]: one nested Horner pass per weight, each in place
     rate = m[..., 0, 0]
@@ -253,7 +244,7 @@ def _horner(m: np.ndarray, t: list[np.ndarray] | None) -> np.ndarray:
 
 
 def _rate(u: np.ndarray, w: np.ndarray, h: np.ndarray,
-          t: list[np.ndarray] | None) -> np.ndarray:
+          t: list[np.ndarray]) -> np.ndarray:
     # the rate sum_bc t_b t_c c^T H_bc c for c = u (x) w: the angle-only
     # vector c meets H's entries in two einsums, c^T (H c), and only the
     # Horner pass takes the blocks' weights t.  Forming the weights c_p c_q
@@ -293,16 +284,19 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     one real symmetric 4x4 matrix per beam pair, formed at the beams'
     shape.  All four coincidence rates use it, and each singles rate is
     two forms, against the second beam's bare h and v (r_singles_a) or
-    the first's (r_singles_b).
+    the first's (r_singles_b).  H's entries carry rounding of order
+    eps |p|^2, so a single rate whose pair amplitude u^T P w cancels while
+    its Gram term is small loses relative precision: on the bare source
+    pair at theta_a = theta_b, r_ab is off by up to about 6e-11 of its Wick
+    terms at chi1 = 1e-3 and 8e-9 at 1e-4.  S keeps eps-relative accuracy
+    on the numerator's term scale there; coincidence_rate keeps it per rate.
 
-    A circuit output holds D' as d + sum_k w_k X_k (see build_swap_circuit):
-    one part of weight g, or the port and detector-loss parts of weights
-    g sqrt(eta) and g sqrt(1-eta).  Where the weights add no batch axes to
-    d and the parts, they are folded into R = D', one block.  Otherwise
-    D' = R + sum_k t_k X_k, each part about c_k, the weight that minimizes
-    the trace of D''s Gram matrix, so that its orders do not cancel near
-    the optimal gain, and R, X_1, ... enter as blocks b of the second
-    beam's rows: H_bc carries the block pair, formed from P_b, Q_b and
+    A circuit output holds D' in weighted parts (see SwapCircuitOutput).
+    Where the weights add no batch axes, ch_s contracts (A, D') as above.
+    Otherwise D' = R + sum_k t_k X_k, each part about c_k, the weight that
+    minimizes the trace of D''s Gram matrix, so that its orders do not
+    cancel near the optimal gain, and R, X_1, ... enter as blocks b of the
+    second beam's rows: H_bc carries the block pair, formed from P_b, Q_b and
     G_2,bc at the squeezers' shape, and with t_0 = 1 each rate is
 
         sum_bc t_b t_c c^T H_bc c.
@@ -475,16 +469,14 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     Scans theta over [0, pi/2] on a uniform inclusive grid in one ch_s
     call, so family must accept an array of angles; ties are broken by the
     smallest theta.  beams must be one beam pair: ValueError if a beam's
-    fields, or a circuit output's gain, carry batch axes.
+    fields, a circuit output's A or D' included, carry batch axes.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    circuit = isinstance(beams, SwapCircuitOutput)
-    beam_pair = (beams.beam_a, beams.beam_d0) if circuit else beams
-    # without batch axes a beam's coefficient arrays are (2, n_modes), and a
-    # circuit output's weights (parts,) and parts (parts, 2, n_modes)
-    if ((circuit and (beams.gain.ndim > 1 or beams.beam_x.field.ann.ndim > 3))
-            or any(beam.field.ann.ndim > 2 for beam in beam_pair)):
+    if isinstance(beams, SwapCircuitOutput):
+        beams = beams.beam_a, beams.beam_d_prime
+    # without batch axes a beam's coefficient arrays are (2, n_modes)
+    if any(beam.field.ann.ndim > 2 for beam in beams):
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s

@@ -129,14 +129,14 @@ def assert_matches_per_component_build(params: SwapParams) -> None:
     per_component_build for A, D'(0) and each part of X: X(eta) for one
     part, and X(1) and X(0), the port and loss parts, for two."""
     out = build_swap_circuit(params)
-    parts = out.beam_x.field.ann.shape[0]
+    parts = out.parts.field.ann.shape[0]
     etas = [params.eta] if parts == 1 else [1.0, 0.0]
     assert len(etas) == parts
     for k, eta in enumerate(etas):
         registry, *reference = per_component_build(replace(params, eta=eta))
         assert out.registry.names == registry.names
         n_modes = len(registry)
-        x = PolarizedBeam(*(LinearField(f.ann[k], f.cre[k]) for f in (out.beam_x.h, out.beam_x.v)))
+        x = PolarizedBeam(*(LinearField(f.ann[k], f.cre[k]) for f in (out.parts.h, out.parts.v)))
         for beam, expected in zip((out.beam_a, out.beam_d0, x), reference):
             for pol in ("h", "v"):
                 for got, want in zip(getattr(beam, pol).padded(n_modes),

@@ -446,9 +446,9 @@ class TestBuildSwapCircuit:
         out = build_swap_circuit(SwapParams(*axes))
         batched = [np.broadcast_to(x, shape + x.shape[-2:]) for x in coefficients(out)]
         scale = [np.broadcast_to(np.abs(d) + sum(np.abs(w[..., None, None] * x)
-                                                for w, x in zip(out.gain, parts)),
+                                                for w, x in zip(out.weights, parts)),
                                  shape + d.shape[-2:])
-                 for d, parts in zip(out.beam_d0.field.padded(12), out.beam_x.field.padded(12))]
+                 for d, parts in zip(out.beam_d0.field.padded(12), out.parts.field.padded(12))]
         for index in np.ndindex(shape):
             single = build_swap_circuit(SwapParams(*(float(p[index]) for p in grid)))
             *exact, ann, cre = coefficients(single)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -398,13 +399,13 @@ def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, 
     n_modes = len(out.registry)
     assert out.beam_a.field.ann.shape == (2, 4)
     assert out.beam_d0.field.ann.shape == (3, 2, 8)
-    assert out.beam_x.field.ann.shape == (2, 3, 2, n_modes)
-    assert out.gain.shape == (2, 61, 3)
+    assert out.parts.field.ann.shape == (2, 3, 2, n_modes)
+    assert out.weights.shape == (2, 61, 3)
     assert _operands(out)[1].shape[-3] == 3
     chis = np.array([squeezing_to_chi(level) for level in (0.3, 0.5, 0.9)])
     for i, eta in enumerate(_grid(0.7, 1.0, 61)):
         folded = build_swap_circuit(SwapParams(0.1, chis, optimal_gain(chis, eta), eta))
-        assert folded.beam_x.field.ann.shape[0] == 1 and _operands(folded)[2] is None
+        assert folded.parts.field.ann.shape[0] == 1 and _operands(folded)[2] == []
         beams = (folded.beam_a, folded.beam_d_prime)
         result = ch_s(beams, OPTIMAL_ANGLES)
         terms = wick_term_magnitudes(*beams, OPTIMAL_ANGLES)
@@ -689,6 +690,37 @@ class TestOutputFormat:
         capsys.readouterr()
         svg = (tmp_path / "fig3.svg").read_text()
         assert svg.count("<polyline") == 2  # s_99 and s_80
+
+    @staticmethod
+    def _polylines(path):
+        text = path.read_text()
+        return (re.findall(r"<title>([^<]*)</title>", text),
+                [[tuple(map(float, point.split(","))) for point in points.split()]
+                 for points in re.findall(r'points="([^"]*)"', text)])
+
+    def test_svg_maps_the_ranges_onto_the_plot_box(self, tmp_path):
+        """Column 0 spans x from 40 to 600, and all data columns together y
+        from 440 (their least value) up to 40 (their largest), linearly."""
+        table = [[2.0, 1.0, -4.0], [-1.0, 3.0, 0.5], [5.0, 10.0, 2.0], [3.5, -2.5, 7.0]]
+        cvswap.cli.write_svg(tmp_path / "t.svg", ["x", "y", "z"], table)
+        titles, lines = self._polylines(tmp_path / "t.svg")
+        assert titles == ["y", "z"]
+        strokes = re.findall(r'stroke="([^"]*)"', (tmp_path / "t.svg").read_text())
+        assert strokes == ["#1f77b4", "#d62728"]
+        for column, line in enumerate(lines, start=1):
+            assert [x for x, _ in line] == [
+                round(40 + (row[0] + 1.0) / 6.0 * 560, 2) for row in table]
+            assert [y for _, y in line] == [
+                round(440 - (row[column] + 4.0) / 14.0 * 400, 2) for row in table]
+        xs = [x for line in lines for x, _ in line]
+        ys = [y for line in lines for _, y in line]
+        assert (min(xs), max(xs)) == (40.0, 600.0)
+        assert (min(ys), max(ys)) == (40.0, 440.0)
+
+    def test_svg_of_a_constant_column_is_finite(self, tmp_path):
+        cvswap.cli.write_svg(tmp_path / "t.svg", ["x", "y"], [[1.5, 2.0], [1.5, 2.0]])
+        _, [line] = self._polylines(tmp_path / "t.svg")
+        assert line == [(40.0, 440.0), (40.0, 440.0)]
 
 
 class TestSelftest:

@@ -237,7 +237,35 @@ def test_rotated_beams_match_wick_sum_at_large_rates(chi1, rotate_a):
     assert_cells_match_wick((beams, OPTIMAL_ANGLES, ch_s(beams, OPTIMAL_ANGLES)), [()])
 
 
-_angle = st.floats(min_value=-math.pi, max_value=math.pi)
+@pytest.mark.parametrize("chi1", [1e-2, 1e-3, 1e-4])
+def test_bare_pair_s_at_weak_pump_matches_wick_sum(chi1):
+    """On the bare source pair at weak pump, S over maximize_s's grid of the
+    angle family, theta = 0 (theta_a = theta_b) included, lies within 1e-15
+    of S from the general Wick sum, relative to the numerator's Wick-term
+    magnitudes over the denominator.  The single rates lose precision there
+    (see ch_s), S does not: the worst cell measured about 6e-16."""
+    beams = source_beams(chi1)
+    thetas = _grid(0.0, math.pi / 2, 721)
+    result = ch_s(beams, angle_family(thetas))
+    reference = []
+    for theta in thetas:
+        angles = angle_family(float(theta))
+        e_a, e_a_prime = (analyzer(beams[0], t, "a")
+                          for t in (angles.theta_a, angles.theta_a_prime))
+        e_b, e_b_prime = (analyzer(beams[1], t, "d")
+                          for t in (angles.theta_b, angles.theta_b_prime))
+        numerator = (coincidence_rate(e_a, e_b) - coincidence_rate(e_a, e_b_prime)
+                     + coincidence_rate(e_a_prime, e_b) + coincidence_rate(e_a_prime, e_b_prime))
+        reference.append(numerator / (singles_rate(e_a_prime, beams[1])
+                                      + singles_rate(e_b, beams[0])))
+    terms = wick_term_magnitudes(*beams, angle_family(thetas))
+    scale = (sum(terms[name] for name in ("r_ab", "r_ab_prime", "r_a_prime_b",
+                                          "r_a_prime_b_prime"))
+             / (result.r_singles_a + result.r_singles_b))
+    assert np.all(np.abs(result.s - reference) <= 1e-15 * scale)
+
+
+_angle =st.floats(min_value=-math.pi, max_value=math.pi)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -374,12 +402,12 @@ def test_factored_s_at_extreme_squeezing(chi1, eta):
 ])
 def test_fold_or_factor_boundary(chi2, gain, factored):
     """ch_s expands D' in two blocks, R and X, exactly when the gain adds
-    batch axes, whatever the grid size; otherwise in one, about the gain
-    itself, which gives every bit of ch_s on (A, D')."""
+    batch axes, whatever the grid size; otherwise it contracts (A, D') as
+    one block, which gives every bit of ch_s on that pair."""
     out = build_swap_circuit(SwapParams(0.1, chi2, gain, 0.9))
     _, right, t = _operands(out)
     assert right.shape[-3] == (2 if factored else 1)
-    assert (t is None) is not factored
+    assert len(t) == right.shape[-3] - 1
     if not factored:
         result = ch_s(out, OPTIMAL_ANGLES)
         folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES)
@@ -399,16 +427,16 @@ def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
     """The build splits X into its port and loss parts exactly when eta adds
     batch axes beyond chi1's and chi2's; the parts then carry no eta axis,
     and D' folded from them equals a one-part build at each eta within 1e-15
-    of its terms' magnitudes, coefficient for coefficient.  _operands folds
-    every part, t None, exactly when the weights add no batch axes."""
+    of its terms' magnitudes, coefficient for coefficient.  _operands takes
+    D' as one block, t empty, exactly when the weights add no batch axes."""
     out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
     squeezers = np.broadcast_shapes(np.shape(chi1), np.shape(chi2))
     n_modes = len(out.registry)
-    assert out.beam_x.field.ann.shape == (parts,) + squeezers + (2, n_modes)
-    assert out.gain.shape[0] == parts
+    assert out.parts.field.ann.shape == (parts,) + squeezers + (2, n_modes)
+    assert out.weights.shape[0] == parts
     _, right, t = _operands(out)
-    folded = np.broadcast_shapes(right.shape[:-3], out.gain.shape[1:]) == right.shape[:-3]
-    assert (t is None) is folded
+    folded = np.broadcast_shapes(right.shape[:-3], out.weights.shape[1:]) == right.shape[:-3]
+    assert len(t) == (0 if folded else parts)
     assert right.shape[-3] == (1 if folded else 1 + parts)
     if parts == 1:
         return
@@ -416,12 +444,12 @@ def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
     d_prime = [np.broadcast_to(x, shape + (2, n_modes))
                for x in out.beam_d_prime.field.padded(n_modes)]
     terms = [np.broadcast_to(np.abs(d) + sum(np.abs(w[..., None, None] * x)
-                                            for w, x in zip(out.gain, xs)), shape + (2, n_modes))
-             for d, xs in zip(out.beam_d0.field.padded(n_modes), out.beam_x.field.padded(n_modes))]
+                                            for w, x in zip(out.weights, xs)), shape + (2, n_modes))
+             for d, xs in zip(out.beam_d0.field.padded(n_modes), out.parts.field.padded(n_modes))]
     grid = np.broadcast_arrays(chi1, chi2, gain, eta)
     for index in np.ndindex(shape):
         one = build_swap_circuit(SwapParams(*(float(p[index]) for p in grid)))
-        assert one.beam_x.field.ann.shape[0] == 1
+        assert one.parts.field.ann.shape[0] == 1
         for x, y, scale in zip(d_prime, one.beam_d_prime.field.padded(n_modes), terms):
             assert np.all(np.abs(x[index] - y) <= 1e-15 * scale[index])
 
@@ -448,7 +476,7 @@ def test_two_part_rates_match_folded(chi1, chi2s, etas, gain_max, thetas, points
     gains = np.concatenate([optimal_gain(chi2, eta)[None],
                             np.broadcast_to(grid, (points, len(etas), len(chi2s)))])
     out = build_swap_circuit(SwapParams(chi1, chi2, gains, eta))
-    assert out.beam_x.field.ann.shape[:2] == (2, len(chi2s))
+    assert out.parts.field.ann.shape[:2] == (2, len(chi2s))
     angles = AnalyzerAngles(*thetas)
     folded = []
     try:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import cvswap.cli
-import cvswap.metrics
 from cvswap import (
     AnalyticInputs,
     ModeRegistry,
     NoCoincidencesError,
     PolarizedBeam,
+    SwapCircuitOutput,
     SwapParams,
     analytic_rate_teleported,
     analytic_s_ad,
@@ -424,13 +424,18 @@ class TestMaximizeS:
             maximize_s(source_beams(0.1), steps=steps)
 
     def test_expands_a_circuit_output_once(self, monkeypatch):
+        """maximize_s forms D' once per call, for its batch check and ch_s."""
         calls = []
-        operands = cvswap.metrics._operands
-        monkeypatch.setattr(cvswap.metrics, "_operands",
-                            lambda beams: calls.append(beams) or operands(beams))
+        d_prime = SwapCircuitOutput.beam_d_prime
+        monkeypatch.setattr(SwapCircuitOutput, "beam_d_prime",
+                            property(lambda out: calls.append(out) or d_prime.fget(out)))
         out = build_swap_circuit(SwapParams(0.1, squeezing_to_chi(0.5), 0.3, 0.9))
         maximize_s(out, steps=5)
         assert len(calls) == 1 and calls[0] is out
+
+    def test_circuit_output_scans_as_its_beam_pair(self):
+        out = build_swap_circuit(SwapParams(0.1, squeezing_to_chi(0.5), 0.3, 0.9))
+        assert maximize_s(out) == maximize_s((out.beam_a, out.beam_d_prime))
 
     def test_family_contains_optimal_set(self):
         angles = angle_family(math.pi / 8)
@@ -439,10 +444,12 @@ class TestMaximizeS:
     @pytest.mark.parametrize("params", [
         SwapParams(0.1, 0.5, np.linspace(0.1, 1.0, 721), 1.0),  # would pair gain i with theta i
         SwapParams(0.1, np.array([0.3, 0.5]), 1.0, 1.0),  # would not broadcast against theta
-    ], ids=["gain-batch", "squeezing-batch"])
+        SwapParams(0.1, 0.5, 0.9, np.linspace(0.7, 1.0, 4)),  # two parts: port and loss
+    ], ids=["gain-batch", "squeezing-batch", "efficiency-batch"])
     @pytest.mark.parametrize("as_pair", [False, True], ids=["circuit-output", "beam-pair"])
     def test_rejects_a_batch(self, params, as_pair):
         out = build_swap_circuit(params)
+        assert out.parts.field.ann.shape[0] == (2 if np.ndim(params.eta) else 1)
         beams = (out.beam_a, out.beam_d_prime) if as_pair else out
         with pytest.raises(ValueError, match="one beam pair, not a batch"):
             maximize_s(beams)
