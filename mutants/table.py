@@ -112,6 +112,13 @@ MUTANTS = [
         "        if False:\n",
         "_unit_displacement accepts non-Hermitian photocurrents"),
     Mutant(
+        "hermiticity-reduced-over-a-batch-axis", "circuit.py",
+        ".max(axis=-1), x):",
+        ".max(axis=1), x):",
+        "_unit_displacement reduces the photocurrents' Hermiticity residual "
+        "over their first batch axis instead of their modes, so over a "
+        "batch it compares each residual with another element's scale"),
+    Mutant(
         "one-block-gain-add-dropped", "circuit.py",
         "*zip(self.weights[..., None], parts)))",
         "*zip(0.0 * self.weights[..., None], parts)))",
@@ -125,16 +132,22 @@ MUTANTS = [
         "g sqrt(1 - eta) and the loss part X(0) g sqrt(eta)"),
     Mutant(
         "loss-part-dropped", "metrics.py",
-        "parts = [beams.beam_d0.field.cre, *beams.parts.field.cre]",
-        "parts = [beams.beam_d0.field.cre, *beams.parts.field.cre[:1]]",
-        "on an efficiency grid ch_s contracts D' without its detector-loss "
-        "part, as if the lost light brought no vacuum noise"),
+        "kept = [k for k, w in enumerate(weights) if w.any()]",
+        "kept = [k for k, w in enumerate(weights[:1]) if w.any()]",
+        "where the weights add batch axes ch_s contracts D' without its "
+        "detector-loss part, as if the lost light brought no vacuum noise"),
+    Mutant(
+        "zero-weight-parts-kept", "metrics.py",
+        "kept = [k for k, w in enumerate(weights) if w.any()]",
+        "kept = list(range(len(weights)))",
+        "a part whose weight is 0 at every point stays a block: fig4 at "
+        "eta = 1 carries the loss part as an all-zero third block"),
     Mutant(
         "one-block-branch-never-taken", "metrics.py",
-        "    if np.broadcast(right[..., 0, 0, 0], beams.weights[0]).shape == right.shape[:-3]:\n",
-        "    if False:\n",
-        "every circuit output takes the centred block expansion, which moves "
-        "the bits of S on the gain-free sweeps"),
+        "if not kept or np.broadcast(parts[0, ..., 0, 0], weights[0]).shape == parts.shape[1:-2]:",
+        "if not kept:",
+        "every circuit output with a nonzero weight takes the centred block "
+        "expansion, which moves the bits of S on the gain-free sweeps"),
     Mutant(
         "semidefinite-check-disabled", "metrics.py",
         "    if indefinite.any():\n",

@@ -132,13 +132,12 @@ class SwapCircuitOutput:
     """The source beam A, the teleported beam D' in weighted parts, and the
     mode registry.
 
-    D' = beam_d0 + sum_k weights[k] X_k exactly, the parts X_k on the
-    leading axis of the parts beam's coefficient arrays and their weights on
-    that of weights: one part X(eta) of weight g, or, where eta adds batch
-    axes of its own, the port part X(1) and the detector-loss part X(0) of
-    weights g sqrt(eta) and g sqrt(1-eta).  The weights may add batch axes
-    of their own.  beam_d_prime is the one sum of the parts into D', formed
-    on each access.
+    D' = beam_d0 + g sqrt(eta) X(1) + g sqrt(1-eta) X(0) exactly: the port
+    part X(1) and the detector-loss part X(0) on the leading axis of the
+    parts beam's coefficient arrays, and their weights g sqrt(eta) and
+    g sqrt(1-eta) on that of weights.  The parts carry the squeezers' batch
+    shape alone, and the weights that of gain and eta.  beam_d_prime is the
+    one sum of the parts into D', formed on each access.
     """
 
     beam_a: PolarizedBeam
@@ -345,10 +344,10 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     Array parameters give one build for their whole broadcast grid: each
     field's batch shape is that of the parameters it depends on, so A
     carries the shape of chi1 alone.  D' = D'(0) + gain X is affine in the
-    gain (see feedforward_displace), and the output holds D' in its
-    weighted parts (see SwapCircuitOutput), not D' itself.  For two parts
-    the photocurrents, affine in (sqrt(eta), sqrt(1-eta)), are formed once
-    at eta = 1 and 0 on a leading axis, so that eta meets only the weights.
+    gain (see feedforward_displace), and the output holds D' in its parts
+    (see SwapCircuitOutput): the photocurrents, affine in (sqrt(eta),
+    sqrt(1-eta)), are formed once at eta = 1 and 0 on a leading axis, so
+    that gain and eta meet only the weights.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 
@@ -361,13 +360,10 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, params.chi1, label="opo1")
     beam_c, beam_d = opo_type2(registry, params.chi2, label="opo2")
-    squeezers = np.broadcast(params.chi1, params.chi2).shape
+    # the port and loss parts at eta = 1 and 0, on a leading axis before the squeezers'
+    etas = np.reshape([1.0, 0.0], (2,) + (1,) * np.broadcast(params.chi1, params.chi2).ndim)
     gain, eta = np.asarray(params.gain), np.asarray(params.eta)
-    # the parts' efficiencies on a leading axis, ahead of the squeezers' axes
-    etas, weights = eta.reshape((1,) * (1 + len(squeezers) - eta.ndim) + eta.shape), gain[None]
-    if np.broadcast(params.chi1, params.chi2, eta).shape != squeezers:
-        etas = np.reshape([1.0, 0.0], (2,) + (1,) * len(squeezers))
-        weights = np.array([gain * np.sqrt(eta), gain * np.sqrt(1.0 - eta)])
+    weights = np.array([gain * np.sqrt(eta), gain * np.sqrt(1.0 - eta)])
     x = _unit_displacement(*homodyne_currents(beam_b, beam_c, etas, registry))
     # h-polarized photocurrents modulate D_v and vice versa, so after the
     # half-wave plate D'(0) is D swapped and X keeps its (h, v) rows

@@ -151,24 +151,25 @@ def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
     # ch_s's operands: the first beam, the second beam's creation rows in
     # blocks on axis -3, shape (..., blocks, 2, n_modes), and the weights t
     # of the blocks after the first.  A beam pair is one block, and so is a
-    # circuit output whose weights add no batch axes, as (A, D').  Otherwise
-    # each part enters about c_k = -Re tr G(d, X_k) / tr G(X_k, X_k), where
+    # circuit output whose weights add no batch axes or are all 0, as
+    # (A, D').  Otherwise d and each part of a weight nonzero somewhere are
+    # blocks, each part about c_k = -Re tr G(d, X_k) / tr G(X_k, X_k), where
     # D''s Gram trace is least: about 0, d and g X would cancel near the
-    # optimal gain by up to cosh^2(chi2).  c_k is 0 for the loss part, which
-    # shares no mode with d
+    # optimal gain by up to cosh^2(chi2); c_k = 0 for the loss part, disjoint from d
     if not isinstance(beams, SwapCircuitOutput):
         return beams[0], beams[1].field.cre[..., None, :, :], []
-    parts = [beams.beam_d0.field.cre, *beams.parts.field.cre]
-    right = _rows([x[..., p, :] for x in parts for p in (0, 1)])
-    right = right.reshape(right.shape[:-2] + (len(parts), 2, -1))
-    if np.broadcast(right[..., 0, 0, 0], beams.weights[0]).shape == right.shape[:-3]:
+    parts, weights = beams.parts.field.cre, beams.weights
+    kept = [k for k, w in enumerate(weights) if w.any()]
+    if not kept or np.broadcast(parts[0, ..., 0, 0], weights[0]).shape == parts.shape[1:-2]:
         return _operands((beams.beam_a, beams.beam_d_prime))
+    right = _rows([x[..., p, :] for x in (beams.beam_d0.field.cre, *parts[kept]) for p in (0, 1)])
+    right = right.reshape(right.shape[:-2] + (1 + len(kept), 2, -1))
     traces = [np.einsum("...bim,...im->...b", right.conj(), right[..., k, :, :]).real
-              for k in range(1, len(parts))]
+              for k in range(1, 1 + len(kept))]
     centres = [-x[..., 0] / x[..., k] for k, x in enumerate(traces, start=1)]
     for k, c in enumerate(centres, start=1):
         right[..., 0, :, :] += c[..., None, None] * right[..., k, :, :]
-    return beams.beam_a, right, [w - c for w, c in zip(beams.weights, centres)]
+    return beams.beam_a, right, [weights[k] - c for k, c in zip(kept, centres)]
 
 
 def _contractions(beam_1: PolarizedBeam,
@@ -291,13 +292,14 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     terms at chi1 = 1e-3 and 8e-9 at 1e-4.  S keeps eps-relative accuracy
     on the numerator's term scale there; coincidence_rate keeps it per rate.
 
-    A circuit output holds D' in weighted parts (see SwapCircuitOutput).
-    Where the weights add no batch axes, ch_s contracts (A, D') as above.
-    Otherwise D' = R + sum_k t_k X_k, each part about c_k, the weight that
-    minimizes the trace of D''s Gram matrix, so that its orders do not
-    cancel near the optimal gain, and R, X_1, ... enter as blocks b of the
-    second beam's rows: H_bc carries the block pair, formed from P_b, Q_b and
-    G_2,bc at the squeezers' shape, and with t_0 = 1 each rate is
+    A circuit output holds D' = D'(0) + g sqrt(eta) X(1) + g sqrt(1-eta) X(0)
+    (see SwapCircuitOutput).  Where the weights add no batch axes, or are 0
+    everywhere, ch_s contracts (A, D') as above.  Otherwise D' = R +
+    sum_k t_k X_k over the parts of a weight nonzero somewhere, each about
+    c_k, the weight minimizing the trace of D''s Gram matrix, so that its
+    orders do not cancel near the optimal gain; R, X_1, ... enter as blocks
+    b of the second beam's rows, H_bc carries the block pair, formed from
+    P_b, Q_b and G_2,bc at the squeezers' shape, and with t_0 = 1 each rate is
 
         sum_bc t_b t_c c^T H_bc c.
 

@@ -124,15 +124,32 @@ def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam
     return registry, beam_a, PolarizedBeam(beam_d.v, beam_d.h), PolarizedBeam(x_h, x_v)
 
 
+def per_component_d_prime(params: SwapParams) -> tuple[PolarizedBeam, PolarizedBeam]:
+    """Beams A and D' = D'(0) + gain X(eta) of per_component_build: the
+    teleported beam at each eta, formed without build_swap_circuit's parts."""
+    _, beam_a, beam_d0, x = per_component_build(params)
+    return beam_a, PolarizedBeam(*(getattr(beam_d0, pol) + params.gain * getattr(x, pol)
+                                   for pol in ("h", "v")))
+
+
+def nonzero_parts(out) -> int:
+    """The parts of a circuit output whose weight is nonzero somewhere."""
+    return sum(bool(np.any(weight)) for weight in out.weights)
+
+
 def assert_matches_per_component_build(params: SwapParams) -> None:
     """build_swap_circuit gives the bits, shapes and mode ids of
-    per_component_build for A, D'(0) and each part of X: X(eta) for one
-    part, and X(1) and X(0), the port and loss parts, for two."""
+    per_component_build for A, D'(0) and the port and loss parts X(1) and
+    X(0), whose coefficient arrays carry the squeezers' batch shape alone,
+    and the weights (g sqrt(eta), g sqrt(1-eta)) exactly."""
     out = build_swap_circuit(params)
-    parts = out.parts.field.ann.shape[0]
-    etas = [params.eta] if parts == 1 else [1.0, 0.0]
-    assert len(etas) == parts
-    for k, eta in enumerate(etas):
+    squeezers = np.broadcast_shapes(np.shape(params.chi1), np.shape(params.chi2))
+    assert out.parts.field.ann.shape == (2,) + squeezers + (2, len(out.registry))
+    gain, eta = np.asarray(params.gain), np.asarray(params.eta)
+    weights = [gain * np.sqrt(eta), gain * np.sqrt(1.0 - eta)]
+    assert out.weights.shape == (2,) + np.broadcast_shapes(gain.shape, eta.shape)
+    assert np.array_equal(out.weights, weights)
+    for k, eta in enumerate([1.0, 0.0]):
         registry, *reference = per_component_build(replace(params, eta=eta))
         assert out.registry.names == registry.names
         n_modes = len(registry)

@@ -29,7 +29,7 @@ from cvswap.metrics import (
     squeezing_to_chi,
 )
 from cvswap.selftest import run_selftest
-from helpers import baseline_s, wick_term_magnitudes
+from helpers import baseline_s, per_component_d_prime, wick_term_magnitudes
 
 
 def read_rows(path):
@@ -342,8 +342,8 @@ def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, comma
 
 # S of each folded sweep at its defaults, captured as float.hex before
 # ch_s could contract D' in its parts or evaluate its rates as real
-# quadratic forms; threshold-scan, whose efficiency axis splits X, is
-# checked against folded D' at the term scale instead
+# quadratic forms; threshold-scan, whose efficiency axis adds batch axes to
+# the weights, is checked against folded D' at the term scale instead
 FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
 
 
@@ -388,10 +388,11 @@ def test_folded_sweeps_s_within_term_rounding_of_pin(tmp_path, monkeypatch, caps
 
 def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, capsys):
     """threshold-scan's one build holds X in its port and loss parts at the
-    levels' shape alone, and ch_s contracts them as blocks: every cell of S
-    lies within 4e-15 of S on D' folded at that cell's eta, relative to the
-    numerator's Wick-term magnitudes over the denominator (the numerator can
-    cancel, so S itself is no scale)."""
+    levels' shape alone, and ch_s contracts D'(0) and both parts as blocks:
+    every cell of S lies within 4e-15 of S on D' = D'(0) + g X(eta) of
+    per_component_build at that cell's eta, relative to the numerator's
+    Wick-term magnitudes over the denominator (the numerator can cancel, so
+    S itself is no scale)."""
     seen = record_ch_s(monkeypatch)
     assert main(["threshold-scan", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -404,9 +405,7 @@ def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, 
     assert _operands(out)[1].shape[-3] == 3
     chis = np.array([squeezing_to_chi(level) for level in (0.3, 0.5, 0.9)])
     for i, eta in enumerate(_grid(0.7, 1.0, 61)):
-        folded = build_swap_circuit(SwapParams(0.1, chis, optimal_gain(chis, eta), eta))
-        assert folded.parts.field.ann.shape[0] == 1 and _operands(folded)[2] == []
-        beams = (folded.beam_a, folded.beam_d_prime)
+        beams = per_component_d_prime(SwapParams(0.1, chis, optimal_gain(chis, eta), eta))
         result = ch_s(beams, OPTIMAL_ANGLES)
         terms = wick_term_magnitudes(*beams, OPTIMAL_ANGLES)
         numerator = sum(terms[name] for name in ("r_ab", "r_ab_prime", "r_a_prime_b",
@@ -430,12 +429,24 @@ def test_threshold_scan_memory_per_grid_point(tmp_path):
 
 
 def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
+    """fig4's gain grid meets only the weights, so ch_s contracts D'(0) and
+    the port part as blocks; at eta = 1 the loss part's weight is 0
+    everywhere, and it is dropped."""
     seen = record_ch_s(monkeypatch)
     assert main(["fig4", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     [(out, s)] = seen
     assert _operands(out)[1].shape[-3] == 2
     assert out.beam_d0.h.ann.shape[:-1] == (4,)
+    assert s.shape == (200, 4)
+
+
+def test_fig4_below_unit_efficiency_adds_the_loss_block(tmp_path, monkeypatch, capsys):
+    seen = record_ch_s(monkeypatch)
+    assert main(["fig4", "--eta", "0.9", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    [(out, s)] = seen
+    assert _operands(out)[1].shape[-3] == 3
     assert s.shape == (200, 4)
 
 

@@ -12,7 +12,8 @@ and the CH ratio is
 
 with c = cosh chi1, s = sinh chi1 and K = sin^2(a - b) - sin^2(a - b')
 + sin^2(a' - b) + sin^2(a' - b').  The formula here is numpy only and
-shares no code with the package, whose CLI only runs the default sweeps.
+shares no code with the package, whose CLI runs the default sweeps and two
+whose weights carry both the port and the loss part of the teleported beam.
 The grids are evaluated at their exact values, lo + (hi - lo) k/(steps - 1),
 not at the CSV's 9-digit first column.
 """
@@ -38,11 +39,11 @@ def chi(squeezing):
     return -0.5 * np.log1p(-np.asarray(squeezing))
 
 
-def closed_form(chi2, gain, eta, angles):
+def closed_form(chi2, gain, eta, angles, chi1=CHI1):
     """S, and the numerator's term magnitudes over the denominator: the
     scale of S's rounding, as the numerator can cancel to near 0."""
     a, b, a_prime, b_prime = angles
-    c2, s2 = math.cosh(CHI1) ** 2, math.sinh(CHI1) ** 2
+    c2, s2 = math.cosh(chi1) ** 2, math.sinh(chi1) ** 2
     tau = gain ** 2 * eta
     noise = (np.sinh(chi2) - gain * np.sqrt(eta) * np.cosh(chi2)) ** 2 + gain ** 2 * (1 - eta)
     terms = (np.sin(a - b) ** 2, -np.sin(a - b_prime) ** 2,
@@ -61,16 +62,16 @@ def fig3():
     return np.hstack([thetas, s]), s, scale
 
 
-def fig4():
+def fig4(eta=1.0):
     gains = grid(0.01, 2.0, 200)[:, None]
-    s, scale = closed_form(chi([0.10, 0.50, 0.80, 0.99]), gains, 1.0, OPTIMAL_ANGLES)
+    s, scale = closed_form(chi([0.10, 0.50, 0.80, 0.99]), gains, eta, OPTIMAL_ANGLES)
     return np.hstack([gains, s]), s, scale
 
 
-def threshold_scan():
+def threshold_scan(chi1=CHI1):
     etas = grid(0.7, 1.0, 61)[:, None]
     chi2 = chi([0.3, 0.5, 0.9])
-    s, scale = closed_form(chi2, np.tanh(chi2) / np.sqrt(etas), etas, OPTIMAL_ANGLES)
+    s, scale = closed_form(chi2, np.tanh(chi2) / np.sqrt(etas), etas, OPTIMAL_ANGLES, chi1)
     return np.hstack([etas, s]), s, scale
 
 
@@ -84,6 +85,10 @@ def operating_point():
 
 SWEEPS = {"fig3": fig3, "fig4": fig4, "threshold-scan": threshold_scan,
           "operating-point": operating_point}
+# the default sweeps, and two more whose teleported beam ch_s contracts in
+# three blocks, D'(0) and the port and loss parts
+RUNS = {**SWEEPS, "fig4 --eta 0.9": lambda: fig4(eta=0.9),
+        "threshold-scan --chi1 0.01": lambda: threshold_scan(chi1=0.01)}
 GOLDEN_CSV = {"fig3": "fig3.csv", "fig4": "fig4.csv", "threshold-scan": "threshold_scan.csv"}
 # the default operating-point CSV, as tests/test_golden.py pins it
 OPERATING_POINT_CSV = "s_ad,lambda_op,coincidence_ratio\n1.07030161,0.351364184,0.111111111\n"
@@ -100,9 +105,9 @@ def test_golden_cells_within_rounding_of_closed_form(command):
     assert np.all(np.abs(cells - exact) <= 5e-9 * np.abs(exact))
 
 
-@pytest.mark.parametrize("command", sorted(SWEEPS))
+@pytest.mark.parametrize("command", sorted(RUNS))
 def test_engine_s_within_term_rounding_of_closed_form(monkeypatch, tmp_path, command):
-    """ch_s's S on the default build lies within 1e-12 of the numerator's
+    """ch_s's S on the command's build lies within 1e-12 of the numerator's
     term magnitudes over the denominator."""
     results, ch_s = [], cvswap.cli.ch_s
 
@@ -111,8 +116,8 @@ def test_engine_s_within_term_rounding_of_closed_form(monkeypatch, tmp_path, com
         return results[-1]
 
     monkeypatch.setattr(cvswap.cli, "ch_s", recording)
-    assert cvswap.cli.main([command, "--out", str(tmp_path)]) == 0
+    assert cvswap.cli.main(command.split() + ["--out", str(tmp_path)]) == 0
     (result,) = results
-    _, s, scale = SWEEPS[command]()
+    _, s, scale = RUNS[command]()
     assert np.broadcast_shapes(np.shape(s), result.s.shape) == result.s.shape
     assert np.all(np.abs(result.s - s) <= 1e-12 * scale)

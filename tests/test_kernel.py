@@ -34,7 +34,12 @@ from cvswap.metrics import (
     squeezing_to_chi,
 )
 from cvswap.modes import LinearField, ModeRegistry, vacuum_field
-from helpers import source_beams, wick_term_magnitudes
+from helpers import (
+    nonzero_parts,
+    per_component_d_prime,
+    source_beams,
+    wick_term_magnitudes,
+)
 
 
 def cli_rows(monkeypatch, tmp_path, argv):
@@ -315,8 +320,8 @@ def test_kernel_rates_match_wick_sum(chi1, chi2, gain, eta, thetas):
        thetas=st.tuples(_angle, _angle, _angle, _angle),
        points=st.integers(min_value=1, max_value=300))
 def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points):
-    """ch_s on a circuit output it contracts in D''s two gain-free parts
-    gives the rates of ch_s on D'.
+    """ch_s on a circuit output it contracts in blocks, D'(0) and each part
+    of a nonzero weight, gives the rates of ch_s on D'.
 
     The gain grid, of 1 to 300 points on an axis of its own, starts with 0
     and each level's optimal gain, where the gain orders of D''s Gram
@@ -332,7 +337,7 @@ def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points)
     gains = np.concatenate([[0.0], optimal_gain(chi2, eta),
                             np.linspace(0.0, gain_max, points)])[:points]
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert _operands(out)[1].shape[-3] == 2
+    assert _operands(out)[1].shape[-3] == 1 + nonzero_parts(out)
     angles = AnalyzerAngles(*thetas)
     folded_beams = (out.beam_a, out.beam_d_prime)
     try:
@@ -349,12 +354,12 @@ def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points)
 
 def test_factored_rates_match_folded_at_array_angles():
     """Each angle on a batch axis of its own, against a 256-point gain grid:
-    every cell of every rate that ch_s contracts from D''s two parts agrees
+    every cell of every rate that ch_s contracts from D''s three blocks agrees
     with ch_s on folded D' within 1e-12 of its Wick-term scale, and each
     rate has the broadcast shape of the beams and the angles it uses."""
     chi2 = np.array([0.4, 1.7])
     out = build_swap_circuit(SwapParams(0.2, chi2, _grid(0.01, 2.0, 256)[:, None], 0.9))
-    assert _operands(out)[1].shape[-3] == 2
+    assert _operands(out)[1].shape[-3] == 3
     theta_a = np.array([0.1, 0.5, 1.2])[:, None, None, None, None, None]  # axis 0
     theta_b = np.array([-0.4, 0.9])[:, None, None, None, None]  # axis 1
     theta_a_prime = np.array([0.3, 1.5])[:, None, None, None]  # axis 2
@@ -379,14 +384,15 @@ def test_factored_rates_match_folded_at_array_angles():
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_factored_s_at_extreme_squeezing(chi1, eta):
     """On fig4's gain grid up to 1 - 1e-14 squeezing (chi2 ~ 16), S that ch_s
-    contracts from D''s two parts stays within 1e-13 of S on folded D'.  The factored form expands D' about the
+    contracts from D''s blocks, the loss part's only below eta = 1, stays
+    within 1e-13 of S on folded D'.  The factored form expands D' about the
     gain that minimizes its Gram trace; expanded about gain 0, its gain
     orders cancel by cosh^2(chi2) near the optimal gain and S moved by up
     to 6e-3."""
     chi2 = np.array([squeezing_to_chi(1 - 10.0 ** -k) for k in range(2, 15, 2)])
     gains = _grid(0.01, 2.0, 200)
     out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert _operands(out)[1].shape[-3] == 2
+    assert _operands(out)[1].shape[-3] == (2 if eta == 1.0 else 3)
     folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES).s
     factored = ch_s(out, OPTIMAL_ANGLES).s
     assert np.all(np.abs(factored - folded) <= 1e-13 * np.abs(folded))
@@ -401,12 +407,13 @@ def test_factored_s_at_extreme_squeezing(chi1, eta):
     (np.linspace(0.1, 2.0, 5), _grid(0.01, 2.0, 5)[None, :], True),  # a leading unit axis
 ])
 def test_fold_or_factor_boundary(chi2, gain, factored):
-    """ch_s expands D' in two blocks, R and X, exactly when the gain adds
-    batch axes, whatever the grid size; otherwise it contracts (A, D') as
-    one block, which gives every bit of ch_s on that pair."""
+    """ch_s expands D' in three blocks, D'(0) and the port and loss parts,
+    exactly when the gain adds batch axes, whatever the grid size;
+    otherwise it contracts (A, D') as one block, which gives every bit of
+    ch_s on that pair."""
     out = build_swap_circuit(SwapParams(0.1, chi2, gain, 0.9))
     _, right, t = _operands(out)
-    assert right.shape[-3] == (2 if factored else 1)
+    assert right.shape[-3] == (3 if factored else 1)
     assert len(t) == right.shape[-3] - 1
     if not factored:
         result = ch_s(out, OPTIMAL_ANGLES)
@@ -424,22 +431,19 @@ def test_fold_or_factor_boundary(chi2, gain, factored):
     (0.1, np.linspace(0.1, 2.0, 5), 0.9, np.linspace(0.5, 1.0, 5)[None, :], 2),  # a unit axis
 ])
 def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
-    """The build splits X into its port and loss parts exactly when eta adds
-    batch axes beyond chi1's and chi2's; the parts then carry no eta axis,
-    and D' folded from them equals a one-part build at each eta within 1e-15
-    of its terms' magnitudes, coefficient for coefficient.  _operands takes
-    D' as one block, t empty, exactly when the weights add no batch axes."""
+    """Every build holds X in its port and loss parts at the squeezers'
+    shape alone.  ch_s contracts D' as one part, folded, where the weights
+    add no batch axes, and otherwise in its two parts beside D'(0), as three
+    blocks.  D' folded from the parts equals D'(0) + g X(eta) of
+    per_component_build at each eta within 1e-15 of its terms' magnitudes,
+    coefficient for coefficient."""
     out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
     squeezers = np.broadcast_shapes(np.shape(chi1), np.shape(chi2))
     n_modes = len(out.registry)
-    assert out.parts.field.ann.shape == (parts,) + squeezers + (2, n_modes)
-    assert out.weights.shape[0] == parts
+    assert out.parts.field.ann.shape == (2,) + squeezers + (2, n_modes)
     _, right, t = _operands(out)
-    folded = np.broadcast_shapes(right.shape[:-3], out.weights.shape[1:]) == right.shape[:-3]
-    assert len(t) == (0 if folded else parts)
-    assert right.shape[-3] == (1 if folded else 1 + parts)
-    if parts == 1:
-        return
+    assert right.shape[-3] == (1 if parts == 1 else 1 + parts)
+    assert len(t) == right.shape[-3] - 1
     shape = np.broadcast_shapes(squeezers, np.shape(gain), np.shape(eta))
     d_prime = [np.broadcast_to(x, shape + (2, n_modes))
                for x in out.beam_d_prime.field.padded(n_modes)]
@@ -448,10 +452,35 @@ def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
              for d, xs in zip(out.beam_d0.field.padded(n_modes), out.parts.field.padded(n_modes))]
     grid = np.broadcast_arrays(chi1, chi2, gain, eta)
     for index in np.ndindex(shape):
-        one = build_swap_circuit(SwapParams(*(float(p[index]) for p in grid)))
-        assert one.parts.field.ann.shape[0] == 1
-        for x, y, scale in zip(d_prime, one.beam_d_prime.field.padded(n_modes), terms):
+        _, reference = per_component_d_prime(SwapParams(*(float(p[index]) for p in grid)))
+        for x, y, scale in zip(d_prime, reference.field.padded(n_modes), terms):
             assert np.all(np.abs(x[index] - y) <= 1e-15 * scale[index])
+
+
+@pytest.mark.parametrize("gain, eta, blocks", [
+    (_grid(0.01, 2.0, 7)[:, None], 0.9, 3),
+    (_grid(0.01, 2.0, 7)[:, None], 1.0, 2),  # the loss part's weight is 0 everywhere
+    (_grid(0.01, 2.0, 7)[:, None], np.array([0.9, 1.0])[:, None, None], 3),  # 0 at eta = 1
+    (np.zeros((4, 1)), 0.9, 1),  # every weight is 0: D' = D'(0), folded
+])
+def test_zero_weight_parts_are_dropped(gain, eta, blocks):
+    """Where the weights add batch axes, ch_s's blocks are D'(0) and each
+    part whose weight is nonzero somewhere, so their count is 1 plus the
+    number of such parts; a grid where every weight is 0 is folded.  The
+    rates keep the grid's shape and agree with ch_s on folded D' within
+    1e-12 of their Wick-term magnitudes."""
+    out = build_swap_circuit(SwapParams(0.1, np.linspace(0.1, 2.0, 5), gain, eta))
+    shape = np.broadcast_shapes(np.shape(gain), np.shape(eta), (5,))
+    _, right, t = _operands(out)
+    assert right.shape[-3] == blocks == 1 + nonzero_parts(out)
+    assert len(t) == blocks - 1
+    folded_beams = (out.beam_a, out.beam_d_prime)
+    folded = ch_s(folded_beams, OPTIMAL_ANGLES)
+    result = ch_s(out, OPTIMAL_ANGLES)
+    for name, scale in wick_term_magnitudes(*folded_beams, OPTIMAL_ANGLES).items():
+        value = getattr(result, name)
+        assert value.shape == getattr(folded, name).shape == shape, name
+        assert np.all(np.abs(value - getattr(folded, name)) <= 1e-12 * scale), name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -462,8 +491,9 @@ def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
        thetas=st.tuples(_angle, _angle, _angle, _angle),
        points=st.integers(min_value=1, max_value=40))
 def test_two_part_rates_match_folded(chi1, chi2s, etas, gain_max, thetas, points):
-    """ch_s on a circuit output whose efficiency axis splits X into its port
-    and loss parts gives the rates of ch_s on D' folded at each eta.
+    """ch_s on a circuit output whose efficiency axis adds batch axes to the
+    weights, so that it contracts D'(0) and the port and loss parts as
+    blocks, gives the rates of ch_s on D' folded at each eta.
 
     The grid is (gains, efficiencies, levels); its gains are each level's
     optimal gain at each eta, where D''s orders cancel most, and a grid from

@@ -147,11 +147,11 @@ class TestChS:
 
     def test_batched_fields_equal_one_pair_cells(self):
         # one build over a ((chi2, gain), eta) grid, whose gain adds no batch
-        # axes, against one build per cell.  With eta on chi2's axis X is one
-        # part, folded, and every bit is kept; eta on an axis of its own
-        # splits X into its port and loss parts, two blocks whose rounding
-        # differs: each rate, a sum of nonnegative Wick terms, and S within
-        # 1e-15 relative
+        # axes, against one build per cell.  With eta on chi2's axis the
+        # weights add no batch axes either, D' is folded as in each cell, and
+        # every bit is kept; eta on an axis of its own makes D'(0) and the
+        # port and loss parts blocks, whose rounding differs: each rate, a
+        # sum of nonnegative Wick terms, and S within 1e-15 relative
         chi2s, gains = np.array([0.2, 0.5])[:, None], np.array([0.3, 0.9])[:, None]
         for etas, rel in ((np.array([0.6, 0.85])[:, None], 0.0),
                           (np.array([0.6, 0.85, 1.0]), 1e-15)):
@@ -444,12 +444,16 @@ class TestMaximizeS:
     @pytest.mark.parametrize("params", [
         SwapParams(0.1, 0.5, np.linspace(0.1, 1.0, 721), 1.0),  # would pair gain i with theta i
         SwapParams(0.1, np.array([0.3, 0.5]), 1.0, 1.0),  # would not broadcast against theta
-        SwapParams(0.1, 0.5, 0.9, np.linspace(0.7, 1.0, 4)),  # two parts: port and loss
+        SwapParams(0.1, 0.5, 0.9, np.linspace(0.7, 1.0, 4)),  # in the weights alone
     ], ids=["gain-batch", "squeezing-batch", "efficiency-batch"])
     @pytest.mark.parametrize("as_pair", [False, True], ids=["circuit-output", "beam-pair"])
     def test_rejects_a_batch(self, params, as_pair):
+        """A batch of squeezing levels lies in the parts, one of gains or
+        efficiencies in the weights alone: maximize_s rejects each."""
         out = build_swap_circuit(params)
-        assert out.parts.field.ann.shape[0] == (2 if np.ndim(params.eta) else 1)
+        assert out.parts.field.ann.shape[:-2] == (2,) + np.shape(params.chi2)
+        assert out.weights.shape == (2,) + np.broadcast_shapes(np.shape(params.gain),
+                                                               np.shape(params.eta))
         beams = (out.beam_a, out.beam_d_prime) if as_pair else out
         with pytest.raises(ValueError, match="one beam pair, not a batch"):
             maximize_s(beams)
