@@ -68,8 +68,8 @@ MUTANTS = [
         "r_ab, and with it S, is 0.1% high"),
     Mutant(
         "loss-modes-not-transposed", "circuit.py",
-        "loss = vacuum_field(np.reshape(modes, (2, 2)).T)",
-        "loss = vacuum_field(np.reshape(modes, (2, 2)))",
+        "vacuum_field(modes[0::2]), vacuum_field(modes[1::2])",
+        "vacuum_field(modes[:2]), vacuum_field(modes[2:])",
         "the h minus-detector's loss mode enters the v plus-current and vice "
         "versa, so the stacked build no longer matches the per-component one"),
     Mutant(
@@ -119,9 +119,15 @@ MUTANTS = [
         "over their first batch axis instead of their modes, so over a "
         "batch it compares each residual with another element's scale"),
     Mutant(
+        "imaginary-part-check-skipped", "metrics.py",
+        "    if abs(value.imag) > _IMAG_TOL and abs(value.imag) > _IMAG_TOL * abs(value.real):\n",
+        "    if False:\n",
+        "coincidence_rate returns the real part of a moment whatever its "
+        "imaginary part"),
+    Mutant(
         "one-block-gain-add-dropped", "circuit.py",
-        "*zip(self.weights[..., None], parts)))",
-        "*zip(0.0 * self.weights[..., None], parts)))",
+        "weight_port, weight_loss = self.weights[..., None]",
+        "weight_port, weight_loss = 0.0 * self.weights[..., None]",
         "beam_d_prime sums no part into D', so every one-block ch_s call "
         "evaluates D'(0), the teleporter at gain 0, instead of D' at the gain"),
     Mutant(

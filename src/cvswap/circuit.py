@@ -12,10 +12,12 @@ the teleported beam D'.
 Every component maps canonical annihilation operators to canonical
 annihilation operators, which the constructors verify via commutators.
 Parameters may be numpy arrays that broadcast together: one build covers
-the whole grid, every check applies to each of its points, and each field
-carries the batch shape of the parameters it depends on.  Circuit
-construction mutates its ModeRegistry and is single-threaded; the
-returned fields are immutable and can be evaluated concurrently.
+the whole grid, and every check applies to each of its points.  Gain and
+efficiency meet only the output's weights, so every array of the build
+carries the squeezers' batch shape; fields are combined by their
+operators.  Circuit construction mutates its ModeRegistry and is
+single-threaded; the returned fields are immutable and can be evaluated
+concurrently.
 
 The h and v chains of the network are identical, so a beam is one field
 whose coefficient arrays hold the two polarization components on a batch
@@ -148,9 +150,9 @@ class SwapCircuitOutput:
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        parts = map(LinearField, self.parts.field.ann, self.parts.field.cre)
-        return _beam(_combination((1.0, self.beam_d0.field),
-                                  *zip(self.weights[..., None], parts)))
+        port, loss = map(LinearField, self.parts.field.ann, self.parts.field.cre)
+        weight_port, weight_loss = self.weights[..., None]
+        return _beam(self.beam_d0.field + weight_port * port + weight_loss * loss)
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
@@ -267,7 +269,8 @@ def homodyne_currents(b: PolarizedBeam, c: PolarizedBeam, eta: ArrayLike,
     The four loss modes are allocated as {label}_h.loss_plus,
     {label}_h.loss_minus, {label}_v.loss_plus and {label}_v.loss_minus, in
     that order.  eta gets a trailing unit axis and broadcasts against the
-    batch axes before the polarization axis.  Returns (x_plus, x_minus),
+    batch axes before the polarization axis: at the build's eta = (1, 0)
+    the currents carry the squeezers' shape.  Returns (x_plus, x_minus),
     each a field with the h and v photocurrents on axis -2, as a beam's.
     Both photocurrents are Hermitian and commute with each other for any
     eta.
@@ -276,17 +279,12 @@ def homodyne_currents(b: PolarizedBeam, c: PolarizedBeam, eta: ArrayLike,
     port_plus, port_minus = beamsplitter_5050(b.field, c.field)
     modes = [registry.new_mode(f"{label}_{pol}.loss_{quadrature}")
              for pol in ("h", "v") for quadrature in ("plus", "minus")]
-    # the vacua as one (quadrature, polarization) array, so that both currents
-    # span the same modes and _unit_displacement combines arrays of one shape
-    loss = vacuum_field(np.reshape(modes, (2, 2)).T)
-    loss_plus, loss_minus = map(LinearField, loss.ann, loss.cre)
+    loss_plus, loss_minus = vacuum_field(modes[0::2]), vacuum_field(modes[1::2])
     eta = np.asarray(eta)[..., None]
     root_eta = np.sqrt(eta)
     root_loss = np.sqrt(1.0 - eta)
-    x_plus = _combination((root_loss, quadrature_plus(loss_plus)),
-                          (root_eta, quadrature_plus(port_plus)))
-    x_minus = _combination((root_loss, quadrature_minus(loss_minus)),
-                           (root_eta, quadrature_minus(port_minus)))
+    x_plus = root_loss * quadrature_plus(loss_plus) + root_eta * quadrature_plus(port_plus)
+    x_minus = root_loss * quadrature_minus(loss_minus) + root_eta * quadrature_minus(port_minus)
     return x_plus, x_minus
 
 
@@ -315,22 +313,7 @@ def _unit_displacement(x_plus: LinearField, x_minus: LinearField) -> LinearField
         if _off_by(np.abs(x.ann - x.cre.conj()).max(axis=-1), x):
             raise ValueError(f"{name} is not Hermitian")
     r = 1.0 / math.sqrt(2.0)
-    return _combination((-r, x_plus), (r * MINUS_GAIN_PHASE, x_minus))
-
-
-def _combination(*terms: tuple[ArrayLike, LinearField]) -> LinearField:
-    # c1 F1 + c2 F2 + ... with the arithmetic of the operators, each product
-    # added in turn into one zero-padded result, so that one product array
-    # at a time is alive: over a grid these arrays are the build's largest
-    n_modes = max(f.ann.shape[-1] for _, f in terms)
-    batch = np.broadcast(*(np.asarray(c)[..., None] for c, _ in terms),
-                         *(f.ann[..., :1] for _, f in terms)).shape[:-1]
-    ann, cre = (np.zeros(batch + (n_modes,), dtype=complex) for _ in range(2))
-    for c, f in terms:
-        c = np.asarray(c)[..., None]
-        ann[..., :f.ann.shape[-1]] += c * f.ann
-        cre[..., :f.cre.shape[-1]] += c * f.cre
-    return LinearField(ann, cre)
+    return -r * x_plus + (r * MINUS_GAIN_PHASE) * x_minus
 
 
 def halfwave_swap(beam: PolarizedBeam) -> PolarizedBeam:
@@ -341,13 +324,13 @@ def halfwave_swap(beam: PolarizedBeam) -> PolarizedBeam:
 def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
     """Assemble the full network and return beams A and D' over 12 vacuum inputs.
 
-    Array parameters give one build for their whole broadcast grid: each
-    field's batch shape is that of the parameters it depends on, so A
+    Array parameters give one build for their whole broadcast grid, and A
     carries the shape of chi1 alone.  D' = D'(0) + gain X is affine in the
     gain (see feedforward_displace), and the output holds D' in its parts
     (see SwapCircuitOutput): the photocurrents, affine in (sqrt(eta),
     sqrt(1-eta)), are formed once at eta = 1 and 0 on a leading axis, so
-    that gain and eta meet only the weights.
+    gain and eta meet only the weights, and every array of the build, its
+    fields combined by their operators, carries the squeezers' shape.
 
     At eta = 1 each D' component reduces (up to a global phase) to
 

@@ -288,9 +288,11 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
     the first's (r_singles_b).  H's entries carry rounding of order
     eps |p|^2, so a single rate whose pair amplitude u^T P w cancels while
     its Gram term is small loses relative precision: on the bare source
-    pair at theta_a = theta_b, r_ab is off by up to about 6e-11 of its Wick
-    terms at chi1 = 1e-3 and 8e-9 at 1e-4.  S keeps eps-relative accuracy
-    on the numerator's term scale there; coincidence_rate keeps it per rate.
+    pair, all four angles theta over maximize_s's 721-point grid, each
+    coincidence rate is off the Wick sum by up to 8.1e-13 of its Wick terms
+    at chi1 = 1e-2, 1.0e-10 at 1e-3 and 1.1e-8 at 1e-4, each singles rate by
+    6.4e-16.  S keeps eps-relative accuracy on the numerator's term scale
+    there; coincidence_rate keeps it per rate.
 
     A circuit output holds D' = D'(0) + g sqrt(eta) X(1) + g sqrt(1-eta) X(0)
     (see SwapCircuitOutput).  Where the weights add no batch axes, or are 0

@@ -306,11 +306,11 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
 
 
 # calls per build of each component that runs once for both polarizations,
-# and the LinearField constructions of one build; a build that ran each
-# polarization chain on its own made 4, 2 and 6 calls and 108 fields, and
-# one that split its stacked beams into h and v fields made 48
+# and the LinearField constructions of one build: one field per vacuum
+# stack, adjoint, product and sum, and per half-wave plate's view, so 22 in
+# the two squeezers, 22 in the photocurrents, 3 in X and 1 in D'(0)
 COMPONENT_CALLS = {"two_mode_squeezer": 2, "beamsplitter_5050": 1, "_require_canonical": 3}
-FIELDS_PER_BUILD = 43
+FIELDS_PER_BUILD = 48
 
 
 @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])

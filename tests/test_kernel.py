@@ -270,6 +270,32 @@ def test_bare_pair_s_at_weak_pump_matches_wick_sum(chi1):
     assert np.all(np.abs(result.s - reference) <= 1e-15 * scale)
 
 
+@pytest.mark.parametrize("chi1, coincidence_loss", [(1e-2, 8.1e-13), (1e-3, 1.0e-10),
+                                                     (1e-4, 1.1e-8)])
+def test_bare_pair_rates_at_weak_pump_within_twice_the_stated_loss(chi1, coincidence_loss):
+    """On the bare source pair with all four angles theta over maximize_s's
+    grid, each rate lies within twice the worst loss that ch_s states, of
+    its Wick-term magnitudes, of the general Wick sum: coincidence_loss for
+    the coincidence rates and 6.4e-16 for the singles."""
+    beams = source_beams(chi1)
+    thetas = _grid(0.0, math.pi / 2, 721)
+    angles = AnalyzerAngles(thetas, thetas, thetas, thetas)
+    result = ch_s(beams, angles)
+    coincidences, singles_a, singles_b = [], [], []
+    for theta in thetas:
+        e_a, e_b = analyzer(beams[0], float(theta), "a"), analyzer(beams[1], float(theta), "d")
+        coincidences.append(coincidence_rate(e_a, e_b))
+        singles_a.append(singles_rate(e_a, beams[1]))
+        singles_b.append(singles_rate(e_b, beams[0]))
+    terms = wick_term_magnitudes(*beams, angles)
+    for name, reference, loss in [
+            *((name, coincidences, coincidence_loss) for name in
+              ("r_ab", "r_ab_prime", "r_a_prime_b", "r_a_prime_b_prime")),
+            ("r_singles_a", singles_a, 6.4e-16), ("r_singles_b", singles_b, 6.4e-16)]:
+        error = np.abs(getattr(result, name) - reference)
+        assert np.all(error <= 2 * loss * terms[name]), name
+
+
 _angle =st.floats(min_value=-math.pi, max_value=math.pi)
 
 

@@ -101,6 +101,21 @@ class TestCoincidenceRate:
         assert rate == pytest.approx(math.sinh(chi1) ** 4, rel=1e-12)
         assert rate < 2 * chi1 ** 4
 
+    @pytest.mark.parametrize("moment, rate", [(0.5 + 1e-12j, 0.5), (2e3 + 1.9e-9j, 2e3)])
+    def test_imaginary_rounding_passes(self, monkeypatch, moment, rate):
+        """An imaginary part up to 1e-12, or above rate 1 up to 1e-12 |Re|,
+        is rounding, and the rate is the real part."""
+        monkeypatch.setattr("cvswap.metrics.vacuum_expectation", lambda product: moment)
+        beam_a, beam_b = source_beams(0.1)
+        assert coincidence_rate(beam_a.h, beam_b.v) == rate
+
+    @pytest.mark.parametrize("moment", [0.5 + 2e-12j, 2e3 - 2.1e-9j])
+    def test_imaginary_part_beyond_rounding_raises(self, monkeypatch, moment):
+        monkeypatch.setattr("cvswap.metrics.vacuum_expectation", lambda product: moment)
+        beam_a, beam_b = source_beams(0.1)
+        with pytest.raises(ValueError, match=f"imaginary part {moment.imag:g}$"):
+            coincidence_rate(beam_a.h, beam_b.v)
+
 
 class TestSinglesRate:
     def test_vacuum_gives_zero(self):
