@@ -36,14 +36,17 @@ MUTANTS = [
         "r_ab' is evaluated at analyzer angle theta_a' instead of theta_a"),
     Mutant(
         "singles-b-from-w-b-prime", "metrics.py",
-        '"r_singles_b": (bare_h, w_b)}.items()}\n'
-        "    # each singles rate is two forms, against the other beam's bare h and v\n"
-        '    rates["r_singles_a"] += _rate(u_a_prime, bare_v, h, t)\n'
-        '    rates["r_singles_b"] += _rate(bare_v, w_b, h, t)\n',
-        '"r_singles_b": (bare_h, w_b_prime)}.items()}\n'
-        '    rates["r_singles_a"] += _rate(u_a_prime, bare_v, h, t)\n'
-        '    rates["r_singles_b"] += _rate(bare_v, w_b_prime, h, t)\n',
+        'rates["r_singles_b"] = _rate(w_b, ',
+        'rates["r_singles_b"] = _rate(w_b_prime, ',
         "the singles denominator counts beam D' at theta_b' instead of theta_b"),
+    Mutant(
+        "singles-marginals-swapped", "metrics.py",
+        'np.einsum("...ijkj->...ik", split), t)\n'
+        '    rates["r_singles_b"] = _rate(w_b, np.einsum("...ijil->...jl", split)',
+        'np.einsum("...ijil->...jl", split), t)\n'
+        '    rates["r_singles_b"] = _rate(w_b, np.einsum("...ijkj->...ik", split)',
+        "each singles rate is read from the wrong marginal of H: r_singles_a "
+        "analyzes beam 2 at theta_a' and r_singles_b beam 1 at theta_b"),
     Mutant(
         "x-polarizations-swapped", "circuit.py",
         "parts=_beam(x)",

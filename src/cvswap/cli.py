@@ -37,9 +37,9 @@ flat ``key = value`` config file (``#`` comments) overrides those, and flags
 override the file.  The ``eta_*`` keys, like their flags, belong to
 ``threshold-scan`` and affect no other command.  Squeezing levels name their
 CSV columns by whole percent, so levels that round to the same percent are
-rejected.  Exit codes: 0 success, 1 bad flags/config, an
-unusable output directory or a grid too large for memory, 2 degenerate
-physics (no coincidences), 3 selftest failure.
+rejected.  Exit codes: 0 success, 1 bad flags/config, an unusable output
+directory, a grid too large for memory or rates that overflow float range,
+2 degenerate physics (no coincidences), 3 selftest failure.
 """
 
 from __future__ import annotations

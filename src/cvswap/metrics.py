@@ -26,11 +26,12 @@ contractions between the analyzed fields follow from 2x2 contraction
 matrices between the beams' polarization components, and each rate
 <e2+ e1+ e1 e2>, the closed three-pairing Isserlis (Wick) sum of them, is
 a real quadratic form c^T H c in c = u (x) w, the product of the two real
-analyzer vectors.  :func:`ch_s` forms the real 4x4 matrices H once per beam
-pair and block pair of the teleported beam's parts, at the squeezers'
-shape, checks that they are positive semidefinite, and evaluates every rate
-as the angle vector c against H c, so every grid axis (angle, gain or
-efficiency) meets only their entries.
+analyzer vectors, and a singles rate the form in u (or w) of H's 2x2
+marginal over the other beam's polarization.  :func:`ch_s` forms the real
+4x4 matrices H once per beam pair and block pair of the teleported beam's
+parts, at the squeezers' shape, checks that they are positive
+semidefinite, and evaluates every rate as its angle vector against H, so
+every grid axis (angle, gain or efficiency) meets only their entries.
 :func:`coincidence_rate` keeps the general Wick sum over single fields,
 without batch axes, as the reference that the oracles and tests check
 :func:`ch_s` against.
@@ -244,15 +245,10 @@ def _horner(m: np.ndarray, t: list[np.ndarray]) -> np.ndarray:
     return rate
 
 
-def _rate(u: np.ndarray, w: np.ndarray, h: np.ndarray,
-          t: list[np.ndarray]) -> np.ndarray:
-    # the rate sum_bc t_b t_c c^T H_bc c for c = u (x) w: the angle-only
-    # vector c meets H's entries in two einsums, c^T (H c), and only the
-    # Horner pass takes the blocks' weights t.  Forming the weights c_p c_q
-    # instead would hold 16 entries per angle; the outer product is an
-    # einsum, as the * ufunc would allocate buffers for its broadcast operands
-    c = np.einsum("...i,...j->...ij", u, w)
-    c = c.reshape(c.shape[:-2] + (4,))
+def _rate(c: np.ndarray, h: np.ndarray, t: list[np.ndarray]) -> np.ndarray:
+    # the rate sum_bc t_b t_c c^T H_bc c of a real analyzer vector c: the
+    # angle-only c meets H's entries in two einsums, c^T (H c), and only the
+    # Horner pass takes the blocks' weights t
     return _horner(np.einsum("...p,...bcp->...bc", c, np.einsum("...q,...bcpq->...bcp", c, h)), t)
 
 
@@ -283,15 +279,17 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
         H = Re(p p^H + q q^H) + Re G_1 (x) Re G_2,    p = vec P, q = vec Q,
 
     one real symmetric 4x4 matrix per beam pair, formed at the beams'
-    shape.  All four coincidence rates use it, and each singles rate is
-    two forms, against the second beam's bare h and v (r_singles_a) or
-    the first's (r_singles_b).  H's entries carry rounding of order
+    shape.  All four coincidence rates use it.  Each singles rate sums a
+    rate over the unanalyzed beam's polarization, j or i, so it is one form
+    in a 2x2 marginal of H: r_singles_a = u_a'^T M_a u_a', M_a,ik = sum_j
+    H_ij,kj, and r_singles_b = w_b^T M_b w_b, M_b,jl = sum_i H_ij,il.
+    H's entries carry rounding of order
     eps |p|^2, so a single rate whose pair amplitude u^T P w cancels while
     its Gram term is small loses relative precision: on the bare source
     pair, all four angles theta over maximize_s's 721-point grid, each
     coincidence rate is off the Wick sum by up to 8.1e-13 of its Wick terms
     at chi1 = 1e-2, 1.0e-10 at 1e-3 and 1.1e-8 at 1e-4, each singles rate by
-    6.4e-16.  S keeps eps-relative accuracy on the numerator's term scale
+    6.6e-16.  S keeps eps-relative accuracy on the numerator's term scale
     there; coincidence_rate keeps it per rate.
 
     A circuit output holds D' = D'(0) + g sqrt(eta) X(1) + g sqrt(1-eta) X(0)
@@ -326,14 +324,14 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
                       for theta in (angles.theta_a, angles.theta_a_prime))
     w_b, w_b_prime = (_analyzer_vector(theta, "d")
                       for theta in (angles.theta_b, angles.theta_b_prime))
-    bare_h, bare_v = np.eye(2)
-    rates = {name: _rate(u, w, h, t) for name, (u, w) in {
+    # u (x) w per rate, by einsum (* would buffer broadcast operands), freed after use
+    products = ((name, np.einsum("...i,...j->...ij", u, w)) for name, (u, w) in {
         "r_ab": (u_a, w_b), "r_ab_prime": (u_a, w_b_prime),
-        "r_a_prime_b": (u_a_prime, w_b), "r_a_prime_b_prime": (u_a_prime, w_b_prime),
-        "r_singles_a": (u_a_prime, bare_h), "r_singles_b": (bare_h, w_b)}.items()}
-    # each singles rate is two forms, against the other beam's bare h and v
-    rates["r_singles_a"] += _rate(u_a_prime, bare_v, h, t)
-    rates["r_singles_b"] += _rate(bare_v, w_b, h, t)
+        "r_a_prime_b": (u_a_prime, w_b), "r_a_prime_b_prime": (u_a_prime, w_b_prime)}.items())
+    rates = {name: _rate(c.reshape(c.shape[:-2] + (4,)), h, t) for name, c in products}
+    split = h.reshape(h.shape[:-2] + (2, 2, 2, 2))
+    rates["r_singles_a"] = _rate(u_a_prime, np.einsum("...ijkj->...ik", split), t)
+    rates["r_singles_b"] = _rate(w_b, np.einsum("...ijil->...jl", split), t)
     return _ch_result(rates)
 
 

@@ -467,11 +467,12 @@ def test_fig4_memory_per_grid_point(tmp_path):
 
 def test_angle_grid_ch_s_memory_per_cell():
     """ch_s alone on fig3's default grid of 721 angles x 2 levels: each
-    rate's angle-only vector c = u (x) w meets the one-block form H in H c
-    and c^T (H c), and the rates and S are what stay, about 133 B of
-    tracemalloc peak per S cell.  The weights c_p c_q formed as one
-    16-entry array per rate would peak at about 157 B, and products of the
-    2x2 contraction matrices with each analyzer vector at about 384 B."""
+    coincidence rate's angle-only vector c = u (x) w, and each singles
+    rate's u or w, meets the one-block form H, or its 2x2 marginal, in H c
+    and c^T (H c), and the rates and S are what stay, about 108 B of
+    tracemalloc peak per S cell.  Each singles rate as two forms against
+    the other beam's bare h and v peaked at about 132 B, and the product
+    u (x) w kept alive past the coincidence rates peaks at about 118 B."""
     chis = np.array([squeezing_to_chi(level) for level in (0.99, 0.80)])
     out = build_swap_circuit(SwapParams(0.1, chis, 1.0, 1.0))
     angles = angle_family(_grid(0.0, math.pi / 2, 721)[:, None])
@@ -482,7 +483,7 @@ def test_angle_grid_ch_s_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert s.shape == (721, 2)
-    assert peak / s.size < 150
+    assert peak / s.size < 120
 
 
 def test_factored_ch_s_memory_per_grid_point():
