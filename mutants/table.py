@@ -168,9 +168,23 @@ MUTANTS = [
         "semidefinite-check-unscaled", "metrics.py",
         "    indefinite = low < -_PSD_TOL * trace\n",
         "    indefinite = low < -_PSD_TOL\n",
-        "ch_s compares the form's smallest eigenvalue with the bare tolerance, "
-        "not relative to its trace, so it rejects valid forms once the rates "
-        "grow large and misses indefinite ones when they are small"),
+        "where the Cholesky factorization fails, ch_s compares the form's "
+        "smallest eigenvalue with the bare tolerance, not relative to its "
+        "trace, so it misses indefinite forms when the rates are small"),
+    Mutant(
+        "semidefinite-shift-dropped", "metrics.py",
+        '    np.einsum("...ii->...i", shifted)[...] += _PSD_TOL * trace[:, None]\n',
+        "",
+        "the Cholesky factorization certifies only positive definite forms, "
+        "so an accepted form whose smallest eigenvalue is within _PSD_TOL of "
+        "its trace below 0 needs the eigensolver"),
+    Mutant(
+        "semidefinite-shift-sign-flipped", "metrics.py",
+        '    np.einsum("...ii->...i", shifted)[...] += _PSD_TOL * trace[:, None]\n',
+        '    np.einsum("...ii->...i", shifted)[...] -= _PSD_TOL * trace[:, None]\n',
+        "the Cholesky factorization certifies only forms whose smallest "
+        "eigenvalue exceeds _PSD_TOL of the trace, so an accepted form "
+        "closer to semidefinite needs the eigensolver"),
     Mutant(
         "q-term-dropped", "metrics.py",
         "    vectors = pq.reshape(pq.shape[:-3] + (2, 4))\n",

@@ -30,6 +30,7 @@ from cvswap import (
     squeezing_to_chi,
 )
 from cvswap.metrics import (
+    _PSD_TOL,
     _RATE_FLOOR,
     OPTIMAL_ANGLES,
     AnalyzerAngles,
@@ -212,12 +213,60 @@ class TestChS:
     def test_semidefinite_check_scales_with_the_trace(self):
         # a rate form's negative eigenvalues are rounding up to 1e-12 of its
         # trace: bare 1e-12 would reject the first, and miss the second
-        def form(diagonal):
-            return np.diag(diagonal)[None, None]  # one block
+        def blocks(full):
+            # the block matrix [H_bc] of 4x4 blocks as _require_semidefinite takes it
+            n = full.shape[-1] // 4
+            return full.reshape(full.shape[:-2] + (n, 4, n, 4)).swapaxes(-3, -2)
 
-        _require_semidefinite(form([1e20, 1e20, 1e20, -1e6]))
+        _require_semidefinite(blocks(np.diag([1e20, 1e20, 1e20, -1e6])))
         with pytest.raises(ValueError, match="indefinite: eigenvalue -1e-30"):
-            _require_semidefinite(form([1e-20, 1e-20, 1e-20, -1e-30]))
+            _require_semidefinite(blocks(np.diag([1e-20, 1e-20, 1e-20, -1e-30])))
+
+        # two blocks in a random basis, smallest eigenvalue 0.9 and 1.1 times
+        # _PSD_TOL of the trace below 0: accepted, then rejected
+        rng = np.random.default_rng(7)
+        basis = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        positive = np.arange(1.0, 8.0)
+        for factor, accepted in ((0.9, True), (1.1, False)):
+            low = -factor * _PSD_TOL * positive.sum() / (1 + factor * _PSD_TOL)
+            h = blocks(basis @ np.diag(np.append(positive, low)) @ basis.T)
+            if accepted:
+                _require_semidefinite(h)
+            else:
+                with pytest.raises(ValueError, match="indefinite: eigenvalue"):
+                    _require_semidefinite(h)
+
+        # a rank-3 form W W^T over two blocks, and the zero form (trace 0)
+        w = rng.normal(size=(8, 3))
+        _require_semidefinite(blocks(w @ w.T))
+        _require_semidefinite(np.zeros((2, 2, 4, 4)))
+
+        # a batch of three forms, one of them indefinite
+        batch = np.stack([w @ w.T, basis @ np.diag(np.append(positive, -1.0)) @ basis.T,
+                          np.eye(8)])
+        with pytest.raises(ValueError, match="indefinite: eigenvalue -1 "):
+            _require_semidefinite(blocks(batch))
+
+    def test_accepted_forms_need_no_eigenvalues(self, tmp_path, monkeypatch, capsys):
+        """The shifted Cholesky factorization alone accepts every default
+        sweep's forms, and the form that only its shift certifies."""
+        commands = ["fig3", "fig4", "threshold-scan", "operating-point"]
+        for command in commands:
+            assert cvswap.cli.main([command, "--out", str(tmp_path / "eig")]) == 0
+
+        def no_eigenvalues(*args, **kwargs):
+            raise AssertionError("eigvalsh was called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+        for command in commands:
+            assert cvswap.cli.main([command, "--out", str(tmp_path / "cholesky")]) == 0
+        capsys.readouterr()
+        written = sorted(path.name for path in (tmp_path / "eig").glob("*.csv"))
+        assert len(written) == len(commands)
+        for name in written:
+            assert ((tmp_path / "cholesky" / name).read_bytes()
+                    == (tmp_path / "eig" / name).read_bytes())
+        _require_semidefinite(np.diag([1e20, 1e20, 1e20, -1e6])[None, None])
 
     @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
     def test_semidefinite_check_rejects_a_negated_gram_term(self, tmp_path, monkeypatch,
