@@ -210,6 +210,13 @@ MUTANTS = [
         "write_svg plots the largest value at the bottom of the plot box and "
         "the least at the top"),
     Mutant(
+        "fig3-takes-the-gain-grid-flags", "cli.py",
+        '"angles_steps", "out", "svg")),',
+        '"angles_steps", "out", "svg",\n'
+        '              "lambda_min", "lambda_max", "lambda_steps")),',
+        "fig3 accepts --lambda-min, --lambda-max and --lambda-steps and ignores "
+        "them, since it builds no gain grid"),
+    Mutant(
         "negative-rate-check-disabled", "metrics.py",
         "negative = value < _RATE_FLOOR",
         "negative = value < -np.inf",

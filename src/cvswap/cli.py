@@ -31,13 +31,13 @@ call, and reused by every later call; each parse returns its own namespace.
 
 Each setting is an :class:`ExperimentConfig` field, named by its config key
 (its flag with underscores: ``lambda_min`` for ``--lambda-min``) and holding
-its default; one per-command table holds each command's help and the defaults
-it overrides (its squeezing levels, and the eta of ``operating-point``).  A
-flat ``key = value`` config file (``#`` comments) overrides those, and flags
-override the file.  The ``eta_*`` keys, like their flags, belong to
-``threshold-scan`` and affect no other command.  Squeezing levels name their
-CSV columns by whole percent, so levels that round to the same percent are
-rejected.  Exit codes: 0 success, 1 bad flags/config, an unusable output
+its default; one per-command table holds each command's help, the defaults
+it overrides (its squeezing levels, and the eta of ``operating-point``) and
+the settings its driver reads, which are its only flags.  A flat ``key =
+value`` config file (``#`` comments) may hold any key, is validated whole and
+overrides the defaults, and flags override the file.  Squeezing levels name
+their CSV columns by whole percent, so levels that round to the same percent
+are rejected.  Exit codes: 0 success, 1 bad flags/config, an unusable output
 directory, a grid too large for memory or rates that overflow float range,
 2 degenerate physics (no coincidences), 3 selftest failure.
 """
@@ -83,7 +83,8 @@ _NUMBER = "%.9g"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one command run: one field per config key."""
+    """Resolved settings for one command run: one field per config key, each
+    validated for every command and read only by the commands it is a flag of."""
 
     chi1: float = 0.1
     squeezing: tuple[float, ...] = ()
@@ -142,12 +143,12 @@ def _parse_level_list(text: str) -> tuple[float, ...]:
 
 
 # config key -> (value parser, flag help); the key is the ExperimentConfig
-# field, the flag is the key with dashes, a {} in the help is the field's
-# default, and the eta_* grid is a threshold-scan flag only
+# field, the flag is the key with dashes and belongs to the commands that
+# read the key, and a {} in the help is the command's default for it
 _SETTINGS: dict[str, tuple[Callable[[str], object], str]] = {
     "chi1": (float, "source squeezer conversion efficiency (default {})"),
-    "squeezing": (_parse_level_list, "squeezing level in [0, 1); repeatable"),
-    "eta": (float, "homodyne detection efficiency in [0, 1]"),
+    "squeezing": (_parse_level_list, "squeezing level in [0, 1); repeatable (default {})"),
+    "eta": (float, "homodyne detection efficiency in [0, 1] (default {})"),
     "lambda_min": (float, "gain sweep lower bound (default {})"),
     "lambda_max": (float, "gain sweep upper bound (default {})"),
     "lambda_steps": (int, "gain sweep point count (default {})"),
@@ -341,38 +342,41 @@ class _Parser(argparse.ArgumentParser):
 @cache
 def build_parser() -> argparse.ArgumentParser:
     # the tree depends on no call argument, so one parser serves every main()
-    # call; parse_args keeps its state in the Namespace it returns.  Each flag
-    # is declared once, in the parent parser of the commands it belongs to.
-    shared, eta_grid = _Parser(add_help=False), _Parser(add_help=False)
-    for key, (parse, flag_help) in _SETTINGS.items():
-        owner = eta_grid if key.startswith("eta_") else shared
-        owner.add_argument("--" + key.replace("_", "-"),
-                           help=flag_help.format(getattr(ExperimentConfig, key)),
-                           **_FLAG_FORMS.get(parse, {"type": parse}))
-    shared.add_argument("--config", help="flat key = value config file; flags override it")
+    # call; parse_args keeps its state in the Namespace it returns
     parser = _Parser(prog="cvswap",
                      description="Continuous-variable entanglement swapping sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, defaults) in _COMMAND_SETTINGS.items():
-        parents = [shared, eta_grid] if command == "threshold-scan" else [shared]
-        sub.add_parser(command, help=help_text.format_map(defaults),
-                       parents=parents if command in _COMMANDS else [])
+    for command, (help_text, defaults, keys) in _COMMAND_SETTINGS.items():
+        add = sub.add_parser(command, help=help_text.format_map(defaults)).add_argument
+        for key in keys:
+            parse, flag_help = _SETTINGS[key]
+            add("--" + key.replace("_", "-"),
+                help=flag_help.format(defaults.get(key, getattr(ExperimentConfig, key))),
+                **_FLAG_FORMS.get(parse, {"type": parse}))
+        if keys:
+            add("--config", help="flat key = value config file; flags override it")
     return parser
 
 
-# command -> (help, the settings whose default differs from ExperimentConfig's);
-# a {} in the help is one of those defaults
-_COMMAND_SETTINGS: dict[str, tuple[str, dict[str, object]]] = {
-    "fig3": ("S vs analyzer angle at unity gain", {"squeezing": (0.99, 0.80)}),
+# command -> (help, the defaults it overrides, the settings its driver reads,
+# which are its flags); a {} in the help is one of those defaults
+_COMMAND_SETTINGS: dict[str, tuple[str, dict[str, object], tuple[str, ...]]] = {
+    "fig3": ("S vs analyzer angle at unity gain", {"squeezing": (0.99, 0.80)},
+             ("chi1", "squeezing", "eta", "angles_steps", "out", "svg")),
     "fig4": ("S vs feedforward gain at maximizing angles",
-             {"squeezing": (0.10, 0.50, 0.80, 0.99)}),
+             {"squeezing": (0.10, 0.50, 0.80, 0.99)},
+             ("chi1", "squeezing", "eta", "lambda_min", "lambda_max", "lambda_steps",
+              "out", "svg")),
     # argparse %-formats help text, so the percent sign that :.0% writes is doubled
     "operating-point": ("optimal-gain operating point per level "
                         "(default eta {eta}, {squeezing[0]:.0%}% squeezing)",
-                        {"squeezing": (0.5,), "eta": 0.9}),
+                        {"squeezing": (0.5,), "eta": 0.9},
+                        ("chi1", "squeezing", "eta", "out", "svg")),
     "threshold-scan": ("S at optimal gain vs detection efficiency",
-                       {"squeezing": (0.3, 0.5, 0.9)}),
-    "selftest": ("run the algebra/oracle invariant suite", {}),
+                       {"squeezing": (0.3, 0.5, 0.9)},
+                       ("chi1", "squeezing", "eta_min", "eta_max", "eta_steps", "out",
+                        "svg")),
+    "selftest": ("run the algebra/oracle invariant suite", {}, ()),
 }
 
 _COMMANDS = {

@@ -36,6 +36,7 @@ from .oracle import build_source_state, fock_coincidence_rate, normal_order_expe
 __all__ = ["run_selftest", "CHECKS"]
 
 _TOL = 1e-12
+_FIELD_TERMS = 3  # the most terms of a random_field
 
 
 def _beam_commutators(beam: PolarizedBeam) -> np.ndarray:
@@ -104,12 +105,11 @@ def check_pairing_count() -> str | None:
     return None
 
 
-def random_field(rng: random.Random, modes: list[int],
-                 max_terms: int = 3) -> LinearField:
+def random_field(rng: random.Random, modes: list[int]) -> LinearField:
     """A sparse random field with coefficient magnitudes below sqrt(2)."""
     ann = np.zeros(max(modes) + 1, dtype=complex)
     cre = np.zeros_like(ann)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, _FIELD_TERMS)):
         m = rng.choice(modes)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if rng.random() < 0.5:

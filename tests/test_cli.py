@@ -1,6 +1,8 @@
 """CLI commands: CSV output, config handling, exit codes, selftest."""
 
 import argparse
+import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,11 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cvswap.circuit
 import cvswap.cli
@@ -90,53 +94,63 @@ class TestConfigFile:
             ExperimentConfig(squeezing=(0.5,), eta=1.3).validate()
 
 
-# config key, ExperimentConfig field, file value, equivalent flags, parsed value,
-# and a different file value that the flags must override
+# config key, ExperimentConfig field, a command that reads it, file value,
+# equivalent flags, parsed value, and a different file value that the flags
+# must override
 SETTINGS = [
-    ("chi1", "chi1", "0.05", ["--chi1", "0.05"], 0.05, "0.2"),
-    ("squeezing", "squeezing", "0.3, 0.6",
+    ("chi1", "chi1", "fig4", "0.05", ["--chi1", "0.05"], 0.05, "0.2"),
+    ("squeezing", "squeezing", "fig4", "0.3, 0.6",
      ["--squeezing", "0.3", "--squeezing", "0.6"], (0.3, 0.6), "0.4"),
-    ("eta", "eta", "0.8", ["--eta", "0.8"], 0.8, "0.9"),
-    ("lambda_min", "lambda_min", "0.02", ["--lambda-min", "0.02"], 0.02, "0.05"),
-    ("lambda_max", "lambda_max", "1.5", ["--lambda-max", "1.5"], 1.5, "1.0"),
-    ("lambda_steps", "lambda_steps", "30", ["--lambda-steps", "30"], 30, "50"),
-    ("angles_steps", "angles_steps", "11", ["--angles-steps", "11"], 11, "13"),
-    ("eta_min", "eta_min", "0.75", ["--eta-min", "0.75"], 0.75, "0.8"),
-    ("eta_max", "eta_max", "0.95", ["--eta-max", "0.95"], 0.95, "0.9"),
-    ("eta_steps", "eta_steps", "7", ["--eta-steps", "7"], 7, "9"),
-    ("out", "out", "results", ["--out", "results"], Path("results"), "elsewhere"),
-    ("svg", "svg", "true", ["--svg"], True, "false"),
+    ("eta", "eta", "fig4", "0.8", ["--eta", "0.8"], 0.8, "0.9"),
+    ("lambda_min", "lambda_min", "fig4", "0.02", ["--lambda-min", "0.02"], 0.02, "0.05"),
+    ("lambda_max", "lambda_max", "fig4", "1.5", ["--lambda-max", "1.5"], 1.5, "1.0"),
+    ("lambda_steps", "lambda_steps", "fig4", "30", ["--lambda-steps", "30"], 30, "50"),
+    ("angles_steps", "angles_steps", "fig3", "11", ["--angles-steps", "11"], 11, "13"),
+    ("eta_min", "eta_min", "threshold-scan", "0.75", ["--eta-min", "0.75"], 0.75, "0.8"),
+    ("eta_max", "eta_max", "threshold-scan", "0.95", ["--eta-max", "0.95"], 0.95, "0.9"),
+    ("eta_steps", "eta_steps", "threshold-scan", "7", ["--eta-steps", "7"], 7, "9"),
+    ("out", "out", "operating-point", "results", ["--out", "results"], Path("results"),
+     "elsewhere"),
+    ("svg", "svg", "threshold-scan", "true", ["--svg"], True, "false"),
 ]
 
-COMMON_OPTIONS = {"-h", "--help", "--chi1", "--squeezing", "--eta", "--lambda-min",
-                  "--lambda-max", "--lambda-steps", "--angles-steps", "--out",
-                  "--svg", "--config"}
+# each command's flags: the settings its driver reads, and --config
+SOURCE_OPTIONS = {"-h", "--help", "--chi1", "--squeezing", "--out", "--svg", "--config"}
+COMMAND_OPTIONS = {
+    "fig3": SOURCE_OPTIONS | {"--eta", "--angles-steps"},
+    "fig4": SOURCE_OPTIONS | {"--eta", "--lambda-min", "--lambda-max", "--lambda-steps"},
+    "operating-point": SOURCE_OPTIONS | {"--eta"},
+    "threshold-scan": SOURCE_OPTIONS | {"--eta-min", "--eta-max", "--eta-steps"},
+    "selftest": {"-h", "--help"},
+}
 
 
 class TestSettings:
     @staticmethod
-    def resolve(monkeypatch, tmp_path, file_text, flags):
-        """The ExperimentConfig that main hands to the threshold-scan driver."""
+    def resolve(monkeypatch, tmp_path, command, file_text, flags):
+        """The ExperimentConfig that main hands to the command's driver."""
         seen = []
-        monkeypatch.setitem(cvswap.cli._COMMANDS, "threshold-scan",
+        monkeypatch.setitem(cvswap.cli._COMMANDS, command,
                             lambda config, stream: seen.append(config) or 0)
         config = tmp_path / "run.cfg"
         config.write_text(file_text)
-        assert main(["threshold-scan", "--config", str(config)] + flags) == 0
+        assert main([command, "--config", str(config)] + flags) == 0
         return seen[0]
 
-    @pytest.mark.parametrize("key, field, file_value, flags, parsed, other", SETTINGS,
-                             ids=[row[0] for row in SETTINGS])
+    @pytest.mark.parametrize("key, field, command, file_value, flags, parsed, other",
+                             SETTINGS, ids=[row[0] for row in SETTINGS])
     def test_file_and_flag_agree_and_flag_wins(self, monkeypatch, tmp_path, key, field,
-                                               file_value, flags, parsed, other):
-        from_file = self.resolve(monkeypatch, tmp_path, f"{key} = {file_value}\n", [])
-        from_flag = self.resolve(monkeypatch, tmp_path, "", flags)
-        both = self.resolve(monkeypatch, tmp_path, f"{key} = {other}\n", flags)
+                                               command, file_value, flags, parsed, other):
+        def resolve(file_text, flags):
+            return self.resolve(monkeypatch, tmp_path, command, file_text, flags)
+
+        from_file = resolve(f"{key} = {file_value}\n", [])
+        from_flag = resolve("", flags)
+        both = resolve(f"{key} = {other}\n", flags)
         assert getattr(from_file, field) == parsed
         assert getattr(from_flag, field) == parsed
         assert getattr(both, field) == parsed
-        assert getattr(self.resolve(monkeypatch, tmp_path, f"{key} = {other}\n", []),
-                       field) != parsed
+        assert getattr(resolve(f"{key} = {other}\n", []), field) != parsed
 
     def test_option_strings_per_subcommand(self):
         parser = build_parser()
@@ -144,18 +158,46 @@ class TestSettings:
                    if isinstance(action, argparse._SubParsersAction))
         options = {name: {s for action in command._actions for s in action.option_strings}
                    for name, command in sub.choices.items()}
-        eta_grid = {"--eta-min", "--eta-max", "--eta-steps"}
-        assert options == {
-            "fig3": COMMON_OPTIONS,
-            "fig4": COMMON_OPTIONS,
-            "operating-point": COMMON_OPTIONS,
-            "threshold-scan": COMMON_OPTIONS | eta_grid,
-            "selftest": {"-h", "--help"},
-        }
+        assert options == COMMAND_OPTIONS
+        # 30 flag instances over the four sweeps, less -h and --help
+        assert sum(len(names - {"-h", "--help"}) for names in options.values()) == 30
         assert parser.parse_args(["threshold-scan", "--eta-min", "0.8"]).eta_min == 0.8
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--eta-min", "0.8"],
+        # --eta is a prefix of the eta-grid flags, so argparse finds it ambiguous
+        ["threshold-scan", "--eta", "0.5"],
+        ["fig3", "--lambda-steps", "7"],
+        ["operating-point", "--angles-steps", "3"],
+        ["fig4", "--eta-min", "0.8"],
+        ["selftest", "--config", "run.cfg"],
+    ])
+    def test_flag_of_another_command_is_exit_1(self, monkeypatch, tmp_path, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # where a command that took the flag would write
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["fig3", "--eta-min", "0.8"])
+            main(argv)
         assert exc.value.code == 1
+        assert argv[1] in capsys.readouterr().err
+
+    def test_each_driver_reads_exactly_its_commands_settings(self, tmp_path):
+        """Each driver, called directly on a config that records which
+        fields it reads, reads exactly the settings its table row lists."""
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        read = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in fields:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        for command, driver in cvswap.cli._COMMANDS.items():
+            _, defaults, keys = cvswap.cli._COMMAND_SETTINGS[command]
+            config = Recording(**{**defaults, "angles_steps": 3, "lambda_steps": 3,
+                                  "eta_steps": 3, "svg": True, "out": tmp_path})
+            read.clear()
+            assert driver(config, io.StringIO()) == 0
+            assert read == set(keys), command
 
     @pytest.mark.parametrize("command, squeezing, eta", [
         ("fig3", (0.99, 0.80), 1.0),
@@ -170,11 +212,25 @@ class TestSettings:
                             lambda config, stream: seen.append(config) or 0)
         config = tmp_path / "run.cfg"
         config.write_text("squeezing = 0.4\neta = 0.8\n")
-        flags = ["--squeezing", "0.6", "--eta", "0.7"]
+        # threshold-scan takes no --eta, and keeps the file's eta
+        flags, flag_eta = ["--squeezing", "0.6"], 0.8
+        if command != "threshold-scan":
+            flags, flag_eta = flags + ["--eta", "0.7"], 0.7
         for argv in ([], ["--config", str(config)], ["--config", str(config)] + flags):
             assert main([command] + argv) == 0
         assert [(c.squeezing, c.eta) for c in seen] == [
-            (squeezing, eta), ((0.4,), 0.8), ((0.6,), 0.7)]
+            (squeezing, eta), ((0.4,), 0.8), ((0.6,), flag_eta)]
+
+    @pytest.mark.parametrize("command, text", [
+        ("fig3", "(default (0.99, 0.8))"), ("fig3", "in [0, 1] (default 1.0)"),
+        ("operating-point", "(default (0.5,))"), ("operating-point", "(default 0.9)"),
+        ("fig4", "bound (default 0.01)"), ("threshold-scan", "bound (default 0.7)"),
+    ])
+    def test_flag_help_shows_the_commands_default(self, capsys, command, text):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert text in " ".join(capsys.readouterr().out.split())
 
     def test_command_help_renders(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -289,6 +345,64 @@ class TestExitCodes:
         assert err.startswith("cvswap: degenerate physics: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# the values of each drawn flag, mostly in range; one flag of a draw may take
+# any float instead, out of range or not finite, and --squeezing 1 to 3 levels
+FUZZ_VALUES = {
+    "--chi1": st.floats(0, 200),
+    "--squeezing": st.floats(0, 1, exclude_max=True),
+    "--eta": st.floats(0, 1),
+    "--angles-steps": st.integers(-1, 40),
+    "--lambda-min": st.floats(0, 3),
+    "--lambda-max": st.floats(0, 3),
+    "--lambda-steps": st.integers(-1, 40),
+    "--eta-min": st.floats(0, 1),
+    "--eta-max": st.floats(0, 1),
+    "--eta-steps": st.integers(-1, 40),
+}
+GRID_FLAGS = {"--angles-steps", "--lambda-steps", "--eta-steps"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_argv_exits_0_1_or_2_with_one_line(data):
+    """main on a drawn command and a drawn subset of its flags, each grid of
+    at most 40 points, returns 0, 1 or 2, or argparse exits 1; each failure
+    that main reports is one stderr line.  A flag of another command always
+    exits 1."""
+    command = data.draw(st.sampled_from(sorted(cvswap.cli._COMMANDS)))
+    own = sorted(COMMAND_OPTIONS[command] & FUZZ_VALUES.keys())
+    # a grid flag is always passed, so no draw takes a default grid
+    flags = sorted(data.draw(st.sets(st.sampled_from(own))) | (GRID_FLAGS & set(own)))
+    wild = data.draw(st.sampled_from(flags)) if flags and data.draw(st.booleans()) else None
+    argv = []
+    for flag in flags:
+        values = st.floats() if flag == wild else FUZZ_VALUES[flag]
+        count = data.draw(st.integers(1, 3)) if flag == "--squeezing" else 1
+        argv += [f"{flag}={data.draw(values)}" for _ in range(count)]
+    if data.draw(st.booleans()):
+        argv.append("--svg")
+    foreign = None
+    if data.draw(st.integers(0, 4)) == 0:
+        foreign = data.draw(st.sampled_from(sorted(FUZZ_VALUES.keys() - set(own))))
+        argv.insert(data.draw(st.integers(0, len(argv))),
+                    f"{foreign}={data.draw(FUZZ_VALUES[foreign])}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([command, *argv, f"--out={tmp}"])
+        except SystemExit as exc:
+            assert exc.code == 1
+            return
+    assert foreign is None, f"{foreign} accepted by {command}"
+    assert code in (0, 1, 2)
+    text = err.getvalue()
+    if code == 0:
+        assert text == ""
+    else:
+        assert text.startswith("cvswap: ") and text.count("\n") == 1, text
 
 
 @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
