@@ -1,4 +1,5 @@
-"""Mutants of the CH rate kernel, the circuit and its checks, for test_mutants.py.
+"""Mutants of the CH rate kernel, the circuit, its checks and the mode algebra,
+for test_mutants.py.
 
 Each row names a file under src/cvswap, the exact text the mutant replaces
 (it must occur exactly once, so a refactor that removes it fails loudly),
@@ -209,6 +210,12 @@ MUTANTS = [
         "return margin + (y - y_lo) / y_span * (height - 2 * margin)",
         "write_svg plots the largest value at the bottom of the plot box and "
         "the least at the top"),
+    Mutant(
+        "adjoint-rows-not-swapped", "modes.py",
+        "self.coeffs[..., ::-1, :].conj()",
+        "self.coeffs.conj()",
+        "adjoint conjugates each coefficient but leaves it in its ann or cre "
+        "row, so F^dag annihilates where F does and no squeezer creates pairs"),
     Mutant(
         "fig3-takes-the-gain-grid-flags", "cli.py",
         '"angles_steps", "out", "svg")),',

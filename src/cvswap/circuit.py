@@ -20,8 +20,8 @@ single-threaded; the returned fields are immutable and can be evaluated
 concurrently.
 
 The h and v chains of the network are identical, so a beam is one field
-whose coefficient arrays hold the two polarization components on a batch
-axis of length 2, shape (..., 2, n_modes), h first: a PolarizedBeam wraps
+whose coefficient array holds the two polarization components on a batch
+axis of length 2, shape (..., 2, 2, n_modes), h first: a PolarizedBeam wraps
 that field, from the vacuum inputs to the output.  Each component then
 runs once per build for both chains, and a parameter gets a trailing unit
 axis to broadcast over the polarization axis.  The arithmetic per
@@ -76,27 +76,28 @@ MINUS_GAIN_PHASE = 1j
 @dataclass(frozen=True, init=False)
 class PolarizedBeam:
     """One spatial beam of polarization components h and v: a field whose
-    coefficient arrays hold them on axis -2, shape (..., 2, n_modes), h
+    coefficient array holds them on axis -3, shape (..., 2, 2, n_modes), h
     first, over their broadcast batch shape, zero-padded to one mode count.
-    The components h and v are views of those arrays."""
+    The components h and v are views of that array."""
 
     field: LinearField
 
     def __init__(self, h: LinearField, v: LinearField) -> None:
-        field = LinearField(_rows([h.ann, v.ann]), _rows([h.cre, v.cre]))
-        object.__setattr__(self, "field", field)
+        n_modes = max(h.coeffs.shape[-1], v.coeffs.shape[-1])
+        coeffs = np.stack(np.broadcast_arrays(h._wide(n_modes), v._wide(n_modes)), axis=-3)
+        object.__setattr__(self, "field", LinearField._of(coeffs))
 
     @property
     def h(self) -> LinearField:
-        return LinearField(self.field.ann[..., 0, :], self.field.cre[..., 0, :])
+        return LinearField._of(self.field.coeffs[..., 0, :, :])
 
     @property
     def v(self) -> LinearField:
-        return LinearField(self.field.ann[..., 1, :], self.field.cre[..., 1, :])
+        return LinearField._of(self.field.coeffs[..., 1, :, :])
 
 
 def _beam(field: LinearField) -> PolarizedBeam:
-    # the beam whose components a field already holds on axis -2, not a copy
+    # the beam whose components a field already holds on axis -3, not a copy
     beam = object.__new__(PolarizedBeam)
     object.__setattr__(beam, "field", field)
     return beam
@@ -136,7 +137,7 @@ class SwapCircuitOutput:
 
     D' = beam_d0 + g sqrt(eta) X(1) + g sqrt(1-eta) X(0) exactly: the port
     part X(1) and the detector-loss part X(0) on the leading axis of the
-    parts beam's coefficient arrays, and their weights g sqrt(eta) and
+    parts beam's coefficient array, and their weights g sqrt(eta) and
     g sqrt(1-eta) on that of weights.  The parts carry the squeezers' batch
     shape alone, and the weights that of gain and eta.  beam_d_prime is the
     one sum of the parts into D', formed on each access.
@@ -150,7 +151,7 @@ class SwapCircuitOutput:
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        port, loss = map(LinearField, self.parts.field.ann, self.parts.field.cre)
+        port, loss = map(LinearField._of, self.parts.field.coeffs)
         weight_port, weight_loss = self.weights[..., None]
         return _beam(self.beam_d0.field + weight_port * port + weight_loss * loss)
 
@@ -176,14 +177,14 @@ def _off_by(value: np.ndarray, *fields: LinearField) -> bool:
 
 
 def _require_canonical(*fields: LinearField) -> None:
-    # every [F_i, F_j+] and [F_i, F_j] from one einsum over stacked rows, with
-    # rows[..., s, i, :] the ann (s = 0) or cre (s = 1) array of input i:
+    # every [F_i, F_j+] and [F_i, F_j] from one einsum over the inputs'
+    # coefficient arrays stacked on axis -2, with rows[..., s, i, :] the ann
+    # (s = 0) or cre (s = 1) row of input i:
     # [F_i, F_j+] = sum a_i conj(a_j) - c_i conj(c_j) and
     # [F_i, F_j] = sum a_i c_j - c_i a_j.  Checked in the order of a loop
     # over the inputs, each input before the pairs it opens
     k = len(fields)
-    rows = _rows([f.ann for f in fields] + [f.cre for f in fields])
-    rows = rows.reshape(rows.shape[:-2] + (2, k, rows.shape[-1]))
+    rows = _rows([f.coeffs for f in fields])
     duals = np.concatenate([rows.conj(), rows[..., ::-1, :, :]], axis=-2)
     duals[..., 1, :, :] *= -1  # the cre rows enter with a minus sign
     off = np.abs(np.einsum("...sim,...sjm->...ij", rows, duals) - np.eye(k, 2 * k))
@@ -271,7 +272,7 @@ def homodyne_currents(b: PolarizedBeam, c: PolarizedBeam, eta: ArrayLike,
     that order.  eta gets a trailing unit axis and broadcasts against the
     batch axes before the polarization axis: at the build's eta = (1, 0)
     the currents carry the squeezers' shape.  Returns (x_plus, x_minus),
-    each a field with the h and v photocurrents on axis -2, as a beam's.
+    each a field with the h and v photocurrents on axis -3, as a beam's.
     Both photocurrents are Hermitian and commute with each other for any
     eta.
     """
@@ -318,7 +319,7 @@ def _unit_displacement(x_plus: LinearField, x_minus: LinearField) -> LinearField
 
 def halfwave_swap(beam: PolarizedBeam) -> PolarizedBeam:
     """Half-wave plate: exchanges the polarization labels of a beam (a view)."""
-    return _beam(LinearField(beam.field.ann[..., ::-1, :], beam.field.cre[..., ::-1, :]))
+    return _beam(LinearField._of(beam.field.coeffs[..., ::-1, :, :]))
 
 
 def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:

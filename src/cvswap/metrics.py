@@ -503,8 +503,8 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
         raise ValueError("steps must be at least 2")
     if isinstance(beams, SwapCircuitOutput):
         beams = beams.beam_a, beams.beam_d_prime
-    # without batch axes a beam's coefficient arrays are (2, n_modes)
-    if any(beam.field.ann.ndim > 2 for beam in beams):
+    # without batch axes a beam's coefficient array is (2, 2, n_modes)
+    if any(beam.field.coeffs.ndim > 3 for beam in beams):
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)
     s = ch_s(beams, family(thetas)).s

@@ -12,9 +12,11 @@ evaluated exactly with Wick's theorem: the vacuum is Gaussian, so an
 even-order moment is the sum over all perfect pairings of two-point
 contractions <F_i F_j>, and odd-order moments vanish.
 
-Each field stores its coefficients as dense complex arrays over the modes,
-with optional leading batch axes, so one circuit build covers a whole grid
-of parameter points and the CH kernel reads the fields as they are.
+Each field stores its coefficients as one dense complex array of shape
+(..., 2, n_modes), the annihilation row over the modes above the creation
+row, with optional leading batch axes, so each operator on a field is one
+numpy call, one circuit build covers a whole grid of parameter points and
+the CH kernel reads the fields as they are.
 
 All values are immutable after construction; the only mutable object is
 the :class:`ModeRegistry` used while wiring up a circuit.
@@ -65,66 +67,81 @@ class ModeRegistry:
 class LinearField:
     """A field operator linear in vacuum-mode annihilation/creation operators.
 
-    ann[..., m] and cre[..., m] are the coefficients of a_m and a_m^dag: two
-    complex arrays of one shape whose last axis runs over the modes 0..n-1
-    and whose leading axes, if any, index a batch of fields (one per
+    coeffs is one complex array of shape (..., 2, n_modes): coeffs[..., 0, m]
+    and coeffs[..., 1, m] are the coefficients of a_m and a_m^dag, and ann
+    and cre are views of those two rows.  The last axis runs over the modes
+    0..n-1 and the leading axes, if any, index a batch of fields (one per
     parameter point).  Modes from n on carry coefficient 0, so fields over
     different mode counts combine by zero padding.  Supports +, -, adjoint()
-    and * by a scalar or by an array that broadcasts against the batch axes.
-    The arrays must not be mutated after construction.
+    and * by a scalar or by an array that broadcasts against the batch axes,
+    each one numpy call on coeffs.  The array must not be mutated after
+    construction.
     """
 
-    __slots__ = ("ann", "cre")
+    __slots__ = ("coeffs",)
     # numpy scalars and arrays defer to LinearField's reflected operators
     __array_ufunc__ = None
 
     def __init__(self, ann: ArrayLike, cre: ArrayLike) -> None:
-        self.ann = np.asarray(ann, dtype=complex)
-        self.cre = np.asarray(cre, dtype=complex)
-        if self.ann.shape != self.cre.shape:
-            raise ValueError(f"ann and cre shapes differ: {self.ann.shape} "
-                             f"and {self.cre.shape}")
+        ann, cre = np.asarray(ann, dtype=complex), np.asarray(cre, dtype=complex)
+        if ann.shape != cre.shape:
+            raise ValueError(f"ann and cre shapes differ: {ann.shape} and {cre.shape}")
+        self.coeffs = np.stack([ann, cre], axis=-2)
+
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "LinearField":
+        # the field over a ready complex (..., 2, n_modes) array, taken as is
+        field = object.__new__(cls)
+        field.coeffs = coeffs
+        return field
+
+    @property
+    def ann(self) -> np.ndarray:
+        return self.coeffs[..., 0, :]
+
+    @property
+    def cre(self) -> np.ndarray:
+        return self.coeffs[..., 1, :]
+
+    def _wide(self, n_modes: int) -> np.ndarray:
+        # coeffs extended with zero coefficients to n_modes modes
+        coeffs = self.coeffs
+        if coeffs.shape[-1] == n_modes:
+            return coeffs
+        wide = np.zeros(coeffs.shape[:-1] + (n_modes,), dtype=complex)
+        wide[..., :coeffs.shape[-1]] = coeffs
+        return wide
 
     def padded(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
         """(ann, cre) extended with zero coefficients to n_modes modes."""
-        ann, cre = self.ann, self.cre
-        if ann.shape[-1] == n_modes:
-            return ann, cre
-        shape = ann.shape[:-1] + (n_modes,)
-        wide_ann, wide_cre = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-        wide_ann[..., :ann.shape[-1]] = ann
-        wide_cre[..., :cre.shape[-1]] = cre
-        return wide_ann, wide_cre
+        wide = self._wide(n_modes)
+        return wide[..., 0, :], wide[..., 1, :]
 
     def adjoint(self) -> "LinearField":
         """Hermitian adjoint: swaps ann and cre with conjugated coefficients."""
-        return LinearField(self.cre.conj(), self.ann.conj())
+        return LinearField._of(self.coeffs[..., ::-1, :].conj())
 
     def __add__(self, other: "LinearField") -> "LinearField":
-        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
-        (ann, cre), (other_ann, other_cre) = self.padded(n_modes), other.padded(n_modes)
-        return LinearField(ann + other_ann, cre + other_cre)
+        n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+        return LinearField._of(self._wide(n_modes) + other._wide(n_modes))
 
     def __sub__(self, other: "LinearField") -> "LinearField":
-        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
-        (ann, cre), (other_ann, other_cre) = self.padded(n_modes), other.padded(n_modes)
-        return LinearField(ann - other_ann, cre - other_cre)
+        n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+        return LinearField._of(self._wide(n_modes) - other._wide(n_modes))
 
     def __neg__(self) -> "LinearField":
-        return LinearField(-self.ann, -self.cre)
+        return LinearField._of(-self.coeffs)
 
     def __mul__(self, c: ArrayLike) -> "LinearField":
-        c = np.asarray(c)[..., None]
-        return LinearField(c * self.ann, c * self.cre)
+        return LinearField._of(np.asarray(c)[..., None, None] * self.coeffs)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearField):
             return NotImplemented
-        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
-        return all(np.array_equal(x, y)
-                   for x, y in zip(self.padded(n_modes), other.padded(n_modes)))
+        n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+        return np.array_equal(self._wide(n_modes), other._wide(n_modes))
 
     def __repr__(self) -> str:
         return f"LinearField(ann={self.ann!r}, cre={self.cre!r})"
@@ -135,12 +152,13 @@ def vacuum_field(mode: int | Sequence[int]) -> LinearField:
 
     Given a sequence of modes, possibly nested, the annihilation operators
     of each, with the sequence's shape as batch axes: a flat sequence
-    stacks them on axis -2 of the coefficient arrays, in its order.
+    stacks them on axis -3 of the coefficient array, in its order.
     """
     modes = np.asarray(mode)
-    # row m of the identity over the modes up to the largest holds a_m
-    ann = np.identity(modes.max() + 1, dtype=complex)[modes]
-    return LinearField(ann, np.zeros_like(ann))
+    coeffs = np.zeros(modes.shape + (2, modes.max() + 1), dtype=complex)
+    # row k of the view holds field k's ann and cre rows end to end: a_m is column m
+    coeffs.reshape(-1, 2 * coeffs.shape[-1])[np.arange(modes.size), modes.ravel()] = 1
+    return LinearField._of(coeffs)
 
 
 def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -225,16 +243,17 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
     empty product is 1.  Operator order matters: <a a^dag> = 1, <a^dag a> = 0.
     The fields must be single fields, without batch axes.
 
-    All n x n contractions come from one multiply-sum of the stacked
-    coefficient arrays, and each matching's term is the product of the
-    contractions its pairs index, from a pair array cached per n.
+    The factors' coefficient arrays are stacked once, into ann and cre
+    rows of shape (n, n_modes); all n x n contractions come from one
+    multiply-sum of those rows, and each matching's term is the product of
+    the contractions its pairs index, from a pair array cached per n.
     """
     n = len(product)
     if n == 0:
         return 1.0 + 0j
     if n % 2:
         return 0j
-    ann, cre = _rows([f.ann for f in product]), _rows([f.cre for f in product])
+    ann, cre = _rows([f.coeffs for f in product])  # (2, n, n_modes)
     # contractions[i, j] = <F_i F_j> = sum_m ann_i[m] cre_j[m]
     contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
     pairs = _matching_pairs(n)

@@ -107,16 +107,13 @@ def check_pairing_count() -> str | None:
 
 def random_field(rng: random.Random, modes: list[int]) -> LinearField:
     """A sparse random field with coefficient magnitudes below sqrt(2)."""
-    ann = np.zeros(max(modes) + 1, dtype=complex)
-    cre = np.zeros_like(ann)
+    coeffs = np.zeros((2, max(modes) + 1), dtype=complex)
     for _ in range(rng.randint(1, _FIELD_TERMS)):
         m = rng.choice(modes)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if rng.random() < 0.5:
-            ann[m] += c
-        else:
-            cre[m] += c
-    return LinearField(ann, cre)
+        # row 0 holds the annihilation coefficients, row 1 the creation ones
+        coeffs[int(rng.random() >= 0.5), m] += c
+    return LinearField._of(coeffs)
 
 
 def random_product(rng: random.Random, modes: list[int],

@@ -24,7 +24,7 @@ from cvswap import (
     vacuum_field,
 )
 from cvswap.metrics import OPTIMAL_ANGLES, analyzer
-from cvswap.modes import pair_contraction
+from cvswap.modes import pair_contraction, wick_matchings
 from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
 from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
 
@@ -58,6 +58,72 @@ def is_hermitian(field: LinearField, tol: float = 1e-12) -> bool:
 
 def is_zero(field: LinearField) -> bool:
     return not np.any(field.ann) and not np.any(field.cre)
+
+
+class TwoArrayField:
+    """A field stored as two coefficient arrays, ann and cre, with every
+    operator applied to each: the reference for LinearField's one-array
+    algebra, which must give the same bits."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, ann, cre) -> None:
+        self.ann, self.cre = np.asarray(ann, dtype=complex), np.asarray(cre, dtype=complex)
+
+    def padded(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+        shape = self.ann.shape[:-1] + (n_modes,)
+        wide_ann, wide_cre = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        wide_ann[..., :self.ann.shape[-1]] = self.ann
+        wide_cre[..., :self.cre.shape[-1]] = self.cre
+        return wide_ann, wide_cre
+
+    def adjoint(self) -> "TwoArrayField":
+        return TwoArrayField(self.cre.conj(), self.ann.conj())
+
+    def _both_padded(self, other):
+        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
+        return self.padded(n_modes), other.padded(n_modes)
+
+    def __add__(self, other: "TwoArrayField") -> "TwoArrayField":
+        (ann, cre), (other_ann, other_cre) = self._both_padded(other)
+        return TwoArrayField(ann + other_ann, cre + other_cre)
+
+    def __sub__(self, other: "TwoArrayField") -> "TwoArrayField":
+        (ann, cre), (other_ann, other_cre) = self._both_padded(other)
+        return TwoArrayField(ann - other_ann, cre - other_cre)
+
+    def __neg__(self) -> "TwoArrayField":
+        return TwoArrayField(-self.ann, -self.cre)
+
+    def __mul__(self, c) -> "TwoArrayField":
+        c = np.asarray(c)[..., None]
+        return TwoArrayField(c * self.ann, c * self.cre)
+
+    __rmul__ = __mul__
+
+
+def two_array_commutator(f: TwoArrayField, g: TwoArrayField):
+    """[F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m]) over the modes both hold."""
+    n = min(f.ann.shape[-1], g.ann.shape[-1])
+    return (np.einsum("...m,...m->...", f.ann[..., :n], g.cre[..., :n])
+            - np.einsum("...m,...m->...", f.cre[..., :n], g.ann[..., :n]))
+
+
+def two_array_vacuum_expectation(product: list[TwoArrayField]) -> complex:
+    """Wick sum of single fields, with the ann and cre rows stacked apart."""
+    n = len(product)
+    if n % 2:
+        return 0j
+    if n == 0:
+        return 1.0 + 0j
+    n_modes = max(f.ann.shape[-1] for f in product)
+    ann, cre = np.zeros((n, n_modes), dtype=complex), np.zeros((n, n_modes), dtype=complex)
+    for i, f in enumerate(product):
+        ann[i, :f.ann.shape[-1]], cre[i, :f.cre.shape[-1]] = f.ann, f.cre
+    contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
+    pairs = np.array(list(wick_matchings(n)))
+    terms = contractions[pairs[..., 0], pairs[..., 1]].prod(axis=-1)
+    return complex(fsum(terms.real), fsum(terms.imag))
 
 
 def unpruned_normal_order_expectation(product: list[LinearField]) -> complex:

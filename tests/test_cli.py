@@ -420,11 +420,13 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
 
 
 # calls per build of each component that runs once for both polarizations,
-# and the LinearField constructions of one build: one field per vacuum
+# and the LinearField constructions of one build, all through the private
+# constructor that takes a ready coefficient array: one field per vacuum
 # stack, adjoint, product and sum, and per half-wave plate's view, so 22 in
-# the two squeezers, 22 in the photocurrents, 3 in X and 1 in D'(0)
+# the two squeezers, 22 in the photocurrents, 3 in X and 1 in D'(0).  The
+# public constructor, which validates and copies, is not called
 COMPONENT_CALLS = {"two_mode_squeezer": 2, "beamsplitter_5050": 1, "_require_canonical": 3}
-FIELDS_PER_BUILD = 48
+FIELDS_PER_BUILD = {"LinearField._of": 48, "LinearField.__init__": 0}
 
 
 @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
@@ -437,21 +439,28 @@ def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, comma
 
         monkeypatch.setattr(cvswap.circuit, name, counted)
 
-    def counting_init(field, *args, original=cvswap.circuit.LinearField.__init__):
-        calls.append("LinearField")
+    field_class = cvswap.circuit.LinearField
+
+    def counting_init(field, *args, original=field_class.__init__):
+        calls.append("LinearField.__init__")
         original(field, *args)
+
+    def counting_of(cls, coeffs, original=vars(field_class)["_of"].__func__):
+        calls.append("LinearField._of")
+        return original(cls, coeffs)
 
     def build(params, original=cvswap.cli.build_swap_circuit):
         calls.clear()
         out = original(params)
-        per_build.append({name: calls.count(name) for name in [*COMPONENT_CALLS, "LinearField"]})
+        per_build.append({name: calls.count(name) for name in [*COMPONENT_CALLS, *FIELDS_PER_BUILD]})
         return out
 
-    monkeypatch.setattr(cvswap.circuit.LinearField, "__init__", counting_init)
+    monkeypatch.setattr(field_class, "__init__", counting_init)
+    monkeypatch.setattr(field_class, "_of", classmethod(counting_of))
     monkeypatch.setattr(cvswap.cli, "build_swap_circuit", build)
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert per_build == [{**COMPONENT_CALLS, "LinearField": FIELDS_PER_BUILD}]
+    assert per_build == [{**COMPONENT_CALLS, **FIELDS_PER_BUILD}]
 
 
 # S of each folded sweep at its defaults, captured as float.hex before

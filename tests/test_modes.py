@@ -1,10 +1,15 @@
 """Mode algebra: fields, commutators, quadratures, Wick moments."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+import cvswap.selftest
 
 from cvswap import (
     LinearField,
@@ -20,11 +25,14 @@ from cvswap import (
 )
 from cvswap.modes import _matching_pairs
 from helpers import (
+    TwoArrayField,
     is_hermitian,
     is_zero,
     max_oracle_deviation,
     random_field,
     random_product,
+    two_array_commutator,
+    two_array_vacuum_expectation,
 )
 
 
@@ -193,3 +201,91 @@ def test_cached_matching_pairs_follow_the_enumerator():
         assert not pairs.flags.writeable
         assert [[tuple(pair) for pair in matching] for matching in pairs.tolist()] \
             == list(wick_matchings(n))
+
+
+_COEFFICIENTS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def _coefficient_pair(draw, batch):
+    # the (ann, cre) arrays of one field over 1 to 12 modes
+    shape = tuple(batch) + (draw(st.integers(1, 12)),)
+    return [draw(hnp.arrays(complex, shape, elements=_COEFFICIENTS)) for _ in "ac"]
+
+
+@st.composite
+def _operands(draw):
+    # two fields and a multiplier, a scalar or an array, whose shapes broadcast
+    batch_f, batch_g, batch_c = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=3, max_dims=2, max_side=3)).input_shapes
+    multiplier = draw(st.one_of(
+        st.floats(-2.0, 2.0), _COEFFICIENTS,
+        hnp.arrays(draw(st.sampled_from([float, complex])), batch_c,
+                   elements=st.floats(-2.0, 2.0))))
+    return _coefficient_pair(draw, batch_f), _coefficient_pair(draw, batch_g), multiplier
+
+
+def _assert_same_field(got: LinearField, want: TwoArrayField) -> None:
+    assert np.shares_memory(got.ann, got.coeffs) and np.shares_memory(got.cre, got.coeffs)
+    for x, y in ((got.ann, want.ann), (got.cre, want.cre)):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_operands())
+def test_one_array_algebra_matches_two_array_reference(operands):
+    (f_ann, f_cre), (g_ann, g_cre), c = operands
+    f, g = LinearField(f_ann, f_cre), LinearField(g_ann, g_cre)
+    ref_f, ref_g = TwoArrayField(f_ann, f_cre), TwoArrayField(g_ann, g_cre)
+    _assert_same_field(f, ref_f)
+    for got, want in ((f + g, ref_f + ref_g), (f - g, ref_f - ref_g), (g - f, ref_g - ref_f),
+                      (-f, -ref_f), (c * f, c * ref_f), (f * c, ref_f * c),
+                      (f.adjoint(), ref_f.adjoint()), (g.adjoint(), ref_g.adjoint())):
+        _assert_same_field(got, want)
+    for n_modes in (f_ann.shape[-1], 12):
+        for x, y in zip(f.padded(n_modes), ref_f.padded(n_modes)):
+            assert x.shape == y.shape and np.array_equal(x, y)
+    for x, y in ((f, g), (f, f.adjoint()), (g, f.adjoint())):
+        ref_x, ref_y = (TwoArrayField(field.ann, field.cre) for field in (x, y))
+        assert np.array_equal(commutator(x, y), two_array_commutator(ref_x, ref_y))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_vacuum_expectation_matches_two_array_reference(data):
+    # products of 0 to 6 single fields, each taken as is or as its adjoint
+    product, reference = [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        ann, cre = _coefficient_pair(data.draw, ())
+        field, ref = LinearField(ann, cre), TwoArrayField(ann, cre)
+        if data.draw(st.booleans()):
+            field, ref = field.adjoint(), ref.adjoint()
+        product.append(field)
+        reference.append(ref)
+    assert vacuum_expectation(product) == two_array_vacuum_expectation(reference)
+
+
+# sha256 of the 40 products that the selftest's dual-oracle-moments check
+# draws, max_oracle_deviation(40, 20260809): per product its length, and per
+# factor its mode count and the bytes of its ann and cre coefficients, as
+# drawn when each field stored ann and cre as two arrays
+ORACLE_PRODUCTS_SHA256 = "9f9dea6da3f1002ce873fd6fed59cbb64ff21e64e03da3e4abc0d6b1e330abb9"
+
+
+def test_selftest_oracle_products_are_pinned(monkeypatch):
+    products = []
+
+    def recording(product, original=cvswap.selftest.vacuum_expectation):
+        products.append(product)
+        return original(product)
+
+    monkeypatch.setattr(cvswap.selftest, "vacuum_expectation", recording)
+    assert cvswap.selftest.check_dual_oracle_moments() is None
+    digest = hashlib.sha256()
+    for product in products:
+        digest.update(len(product).to_bytes(2, "little"))
+        for field in product:
+            digest.update(field.ann.shape[-1].to_bytes(2, "little"))
+            digest.update(np.ascontiguousarray(field.ann).tobytes())
+            digest.update(np.ascontiguousarray(field.cre).tobytes())
+    assert len(products) == 40
+    assert digest.hexdigest() == ORACLE_PRODUCTS_SHA256
