@@ -217,6 +217,13 @@ MUTANTS = [
         "adjoint conjugates each coefficient but leaves it in its ann or cre "
         "row, so F^dag annihilates where F does and no squeezer creates pairs"),
     Mutant(
+        "field-shape-check-removed", "modes.py",
+        "if coeffs.shape[-2:-1] != (2,):",
+        "if False:",
+        "LinearField stores an array of any shape, so an array without its two "
+        "ladder rows on axis -2 becomes a field that fails later, in an "
+        "operator, or never"),
+    Mutant(
         "fig3-takes-the-gain-grid-flags", "cli.py",
         '"angles_steps", "out", "svg")),',
         '"angles_steps", "out", "svg",\n'

@@ -85,15 +85,15 @@ class PolarizedBeam:
     def __init__(self, h: LinearField, v: LinearField) -> None:
         n_modes = max(h.coeffs.shape[-1], v.coeffs.shape[-1])
         coeffs = np.stack(np.broadcast_arrays(h._wide(n_modes), v._wide(n_modes)), axis=-3)
-        object.__setattr__(self, "field", LinearField._of(coeffs))
+        object.__setattr__(self, "field", LinearField(coeffs))
 
     @property
     def h(self) -> LinearField:
-        return LinearField._of(self.field.coeffs[..., 0, :, :])
+        return LinearField(self.field.coeffs[..., 0, :, :])
 
     @property
     def v(self) -> LinearField:
-        return LinearField._of(self.field.coeffs[..., 1, :, :])
+        return LinearField(self.field.coeffs[..., 1, :, :])
 
 
 def _beam(field: LinearField) -> PolarizedBeam:
@@ -121,10 +121,7 @@ class SwapParams:
     eta: ArrayLike
 
     def __post_init__(self) -> None:
-        for name in ("chi1", "chi2", "gain", "eta"):
-            value = getattr(self, name)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(chi1=self.chi1, chi2=self.chi2, gain=self.gain, eta=self.eta)
         if (np.less(self.chi1, 0) | np.less(self.chi2, 0) | np.less(self.gain, 0)).any():
             raise ValueError("chi1, chi2 and gain must be nonnegative")
         _require_unit_interval("eta", self.eta)
@@ -151,9 +148,16 @@ class SwapCircuitOutput:
 
     @property
     def beam_d_prime(self) -> PolarizedBeam:
-        port, loss = map(LinearField._of, self.parts.field.coeffs)
+        port, loss = map(LinearField, self.parts.field.coeffs)
         weight_port, weight_loss = self.weights[..., None]
         return _beam(self.beam_d0.field + weight_port * port + weight_loss * loss)
+
+
+def _require_finite(**values: ArrayLike) -> None:
+    for name, value in values.items():
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite][0]}")
 
 
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
@@ -209,8 +213,9 @@ def two_mode_squeezer(in1: LinearField, in2: LinearField,
 
     Both outputs are canonical for any chi (cosh^2 - sinh^2 = 1).  Fields
     with batch axes squeeze each element with its counterpart, so stacked
-    inputs squeeze several pairs at once.
+    inputs squeeze several pairs at once.  chi must be finite.
     """
+    _require_finite(chi=chi)
     _require_canonical(in1, in2)
     ch, sh = np.cosh(chi), np.sinh(chi)
     out1 = ch * in1 + sh * in2.adjoint()
@@ -319,7 +324,7 @@ def _unit_displacement(x_plus: LinearField, x_minus: LinearField) -> LinearField
 
 def halfwave_swap(beam: PolarizedBeam) -> PolarizedBeam:
     """Half-wave plate: exchanges the polarization labels of a beam (a view)."""
-    return _beam(LinearField._of(beam.field.coeffs[..., ::-1, :, :]))
+    return _beam(LinearField(beam.field.coeffs[..., ::-1, :, :]))
 
 
 def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
@@ -364,8 +369,9 @@ def single_mode_teleporter(a_in: LinearField, chi: float, gain: float,
                       - (gain cosh chi - sinh chi) A0^dag
     with fresh vacuum modes A0, B0.  At gain = tanh(chi) the creation term
     vanishes and the output is a pure attenuation,
-    tanh(chi) a_in + sqrt(1 - tanh^2 chi) B0.
+    tanh(chi) a_in + sqrt(1 - tanh^2 chi) B0.  chi and gain must be finite.
     """
+    _require_finite(chi=chi, gain=gain)
     _require_canonical(a_in)
     if chi < 0 or gain < 0:
         raise ValueError("chi and gain must be nonnegative")

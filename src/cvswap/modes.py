@@ -18,8 +18,8 @@ row, with optional leading batch axes, so each operator on a field is one
 numpy call, one circuit build covers a whole grid of parameter points and
 the CH kernel reads the fields as they are.
 
-All values are immutable after construction; the only mutable object is
-the :class:`ModeRegistry` used while wiring up a circuit.
+Every field is made by the one constructor LinearField(coeffs) and is
+immutable; the only mutable object is a circuit's :class:`ModeRegistry`.
 """
 
 from __future__ import annotations
@@ -67,33 +67,26 @@ class ModeRegistry:
 class LinearField:
     """A field operator linear in vacuum-mode annihilation/creation operators.
 
-    coeffs is one complex array of shape (..., 2, n_modes): coeffs[..., 0, m]
-    and coeffs[..., 1, m] are the coefficients of a_m and a_m^dag, and ann
-    and cre are views of those two rows.  The last axis runs over the modes
-    0..n-1 and the leading axes, if any, index a batch of fields (one per
-    parameter point).  Modes from n on carry coefficient 0, so fields over
-    different mode counts combine by zero padding.  Supports +, -, adjoint()
-    and * by a scalar or by an array that broadcasts against the batch axes,
-    each one numpy call on coeffs.  The array must not be mutated after
-    construction.
+    LinearField(coeffs), the only constructor, stores one complex array of
+    shape (..., 2, n_modes) as is and raises ValueError for any other shape.
+    coeffs[..., 0, m] and coeffs[..., 1, m] are the coefficients of a_m and
+    a_m^dag, and ann and cre are views of those two rows.  The last axis
+    runs over the modes 0..n-1 and the leading axes, if any, index a batch
+    of fields (one per parameter point).  Modes from n on carry coefficient
+    0, so fields over different mode counts combine by zero padding.
+    Supports +, -, adjoint() and * by a scalar or by an array that
+    broadcasts against the batch axes, each one numpy call on coeffs.  The
+    array must not be mutated after construction.
     """
 
     __slots__ = ("coeffs",)
     # numpy scalars and arrays defer to LinearField's reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, ann: ArrayLike, cre: ArrayLike) -> None:
-        ann, cre = np.asarray(ann, dtype=complex), np.asarray(cre, dtype=complex)
-        if ann.shape != cre.shape:
-            raise ValueError(f"ann and cre shapes differ: {ann.shape} and {cre.shape}")
-        self.coeffs = np.stack([ann, cre], axis=-2)
-
-    @classmethod
-    def _of(cls, coeffs: np.ndarray) -> "LinearField":
-        # the field over a ready complex (..., 2, n_modes) array, taken as is
-        field = object.__new__(cls)
-        field.coeffs = coeffs
-        return field
+    def __init__(self, coeffs: np.ndarray) -> None:
+        if coeffs.shape[-2:-1] != (2,):
+            raise ValueError(f"coeffs must have shape (..., 2, n_modes), got {coeffs.shape}")
+        self.coeffs = coeffs
 
     @property
     def ann(self) -> np.ndarray:
@@ -119,21 +112,21 @@ class LinearField:
 
     def adjoint(self) -> "LinearField":
         """Hermitian adjoint: swaps ann and cre with conjugated coefficients."""
-        return LinearField._of(self.coeffs[..., ::-1, :].conj())
+        return LinearField(self.coeffs[..., ::-1, :].conj())
 
     def __add__(self, other: "LinearField") -> "LinearField":
         n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return LinearField._of(self._wide(n_modes) + other._wide(n_modes))
+        return LinearField(self._wide(n_modes) + other._wide(n_modes))
 
     def __sub__(self, other: "LinearField") -> "LinearField":
         n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return LinearField._of(self._wide(n_modes) - other._wide(n_modes))
+        return LinearField(self._wide(n_modes) - other._wide(n_modes))
 
     def __neg__(self) -> "LinearField":
-        return LinearField._of(-self.coeffs)
+        return LinearField(-self.coeffs)
 
     def __mul__(self, c: ArrayLike) -> "LinearField":
-        return LinearField._of(np.asarray(c)[..., None, None] * self.coeffs)
+        return LinearField(np.asarray(c)[..., None, None] * self.coeffs)
 
     __rmul__ = __mul__
 
@@ -144,7 +137,7 @@ class LinearField:
         return np.array_equal(self._wide(n_modes), other._wide(n_modes))
 
     def __repr__(self) -> str:
-        return f"LinearField(ann={self.ann!r}, cre={self.cre!r})"
+        return f"LinearField({self.coeffs!r})"
 
 
 def vacuum_field(mode: int | Sequence[int]) -> LinearField:
@@ -158,7 +151,7 @@ def vacuum_field(mode: int | Sequence[int]) -> LinearField:
     coeffs = np.zeros(modes.shape + (2, modes.max() + 1), dtype=complex)
     # row k of the view holds field k's ann and cre rows end to end: a_m is column m
     coeffs.reshape(-1, 2 * coeffs.shape[-1])[np.arange(modes.size), modes.ravel()] = 1
-    return LinearField._of(coeffs)
+    return LinearField(coeffs)
 
 
 def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:

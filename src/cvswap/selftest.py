@@ -113,7 +113,7 @@ def random_field(rng: random.Random, modes: list[int]) -> LinearField:
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         # row 0 holds the annihilation coefficients, row 1 the creation ones
         coeffs[int(rng.random() >= 0.5), m] += c
-    return LinearField._of(coeffs)
+    return LinearField(coeffs)
 
 
 def random_product(rng: random.Random, modes: list[int],

@@ -180,7 +180,8 @@ def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam
         x_plus = root_loss * quadrature_plus(loss_plus) + root_eta * quadrature_plus(port_plus)
         x_minus = (root_loss * quadrature_minus(loss_minus)
                    + root_eta * quadrature_minus(port_minus))
-        return feedforward_displace(LinearField([0j], [0j]), x_plus, x_minus, 1.0)
+        zero = LinearField(np.zeros((2, 1), dtype=complex))
+        return feedforward_displace(zero, x_plus, x_minus, 1.0)
 
     beam_a, beam_b = source(params.chi1, "opo1")
     beam_c, beam_d = source(params.chi2, "opo2")
@@ -219,7 +220,7 @@ def assert_matches_per_component_build(params: SwapParams) -> None:
         registry, *reference = per_component_build(replace(params, eta=eta))
         assert out.registry.names == registry.names
         n_modes = len(registry)
-        x = PolarizedBeam(*(LinearField(f.ann[k], f.cre[k]) for f in (out.parts.h, out.parts.v)))
+        x = PolarizedBeam(*(LinearField(f.coeffs[k]) for f in (out.parts.h, out.parts.v)))
         for beam, expected in zip((out.beam_a, out.beam_d0, x), reference):
             for pol in ("h", "v"):
                 for got, want in zip(getattr(beam, pol).padded(n_modes),

@@ -326,8 +326,7 @@ class TestFeedforward:
         (3, 4) batch of (h, v) photocurrents, one coefficient off in one
         element is reported by the current's name."""
         x_plus, x_minus, d = teleporter_parts(0.8)
-        currents = {key: LinearField(*(np.broadcast_to(c, (3, 4) + c.shape).copy()
-                                       for c in (x.ann, x.cre)))
+        currents = {key: LinearField(np.broadcast_to(x.coeffs, (3, 4) + x.coeffs.shape).copy())
                     for key, x in (("x_plus", x_plus), ("x_minus", x_minus))}
         feedforward_displace(d, currents["x_plus"], currents["x_minus"], 0.7)
         currents[name].ann[1, 2, 0, 0] += 0.1
@@ -551,6 +550,37 @@ class TestSingleModeTeleporter:
         residue = math.exp(-chi)
         extras = np.abs(np.concatenate([np.delete(out.ann, m_in), out.cre]))
         assert max(extras) == pytest.approx(residue, rel=1e-9)
+
+
+def teleport_vacuum(chi, gain):
+    registry = ModeRegistry()
+    return single_mode_teleporter(vacuum_field(registry.new_mode("in")), chi, gain, registry)
+
+
+# each squeezing parameter as it enters: its name, and a call with value x
+NON_FINITE_ENTRIES = {
+    "two_mode_squeezer": ("chi", lambda x: two_mode_squeezer(*fresh_pair()[:2], x)),
+    "opo_type2": ("chi", lambda x: opo_type2(ModeRegistry(), x)),
+    "single_mode_teleporter-chi": ("chi", lambda x: teleport_vacuum(x, 0.5)),
+    "single_mode_teleporter-gain": ("gain", lambda x: teleport_vacuum(0.5, x)),
+}
+
+
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_is_rejected_where_it_enters(entry, value):
+    """A nan or infinite chi or gain raises a one-line ValueError naming it
+    and the value, not non-finite fields that fail later under another name."""
+    name, call = NON_FINITE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", ["two_mode_squeezer", "opo_type2"])
+def test_non_finite_element_of_a_chi_grid_is_named(entry):
+    _, call = NON_FINITE_ENTRIES[entry]
+    with pytest.raises(ValueError, match="^chi must be finite, got -inf$"):
+        call(np.array([[0.3, 0.5], [-math.inf, math.nan]]))
 
 
 def test_source_construction_is_reproducible():

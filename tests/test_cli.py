@@ -32,6 +32,7 @@ from cvswap.metrics import (
     optimal_gain,
     squeezing_to_chi,
 )
+from cvswap.modes import LinearField
 from cvswap.selftest import run_selftest
 from helpers import baseline_s, per_component_d_prime, wick_term_magnitudes
 
@@ -420,13 +421,12 @@ def test_one_build_and_one_ch_s_per_command(tmp_path, monkeypatch, capsys, comma
 
 
 # calls per build of each component that runs once for both polarizations,
-# and the LinearField constructions of one build, all through the private
-# constructor that takes a ready coefficient array: one field per vacuum
-# stack, adjoint, product and sum, and per half-wave plate's view, so 22 in
-# the two squeezers, 22 in the photocurrents, 3 in X and 1 in D'(0).  The
-# public constructor, which validates and copies, is not called
+# and the LinearField constructions of one build, all through its one
+# constructor: one field per vacuum stack, adjoint, product and sum, and per
+# half-wave plate's view, so 22 in the two squeezers, 22 in the
+# photocurrents, 3 in X and 1 in D'(0)
 COMPONENT_CALLS = {"two_mode_squeezer": 2, "beamsplitter_5050": 1, "_require_canonical": 3}
-FIELDS_PER_BUILD = {"LinearField._of": 48, "LinearField.__init__": 0}
+FIELDS_PER_BUILD = 48
 
 
 @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
@@ -439,28 +439,21 @@ def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, comma
 
         monkeypatch.setattr(cvswap.circuit, name, counted)
 
-    field_class = cvswap.circuit.LinearField
-
-    def counting_init(field, *args, original=field_class.__init__):
-        calls.append("LinearField.__init__")
+    def counting_init(field, *args, original=cvswap.circuit.LinearField.__init__):
+        calls.append("LinearField")
         original(field, *args)
-
-    def counting_of(cls, coeffs, original=vars(field_class)["_of"].__func__):
-        calls.append("LinearField._of")
-        return original(cls, coeffs)
 
     def build(params, original=cvswap.cli.build_swap_circuit):
         calls.clear()
         out = original(params)
-        per_build.append({name: calls.count(name) for name in [*COMPONENT_CALLS, *FIELDS_PER_BUILD]})
+        per_build.append({name: calls.count(name) for name in [*COMPONENT_CALLS, "LinearField"]})
         return out
 
-    monkeypatch.setattr(field_class, "__init__", counting_init)
-    monkeypatch.setattr(field_class, "_of", classmethod(counting_of))
+    monkeypatch.setattr(cvswap.circuit.LinearField, "__init__", counting_init)
     monkeypatch.setattr(cvswap.cli, "build_swap_circuit", build)
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert per_build == [{**COMPONENT_CALLS, **FIELDS_PER_BUILD}]
+    assert per_build == [{**COMPONENT_CALLS, "LinearField": FIELDS_PER_BUILD}]
 
 
 # S of each folded sweep at its defaults, captured as float.hex before
@@ -858,6 +851,12 @@ class TestOutputFormat:
         assert line == [(40.0, 440.0), (40.0, 440.0)]
 
 
+def with_x_minus_not_commuting(x_plus, x_minus):
+    """x+ and, for x-, the annihilation part of x+, whose commutator with x+
+    is -sum |ann|^2: -1 at eta = 0, where x+ is a loss mode's quadrature."""
+    return x_plus, LinearField(x_plus.coeffs * [[1], [0]])
+
+
 class TestSelftest:
     def test_passes_and_is_deterministic(self, capsys):
         assert main(["selftest"]) == 0
@@ -872,6 +871,39 @@ class TestSelftest:
         monkeypatch.setattr(cvswap.selftest, "coincidence_rate", lambda e1, e2: 0.0)
         detail = cvswap.selftest.check_wick_vs_fock_rates()
         assert detail is not None and "(Wick)" in detail
+
+    # one check made to fail by one monkeypatch of a name in cvswap.selftest:
+    # (check, name, wrapper of the original, failure detail); every line
+    # that formats a detail of the first four checks runs once
+    BROKEN_CHECKS = [
+        ("canonical-commutators", "two_mode_squeezer",
+         lambda original: lambda f, g, chi: tuple(2 * x for x in original(f, g, chi)),
+         "squeezer output not canonical at chi=0.0"),
+        ("canonical-commutators", "_beam_commutators",
+         lambda original: lambda beam: original(beam) + 1.0,
+         "beam commutator off by 1.000e+00 at chi2=0.0, gain=0.0000, eta=0.5"),
+        ("homodyne-currents-commute", "homodyne_currents",
+         lambda original: lambda *args: with_x_minus_not_commuting(*original(*args)),
+         "[x+, x-] = 1.000e+00 at eta=0.0, h pair"),
+        ("pairing-count", "wick_matchings", lambda original: lambda n: iter([[]]),
+         "1 matchings visited for 2k=4, expected 3"),
+        ("dual-oracle-moments", "normal_order_expectation",
+         lambda original: lambda product: original(product) + 1e-9,
+         "max |Wick - rewriter| = 1.000e-09 exceeds 1e-12"),
+    ]
+
+    @pytest.mark.parametrize("check, name, wrap, detail", BROKEN_CHECKS,
+                             ids=[row[1] for row in BROKEN_CHECKS])
+    def test_failing_check_prints_its_detail_and_returns_3(self, monkeypatch, check, name,
+                                                           wrap, detail):
+        monkeypatch.setattr(cvswap.selftest, name, wrap(getattr(cvswap.selftest, name)))
+        stream = io.StringIO()
+        assert run_selftest(stream) == 3
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == len(cvswap.selftest.CHECKS) + 1
+        assert [line for line in lines if not line.startswith("ok   ")] == [
+            f"FAIL {check}: {detail}",
+            f"selftest: 1 of 7 checks failed; first failure: {check}"]
 
     def test_corrupted_feedforward_phase_is_caught(self, monkeypatch):
         """Flipping the minus-quadrature gain phase feeds the measured beam

@@ -82,8 +82,8 @@ def assert_cells_match_wick(call, cells):
     shape = result.s.shape
 
     def pick(beam, index):
-        fields = [LinearField(*(np.broadcast_to(x, shape + x.shape[-1:])[index]
-                                for x in (f.ann, f.cre))) for f in (beam.h, beam.v)]
+        fields = [LinearField(np.broadcast_to(f.coeffs, shape + f.coeffs.shape[-2:])[index])
+                  for f in (beam.h, beam.v)]
         return PolarizedBeam(*fields)
 
     for index in cells:

@@ -55,7 +55,7 @@ def test_vacuum_fields_of_a_mode_sequence_stack_in_its_order():
     assert stacked.ann.shape == stacked.cre.shape == (2, 4)
     for row, mode in enumerate((3, 1)):
         single = vacuum_field(mode)
-        assert LinearField(stacked.ann[row], stacked.cre[row]) == single
+        assert LinearField(stacked.coeffs[row]) == single
     nested = vacuum_field([[0, 2], [1, 3]])
     assert nested.ann.shape == (2, 2, 4)
     assert np.array_equal(nested.ann.reshape(4, 4), np.identity(4)[[0, 2, 1, 3]])
@@ -76,9 +76,18 @@ def test_registry_counts_and_rejects_empty_names():
         registry.new_mode("")
 
 
-def test_coefficient_arrays_must_share_one_shape():
-    with pytest.raises(ValueError, match="ann and cre shapes differ"):
-        LinearField(np.zeros(3), np.zeros(4))
+def test_coefficient_array_must_hold_two_ladder_rows():
+    for shape in ((3,), (3, 4), (2, 3, 4)):
+        with pytest.raises(ValueError) as error:
+            LinearField(np.zeros(shape, dtype=complex))
+        assert str(error.value) == f"coeffs must have shape (..., 2, n_modes), got {shape}"
+    coeffs = np.zeros((3, 2, 4), dtype=complex)
+    assert LinearField(coeffs).coeffs is coeffs
+
+
+def test_repr_shows_the_coefficient_array():
+    assert repr(vacuum_field(1)) == (
+        "LinearField(array([[0.+0.j, 1.+0.j],\n       [0.+0.j, 0.+0.j]]))")
 
 
 def test_adjoint_swaps_ladder_kind(mode_pair):
@@ -100,7 +109,7 @@ def test_subtraction_and_negation_equal_scaling_by_minus_one():
 
     def batched(shape):
         ann, cre = rng.normal(size=(2, 2) + shape)
-        return LinearField(ann[0] + 1j * ann[1], cre[0] + 1j * cre[1])
+        return LinearField(np.stack([ann[0] + 1j * ann[1], cre[0] + 1j * cre[1]], axis=-2))
 
     a, b = batched((2, 3, 3)), batched((3, 5))
     for x, y in ((a, b), (b, a)):
@@ -133,7 +142,7 @@ def test_quadrature_commutator_and_variance(mode_pair):
     assert is_hermitian(x_plus) and is_hermitian(x_minus)
     assert commutator(x_plus, x_minus) == pytest.approx(-2j, abs=1e-12)
     assert vacuum_expectation([x_plus, x_plus]) == pytest.approx(1.0, abs=1e-12)
-    assert is_zero(quadrature_plus(LinearField(np.zeros(2), np.zeros(2))))
+    assert is_zero(quadrature_plus(LinearField(np.zeros((2, 2), dtype=complex))))
 
 
 def test_pair_contractions(mode_pair):
@@ -234,7 +243,7 @@ def _assert_same_field(got: LinearField, want: TwoArrayField) -> None:
 @given(_operands())
 def test_one_array_algebra_matches_two_array_reference(operands):
     (f_ann, f_cre), (g_ann, g_cre), c = operands
-    f, g = LinearField(f_ann, f_cre), LinearField(g_ann, g_cre)
+    f, g = (LinearField(np.stack(rows, axis=-2)) for rows in ((f_ann, f_cre), (g_ann, g_cre)))
     ref_f, ref_g = TwoArrayField(f_ann, f_cre), TwoArrayField(g_ann, g_cre)
     _assert_same_field(f, ref_f)
     for got, want in ((f + g, ref_f + ref_g), (f - g, ref_f - ref_g), (g - f, ref_g - ref_f),
@@ -256,7 +265,7 @@ def test_vacuum_expectation_matches_two_array_reference(data):
     product, reference = [], []
     for _ in range(data.draw(st.integers(0, 6))):
         ann, cre = _coefficient_pair(data.draw, ())
-        field, ref = LinearField(ann, cre), TwoArrayField(ann, cre)
+        field, ref = LinearField(np.stack([ann, cre], axis=-2)), TwoArrayField(ann, cre)
         if data.draw(st.booleans()):
             field, ref = field.adjoint(), ref.adjoint()
         product.append(field)
