@@ -237,4 +237,16 @@ MUTANTS = [
         "ch_s accepts negative rates; no circuit beam gives one, since each "
         "rate is a sum of squared magnitudes and a product of Gram forms, so "
         "only the direct test of _ch_result kills it"),
+    Mutant(
+        "teleporter-float-only-hyperbolics", "circuit.py",
+        "ch, sh = np.cosh(chi), np.sinh(chi)\n    b0 = ",
+        "ch, sh = math.cosh(chi), math.sinh(chi)\n    b0 = ",
+        "single_mode_teleporter takes only a float chi again: an array chi "
+        "raises a TypeError instead of broadcasting"),
+    Mutant(
+        "entry-point-skips-freeze", "__main__.py",
+        "    finally:\n        gc.freeze()",
+        "    finally:\n        pass",
+        "python -m cvswap and the cvswap command exit through the interpreter's "
+        "full teardown collections again; every output is unchanged"),
 ]

@@ -361,7 +361,7 @@ def build_swap_circuit(params: SwapParams) -> SwapCircuitOutput:
         weights=weights, registry=registry)
 
 
-def single_mode_teleporter(a_in: LinearField, chi: float, gain: float,
+def single_mode_teleporter(a_in: LinearField, chi: ArrayLike, gain: ArrayLike,
                            registry: ModeRegistry) -> LinearField:
     """Closed-form action of the teleporter on one canonical input mode.
 
@@ -369,13 +369,14 @@ def single_mode_teleporter(a_in: LinearField, chi: float, gain: float,
                       - (gain cosh chi - sinh chi) A0^dag
     with fresh vacuum modes A0, B0.  At gain = tanh(chi) the creation term
     vanishes and the output is a pure attenuation,
-    tanh(chi) a_in + sqrt(1 - tanh^2 chi) B0.  chi and gain must be finite.
+    tanh(chi) a_in + sqrt(1 - tanh^2 chi) B0.  chi and gain must be finite;
+    arrays of them broadcast against each other and a_in's batch shape.
     """
     _require_finite(chi=chi, gain=gain)
     _require_canonical(a_in)
-    if chi < 0 or gain < 0:
+    if (np.less(chi, 0) | np.less(gain, 0)).any():
         raise ValueError("chi and gain must be nonnegative")
-    ch, sh = math.cosh(chi), math.sinh(chi)
+    ch, sh = np.cosh(chi), np.sinh(chi)
     b0 = vacuum_field(registry.new_mode("teleporter.b0"))
     a0 = vacuum_field(registry.new_mode("teleporter.a0"))
     return gain * a_in + (ch - gain * sh) * b0 - (gain * ch - sh) * a0.adjoint()

@@ -420,4 +420,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # python -m cvswap.cli ends the process as python -m cvswap does
+    from .__main__ import run
+    run()

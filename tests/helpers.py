@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import product as cartesian
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +28,23 @@ from cvswap.metrics import OPTIMAL_ANGLES, analyzer
 from cvswap.modes import pair_contraction, wick_matchings
 from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
 from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+# each golden sweep: its command, its benchmark workload (which names its
+# stdout file) and its CSV
+GOLDEN_SWEEPS = [
+    ("fig3", "fig3-angle", "fig3.csv"),
+    ("fig4", "fig4-gain", "fig4.csv"),
+    ("threshold-scan", "threshold-eta", "threshold_scan.csv"),
+]
+
+
+def checked_stdout(stdout: str) -> str:
+    """A sweep's stdout without its ``wrote <path>`` lines, which name the
+    output directory."""
+    return "".join(line for line in stdout.splitlines(keepends=True)
+                   if not line.startswith("wrote "))
 
 
 def source_beams(chi1: float) -> tuple[PolarizedBeam, PolarizedBeam]:

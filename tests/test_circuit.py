@@ -533,7 +533,9 @@ class TestSingleModeTeleporter:
         out = single_mode_teleporter(a_in, chi, gain, registry)
         assert commutator(out, out.adjoint()) == pytest.approx(1, abs=1e-12)
 
-    @pytest.mark.parametrize("chi, gain", [(-0.1, 0.5), (0.5, -0.1)])
+    @pytest.mark.parametrize("chi, gain", [(-0.1, 0.5), (0.5, -0.1),
+                                           (np.array([0.2, -0.1]), 0.5),
+                                           (0.5, np.array([[0.3], [-0.1]]))])
     def test_rejects_negative_chi_or_gain(self, chi, gain):
         registry = ModeRegistry()
         a_in = vacuum_field(registry.new_mode("in"))
@@ -550,6 +552,17 @@ class TestSingleModeTeleporter:
         residue = math.exp(-chi)
         extras = np.abs(np.concatenate([np.delete(out.ann, m_in), out.cre]))
         assert max(extras) == pytest.approx(residue, rel=1e-9)
+
+    def test_array_parameters_broadcast_like_per_element_calls(self):
+        """chi and gain grids broadcast into the field's batch axes, and each
+        element equals the teleporter called with that element's floats."""
+        chis, gains = np.array([0.0, 0.4, 1.3]), np.array([[0.2], [0.9]])
+        out = teleport_vacuum(chis, gains)
+        assert out.coeffs.shape == (2, 3, 2, 3)
+        for i, gain in enumerate(gains[:, 0]):
+            for j, chi in enumerate(chis):
+                single = teleport_vacuum(float(chi), float(gain))
+                assert np.array_equal(out.coeffs[i, j], single.coeffs)
 
 
 def teleport_vacuum(chi, gain):

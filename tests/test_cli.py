@@ -3,11 +3,14 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
+import pkgutil
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -34,7 +37,14 @@ from cvswap.metrics import (
 )
 from cvswap.modes import LinearField
 from cvswap.selftest import run_selftest
-from helpers import baseline_s, per_component_d_prime, wick_term_magnitudes
+from helpers import (
+    GOLDEN,
+    GOLDEN_SWEEPS,
+    baseline_s,
+    checked_stdout,
+    per_component_d_prime,
+    wick_term_magnitudes,
+)
 
 
 def read_rows(path):
@@ -642,15 +652,71 @@ def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, ca
 
 
 class TestEntryPoint:
-    """``python -m cvswap`` in a child process: exit codes and real stderr."""
+    """``python -m cvswap`` in a child process: exit codes, real stderr, and
+    stdout through a pipe."""
 
     @staticmethod
-    def run(tmp_path, *argv):
+    def run(tmp_path, *argv, out=True, module="cvswap"):
         src = Path(cvswap.cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        return subprocess.run([sys.executable, "-m", "cvswap", *argv, "--out",
-                               str(tmp_path / "out")], env=env, capture_output=True,
-                              text=True, timeout=120)
+        # one BLAS thread, as in the benchmark's children: starting a pool
+        # costs each child more than its whole sweep
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        out_flag = ["--out", str(tmp_path / "out")] if out else []
+        return subprocess.run([sys.executable, "-m", module, *argv, *out_flag],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("command, workload, csv", GOLDEN_SWEEPS)
+    def test_sweep_matches_golden(self, tmp_path, command, workload, csv):
+        done = self.run(tmp_path, command)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out" / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+        assert checked_stdout(done.stdout) == (GOLDEN / f"{workload}.stdout").read_text()
+
+    def test_selftest_matches_golden(self, tmp_path):
+        done = self.run(tmp_path, "selftest", out=False)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (GOLDEN / "selftest.stdout").read_text()
+
+    @pytest.mark.parametrize("module", ["cvswap", "cvswap.cli"])
+    def test_usage_error_is_exit_1(self, tmp_path, module):
+        done = self.run(tmp_path, "fig3", "--lambda-steps", "3", module=module)
+        assert done.returncode == 1
+        assert done.stderr.endswith(
+            "cvswap: error: unrecognized arguments: --lambda-steps 3\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_console_script_runs_the_module_entry(self, monkeypatch):
+        """The installed ``cvswap`` command calls the function that ``python
+        -m cvswap`` runs, so both end the process the same way: ``main``,
+        then the heap freeze, then exit with main's code."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cvswap"]
+        script = pkgutil.resolve_name(target)
+        events = []
+
+        def fake_main():
+            events.append(sys._getframe(1).f_code)
+            return 3
+
+        monkeypatch.setattr(cvswap.cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        # runpy warns when the module it runs as __main__ is already imported
+        monkeypatch.delitem(sys.modules, "cvswap.__main__", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("cvswap", run_name="__main__")
+        assert exc.value.code == 3
+        assert events == [script.__code__, "freeze"]
+
+    @pytest.mark.parametrize("argv", [["fig4", "--lambda-steps", "3"], ["selftest"]])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, argv):
+        """Only the process entry point freezes the heap; ``main`` runs
+        in-process for tests, the benchmark and library callers."""
+        before = gc.isenabled(), gc.get_freeze_count()
+        out = ["--out", str(tmp_path)] if argv[0] != "selftest" else []
+        assert main([*argv, *out]) == 0
+        capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
     def test_operating_point_writes_pinned_bytes(self, tmp_path):
         done = self.run(tmp_path, "operating-point")

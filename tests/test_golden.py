@@ -6,25 +6,16 @@ cell or of the printed S = 1 crossing fails here.  The benchmark runs no
 ``operating-point``, so its default CSV is pinned here inline.
 """
 
-from pathlib import Path
-
 import pytest
 
 from cvswap.cli import main
+from helpers import GOLDEN, GOLDEN_SWEEPS, checked_stdout
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
-
-@pytest.mark.parametrize("command, workload, csv", [
-    ("fig3", "fig3-angle", "fig3.csv"),
-    ("fig4", "fig4-gain", "fig4.csv"),
-    ("threshold-scan", "threshold-eta", "threshold_scan.csv"),
-])
+@pytest.mark.parametrize("command, workload, csv", GOLDEN_SWEEPS)
 def test_default_outputs_match_golden(tmp_path, capsys, command, workload, csv):
     assert main([command, "--out", str(tmp_path)]) == 0
-    stdout = capsys.readouterr().out
-    checked = "".join(line for line in stdout.splitlines(keepends=True)
-                      if not line.startswith("wrote "))
+    checked = checked_stdout(capsys.readouterr().out)
     assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
     assert checked == (GOLDEN / f"{workload}.stdout").read_text()
 
