@@ -249,4 +249,11 @@ MUTANTS = [
         "    finally:\n        pass",
         "python -m cvswap and the cvswap command exit through the interpreter's "
         "full teardown collections again; every output is unchanged"),
+    Mutant(
+        "same-handedness-analyzers", "metrics.py",
+        'u[..., 1] = (1.0 if side == "a" else -1.0) * np.sin(theta)',
+        "u[..., 1] = np.sin(theta)",
+        "both arms' analyzers turn the same way, so a coincidence amplitude goes "
+        "as sin(ta + tb), not sin(ta - tb), and turning all four analyzers by "
+        "one angle changes the rates"),
 ]

@@ -31,8 +31,7 @@ coefficient is that of one chain at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -73,19 +72,22 @@ _CANONICAL_TOL = 1e-9
 MINUS_GAIN_PHASE = 1j
 
 
-@dataclass(frozen=True, init=False)
 class PolarizedBeam:
     """One spatial beam of polarization components h and v: a field whose
     coefficient array holds them on axis -3, shape (..., 2, 2, n_modes), h
     first, over their broadcast batch shape, zero-padded to one mode count.
-    The components h and v are views of that array."""
+    The components h and v are views of that array.  Immutable."""
 
+    __slots__ = ("field",)
     field: LinearField
 
     def __init__(self, h: LinearField, v: LinearField) -> None:
         n_modes = max(h.coeffs.shape[-1], v.coeffs.shape[-1])
         coeffs = np.stack(np.broadcast_arrays(h._wide(n_modes), v._wide(n_modes)), axis=-3)
         object.__setattr__(self, "field", LinearField(coeffs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def h(self) -> LinearField:
@@ -103,7 +105,6 @@ def _beam(field: LinearField) -> PolarizedBeam:
     return beam
 
 
-@dataclass(frozen=True)
 class SwapParams:
     """Full experiment configuration.
 
@@ -112,23 +113,28 @@ class SwapParams:
     eta        -- homodyne detection efficiency in [0, 1]
 
     Each may be a float or an array; arrays broadcast together into a grid
-    of parameter points, and every point must be valid.
+    of parameter points, and every point must be valid.  Immutable.
     """
 
+    __slots__ = ("chi1", "chi2", "gain", "eta")
     chi1: ArrayLike
     chi2: ArrayLike
     gain: ArrayLike
     eta: ArrayLike
 
-    def __post_init__(self) -> None:
-        _require_finite(chi1=self.chi1, chi2=self.chi2, gain=self.gain, eta=self.eta)
-        if (np.less(self.chi1, 0) | np.less(self.chi2, 0) | np.less(self.gain, 0)).any():
+    def __init__(self, chi1: ArrayLike, chi2: ArrayLike, gain: ArrayLike,
+                 eta: ArrayLike) -> None:
+        _require_finite(chi1=chi1, chi2=chi2, gain=gain, eta=eta)
+        if (np.less(chi1, 0) | np.less(chi2, 0) | np.less(gain, 0)).any():
             raise ValueError("chi1, chi2 and gain must be nonnegative")
-        _require_unit_interval("eta", self.eta)
+        _require_unit_interval("eta", eta)
+        for name, value in zip(self.__slots__, (chi1, chi2, gain, eta)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = PolarizedBeam.__setattr__
 
 
-@dataclass(frozen=True)
-class SwapCircuitOutput:
+class SwapCircuitOutput(NamedTuple):
     """The source beam A, the teleported beam D' in weighted parts, and the
     mode registry.
 

@@ -47,10 +47,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -81,8 +80,7 @@ _CHI1_MAX = math.log(sys.float_info.max) / 4
 _NUMBER = "%.9g"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Resolved settings for one command run: one field per config key, each
     validated for every command and read only by the commands it is a flag of."""
 
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             parse, flag_help = _SETTINGS[key]
             add("--" + key.replace("_", "-"),
-                help=flag_help.format(defaults.get(key, getattr(ExperimentConfig, key))),
+                help=flag_help.format(defaults.get(key, ExperimentConfig._field_defaults[key])),
                 **_FLAG_FORMS.get(parse, {"type": parse}))
         if keys:
             add("--config", help="flat key = value config file; flags override it")

@@ -40,8 +40,7 @@ without batch axes, as the reference that the oracles and tests check
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,8 +89,7 @@ class RateOverflowError(ValueError):
     """A coincidence rate or CH sum exceeds float range."""
 
 
-@dataclass(frozen=True)
-class AnalyzerAngles:
+class AnalyzerAngles(NamedTuple):
     """The four analyzer settings (radians, interpreted modulo pi)."""
 
     theta_a: float
@@ -113,8 +111,7 @@ def angle_family(theta: float) -> AnalyzerAngles:
     return AnalyzerAngles(theta, -2.0 * theta, 3.0 * theta, 0.0)
 
 
-@dataclass(frozen=True)
-class CHResult:
+class CHResult(NamedTuple):
     """Four coincidence rates, two singles rates, and the CH ratio: each a
     float for one beam pair and an array over a batch."""
 
@@ -159,7 +156,8 @@ def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
     # (A, D').  Otherwise d and each part of a weight nonzero somewhere are
     # blocks, each part about c_k = -Re tr G(d, X_k) / tr G(X_k, X_k), where
     # D''s Gram trace is least: about 0, d and g X would cancel near the
-    # optimal gain by up to cosh^2(chi2); c_k = 0 for the loss part, disjoint from d
+    # optimal gain by up to cosh^2(chi2); c_k = 0 for the loss part, disjoint from d.
+    # A circuit output is a tuple too, so its type is tested before a pair is read
     if not isinstance(beams, SwapCircuitOutput):
         return beams[0], beams[1].field.cre[..., None, :, :], []
     parts, weights = beams.parts.field.cre, beams.weights
@@ -386,8 +384,7 @@ def _ch_result(rates: dict[str, np.ndarray]) -> CHResult:
     return CHResult(**{name: value[()] for name, value in rates.items()})
 
 
-@dataclass(frozen=True)
-class AnalyticInputs:
+class AnalyticInputs(NamedTuple):
     """Inputs to the closed-form teleported-rate and teleported-S expressions."""
 
     s_ab: float

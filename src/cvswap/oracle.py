@@ -20,11 +20,10 @@ algebra and the source-beam rates on which everything downstream rests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian
 from math import fsum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,8 +124,7 @@ def normal_order_expectation(product: Sequence[LinearField]) -> complex:
                    fsum(t.imag for t in contributions))
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(NamedTuple):
     """Truncated number-basis state over the four source modes.
 
     amplitudes[n_ah, n_av, n_bh, n_bv] is the amplitude of the occupation

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product as cartesian
 from math import fsum
 from pathlib import Path
@@ -235,7 +234,8 @@ def assert_matches_per_component_build(params: SwapParams) -> None:
     assert out.weights.shape == (2,) + np.broadcast_shapes(gain.shape, eta.shape)
     assert np.array_equal(out.weights, weights)
     for k, eta in enumerate([1.0, 0.0]):
-        registry, *reference = per_component_build(replace(params, eta=eta))
+        registry, *reference = per_component_build(
+            SwapParams(params.chi1, params.chi2, params.gain, eta))
         assert out.registry.names == registry.names
         n_modes = len(registry)
         x = PolarizedBeam(*(LinearField(f.coeffs[k]) for f in (out.parts.h, out.parts.v)))

@@ -89,7 +89,7 @@ def assert_cells_match_wick(call, cells):
     for index in cells:
         beam_a, beam_d = (pick(beam, index) for beam in beams)
         ta, tb, ta_prime, tb_prime = (float(np.broadcast_to(theta, shape)[index])
-                                      for theta in vars(angles).values())
+                                      for theta in angles._asdict().values())
         e_a, e_a_prime = analyzer(beam_a, ta, "a"), analyzer(beam_a, ta_prime, "a")
         e_b, e_b_prime = analyzer(beam_d, tb, "d"), analyzer(beam_d, tb_prime, "d")
         wick = {
@@ -176,7 +176,7 @@ def test_angles_of_four_shapes_match_per_point():
     assert_cells_match_wick(((out.beam_a, out.beam_d_prime), angles, kernel),
                             [(0, 0, 0), (1, 2, 1), (2, 3, 0)])
     # a rate keeps the broadcast shape of the angles it depends on
-    kernel = {name: np.broadcast_to(value, (3, 4, 2)) for name, value in vars(kernel).items()}
+    kernel = {name: np.broadcast_to(value, (3, 4, 2)) for name, value in kernel._asdict().items()}
     for i, j, k in np.ndindex(3, 4, 2):
         angles = AnalyzerAngles(float(theta_a[i, 0, 0]), theta_b,
                                 float(theta_a_prime[j, 0]), float(theta_b_prime[k]))
@@ -445,7 +445,7 @@ def test_fold_or_factor_boundary(chi2, gain, factored):
     if not factored:
         result = ch_s(out, OPTIMAL_ANGLES)
         folded = ch_s((out.beam_a, out.beam_d_prime), OPTIMAL_ANGLES)
-        for name, value in vars(folded).items():
+        for name, value in folded._asdict().items():
             assert np.array_equal(getattr(result, name), value), name
 
 

@@ -179,7 +179,7 @@ class TestChS:
                 single = ch_s(build_swap_circuit(SwapParams(
                     0.1, float(chi2s[i, 0]), float(gains[i, 0]),
                     float(np.broadcast_to(etas, shape)[i, j]))), OPTIMAL_ANGLES)
-                for name, value in vars(single).items():
+                for name, value in single._asdict().items():
                     assert isinstance(value, float), name
                     cell = np.broadcast_to(getattr(batched, name), shape)[i, j]
                     assert abs(cell - value) <= rel * abs(value), name

@@ -1,0 +1,58 @@
+"""Oracle-free physics properties of the engine over the whole accepted range.
+
+Each test is an identity that the network's physics implies, checked by the
+engine alone on derandomized Hypothesis points.  Tolerances are on the
+summed magnitudes of the six rates, over the denominator for S.  The
+singles rates belong in that scale: where all four pair amplitudes cancel,
+the coincidence rates fall to the accidental floor, but the rounding of the
+rate form stays of the size of the pair rate, which the singles carry.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cvswap import AnalyzerAngles, NoCoincidencesError, SwapParams, build_swap_circuit, ch_s
+from helpers import source_beams
+
+_angle = st.floats(min_value=-math.pi, max_value=math.pi)
+_angles = st.builds(AnalyzerAngles, _angle, _angle, _angle, _angle)
+# the pump, log-uniform from the weak-pump limit to where the rates near 1e54
+_chi1 = st.floats(min_value=-4.0, max_value=1.5).map(lambda exponent: 10.0 ** exponent)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chi1=_chi1, chi2=st.floats(min_value=0.05, max_value=5.0), angles=_angles)
+def test_optimal_gain_teleporter_keeps_the_bare_pairs_s(chi1, chi2, angles):
+    """At eta = 1 and gain tanh(chi2) the teleporter is pure attenuation, so
+    the swapped pair's S equals the bare source pair's at the same angles,
+    at every pump and squeezing."""
+    bare = ch_s(source_beams(chi1), angles)
+    swapped = ch_s(build_swap_circuit(SwapParams(chi1, chi2, math.tanh(chi2), 1.0)), angles)
+    term_scale = sum(map(abs, bare[:6])) / (bare.r_singles_a + bare.r_singles_b)
+    assert abs(swapped.s - bare.s) <= 1e-14 * term_scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chi1=_chi1, chi2=st.floats(min_value=0.0, max_value=4.0),
+       gain=st.floats(min_value=0.0, max_value=2.0), eta=st.floats(min_value=0.3, max_value=1.0),
+       angles=_angles, delta=_angle)
+def test_common_analyzer_rotation_keeps_every_rate(chi1, chi2, gain, eta, angles, delta):
+    """Turning all four analyzers by one angle leaves all six rates as they
+    were: the source and the teleporter treat both polarizations alike, and
+    the two arms' analyzers have opposite handedness, so a coincidence
+    depends on its two angles only through their difference."""
+    out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
+    turned = AnalyzerAngles(*(theta + delta for theta in angles))
+    try:
+        before = ch_s(out, angles)
+    except NoCoincidencesError:
+        # no squeezing and no gain leave D' in vacuum, at every angle
+        with pytest.raises(NoCoincidencesError):
+            ch_s(out, turned)
+        return
+    after = ch_s(out, turned)
+    scale = sum(map(abs, before[:6]))
+    for name in before._fields[:6]:  # the rates, not s
+        assert abs(getattr(after, name) - getattr(before, name)) <= 1e-14 * scale, name
