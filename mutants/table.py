@@ -218,11 +218,18 @@ MUTANTS = [
         "row, so F^dag annihilates where F does and no squeezer creates pairs"),
     Mutant(
         "field-shape-check-removed", "modes.py",
-        "if coeffs.shape[-2:-1] != (2,):",
+        "if coeffs.shape[-2:] != (2, N_MODES):",
         "if False:",
         "LinearField stores an array of any shape, so an array without its two "
-        "ladder rows on axis -2 becomes a field that fails later, in an "
-        "operator, or never"),
+        "ladder rows over the N_MODES basis becomes a field that fails later, "
+        "in an operator, or broadcasts silently across the modes"),
+    Mutant(
+        "vacuum-mode-range-check-removed", "modes.py",
+        "    if outside.any():\n",
+        "    if False:\n",
+        "vacuum_field takes any id: a negative id sets a creation coefficient "
+        "from the end of the row, and ids N_MODES..2 N_MODES-1 the creation "
+        "operator of mode id - N_MODES, so a wrong operator passes as a vacuum"),
     Mutant(
         "fig3-takes-the-gain-grid-flags", "cli.py",
         '"angles_steps", "out", "svg")),',

@@ -21,7 +21,7 @@ concurrently.
 
 The h and v chains of the network are identical, so a beam is one field
 whose coefficient array holds the two polarization components on a batch
-axis of length 2, shape (..., 2, 2, n_modes), h first: a PolarizedBeam wraps
+axis of length 2, shape (..., 2, 2, N_MODES), h first: a PolarizedBeam wraps
 that field, from the vacuum inputs to the output.  Each component then
 runs once per build for both chains, and a parameter gets a trailing unit
 axis to broadcast over the polarization axis.  The arithmetic per
@@ -74,16 +74,15 @@ MINUS_GAIN_PHASE = 1j
 
 class PolarizedBeam:
     """One spatial beam of polarization components h and v: a field whose
-    coefficient array holds them on axis -3, shape (..., 2, 2, n_modes), h
-    first, over their broadcast batch shape, zero-padded to one mode count.
-    The components h and v are views of that array.  Immutable."""
+    coefficient array holds them on axis -3, shape (..., 2, 2, N_MODES), h
+    first, over their broadcast batch shape.  The components h and v are
+    views of that array.  Immutable."""
 
     __slots__ = ("field",)
     field: LinearField
 
     def __init__(self, h: LinearField, v: LinearField) -> None:
-        n_modes = max(h.coeffs.shape[-1], v.coeffs.shape[-1])
-        coeffs = np.stack(np.broadcast_arrays(h._wide(n_modes), v._wide(n_modes)), axis=-3)
+        coeffs = np.stack(np.broadcast_arrays(h.coeffs, v.coeffs), axis=-3)
         object.__setattr__(self, "field", LinearField(coeffs))
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -150,7 +150,7 @@ def singles_rate(e_other: LinearField, beam: PolarizedBeam) -> float:
 def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
               ) -> tuple[PolarizedBeam, np.ndarray, list[np.ndarray]]:
     # ch_s's operands: the first beam, the second beam's creation rows in
-    # blocks on axis -3, shape (..., blocks, 2, n_modes), and the weights t
+    # blocks on axis -3, shape (..., blocks, 2, N_MODES), and the weights t
     # of the blocks after the first.  A beam pair is one block, and so is a
     # circuit output whose weights add no batch axes or are all 0, as
     # (A, D').  Otherwise d and each part of a weight nonzero somewhere are
@@ -177,13 +177,12 @@ def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
 def _contractions(beam_1: PolarizedBeam,
                   right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (P_b, Q_b) stacked on axis -3 for each block b, on axis -4, of the
-    # second beam's creation rows `right`, shape (..., blocks, 2, n_modes),
+    # second beam's creation rows `right`, shape (..., blocks, 2, N_MODES),
     # the Gram matrix G_1 of beam_1 and the Gram blocks G_2,bc, with (b, c)
     # on axes (-4, -3), each one einsum of coefficient rows: ann_h, ann_v,
     # conj cre_h, conj cre_v of beam_1 against each block's (h, v) rows
     left = np.concatenate([beam_1.field.ann, beam_1.field.cre.conj()], axis=-2)
-    n = min(left.shape[-1], right.shape[-1])
-    pq = np.einsum("...im,...bjm->...bij", left[..., :n], right[..., :n])
+    pq = np.einsum("...im,...bjm->...bij", left, right)
     gram_1 = np.einsum("...im,...jm->...ij", left[..., 2:, :], left[..., 2:, :].conj())
     gram_2 = np.einsum("...bim,...cjm->...bcij", right.conj(), right)
     return pq.reshape(pq.shape[:-2] + (2, 2, 2)), gram_1, gram_2
@@ -273,9 +272,9 @@ def ch_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
 
     beams is a circuit output, whose beam A is analyzed on the first arm
     ("a" handedness) and D' on the second ("d"), or a (beam_1, beam_2) pair
-    analyzed in that order.  The beams' fields may carry any batch axes and
-    any mode counts (modes beyond a field's count are 0), and the four
-    angles of ``angles`` may be arrays; all of them broadcast together.
+    analyzed in that order.  The beams' fields, each of shape
+    (..., 2, 2, N_MODES), may carry any batch axes, and the four angles of
+    ``angles`` may be arrays; all of them broadcast together.
     Over a batch each CHResult field is an array: "s" has the broadcast
     shape of all inputs, each rate that of the beams and the angles it
     uses.  For one beam pair at scalar angles the fields are floats.
@@ -500,7 +499,7 @@ def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],
         raise ValueError("steps must be at least 2")
     if isinstance(beams, SwapCircuitOutput):
         beams = beams.beam_a, beams.beam_d_prime
-    # without batch axes a beam's coefficient array is (2, 2, n_modes)
+    # without batch axes a beam's coefficient array is (2, 2, N_MODES)
     if any(beam.field.coeffs.ndim > 3 for beam in beams):
         raise ValueError("maximize_s takes one beam pair, not a batch")
     thetas = _grid(0.0, math.pi / 2, steps)

@@ -12,11 +12,12 @@ evaluated exactly with Wick's theorem: the vacuum is Gaussian, so an
 even-order moment is the sum over all perfect pairings of two-point
 contractions <F_i F_j>, and odd-order moments vanish.
 
-Each field stores its coefficients as one dense complex array of shape
-(..., 2, n_modes), the annihilation row over the modes above the creation
-row, with optional leading batch axes, so each operator on a field is one
-numpy call, one circuit build covers a whole grid of parameter points and
-the CH kernel reads the fields as they are.
+Every field is written over one basis, the N_MODES vacuum inputs of the
+swapping network.  It stores its coefficients as one dense complex array of
+shape (..., 2, N_MODES), the annihilation row over the modes above the
+creation row, with optional leading batch axes, so each operator on a field
+is one numpy call, one circuit build covers a whole grid of parameter points
+and the CH kernel reads the fields as they are.
 
 Every field is made by the one constructor LinearField(coeffs) and is
 immutable; the only mutable object is a circuit's :class:`ModeRegistry`.
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 __all__ = [
+    "N_MODES",
     "ModeRegistry",
     "LinearField",
     "vacuum_field",
@@ -45,9 +47,15 @@ __all__ = [
     "wick_matchings",
 ]
 
+# The swapping network's independent vacuum inputs: four for each type-II
+# squeezer (a0_h, a0_v, b0_h, b0_v) and one loss vacuum for each of the four
+# homodyne detectors (plus and minus quadrature, h and v).
+N_MODES = 12
+
 
 class ModeRegistry:
-    """Issues unique, stable identifiers for independent vacuum modes."""
+    """Issues unique, stable identifiers 0..N_MODES-1 for independent vacuum
+    modes."""
 
     def __init__(self) -> None:
         self.names: dict[int, str] = {}
@@ -57,6 +65,8 @@ class ModeRegistry:
         if not name:
             raise ValueError("mode name must be nonempty")
         mode = len(self.names)
+        if mode == N_MODES:
+            raise ValueError(f"all {N_MODES} vacuum modes are issued")
         self.names[mode] = name
         return mode
 
@@ -68,15 +78,14 @@ class LinearField:
     """A field operator linear in vacuum-mode annihilation/creation operators.
 
     LinearField(coeffs), the only constructor, stores one complex array of
-    shape (..., 2, n_modes) as is and raises ValueError for any other shape.
+    shape (..., 2, N_MODES) as is and raises ValueError for any other shape.
     coeffs[..., 0, m] and coeffs[..., 1, m] are the coefficients of a_m and
     a_m^dag, and ann and cre are views of those two rows.  The last axis
-    runs over the modes 0..n-1 and the leading axes, if any, index a batch
-    of fields (one per parameter point).  Modes from n on carry coefficient
-    0, so fields over different mode counts combine by zero padding.
-    Supports +, -, adjoint() and * by a scalar or by an array that
-    broadcasts against the batch axes, each one numpy call on coeffs.  The
-    array must not be mutated after construction.
+    runs over the modes 0..N_MODES-1 and the leading axes, if any, index a
+    batch of fields (one per parameter point).  Supports +, -, adjoint()
+    and * by a scalar or by an array that broadcasts against the batch
+    axes, each one numpy call on coeffs.  The array must not be mutated
+    after construction.
     """
 
     __slots__ = ("coeffs",)
@@ -84,8 +93,8 @@ class LinearField:
     __array_ufunc__ = None
 
     def __init__(self, coeffs: np.ndarray) -> None:
-        if coeffs.shape[-2:-1] != (2,):
-            raise ValueError(f"coeffs must have shape (..., 2, n_modes), got {coeffs.shape}")
+        if coeffs.shape[-2:] != (2, N_MODES):
+            raise ValueError(f"coeffs must have shape (..., 2, {N_MODES}), got {coeffs.shape}")
         self.coeffs = coeffs
 
     @property
@@ -96,31 +105,15 @@ class LinearField:
     def cre(self) -> np.ndarray:
         return self.coeffs[..., 1, :]
 
-    def _wide(self, n_modes: int) -> np.ndarray:
-        # coeffs extended with zero coefficients to n_modes modes
-        coeffs = self.coeffs
-        if coeffs.shape[-1] == n_modes:
-            return coeffs
-        wide = np.zeros(coeffs.shape[:-1] + (n_modes,), dtype=complex)
-        wide[..., :coeffs.shape[-1]] = coeffs
-        return wide
-
-    def padded(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ann, cre) extended with zero coefficients to n_modes modes."""
-        wide = self._wide(n_modes)
-        return wide[..., 0, :], wide[..., 1, :]
-
     def adjoint(self) -> "LinearField":
         """Hermitian adjoint: swaps ann and cre with conjugated coefficients."""
         return LinearField(self.coeffs[..., ::-1, :].conj())
 
     def __add__(self, other: "LinearField") -> "LinearField":
-        n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return LinearField(self._wide(n_modes) + other._wide(n_modes))
+        return LinearField(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "LinearField") -> "LinearField":
-        n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return LinearField(self._wide(n_modes) - other._wide(n_modes))
+        return LinearField(self.coeffs - other.coeffs)
 
     def __neg__(self) -> "LinearField":
         return LinearField(-self.coeffs)
@@ -133,8 +126,7 @@ class LinearField:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearField):
             return NotImplemented
-        n_modes = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return np.array_equal(self._wide(n_modes), other._wide(n_modes))
+        return np.array_equal(self.coeffs, other.coeffs)
 
     def __repr__(self) -> str:
         return f"LinearField({self.coeffs!r})"
@@ -145,31 +137,25 @@ def vacuum_field(mode: int | Sequence[int]) -> LinearField:
 
     Given a sequence of modes, possibly nested, the annihilation operators
     of each, with the sequence's shape as batch axes: a flat sequence
-    stacks them on axis -3 of the coefficient array, in its order.
+    stacks them on axis -3 of the coefficient array, in its order.  Every
+    id must lie in [0, N_MODES).
     """
     modes = np.asarray(mode)
-    coeffs = np.zeros(modes.shape + (2, modes.max() + 1), dtype=complex)
+    outside = (modes < 0) | (modes >= N_MODES)
+    if outside.any():
+        raise ValueError(f"mode ids must lie in [0, {N_MODES}), got {modes[outside][0]}")
+    coeffs = np.zeros(modes.shape + (2, N_MODES), dtype=complex)
     # row k of the view holds field k's ann and cre rows end to end: a_m is column m
-    coeffs.reshape(-1, 2 * coeffs.shape[-1])[np.arange(modes.size), modes.ravel()] = 1
+    coeffs.reshape(-1, 2 * N_MODES)[np.arange(modes.size), modes.ravel()] = 1
     return LinearField(coeffs)
 
 
 def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    # coefficient arrays stacked on axis -2 over their broadcast batch shape,
-    # zero-padded to one mode count; the batch shape is that of views cut to
-    # at most one mode, which broadcast whatever the mode counts
-    n_modes = max(x.shape[-1] for x in arrays)
-    batch = np.broadcast(*(x[..., :1] for x in arrays)).shape[:-1]
-    rows = np.zeros(batch + (len(arrays), n_modes), dtype=complex)
+    # coefficient arrays stacked on axis -2 over their broadcast batch shape
+    rows = np.empty(np.broadcast(*arrays).shape[:-1] + (len(arrays), N_MODES), dtype=complex)
     for i, x in enumerate(arrays):
-        rows[..., i, :x.shape[-1]] = x
+        rows[..., i, :] = x
     return rows
-
-
-def _mode_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # sum_m x[..., m] y[..., m] over the modes both arrays hold; the rest are 0
-    n_modes = min(x.shape[-1], y.shape[-1])
-    return np.einsum("...m,...m->...", x[..., :n_modes], y[..., :n_modes])
 
 
 def commutator(f: LinearField, g: LinearField) -> complex | np.ndarray:
@@ -177,12 +163,12 @@ def commutator(f: LinearField, g: LinearField) -> complex | np.ndarray:
 
     One value per element of the broadcast batch shape of f and g.
     """
-    return _mode_sum(f.ann, g.cre) - _mode_sum(f.cre, g.ann)
+    return np.einsum("...m,...m->...", f.ann, g.cre) - np.einsum("...m,...m->...", f.cre, g.ann)
 
 
 def pair_contraction(f: LinearField, g: LinearField) -> complex | np.ndarray:
     """Vacuum two-point function <0| F G |0> = sum_m annF[m] creG[m]."""
-    return _mode_sum(f.ann, g.cre)
+    return np.einsum("...m,...m->...", f.ann, g.cre)
 
 
 def quadrature_plus(f: LinearField) -> LinearField:
@@ -237,7 +223,7 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
     The fields must be single fields, without batch axes.
 
     The factors' coefficient arrays are stacked once, into ann and cre
-    rows of shape (n, n_modes); all n x n contractions come from one
+    rows of shape (n, N_MODES); all n x n contractions come from one
     multiply-sum of those rows, and each matching's term is the product of
     the contractions its pairs index, from a pair array cached per n.
     """
@@ -246,7 +232,7 @@ def vacuum_expectation(product: Sequence[LinearField]) -> complex:
         return 1.0 + 0j
     if n % 2:
         return 0j
-    ann, cre = _rows([f.coeffs for f in product])  # (2, n, n_modes)
+    ann, cre = np.stack([f.coeffs for f in product], axis=-2)  # (2, n, N_MODES)
     # contractions[i, j] = <F_i F_j> = sum_m ann_i[m] cre_j[m]
     contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
     pairs = _matching_pairs(n)

@@ -24,6 +24,7 @@ from .circuit import (
 )
 from .metrics import OPTIMAL_ANGLES, analyzer, ch_s, coincidence_rate, optimal_gain
 from .modes import (
+    N_MODES,
     LinearField,
     ModeRegistry,
     commutator,
@@ -107,7 +108,7 @@ def check_pairing_count() -> str | None:
 
 def random_field(rng: random.Random, modes: list[int]) -> LinearField:
     """A sparse random field with coefficient magnitudes below sqrt(2)."""
-    coeffs = np.zeros((2, max(modes) + 1), dtype=complex)
+    coeffs = np.zeros((2, N_MODES), dtype=complex)
     for _ in range(rng.randint(1, _FIELD_TERMS)):
         m = rng.choice(modes)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -172,12 +173,11 @@ def check_optimal_gain_attenuation() -> str | None:
     chis = np.array([0.1, 0.34657359, 0.8])
     gains = optimal_gain(chis, 1.0)
     out = build_swap_circuit(SwapParams(0.1, chis, gains, 1.0))
-    n_modes = len(out.registry)
     beam_d_prime = out.beam_d_prime  # folded on each access
     _, beam_b = opo_type2(ModeRegistry(), 0.1, label="src")
     for pol in ("h", "v"):
-        ann, cre = getattr(beam_d_prime, pol).padded(n_modes)
-        base_ann, base_cre = getattr(beam_b, pol).padded(n_modes)
+        field, base = getattr(beam_d_prime, pol), getattr(beam_b, pol)
+        ann, cre, base_ann, base_cre = field.ann, field.cre, base.ann, base.cre
         source = (base_ann != 0) | (base_cre != 0)
         fresh_weight = np.sqrt((np.abs(ann[:, ~source]) ** 2).sum(axis=-1))
         for label, deviation, tol in (

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from cvswap import (
+    N_MODES,
     LinearField,
     ModeRegistry,
     PolarizedBeam,
@@ -87,27 +88,14 @@ class TwoArrayField:
     def __init__(self, ann, cre) -> None:
         self.ann, self.cre = np.asarray(ann, dtype=complex), np.asarray(cre, dtype=complex)
 
-    def padded(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-        shape = self.ann.shape[:-1] + (n_modes,)
-        wide_ann, wide_cre = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-        wide_ann[..., :self.ann.shape[-1]] = self.ann
-        wide_cre[..., :self.cre.shape[-1]] = self.cre
-        return wide_ann, wide_cre
-
     def adjoint(self) -> "TwoArrayField":
         return TwoArrayField(self.cre.conj(), self.ann.conj())
 
-    def _both_padded(self, other):
-        n_modes = max(self.ann.shape[-1], other.ann.shape[-1])
-        return self.padded(n_modes), other.padded(n_modes)
-
     def __add__(self, other: "TwoArrayField") -> "TwoArrayField":
-        (ann, cre), (other_ann, other_cre) = self._both_padded(other)
-        return TwoArrayField(ann + other_ann, cre + other_cre)
+        return TwoArrayField(self.ann + other.ann, self.cre + other.cre)
 
     def __sub__(self, other: "TwoArrayField") -> "TwoArrayField":
-        (ann, cre), (other_ann, other_cre) = self._both_padded(other)
-        return TwoArrayField(ann - other_ann, cre - other_cre)
+        return TwoArrayField(self.ann - other.ann, self.cre - other.cre)
 
     def __neg__(self) -> "TwoArrayField":
         return TwoArrayField(-self.ann, -self.cre)
@@ -120,10 +108,9 @@ class TwoArrayField:
 
 
 def two_array_commutator(f: TwoArrayField, g: TwoArrayField):
-    """[F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m]) over the modes both hold."""
-    n = min(f.ann.shape[-1], g.ann.shape[-1])
-    return (np.einsum("...m,...m->...", f.ann[..., :n], g.cre[..., :n])
-            - np.einsum("...m,...m->...", f.cre[..., :n], g.ann[..., :n]))
+    """[F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m])."""
+    return (np.einsum("...m,...m->...", f.ann, g.cre)
+            - np.einsum("...m,...m->...", f.cre, g.ann))
 
 
 def two_array_vacuum_expectation(product: list[TwoArrayField]) -> complex:
@@ -133,10 +120,7 @@ def two_array_vacuum_expectation(product: list[TwoArrayField]) -> complex:
         return 0j
     if n == 0:
         return 1.0 + 0j
-    n_modes = max(f.ann.shape[-1] for f in product)
-    ann, cre = np.zeros((n, n_modes), dtype=complex), np.zeros((n, n_modes), dtype=complex)
-    for i, f in enumerate(product):
-        ann[i, :f.ann.shape[-1]], cre[i, :f.cre.shape[-1]] = f.ann, f.cre
+    ann, cre = np.array([f.ann for f in product]), np.array([f.cre for f in product])
     contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
     pairs = np.array(list(wick_matchings(n)))
     terms = contractions[pairs[..., 0], pairs[..., 1]].prod(axis=-1)
@@ -197,7 +181,7 @@ def per_component_build(params: SwapParams) -> tuple[ModeRegistry, PolarizedBeam
         x_plus = root_loss * quadrature_plus(loss_plus) + root_eta * quadrature_plus(port_plus)
         x_minus = (root_loss * quadrature_minus(loss_minus)
                    + root_eta * quadrature_minus(port_minus))
-        zero = LinearField(np.zeros((2, 1), dtype=complex))
+        zero = LinearField(np.zeros((2, N_MODES), dtype=complex))
         return feedforward_displace(zero, x_plus, x_minus, 1.0)
 
     beam_a, beam_b = source(params.chi1, "opo1")
@@ -237,13 +221,11 @@ def assert_matches_per_component_build(params: SwapParams) -> None:
         registry, *reference = per_component_build(
             SwapParams(params.chi1, params.chi2, params.gain, eta))
         assert out.registry.names == registry.names
-        n_modes = len(registry)
         x = PolarizedBeam(*(LinearField(f.coeffs[k]) for f in (out.parts.h, out.parts.v)))
         for beam, expected in zip((out.beam_a, out.beam_d0, x), reference):
             for pol in ("h", "v"):
-                for got, want in zip(getattr(beam, pol).padded(n_modes),
-                                     getattr(expected, pol).padded(n_modes)):
-                    assert got.shape == want.shape and np.array_equal(got, want)
+                got, want = getattr(beam, pol).coeffs, getattr(expected, pol).coeffs
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def wick_term_magnitudes(beam_1, beam_2, angles):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvswap import (
+    N_MODES,
     OPTIMAL_ANGLES,
     LinearField,
     ModeRegistry,
@@ -205,7 +206,7 @@ class TestAttenuate:
         squeezed, _ = two_mode_squeezer(a, b, 0.8)
         transmissivity = np.linspace(0.0, 1.0, 11)
         out = attenuate(squeezed, transmissivity, registry)
-        assert out.ann.shape == (11, 3)
+        assert out.ann.shape == (11, N_MODES)
         assert np.all(np.abs(commutator(out, out.adjoint()) - 1.0) <= 1e-12)
         assert np.all(np.abs(commutator(out, out)) <= 1e-12)
 
@@ -299,11 +300,9 @@ class TestFeedforward:
         chis = np.array([0.1, 0.5, 1.5])
         grid, unit, zero = (build_swap_circuit(SwapParams(0.1, chis, gain, 0.8))
                             for gain in (gains[..., 0], 1.0, 0.0))
-        n_modes = len(grid.registry)
         for pol in ("h", "v"):
-            d_prime, d_one, d = (getattr(out.beam_d_prime, pol).padded(n_modes)
-                                 for out in (grid, unit, zero))
-            for got, one, zero_gain in zip(d_prime, d_one, d):
+            fields = [getattr(out.beam_d_prime, pol) for out in (grid, unit, zero)]
+            for got, one, zero_gain in ([f.ann for f in fields], [f.cre for f in fields]):
                 step = gains * (one - zero_gain)
                 scale = max(np.abs(zero_gain).max(), np.abs(step).max())
                 np.testing.assert_allclose(got, zero_gain + step, rtol=0,
@@ -344,24 +343,27 @@ def test_stacked_beam_holds_its_components():
     registry = ModeRegistry()
     beam_a, beam_b = opo_type2(registry, np.array([0.1, 0.7]), label="src")
     for beam in (beam_a, beam_b):
-        assert beam.field.ann.shape == (2, 2, 4)
+        assert beam.field.ann.shape == (2, 2, N_MODES)
         for component in (beam.h, beam.v):
-            assert component.ann.shape == (2, 4)
+            assert component.ann.shape == (2, N_MODES)
             assert np.shares_memory(component.ann, beam.field.ann)
             assert np.shares_memory(component.cre, beam.field.cre)
         assert PolarizedBeam(beam.h, beam.v).field == beam.field
 
 
-def test_beam_of_broadcasts_batches_and_pads_modes():
+def test_beam_of_broadcasts_batches_and_rejects_other_widths():
     registry = ModeRegistry()
     _, beam_b = opo_type2(registry, np.array([0.1, 0.6])[:, None], label="src")
     lossy_h = attenuate(beam_b.h, np.array([0.2, 0.7, 1.0]), registry)
-    assert lossy_h.ann.shape == (2, 3, 5) and beam_b.v.ann.shape == (2, 1, 4)
+    assert lossy_h.ann.shape == (2, 3, N_MODES) and beam_b.v.ann.shape == (2, 1, N_MODES)
     beam = PolarizedBeam(lossy_h, beam_b.v)
-    assert beam.field.ann.shape == (2, 3, 2, 5)
+    assert beam.field.ann.shape == (2, 3, 2, N_MODES)
     for got, want in ((beam.h, lossy_h), (beam.v, beam_b.v)):
-        for x, y in zip((got.ann, got.cre), want.padded(5)):
-            assert np.array_equal(x, np.broadcast_to(y, x.shape))
+        assert np.array_equal(got.coeffs, np.broadcast_to(want.coeffs, got.coeffs.shape))
+    # a component over any other mode count cannot be made, so none broadcasts
+    for n_modes in (1, 5, N_MODES + 1):
+        with pytest.raises(ValueError, match=r"^coeffs must have shape \(\.\.\., 2, 12\)"):
+            PolarizedBeam(lossy_h, LinearField(np.zeros((2, n_modes), dtype=complex)))
 
 
 def test_halfwave_swap_twice_is_identity():
@@ -424,10 +426,7 @@ class TestBuildSwapCircuit:
         out = build_swap_circuit(SwapParams(0.1, chi2, 1.0, 1.0))
         registry = ModeRegistry()
         _, beam_b = opo_type2(registry, 0.1, label="opo1")
-        n_modes = len(out.registry)
-        residual = max(np.max(np.abs(np.abs(d) - np.abs(b)))
-                       for d, b in zip(out.beam_d_prime.h.padded(n_modes),
-                                       beam_b.h.padded(n_modes)))
+        residual = np.max(np.abs(np.abs(out.beam_d_prime.h.coeffs) - np.abs(beam_b.h.coeffs)))
         assert residual < 0.08  # bounded by exp(-chi2)
 
     @pytest.mark.parametrize("eta", [0.5, 0.83, 0.9, 1.0])
@@ -446,7 +445,7 @@ class TestBuildSwapCircuit:
         port and loss parts, so D' is summed in the same steps at each point."""
         def coefficients(out):
             return [x for f in (out.beam_a.field, out.beam_d0.field, out.beam_d_prime.field)
-                    for x in f.padded(12)]
+                    for x in (f.ann, f.cre)]
 
         axes = (np.array([0.1, 0.5])[:, None, None, None],  # chi1
                 np.array([0.0, 0.34, 2.3])[:, None, None],  # chi2
@@ -558,7 +557,7 @@ class TestSingleModeTeleporter:
         element equals the teleporter called with that element's floats."""
         chis, gains = np.array([0.0, 0.4, 1.3]), np.array([[0.2], [0.9]])
         out = teleport_vacuum(chis, gains)
-        assert out.coeffs.shape == (2, 3, 2, 3)
+        assert out.coeffs.shape == (2, 3, 2, N_MODES)
         for i, gain in enumerate(gains[:, 0]):
             for j, chi in enumerate(chis):
                 single = teleport_vacuum(float(chi), float(gain))

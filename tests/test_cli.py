@@ -34,7 +34,7 @@ from cvswap.metrics import (
     optimal_gain,
     squeezing_to_chi,
 )
-from cvswap.modes import LinearField
+from cvswap.modes import N_MODES, LinearField
 from cvswap.selftest import run_selftest
 from helpers import (
     GOLDEN,
@@ -522,10 +522,9 @@ def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, 
     assert main(["threshold-scan", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     [(out, s)] = seen
-    n_modes = len(out.registry)
-    assert out.beam_a.field.ann.shape == (2, 4)
-    assert out.beam_d0.field.ann.shape == (3, 2, 8)
-    assert out.parts.field.ann.shape == (2, 3, 2, n_modes)
+    assert out.beam_a.field.ann.shape == (2, N_MODES)
+    assert out.beam_d0.field.ann.shape == (3, 2, N_MODES)
+    assert out.parts.field.ann.shape == (2, 3, 2, N_MODES)
     assert out.weights.shape == (2, 61, 3)
     assert _operands(out)[1].shape[-3] == 3
     chis = np.array([squeezing_to_chi(level) for level in (0.3, 0.5, 0.9)])

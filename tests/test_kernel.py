@@ -33,7 +33,7 @@ from cvswap.metrics import (
     singles_rate,
     squeezing_to_chi,
 )
-from cvswap.modes import LinearField, ModeRegistry, vacuum_field
+from cvswap.modes import N_MODES, LinearField, ModeRegistry, vacuum_field
 from helpers import (
     nonzero_parts,
     per_component_d_prime,
@@ -466,22 +466,20 @@ def test_efficiency_parts_boundary(chi1, chi2, gain, eta, parts):
     coefficient for coefficient."""
     out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
     squeezers = np.broadcast_shapes(np.shape(chi1), np.shape(chi2))
-    n_modes = len(out.registry)
-    assert out.parts.field.ann.shape == (2,) + squeezers + (2, n_modes)
+    assert out.parts.field.ann.shape == (2,) + squeezers + (2, N_MODES)
     _, right, t = _operands(out)
     assert right.shape[-3] == (1 if parts == 1 else 1 + parts)
     assert len(t) == right.shape[-3] - 1
     shape = np.broadcast_shapes(squeezers, np.shape(gain), np.shape(eta))
-    d_prime = [np.broadcast_to(x, shape + (2, n_modes))
-               for x in out.beam_d_prime.field.padded(n_modes)]
-    terms = [np.broadcast_to(np.abs(d) + sum(np.abs(w[..., None, None] * x)
-                                            for w, x in zip(out.weights, xs)), shape + (2, n_modes))
-             for d, xs in zip(out.beam_d0.field.padded(n_modes), out.parts.field.padded(n_modes))]
+    d_prime = np.broadcast_to(out.beam_d_prime.field.coeffs, shape + (2, 2, N_MODES))
+    terms = np.broadcast_to(np.abs(out.beam_d0.field.coeffs)
+                            + sum(np.abs(w[..., None, None, None] * x)
+                                  for w, x in zip(out.weights, out.parts.field.coeffs)),
+                            shape + (2, 2, N_MODES))
     grid = np.broadcast_arrays(chi1, chi2, gain, eta)
     for index in np.ndindex(shape):
         _, reference = per_component_d_prime(SwapParams(*(float(p[index]) for p in grid)))
-        for x, y, scale in zip(d_prime, reference.field.padded(n_modes), terms):
-            assert np.all(np.abs(x[index] - y) <= 1e-15 * scale[index])
+        assert np.all(np.abs(d_prime[index] - reference.field.coeffs) <= 1e-15 * terms[index])
 
 
 @pytest.mark.parametrize("gain, eta, blocks", [

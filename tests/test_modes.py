@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import cvswap.selftest
 
 from cvswap import (
+    N_MODES,
     LinearField,
     ModeRegistry,
     commutator,
@@ -52,13 +53,13 @@ def test_vacuum_field_is_canonical(mode_pair):
 
 def test_vacuum_fields_of_a_mode_sequence_stack_in_its_order():
     stacked = vacuum_field([3, 1])
-    assert stacked.ann.shape == stacked.cre.shape == (2, 4)
+    assert stacked.ann.shape == stacked.cre.shape == (2, N_MODES)
     for row, mode in enumerate((3, 1)):
         single = vacuum_field(mode)
         assert LinearField(stacked.coeffs[row]) == single
     nested = vacuum_field([[0, 2], [1, 3]])
-    assert nested.ann.shape == (2, 2, 4)
-    assert np.array_equal(nested.ann.reshape(4, 4), np.identity(4)[[0, 2, 1, 3]])
+    assert nested.ann.shape == (2, 2, N_MODES)
+    assert np.array_equal(nested.ann.reshape(4, N_MODES), np.identity(N_MODES)[[0, 2, 1, 3]])
 
 
 def test_fresh_modes_are_independent(mode_pair):
@@ -76,18 +77,40 @@ def test_registry_counts_and_rejects_empty_names():
         registry.new_mode("")
 
 
+def test_registry_issues_no_thirteenth_mode():
+    registry = ModeRegistry()
+    for k in range(N_MODES):
+        registry.new_mode(f"mode{k}")
+    with pytest.raises(ValueError) as error:
+        registry.new_mode("mode12")
+    assert str(error.value) == "all 12 vacuum modes are issued"
+    assert len(registry) == N_MODES
+
+
+@pytest.mark.parametrize("mode", [-1, N_MODES, 2 * N_MODES - 1, [0, -1], [[0, 1], [2, 12]]])
+def test_vacuum_field_rejects_ids_outside_the_basis(mode):
+    # numpy reads a negative id from the end of the row, and an id from 12 to
+    # 23 would land in the creation row, so each would silently name a wrong
+    # operator
+    with pytest.raises(ValueError) as error:
+        vacuum_field(mode)
+    bad = [m for m in np.ravel(mode) if not 0 <= m < N_MODES][0]
+    assert str(error.value) == f"mode ids must lie in [0, 12), got {bad}"
+
+
 def test_coefficient_array_must_hold_two_ladder_rows():
-    for shape in ((3,), (3, 4), (2, 3, 4)):
+    for shape in ((3,), (3, 4), (2, 3, 4), (2, 5), (2, 1), (3, 2, 4), (2, N_MODES + 1)):
         with pytest.raises(ValueError) as error:
             LinearField(np.zeros(shape, dtype=complex))
-        assert str(error.value) == f"coeffs must have shape (..., 2, n_modes), got {shape}"
-    coeffs = np.zeros((3, 2, 4), dtype=complex)
+        assert str(error.value) == f"coeffs must have shape (..., 2, 12), got {shape}"
+    coeffs = np.zeros((3, 2, N_MODES), dtype=complex)
     assert LinearField(coeffs).coeffs is coeffs
 
 
 def test_repr_shows_the_coefficient_array():
-    assert repr(vacuum_field(1)) == (
-        "LinearField(array([[0.+0.j, 1.+0.j],\n       [0.+0.j, 0.+0.j]]))")
+    coeffs = np.zeros((2, N_MODES), dtype=complex)
+    coeffs[0, 1] = 1
+    assert repr(vacuum_field(1)) == f"LinearField({coeffs!r})"
 
 
 def test_adjoint_swaps_ladder_kind(mode_pair):
@@ -104,14 +127,14 @@ def test_adjoint_is_involutive():
 
 
 def test_subtraction_and_negation_equal_scaling_by_minus_one():
-    # batch shapes (2, 3) and (3,) over 3 and 5 modes: the difference pads
+    # batch shapes (2, 3) and (3,), which broadcast
     rng = np.random.default_rng(11)
 
     def batched(shape):
         ann, cre = rng.normal(size=(2, 2) + shape)
         return LinearField(np.stack([ann[0] + 1j * ann[1], cre[0] + 1j * cre[1]], axis=-2))
 
-    a, b = batched((2, 3, 3)), batched((3, 5))
+    a, b = batched((2, 3, N_MODES)), batched((3, N_MODES))
     for x, y in ((a, b), (b, a)):
         for got, expected in ((x - y, x + (-1) * y), (-x, (-1) * x)):
             assert np.array_equal(got.ann, expected.ann)
@@ -142,7 +165,7 @@ def test_quadrature_commutator_and_variance(mode_pair):
     assert is_hermitian(x_plus) and is_hermitian(x_minus)
     assert commutator(x_plus, x_minus) == pytest.approx(-2j, abs=1e-12)
     assert vacuum_expectation([x_plus, x_plus]) == pytest.approx(1.0, abs=1e-12)
-    assert is_zero(quadrature_plus(LinearField(np.zeros((2, 2), dtype=complex))))
+    assert is_zero(quadrature_plus(LinearField(np.zeros((2, N_MODES), dtype=complex))))
 
 
 def test_pair_contractions(mode_pair):
@@ -216,9 +239,14 @@ _COEFFICIENTS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_inf
 
 
 def _coefficient_pair(draw, batch):
-    # the (ann, cre) arrays of one field over 1 to 12 modes
-    shape = tuple(batch) + (draw(st.integers(1, 12)),)
-    return [draw(hnp.arrays(complex, shape, elements=_COEFFICIENTS)) for _ in "ac"]
+    # the (ann, cre) arrays of one field, drawn on its first 1 to 12 modes
+    # and 0 on the rest, so Hypothesis draws no more than a field's terms
+    n_modes = draw(st.integers(1, N_MODES))
+    pair = np.zeros((2,) + tuple(batch) + (N_MODES,), dtype=complex)
+    for row in pair:
+        row[..., :n_modes] = draw(hnp.arrays(complex, tuple(batch) + (n_modes,),
+                                             elements=_COEFFICIENTS))
+    return list(pair)
 
 
 @st.composite
@@ -250,9 +278,6 @@ def test_one_array_algebra_matches_two_array_reference(operands):
                       (-f, -ref_f), (c * f, c * ref_f), (f * c, ref_f * c),
                       (f.adjoint(), ref_f.adjoint()), (g.adjoint(), ref_g.adjoint())):
         _assert_same_field(got, want)
-    for n_modes in (f_ann.shape[-1], 12):
-        for x, y in zip(f.padded(n_modes), ref_f.padded(n_modes)):
-            assert x.shape == y.shape and np.array_equal(x, y)
     for x, y in ((f, g), (f, f.adjoint()), (g, f.adjoint())):
         ref_x, ref_y = (TwoArrayField(field.ann, field.cre) for field in (x, y))
         assert np.array_equal(commutator(x, y), two_array_commutator(ref_x, ref_y))
@@ -276,7 +301,9 @@ def test_vacuum_expectation_matches_two_array_reference(data):
 # sha256 of the 40 products that the selftest's dual-oracle-moments check
 # draws, max_oracle_deviation(40, 20260809): per product its length, and per
 # factor its mode count and the bytes of its ann and cre coefficients, as
-# drawn when each field stored ann and cre as two arrays
+# drawn when each field stored ann and cre as two arrays over modes 0..5.
+# Each factor is now written over all N_MODES modes; its first 6 columns are
+# hashed with the width 6 recorded then, and the others must be exactly 0
 ORACLE_PRODUCTS_SHA256 = "9f9dea6da3f1002ce873fd6fed59cbb64ff21e64e03da3e4abc0d6b1e330abb9"
 
 
@@ -293,8 +320,9 @@ def test_selftest_oracle_products_are_pinned(monkeypatch):
     for product in products:
         digest.update(len(product).to_bytes(2, "little"))
         for field in product:
-            digest.update(field.ann.shape[-1].to_bytes(2, "little"))
-            digest.update(np.ascontiguousarray(field.ann).tobytes())
-            digest.update(np.ascontiguousarray(field.cre).tobytes())
+            assert field.coeffs.shape == (2, N_MODES) and not field.coeffs[:, 6:].any()
+            digest.update((6).to_bytes(2, "little"))
+            digest.update(np.ascontiguousarray(field.ann[:6]).tobytes())
+            digest.update(np.ascontiguousarray(field.cre[:6]).tobytes())
     assert len(products) == 40
     assert digest.hexdigest() == ORACLE_PRODUCTS_SHA256

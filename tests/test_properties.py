@@ -56,3 +56,27 @@ def test_common_analyzer_rotation_keeps_every_rate(chi1, chi2, gain, eta, angles
     scale = sum(map(abs, before[:6]))
     for name in before._fields[:6]:  # the rates, not s
         assert abs(getattr(after, name) - getattr(before, name)) <= 1e-14 * scale, name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chi1=_chi1, chi2=st.floats(min_value=0.0, max_value=4.0),
+       gain=st.floats(min_value=0.0, max_value=2.0), eta=st.floats(min_value=0.0, max_value=1.0),
+       angles=_angles, other=_angles)
+def test_singles_rates_do_not_depend_on_the_analyzer_angles(chi1, chi2, gain, eta, angles,
+                                                            other):
+    """Each beam alone is unpolarized: the source emits its pairs in both
+    cross-polarized orders alike, and the teleporter treats h and v alike.
+    So a singles rate, which analyzes one beam and counts the other in both
+    polarizations, reads the same at every analyzer angle."""
+    out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
+    try:
+        before = ch_s(out, angles)
+    except NoCoincidencesError:
+        # no squeezing and no gain leave D' in vacuum, at every angle
+        with pytest.raises(NoCoincidencesError):
+            ch_s(out, other)
+        return
+    after = ch_s(out, other)
+    scale = sum(map(abs, before[:6]))
+    for name in ("r_singles_a", "r_singles_b"):
+        assert abs(getattr(after, name) - getattr(before, name)) <= 1e-14 * scale, name
