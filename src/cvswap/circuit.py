@@ -124,8 +124,7 @@ class SwapParams:
     def __init__(self, chi1: ArrayLike, chi2: ArrayLike, gain: ArrayLike,
                  eta: ArrayLike) -> None:
         _require_finite(chi1=chi1, chi2=chi2, gain=gain, eta=eta)
-        if (np.less(chi1, 0) | np.less(chi2, 0) | np.less(gain, 0)).any():
-            raise ValueError("chi1, chi2 and gain must be nonnegative")
+        _require_nonnegative(chi1=chi1, chi2=chi2, gain=gain)
         _require_unit_interval("eta", eta)
         for name, value in zip(self.__slots__, (chi1, chi2, gain, eta)):
             object.__setattr__(self, name, value)
@@ -165,9 +164,17 @@ def _require_finite(**values: ArrayLike) -> None:
             raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite][0]}")
 
 
+def _require_nonnegative(**values: ArrayLike) -> None:
+    for name, value in values.items():
+        negative = np.less(value, 0)
+        if negative.any():
+            raise ValueError(f"{name} must be nonnegative, got {np.asarray(value)[negative][0]}")
+
+
 def _require_unit_interval(name: str, value: ArrayLike) -> None:
-    if not (np.greater_equal(value, 0.0) & np.less_equal(value, 1.0)).all():
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    inside = np.greater_equal(value, 0.0) & np.less_equal(value, 1.0)  # nan fails
+    if not inside.all():
+        raise ValueError(f"{name} must lie in [0, 1], got {np.asarray(value)[~inside][0]}")
 
 
 def _off_by(value: np.ndarray, *fields: LinearField) -> bool:
@@ -379,8 +386,7 @@ def single_mode_teleporter(a_in: LinearField, chi: ArrayLike, gain: ArrayLike,
     """
     _require_finite(chi=chi, gain=gain)
     _require_canonical(a_in)
-    if (np.less(chi, 0) | np.less(gain, 0)).any():
-        raise ValueError("chi and gain must be nonnegative")
+    _require_nonnegative(chi=chi, gain=gain)
     ch, sh = np.cosh(chi), np.sinh(chi)
     b0 = vacuum_field(registry.new_mode("teleporter.b0"))
     a0 = vacuum_field(registry.new_mode("teleporter.a0"))

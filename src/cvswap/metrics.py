@@ -481,8 +481,12 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    # the uniform inclusive grid of every sweep: lo + (hi - lo) * k / (steps - 1)
-    return lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    # the uniform inclusive grid of every sweep: lo + (hi - lo) * k / (steps - 1),
+    # which starts at lo exactly and rises, but can round an ulp past hi or
+    # end an ulp short of it: clipped to hi, and ending at hi exactly
+    grid = np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
+    grid[-1] = hi
+    return grid
 
 
 def maximize_s(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam],

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+import cvswap.cli
 from cvswap import (
     N_MODES,
     LinearField,
@@ -25,7 +26,7 @@ from cvswap import (
     vacuum_field,
 )
 from cvswap.metrics import OPTIMAL_ANGLES, analyzer
-from cvswap.modes import pair_contraction, wick_matchings
+from cvswap.modes import pair_contraction
 from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
 from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
 
@@ -45,6 +46,18 @@ def checked_stdout(stdout: str) -> str:
     output directory."""
     return "".join(line for line in stdout.splitlines(keepends=True)
                    if not line.startswith("wrote "))
+
+
+def record_ch_s(monkeypatch) -> list:
+    """The list that each CLI call of ch_s appends (beams, angles, result) to."""
+    calls = []
+
+    def recording(beams, angles):
+        calls.append((beams, angles, ch_s(beams, angles)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cvswap.cli, "ch_s", recording)
+    return calls
 
 
 def source_beams(chi1: float) -> tuple[PolarizedBeam, PolarizedBeam]:
@@ -76,55 +89,6 @@ def is_hermitian(field: LinearField, tol: float = 1e-12) -> bool:
 
 def is_zero(field: LinearField) -> bool:
     return not np.any(field.ann) and not np.any(field.cre)
-
-
-class TwoArrayField:
-    """A field stored as two coefficient arrays, ann and cre, with every
-    operator applied to each: the reference for LinearField's one-array
-    algebra, which must give the same bits."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, ann, cre) -> None:
-        self.ann, self.cre = np.asarray(ann, dtype=complex), np.asarray(cre, dtype=complex)
-
-    def adjoint(self) -> "TwoArrayField":
-        return TwoArrayField(self.cre.conj(), self.ann.conj())
-
-    def __add__(self, other: "TwoArrayField") -> "TwoArrayField":
-        return TwoArrayField(self.ann + other.ann, self.cre + other.cre)
-
-    def __sub__(self, other: "TwoArrayField") -> "TwoArrayField":
-        return TwoArrayField(self.ann - other.ann, self.cre - other.cre)
-
-    def __neg__(self) -> "TwoArrayField":
-        return TwoArrayField(-self.ann, -self.cre)
-
-    def __mul__(self, c) -> "TwoArrayField":
-        c = np.asarray(c)[..., None]
-        return TwoArrayField(c * self.ann, c * self.cre)
-
-    __rmul__ = __mul__
-
-
-def two_array_commutator(f: TwoArrayField, g: TwoArrayField):
-    """[F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m])."""
-    return (np.einsum("...m,...m->...", f.ann, g.cre)
-            - np.einsum("...m,...m->...", f.cre, g.ann))
-
-
-def two_array_vacuum_expectation(product: list[TwoArrayField]) -> complex:
-    """Wick sum of single fields, with the ann and cre rows stacked apart."""
-    n = len(product)
-    if n % 2:
-        return 0j
-    if n == 0:
-        return 1.0 + 0j
-    ann, cre = np.array([f.ann for f in product]), np.array([f.cre for f in product])
-    contractions = (ann[:, None, :] * cre[None, :, :]).sum(axis=-1)
-    pairs = np.array(list(wick_matchings(n)))
-    terms = contractions[pairs[..., 0], pairs[..., 1]].prod(axis=-1)
-    return complex(fsum(terms.real), fsum(terms.imag))
 
 
 def unpruned_normal_order_expectation(product: list[LinearField]) -> complex:

@@ -538,7 +538,7 @@ class TestSingleModeTeleporter:
     def test_rejects_negative_chi_or_gain(self, chi, gain):
         registry = ModeRegistry()
         a_in = vacuum_field(registry.new_mode("in"))
-        with pytest.raises(ValueError, match="chi and gain must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^(chi|gain) must be nonnegative, got -0\.1$"):
             single_mode_teleporter(a_in, chi, gain, registry)
 
     def test_strong_squeezing_unity_gain_passes_input_through(self):
@@ -593,6 +593,32 @@ def test_non_finite_element_of_a_chi_grid_is_named(entry):
     _, call = NON_FINITE_ENTRIES[entry]
     with pytest.raises(ValueError, match="^chi must be finite, got -inf$"):
         call(np.array([[0.3, 0.5], [-math.inf, math.nan]]))
+
+
+# each range check: its parameter's name, its rule, and a call with value x
+RANGE_ENTRIES = {
+    "SwapParams-chi1": ("chi1", "be nonnegative", lambda x: SwapParams(x, 0.3, 0.5, 0.9)),
+    "SwapParams-chi2": ("chi2", "be nonnegative", lambda x: SwapParams(0.1, x, 0.5, 0.9)),
+    "SwapParams-gain": ("gain", "be nonnegative", lambda x: SwapParams(0.1, 0.3, x, 0.9)),
+    "SwapParams-eta": ("eta", "lie in [0, 1]", lambda x: SwapParams(0.1, 0.3, 0.5, x)),
+    "attenuate": ("transmissivity", "lie in [0, 1]",
+                  lambda x: attenuate(vacuum_field(0), x, ModeRegistry())),
+    "homodyne_currents": ("eta", "lie in [0, 1]", teleporter_parts),
+    "single_mode_teleporter-chi": ("chi", "be nonnegative", lambda x: teleport_vacuum(x, 0.5)),
+    "single_mode_teleporter-gain": ("gain", "be nonnegative", lambda x: teleport_vacuum(0.5, x)),
+}
+
+
+@pytest.mark.parametrize("entry", RANGE_ENTRIES)
+def test_out_of_range_array_is_named_on_one_line(entry):
+    """A range check on a 100-element array names the parameter and its
+    first bad element on one line, not the whole array."""
+    name, rule, call = RANGE_ENTRIES[entry]
+    values = np.linspace(0.5, -1.5, 100) if rule == "be nonnegative" else np.linspace(0, 2, 100)
+    bad = values[(values < 0) | (values > 1)][0]
+    with pytest.raises(ValueError) as error:
+        call(values)
+    assert str(error.value) == f"{name} must {rule}, got {bad}"
 
 
 def test_source_construction_is_reproducible():

@@ -42,6 +42,7 @@ from helpers import (
     baseline_s,
     checked_stdout,
     per_component_d_prime,
+    record_ch_s,
     wick_term_magnitudes,
 )
 
@@ -472,32 +473,13 @@ def test_each_component_runs_once_per_build(tmp_path, monkeypatch, capsys, comma
 FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
 
 
-def record_ch_s(monkeypatch):
-    """The list that each CLI call of ch_s appends (the circuit output, S) to."""
-    seen = []
-
-    def recording(out, angles):
-        result = ch_s(out, angles)
-        seen.append((out, result.s))
-        return result
-
-    monkeypatch.setattr(cvswap.cli, "ch_s", recording)
-    return seen
-
-
 @pytest.mark.parametrize("command", sorted(FOLDED_S))
 def test_folded_sweeps_s_within_term_rounding_of_pin(tmp_path, monkeypatch, capsys, command):
     """Each folded sweep contracts D' in one block, and every cell of S lies
     within 4e-15 of its pinned value, relative to the numerator's Wick-term
     magnitudes over the denominator (the numerator can cancel, so S itself
     is no scale)."""
-    seen = []
-
-    def recording(out, angles):
-        seen.append((out, angles, ch_s(out, angles)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(cvswap.cli, "ch_s", recording)
+    seen = record_ch_s(monkeypatch)
     assert main([command, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     [(out, angles, result)] = seen
@@ -521,7 +503,7 @@ def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, 
     seen = record_ch_s(monkeypatch)
     assert main(["threshold-scan", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(out, s)] = seen
+    [(out, _, scan)] = seen
     assert out.beam_a.field.ann.shape == (2, N_MODES)
     assert out.beam_d0.field.ann.shape == (3, 2, N_MODES)
     assert out.parts.field.ann.shape == (2, 3, 2, N_MODES)
@@ -535,7 +517,7 @@ def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, 
         numerator = sum(terms[name] for name in ("r_ab", "r_ab_prime", "r_a_prime_b",
                                                  "r_a_prime_b_prime"))
         scale = numerator / (result.r_singles_a + result.r_singles_b)
-        assert np.all(np.abs(s[i] - result.s) <= 4e-15 * scale)
+        assert np.all(np.abs(scan.s[i] - result.s) <= 4e-15 * scale)
 
 
 def test_threshold_scan_memory_per_grid_point(tmp_path):
@@ -559,19 +541,19 @@ def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
     seen = record_ch_s(monkeypatch)
     assert main(["fig4", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(out, s)] = seen
+    [(out, _, result)] = seen
     assert _operands(out)[1].shape[-3] == 2
     assert out.beam_d0.h.ann.shape[:-1] == (4,)
-    assert s.shape == (200, 4)
+    assert result.s.shape == (200, 4)
 
 
 def test_fig4_below_unit_efficiency_adds_the_loss_block(tmp_path, monkeypatch, capsys):
     seen = record_ch_s(monkeypatch)
     assert main(["fig4", "--eta", "0.9", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    [(out, s)] = seen
+    [(out, _, result)] = seen
     assert _operands(out)[1].shape[-3] == 3
-    assert s.shape == (200, 4)
+    assert result.s.shape == (200, 4)
 
 
 def test_fig4_memory_per_grid_point(tmp_path):
@@ -785,7 +767,6 @@ class TestThresholdScan:
         assert rows[-1][0] == pytest.approx(1.0)
         for column in (1, 2, 3):
             assert rows[-1][column] == pytest.approx(baseline_s(0.01), abs=5e-8)
-
 
     def test_crossing_is_the_first_in_either_direction(self):
         crossing = cvswap.cli._interpolate_crossing

@@ -1,4 +1,4 @@
-"""Every default CSV cell against the exact closed form of S at any pump.
+"""Every CSV cell against the exact closed form of S at any pump.
 
 Per polarization the teleporter is a phase-insensitive Gaussian channel of
 transmissivity tau = lambda^2 eta and added noise
@@ -12,21 +12,21 @@ and the CH ratio is
 
 with c = cosh chi1, s = sinh chi1 and K = sin^2(a - b) - sin^2(a - b')
 + sin^2(a' - b) + sin^2(a' - b').  The formula here is numpy only and
-shares no code with the package, whose CLI runs the default sweeps and two
-whose weights carry both the port and the loss part of the teleported beam.
-The grids are evaluated at their exact values, lo + (hi - lo) k/(steps - 1),
-not at the CSV's 9-digit first column.
+shares no code with the package, whose CLI runs the default sweeps, two
+whose weights carry both the port and the loss part of the teleported beam,
+and six that set the pump, levels, efficiency or grid by flag.  The
+grids are evaluated at their exact values, lo + (hi - lo) k/(steps - 1), not
+at the CSV's 9-digit first column.
 """
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvswap.cli
+from helpers import GOLDEN, record_ch_s
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 CHI1 = 0.1  # the default pump of every command
 OPTIMAL_ANGLES = (math.pi / 8, -math.pi / 4, 3 * math.pi / 8, 0.0)  # (a, b, a', b')
 
@@ -55,21 +55,22 @@ def closed_form(chi2, gain, eta, angles, chi1=CHI1):
 
 
 
-# each default sweep's exact CSV table, its S block and the rounding scale of S
-def fig3():
-    thetas = grid(0.0, math.pi / 2, 721)[:, None]
-    s, scale = closed_form(chi([0.99, 0.80]), 1.0, 1.0, (thetas, -2 * thetas, 3 * thetas, 0.0))
+# each sweep's exact CSV table, its S block and the rounding scale of S, at
+# the command's defaults unless given
+def fig3(chi1=CHI1, levels=(0.99, 0.80), eta=1.0, steps=721):
+    thetas = grid(0.0, math.pi / 2, steps)[:, None]
+    s, scale = closed_form(chi(levels), 1.0, eta, (thetas, -2 * thetas, 3 * thetas, 0.0), chi1)
     return np.hstack([thetas, s]), s, scale
 
 
-def fig4(eta=1.0):
-    gains = grid(0.01, 2.0, 200)[:, None]
-    s, scale = closed_form(chi([0.10, 0.50, 0.80, 0.99]), gains, eta, OPTIMAL_ANGLES)
+def fig4(chi1=CHI1, levels=(0.10, 0.50, 0.80, 0.99), eta=1.0, steps=200):
+    gains = grid(0.01, 2.0, steps)[:, None]
+    s, scale = closed_form(chi(levels), gains, eta, OPTIMAL_ANGLES, chi1)
     return np.hstack([gains, s]), s, scale
 
 
-def threshold_scan(chi1=CHI1):
-    etas = grid(0.7, 1.0, 61)[:, None]
+def threshold_scan(chi1=CHI1, steps=61, eta_min=0.7):
+    etas = grid(eta_min, 1.0, steps)[:, None]
     chi2 = chi([0.3, 0.5, 0.9])
     s, scale = closed_form(chi2, np.tanh(chi2) / np.sqrt(etas), etas, OPTIMAL_ANGLES, chi1)
     return np.hstack([etas, s]), s, scale
@@ -85,10 +86,20 @@ def operating_point():
 
 SWEEPS = {"fig3": fig3, "fig4": fig4, "threshold-scan": threshold_scan,
           "operating-point": operating_point}
-# the default sweeps, and two more whose teleported beam ch_s contracts in
-# three blocks, D'(0) and the port and loss parts
+# the default sweeps; two more whose D' ch_s contracts in three blocks; runs
+# that set the pump, levels, efficiency or grid size by flag; and an
+# efficiency grid whose last point lo + (1 - lo) 6/6 rounds to 1 + 2e-16
 RUNS = {**SWEEPS, "fig4 --eta 0.9": lambda: fig4(eta=0.9),
-        "threshold-scan --chi1 0.01": lambda: threshold_scan(chi1=0.01)}
+        "threshold-scan --chi1 0.01": lambda: threshold_scan(chi1=0.01),
+        "fig3 --angles-steps 9": lambda: fig3(steps=9),
+        "fig3 --chi1 0.3 --eta 0.85 --angles-steps 9 --squeezing 0.5":
+            lambda: fig3(0.3, (0.5,), 0.85, 9),
+        "fig4 --lambda-steps 7": lambda: fig4(steps=7),
+        "fig4 --chi1 0.3 --eta 0.85 --lambda-steps 7 --squeezing 0.5 --squeezing 0.9":
+            lambda: fig4(0.3, (0.5, 0.9), 0.85, 7),
+        "threshold-scan --eta-steps 5": lambda: threshold_scan(steps=5),
+        "threshold-scan --eta-min 0.16747097240675385 --eta-steps 7":
+            lambda: threshold_scan(steps=7, eta_min=0.16747097240675385)}
 GOLDEN_CSV = {"fig3": "fig3.csv", "fig4": "fig4.csv", "threshold-scan": "threshold_scan.csv"}
 # the default operating-point CSV, as tests/test_golden.py pins it
 OPERATING_POINT_CSV = "s_ad,lambda_op,coincidence_ratio\n1.07030161,0.351364184,0.111111111\n"
@@ -108,16 +119,15 @@ def test_golden_cells_within_rounding_of_closed_form(command):
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_engine_s_within_term_rounding_of_closed_form(monkeypatch, tmp_path, command):
     """ch_s's S on the command's build lies within 1e-12 of the numerator's
-    term magnitudes over the denominator."""
-    results, ch_s = [], cvswap.cli.ch_s
-
-    def recording(beams, angles):
-        results.append(ch_s(beams, angles))
-        return results[-1]
-
-    monkeypatch.setattr(cvswap.cli, "ch_s", recording)
+    term magnitudes over the denominator, and each cell of its CSV within
+    5e-9 relative of the exact table."""
+    calls = record_ch_s(monkeypatch)
     assert cvswap.cli.main(command.split() + ["--out", str(tmp_path)]) == 0
-    (result,) = results
-    _, s, scale = RUNS[command]()
+    [(_, _, result)] = calls
+    table, s, scale = RUNS[command]()
     assert np.broadcast_shapes(np.shape(s), result.s.shape) == result.s.shape
     assert np.all(np.abs(result.s - s) <= 1e-12 * scale)
+    [csv] = tmp_path.glob("*.csv")
+    cells = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    assert cells.shape == table.shape
+    assert np.all(np.abs(cells - table) <= 5e-9 * np.abs(table))

@@ -5,9 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from cvswap import cli
 from cvswap.circuit import (
     PolarizedBeam,
     SwapParams,
@@ -19,7 +17,6 @@ from cvswap.circuit import (
 from cvswap.metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
-    NoCoincidencesError,
     _contractions,
     _grid,
     _horner,
@@ -29,7 +26,6 @@ from cvswap.metrics import (
     ch_s,
     coincidence_rate,
     maximize_s,
-    optimal_gain,
     singles_rate,
     squeezing_to_chi,
 )
@@ -40,35 +36,6 @@ from helpers import (
     source_beams,
     wick_term_magnitudes,
 )
-
-
-def cli_rows(monkeypatch, tmp_path, argv):
-    """The rows a command hands to write_csv, before 9-digit formatting."""
-    captured = {}
-
-    def capture(path, header, rows):
-        captured["rows"] = rows
-
-    monkeypatch.setattr(cli, "write_csv", capture)
-    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    return captured["rows"]
-
-
-def per_point_s(chi1, chi2, gain, eta, angles):
-    return ch_s(build_swap_circuit(SwapParams(chi1, chi2, gain, eta)), angles).s
-
-
-def record_kernel(monkeypatch):
-    """The list that each CLI call of ch_s appends ((A, D'), angles, result) to."""
-    calls = []
-
-    def recording(out, angles):
-        result = ch_s(out, angles)
-        calls.append(((out.beam_a, out.beam_d_prime), angles, result))
-        return result
-
-    monkeypatch.setattr(cli, "ch_s", recording)
-    return calls
 
 
 def assert_cells_match_wick(call, cells):
@@ -105,86 +72,40 @@ def assert_cells_match_wick(call, cells):
             assert abs(value - reference) <= 1e-12 * abs(reference), (name, index)
 
 
-@pytest.mark.parametrize("chi1, levels, eta", [
-    (0.1, (0.99, 0.80), 1.0),
-    (0.3, (0.5,), 0.85),
-])
-def test_fig3_cells_match_per_point(monkeypatch, tmp_path, capsys, chi1, levels, eta):
-    argv = ["fig3", "--chi1", str(chi1), "--eta", str(eta), "--angles-steps", "9"]
-    calls = record_kernel(monkeypatch)
-    rows = cli_rows(monkeypatch, tmp_path,
-                    argv + [a for level in levels for a in ("--squeezing", str(level))])
-    capsys.readouterr()
-    assert len(rows) == 9
-    # theta = 0 and pi/2 give u_a' = +-u_a, under which a mixed-up rate goes unseen
-    assert_cells_match_wick(calls[0], [(1, 0), (4, len(levels) - 1), (6, 0)])
-    for k, (theta, *cells) in enumerate(rows):
-        assert theta == math.pi / 2 * k / 8
-        for level, cell in zip(levels, cells):
-            expected = per_point_s(chi1, squeezing_to_chi(level), 1.0, eta,
-                                   angle_family(theta))
-            assert abs(cell - expected) <= 1e-12 * abs(expected)
-
-
-@pytest.mark.parametrize("chi1, levels, eta", [
-    (0.1, (0.10, 0.50, 0.80, 0.99), 1.0),
-    (0.3, (0.5, 0.9), 0.85),
-])
-def test_fig4_cells_match_per_point(monkeypatch, tmp_path, capsys, chi1, levels, eta):
-    argv = ["fig4", "--chi1", str(chi1), "--eta", str(eta), "--lambda-steps", "7"]
-    calls = record_kernel(monkeypatch)
-    rows = cli_rows(monkeypatch, tmp_path,
-                    argv + [a for level in levels for a in ("--squeezing", str(level))])
-    capsys.readouterr()
-    assert len(rows) == 7
-    assert_cells_match_wick(calls[0], [(0, 0), (3, len(levels) - 1), (6, 1)])
-    for k, (gain, *cells) in enumerate(rows):
-        assert gain == 0.01 + (2.0 - 0.01) * k / 6
-        for level, cell in zip(levels, cells):
-            expected = per_point_s(chi1, squeezing_to_chi(level), gain, eta,
-                                   OPTIMAL_ANGLES)
-            assert abs(cell - expected) <= 1e-12 * abs(expected)
-
-
-def test_threshold_cells_match_per_point(monkeypatch, tmp_path, capsys):
-    levels = (0.3, 0.5, 0.9)
-    calls = record_kernel(monkeypatch)
-    rows = cli_rows(monkeypatch, tmp_path, ["threshold-scan", "--eta-steps", "5"])
-    capsys.readouterr()
-    assert len(rows) == 5
-    assert_cells_match_wick(calls[0], [(0, 0), (2, 1), (4, 2)])
-    for k, (eta, *cells) in enumerate(rows):
-        assert eta == 0.70 + (1.0 - 0.70) * k / 4
-        for level, cell in zip(levels, cells):
-            chi2 = squeezing_to_chi(level)
-            expected = per_point_s(0.1, chi2, optimal_gain(chi2, eta), eta,
-                                   OPTIMAL_ANGLES)
-            assert abs(cell - expected) <= 1e-12 * abs(expected)
-
-
 def test_angles_of_four_shapes_match_per_point():
-    """Each angle broadcasts on its own axes against a batch of beams."""
-    chi2 = np.array([0.3, 0.8])  # beam batch, axis 2
-    theta_a = np.array([0.1, 0.5, 1.2])[:, None, None]  # axis 0
+    """Each angle broadcasts on its own axes against a batch of beams, with
+    D' folded (one gain) or in three blocks (a gain grid at eta = 0.9): each
+    rate has the shape of the beams and angles it uses, and each cell equals
+    ch_s on that cell's own build."""
+    chi2 = np.array([0.3, 0.8])  # the beams' last axis
+    theta_a = np.array([0.1, 0.5, 1.2])[:, None, None, None]  # axis 0
     theta_b = -0.4  # scalar
-    theta_a_prime = np.array([0.2, 0.9, 1.5, 2.8])[:, None]  # axis 1
-    theta_b_prime = np.array([0.05, -0.7])  # axis 2, with the beams
-    out = build_swap_circuit(SwapParams(0.1, chi2, 0.8, 0.9))
+    theta_a_prime = np.array([0.2, 0.9, 1.5, 2.8])[:, None, None]  # axis 1
+    theta_b_prime = np.array([0.05, -0.7])  # the last axis, with the levels
     angles = AnalyzerAngles(theta_a, theta_b, theta_a_prime, theta_b_prime)
-    kernel = ch_s(out, angles)
-    assert kernel.s.shape == (3, 4, 2)
-    assert_cells_match_wick(((out.beam_a, out.beam_d_prime), angles, kernel),
-                            [(0, 0, 0), (1, 2, 1), (2, 3, 0)])
-    # a rate keeps the broadcast shape of the angles it depends on
-    kernel = {name: np.broadcast_to(value, (3, 4, 2)) for name, value in kernel._asdict().items()}
-    for i, j, k in np.ndindex(3, 4, 2):
-        angles = AnalyzerAngles(float(theta_a[i, 0, 0]), theta_b,
-                                float(theta_a_prime[j, 0]), float(theta_b_prime[k]))
-        expected = ch_s(build_swap_circuit(SwapParams(0.1, float(chi2[k]), 0.8, 0.9)),
-                        angles)
-        for name, value in kernel.items():
-            reference = getattr(expected, name)
-            assert abs(value[i, j, k] - reference) <= 1e-12 * abs(reference), name
+    uses = {"r_ab": (theta_a, theta_b), "r_ab_prime": (theta_a, theta_b_prime),
+            "r_a_prime_b": (theta_a_prime, theta_b),
+            "r_a_prime_b_prime": (theta_a_prime, theta_b_prime),
+            "r_singles_a": (theta_a_prime,), "r_singles_b": (theta_b,)}
+    for gain, blocks in ((0.8, 1), (np.array([0.3, 1.1])[:, None], 3)):
+        out = build_swap_circuit(SwapParams(0.1, chi2, gain, 0.9))
+        assert _operands(out)[1].shape[-3] == blocks
+        kernel = ch_s(out, angles)
+        shape = kernel.s.shape
+        assert shape == (3, 4, np.size(gain), 2)
+        for name, thetas in uses.items():
+            assert getattr(kernel, name).shape == np.broadcast_shapes(
+                np.shape(gain), chi2.shape, *map(np.shape, thetas)), name
+        assert_cells_match_wick(((out.beam_a, out.beam_d_prime), angles, kernel),
+                                [(0, 0, 0, 0), (1, 2, 0, 1), (2, 3, shape[2] - 1, 0)])
+        for index in np.ndindex(shape):
+            *point, gain_k, chi2_k = (float(np.broadcast_to(x, shape)[index])
+                                      for x in (*angles, gain, chi2))
+            expected = ch_s(build_swap_circuit(SwapParams(0.1, chi2_k, gain_k, 0.9)),
+                            AnalyzerAngles(*point))
+            for name, reference in expected._asdict().items():
+                value = np.broadcast_to(getattr(kernel, name), shape)[index]
+                assert abs(value - reference) <= 1e-12 * abs(reference), name
 
 
 def test_polarization_dependent_loss_matches_wick_sum():
@@ -297,116 +218,6 @@ def test_bare_pair_rates_at_weak_pump_within_twice_the_stated_loss(chi1, coincid
         assert np.all(error <= bound * terms[name]), name
 
 
-_angle =st.floats(min_value=-math.pi, max_value=math.pi)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(chi1=st.floats(min_value=0.01, max_value=1.0),
-       chi2=st.floats(min_value=0.0, max_value=3.0),
-       gain=st.floats(min_value=0.0, max_value=2.0),
-       eta=st.floats(min_value=0.0, max_value=1.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle))
-def test_kernel_rates_match_wick_sum(chi1, chi2, gain, eta, thetas):
-    """Every kernel rate equals the general Wick sum within 1e-12 relative.
-
-    The absolute floor, 1e-15 of the largest rate, admits rates that vanish
-    up to rounding of their contractions.  Where the Wick singles sum is 0 or
-    subnormal (no squeezing and no gain leave D' in vacuum), the kernel must
-    raise.
-    """
-    out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
-    beam_a, beam_d = out.beam_a, out.beam_d_prime
-    angles = AnalyzerAngles(*thetas)
-    e_a = analyzer(beam_a, angles.theta_a, "a")
-    e_a_prime = analyzer(beam_a, angles.theta_a_prime, "a")
-    e_b = analyzer(beam_d, angles.theta_b, "d")
-    e_b_prime = analyzer(beam_d, angles.theta_b_prime, "d")
-    wick = {
-        "r_ab": coincidence_rate(e_a, e_b),
-        "r_ab_prime": coincidence_rate(e_a, e_b_prime),
-        "r_a_prime_b": coincidence_rate(e_a_prime, e_b),
-        "r_a_prime_b_prime": coincidence_rate(e_a_prime, e_b_prime),
-        "r_singles_a": singles_rate(e_a_prime, beam_d),
-        "r_singles_b": singles_rate(e_b, beam_a),
-    }
-    if wick["r_singles_a"] + wick["r_singles_b"] < np.finfo(float).tiny:
-        with pytest.raises(NoCoincidencesError):
-            ch_s(out, angles)
-        return
-    kernel = ch_s(out, angles)
-    scale = max(wick.values())
-    for name, value in wick.items():
-        assert getattr(kernel, name) == pytest.approx(value, rel=1e-12, abs=1e-15 * scale)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(chi1=st.floats(min_value=1e-3, max_value=3.0),
-       chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
-       gain_max=st.floats(min_value=0.1, max_value=10.0),
-       eta=st.floats(min_value=0.01, max_value=1.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle),
-       points=st.integers(min_value=1, max_value=300))
-def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points):
-    """ch_s on a circuit output it contracts in blocks, D'(0) and each part
-    of a nonzero weight, gives the rates of ch_s on D'.
-
-    The gain grid, of 1 to 300 points on an axis of its own, starts with 0
-    and each level's optimal gain, where the gain orders of D''s Gram
-    matrix cancel most, and goes on up to gain_max.  Each rate must agree
-    within 1e-12 of the summed magnitudes of its three Wick terms, the
-    scale of its rounding error: S is not the scale, as it crosses 0 on
-    the fig3 family.  From chi2 ~ 5 on, D''s own coefficients near the
-    optimal gain, g cosh(chi2) - sinh(chi2), lose more than that to
-    rounding, so the draw stops at chi2 = 4 (99.97% squeezing);
-    test_factored_s_at_extreme_squeezing goes further.
-    """
-    chi2 = np.array(chi2s)
-    gains = np.concatenate([[0.0], optimal_gain(chi2, eta),
-                            np.linspace(0.0, gain_max, points)])[:points]
-    out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert _operands(out)[1].shape[-3] == 1 + nonzero_parts(out)
-    angles = AnalyzerAngles(*thetas)
-    folded_beams = (out.beam_a, out.beam_d_prime)
-    try:
-        folded = ch_s(folded_beams, angles)
-    except NoCoincidencesError:
-        with pytest.raises(NoCoincidencesError):
-            ch_s(out, angles)
-        return
-    factored = ch_s(out, angles)
-    for name, scale in wick_term_magnitudes(*folded_beams, angles).items():
-        deviation = np.abs(getattr(factored, name) - getattr(folded, name))
-        assert np.all(deviation <= 1e-12 * scale), name
-
-
-def test_factored_rates_match_folded_at_array_angles():
-    """Each angle on a batch axis of its own, against a 256-point gain grid:
-    every cell of every rate that ch_s contracts from D''s three blocks agrees
-    with ch_s on folded D' within 1e-12 of its Wick-term scale, and each
-    rate has the broadcast shape of the beams and the angles it uses."""
-    chi2 = np.array([0.4, 1.7])
-    out = build_swap_circuit(SwapParams(0.2, chi2, _grid(0.01, 2.0, 256)[:, None], 0.9))
-    assert _operands(out)[1].shape[-3] == 3
-    theta_a = np.array([0.1, 0.5, 1.2])[:, None, None, None, None, None]  # axis 0
-    theta_b = np.array([-0.4, 0.9])[:, None, None, None, None]  # axis 1
-    theta_a_prime = np.array([0.3, 1.5])[:, None, None, None]  # axis 2
-    theta_b_prime = np.array([0.05, -0.7])[:, None, None]  # axis 3; the beams take 4 and 5
-    angles = AnalyzerAngles(theta_a, theta_b, theta_a_prime, theta_b_prime)
-    folded_beams = (out.beam_a, out.beam_d_prime)
-    folded = ch_s(folded_beams, angles)
-    factored = ch_s(out, angles)
-    uses = {"r_ab": (theta_a, theta_b), "r_ab_prime": (theta_a, theta_b_prime),
-            "r_a_prime_b": (theta_a_prime, theta_b),
-            "r_a_prime_b_prime": (theta_a_prime, theta_b_prime),
-            "r_singles_a": (theta_a_prime,), "r_singles_b": (theta_b,)}
-    for name, scale in wick_term_magnitudes(*folded_beams, angles).items():
-        value = getattr(factored, name)
-        assert value.shape == np.broadcast_shapes((256, 2), *map(np.shape, uses[name])), name
-        assert value.shape == getattr(folded, name).shape, name
-        assert np.all(np.abs(value - getattr(folded, name)) <= 1e-12 * scale), name
-    assert factored.s.shape == (3, 2, 2, 2, 256, 2)
-
-
 @pytest.mark.parametrize("chi1", [1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_factored_s_at_extreme_squeezing(chi1, eta):
@@ -506,49 +317,6 @@ def test_zero_weight_parts_are_dropped(gain, eta, blocks):
         value = getattr(result, name)
         assert value.shape == getattr(folded, name).shape == shape, name
         assert np.all(np.abs(value - getattr(folded, name)) <= 1e-12 * scale), name
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(chi1=st.floats(min_value=1e-3, max_value=3.0),
-       chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
-       etas=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),
-       gain_max=st.floats(min_value=0.1, max_value=10.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle),
-       points=st.integers(min_value=1, max_value=40))
-def test_two_part_rates_match_folded(chi1, chi2s, etas, gain_max, thetas, points):
-    """ch_s on a circuit output whose efficiency axis adds batch axes to the
-    weights, so that it contracts D'(0) and the port and loss parts as
-    blocks, gives the rates of ch_s on D' folded at each eta.
-
-    The grid is (gains, efficiencies, levels); its gains are each level's
-    optimal gain at each eta, where D''s orders cancel most, and a grid from
-    0 to gain_max.  Each rate must agree within 1e-12 of the summed
-    magnitudes of its three Wick terms; where there is no coincidence
-    signal, both must raise NoCoincidencesError.
-    """
-    chi2, eta = np.array(chi2s), np.array(etas)[:, None]
-    grid = np.linspace(0.0, gain_max, points)[:, None, None]
-    gains = np.concatenate([optimal_gain(chi2, eta)[None],
-                            np.broadcast_to(grid, (points, len(etas), len(chi2s)))])
-    out = build_swap_circuit(SwapParams(chi1, chi2, gains, eta))
-    assert out.parts.field.ann.shape[:2] == (2, len(chi2s))
-    angles = AnalyzerAngles(*thetas)
-    folded = []
-    try:
-        for e in range(len(etas)):
-            one = build_swap_circuit(SwapParams(chi1, chi2, gains[:, e], etas[e]))
-            beams = (one.beam_a, one.beam_d_prime)
-            folded.append((ch_s(beams, angles), wick_term_magnitudes(*beams, angles)))
-    except NoCoincidencesError:
-        with pytest.raises(NoCoincidencesError):
-            ch_s(out, angles)
-        return
-    split = ch_s(out, angles)
-    for e, (result, scales) in enumerate(folded):
-        for name, scale in scales.items():
-            value = np.broadcast_to(getattr(split, name), gains.shape)[:, e]
-            deviation = np.abs(value - getattr(result, name))
-            assert np.all(deviation <= 1e-12 * scale), name
 
 
 def test_horner_matches_double_sum_on_three_blocks():

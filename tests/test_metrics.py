@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cvswap.cli
 from cvswap import (
@@ -37,12 +38,13 @@ from cvswap.metrics import (
     RateOverflowError,
     _ch_result,
     _contractions,
+    _grid,
     _hermitian_form,
     _operands,
     _require_semidefinite,
     angle_family,
 )
-from helpers import baseline_s, source_beams, support
+from helpers import baseline_s, record_ch_s, source_beams, support
 
 S_LIMIT = (1 + math.sqrt(2)) / 2  # weak-pump CH maximum of the pair source
 
@@ -274,12 +276,10 @@ class TestChS:
         """Each default build's block matrix [H_bc] is accepted, with its
         smallest eigenvalue above 1e-6 of its trace; with the Gram term
         Re G_1 (x) Re G_2 negated, every one is rejected."""
-        seen = []
-        monkeypatch.setattr(cvswap.cli, "ch_s",
-                            lambda out, angles: seen.append(out) or ch_s(out, angles))
+        seen = record_ch_s(monkeypatch)
         assert cvswap.cli.main([command, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        beam_1, right, _ = _operands(seen[0])
+        beam_1, right, _ = _operands(seen[0][0])
         h = _hermitian_form(beam_1, right)
         _require_semidefinite(h)
         blocks = h.shape[-3]
@@ -456,6 +456,20 @@ class TestGainWindow:
         assert window is not None
         low, high = window
         assert low == high == pytest.approx(optimal_gain(chi2, eta), rel=1e-15)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(lo=st.floats(min_value=-1e300, max_value=1e300),
+       hi=st.floats(min_value=-1e300, max_value=1e300),
+       steps=st.integers(min_value=2, max_value=1000))
+@example(lo=0.16747097240675385, hi=1.0, steps=7)  # threshold-scan's last eta rounded up
+def test_grid_lies_within_its_bounds_and_ends_at_both(lo, hi, steps):
+    """lo + (hi - lo) k/(steps - 1) can round an ulp past hi or short of it;
+    every sweep grid lies in [lo, hi] and starts and ends at them exactly."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    grid = _grid(lo, hi, steps)
+    assert grid[0] == lo and grid[-1] == hi
+    assert np.all((lo <= grid) & (grid <= hi))
 
 
 class TestMaximizeS:

@@ -6,8 +6,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 import cvswap.selftest
 
@@ -26,14 +24,11 @@ from cvswap import (
 )
 from cvswap.modes import _matching_pairs
 from helpers import (
-    TwoArrayField,
     is_hermitian,
     is_zero,
     max_oracle_deviation,
     random_field,
     random_product,
-    two_array_commutator,
-    two_array_vacuum_expectation,
 )
 
 
@@ -233,69 +228,6 @@ def test_cached_matching_pairs_follow_the_enumerator():
         assert not pairs.flags.writeable
         assert [[tuple(pair) for pair in matching] for matching in pairs.tolist()] \
             == list(wick_matchings(n))
-
-
-_COEFFICIENTS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-
-
-def _coefficient_pair(draw, batch):
-    # the (ann, cre) arrays of one field, drawn on its first 1 to 12 modes
-    # and 0 on the rest, so Hypothesis draws no more than a field's terms
-    n_modes = draw(st.integers(1, N_MODES))
-    pair = np.zeros((2,) + tuple(batch) + (N_MODES,), dtype=complex)
-    for row in pair:
-        row[..., :n_modes] = draw(hnp.arrays(complex, tuple(batch) + (n_modes,),
-                                             elements=_COEFFICIENTS))
-    return list(pair)
-
-
-@st.composite
-def _operands(draw):
-    # two fields and a multiplier, a scalar or an array, whose shapes broadcast
-    batch_f, batch_g, batch_c = draw(hnp.mutually_broadcastable_shapes(
-        num_shapes=3, max_dims=2, max_side=3)).input_shapes
-    multiplier = draw(st.one_of(
-        st.floats(-2.0, 2.0), _COEFFICIENTS,
-        hnp.arrays(draw(st.sampled_from([float, complex])), batch_c,
-                   elements=st.floats(-2.0, 2.0))))
-    return _coefficient_pair(draw, batch_f), _coefficient_pair(draw, batch_g), multiplier
-
-
-def _assert_same_field(got: LinearField, want: TwoArrayField) -> None:
-    assert np.shares_memory(got.ann, got.coeffs) and np.shares_memory(got.cre, got.coeffs)
-    for x, y in ((got.ann, want.ann), (got.cre, want.cre)):
-        assert x.shape == y.shape and np.array_equal(x, y)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_operands())
-def test_one_array_algebra_matches_two_array_reference(operands):
-    (f_ann, f_cre), (g_ann, g_cre), c = operands
-    f, g = (LinearField(np.stack(rows, axis=-2)) for rows in ((f_ann, f_cre), (g_ann, g_cre)))
-    ref_f, ref_g = TwoArrayField(f_ann, f_cre), TwoArrayField(g_ann, g_cre)
-    _assert_same_field(f, ref_f)
-    for got, want in ((f + g, ref_f + ref_g), (f - g, ref_f - ref_g), (g - f, ref_g - ref_f),
-                      (-f, -ref_f), (c * f, c * ref_f), (f * c, ref_f * c),
-                      (f.adjoint(), ref_f.adjoint()), (g.adjoint(), ref_g.adjoint())):
-        _assert_same_field(got, want)
-    for x, y in ((f, g), (f, f.adjoint()), (g, f.adjoint())):
-        ref_x, ref_y = (TwoArrayField(field.ann, field.cre) for field in (x, y))
-        assert np.array_equal(commutator(x, y), two_array_commutator(ref_x, ref_y))
-
-
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.data())
-def test_vacuum_expectation_matches_two_array_reference(data):
-    # products of 0 to 6 single fields, each taken as is or as its adjoint
-    product, reference = [], []
-    for _ in range(data.draw(st.integers(0, 6))):
-        ann, cre = _coefficient_pair(data.draw, ())
-        field, ref = LinearField(np.stack([ann, cre], axis=-2)), TwoArrayField(ann, cre)
-        if data.draw(st.booleans()):
-            field, ref = field.adjoint(), ref.adjoint()
-        product.append(field)
-        reference.append(ref)
-    assert vacuum_expectation(product) == two_array_vacuum_expectation(reference)
 
 
 # sha256 of the 40 products that the selftest's dual-oracle-moments check

@@ -11,7 +11,7 @@ rate form stays of the size of the pair rate, which the singles carry.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cvswap import AnalyzerAngles, NoCoincidencesError, SwapParams, build_swap_circuit, ch_s
 from helpers import source_beams
@@ -80,3 +80,28 @@ def test_singles_rates_do_not_depend_on_the_analyzer_angles(chi1, chi2, gain, et
     scale = sum(map(abs, before[:6]))
     for name in ("r_singles_a", "r_singles_b"):
         assert abs(getattr(after, name) - getattr(before, name)) <= 1e-14 * scale, name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chi1=_chi1, chi2=st.floats(min_value=0.0, max_value=4.0),
+       gain=st.floats(min_value=0.0, max_value=2.0), eta=st.floats(min_value=0.0, max_value=1.0),
+       fraction=st.floats(min_value=0.0, max_value=1.0), angles=_angles)
+def test_rates_depend_on_the_teleporter_only_through_tau_and_n(chi1, chi2, gain, eta, fraction,
+                                                               angles):
+    """The teleporter is a Gaussian channel of transmissivity tau = g^2 eta
+    and noise N = (sinh chi2 - sqrt(tau) cosh chi2)^2 + g^2 (1 - eta), so
+    eta' in [tau/(tau + N), 1], g' = sqrt(tau/eta') and the chi2' solving
+    sinh chi - sqrt(tau) cosh chi = sqrt(N - tau (1/eta' - 1)) keep the rates."""
+    tau = gain ** 2 * eta
+    assume(1e-6 <= tau <= 0.99)  # chi2' grows with artanh sqrt(tau)
+    noise = (math.sinh(chi2) - math.sqrt(tau) * math.cosh(chi2)) ** 2 + gain ** 2 * (1 - eta)
+    low = tau / (tau + noise)
+    eta_2 = low + fraction * (1.0 - low)
+    rest = max(noise - tau * (1.0 / eta_2 - 1.0), 0.0)
+    chi2_2 = math.atanh(math.sqrt(tau)) + math.asinh(math.sqrt(rest / (1.0 - tau)))
+    before = ch_s(build_swap_circuit(SwapParams(chi1, chi2, gain, eta)), angles)
+    after = ch_s(build_swap_circuit(SwapParams(chi1, chi2_2, math.sqrt(tau / eta_2), eta_2)),
+                 angles)
+    scale = sum(map(abs, before[:6]))
+    for name in before._fields[:6]:  # the rates, not s
+        assert abs(getattr(after, name) - getattr(before, name)) <= 1e-13 * scale, name
