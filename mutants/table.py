@@ -251,11 +251,18 @@ MUTANTS = [
         "single_mode_teleporter takes only a float chi again: an array chi "
         "raises a TypeError instead of broadcasting"),
     Mutant(
-        "entry-point-skips-freeze", "__main__.py",
-        "    finally:\n        gc.freeze()",
-        "    finally:\n        pass",
-        "python -m cvswap and the cvswap command exit through the interpreter's "
-        "full teardown collections again; every output is unchanged"),
+        "cli-import-skips-freeze", "cli.py",
+        "\ngc.freeze()\n",
+        "\npass\n",
+        "importing cvswap.cli leaves numpy's and cvswap's import graph to the "
+        "collector, so every child walks it again at exit; every output is "
+        "unchanged"),
+    Mutant(
+        "selftest-check-exception-escapes", "selftest.py",
+        "        try:\n            detail = check()\n        except Exception as exc:",
+        "        detail = check()\n        if False:",
+        "a selftest check that raises ends selftest with a traceback and "
+        "exit 1, and the remaining checks never run"),
     Mutant(
         "same-handedness-analyzers", "metrics.py",
         'u[..., 1] = (1.0 if side == "a" else -1.0) * np.sin(theta)',

@@ -29,6 +29,12 @@ evaluates ``lo + (hi - lo) * k / (steps - 1)`` elementwise.
 The argparse tree is built once per process, on the first :func:`main`
 call, and reused by every later call; each parse returns its own namespace.
 
+The module body ends with ``gc.freeze()``: it moves numpy's and cvswap's
+import graph into the permanent generation, so neither the collections of a
+run nor the interpreter's final ones at exit walk it.  Only this import
+freezes; :func:`main` never touches the collector, and ``import cvswap``
+alone freezes nothing.
+
 Each setting is an :class:`ExperimentConfig` field, named by its config key
 (its flag with underscores: ``lambda_min`` for ``--lambda-min``) and holding
 its default; one per-command table holds each command's help, the defaults
@@ -45,6 +51,7 @@ directory, a grid too large for memory or rates that overflow float range,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from functools import cache
@@ -417,7 +424,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+# a process that imports the command-line module keeps that import graph until
+# it exits, so it moves to the permanent generation, which no collection walks
+gc.freeze()
+
 if __name__ == "__main__":
-    # python -m cvswap.cli ends the process as python -m cvswap does
-    from .__main__ import run
-    run()
+    sys.exit(main())

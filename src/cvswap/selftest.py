@@ -1,6 +1,7 @@
 """Deterministic invariant suite backing the CLI selftest command.
 
-Each check returns None on success or a one-line failure detail.  The suite
+Each check returns None on success or a one-line failure detail; a check
+that raises fails with its exception's type and message.  The suite
 covers the algebra/oracle equivalences and the physicality invariants of the
 circuit; it is the first thing to run after any change to the feedforward
 phase conventions or the component algebra.
@@ -224,7 +225,10 @@ def run_selftest(stream: TextIO) -> int:
     """Run every check, print one line per check, return 0 (pass) or 3."""
     failures = []
     for name, check in CHECKS:
-        detail = check()
+        try:
+            detail = check()
+        except Exception as exc:  # a check that raises fails; the rest still run
+            detail = f"{type(exc).__name__}: {exc}".replace("\n", " ")
         if detail is None:
             stream.write(f"ok   {name}\n")
         else:

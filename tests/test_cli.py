@@ -636,14 +636,17 @@ class TestEntryPoint:
     stdout through a pipe."""
 
     @staticmethod
-    def run(tmp_path, *argv, out=True, module="cvswap"):
+    def python(*args):
         src = Path(cvswap.cli.__file__).resolve().parents[1]
         # one BLAS thread, as in the benchmark's children: starting a pool
         # costs each child more than its whole sweep
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        out_flag = ["--out", str(tmp_path / "out")] if out else []
-        return subprocess.run([sys.executable, "-m", module, *argv, *out_flag],
+        return subprocess.run([sys.executable, *args],
                               env=env, capture_output=True, text=True, timeout=120)
+
+    def run(self, tmp_path, *argv, out=True, module="cvswap"):
+        out_flag = ["--out", str(tmp_path / "out")] if out else []
+        return self.python("-m", module, *argv, *out_flag)
 
     @pytest.mark.parametrize("command, workload, csv", GOLDEN_SWEEPS)
     def test_sweep_matches_golden(self, tmp_path, command, workload, csv):
@@ -665,28 +668,40 @@ class TestEntryPoint:
             "cvswap: error: unrecognized arguments: --lambda-steps 3\n")
         assert not (tmp_path / "out").exists()
 
-    def test_console_script_runs_the_module_entry(self, monkeypatch):
-        """The installed ``cvswap`` command calls the function that ``python
-        -m cvswap`` runs, so both end the process the same way: ``main``,
-        then the heap freeze, then exit with main's code."""
+    def test_script_and_module_exit_with_mains_code(self, monkeypatch):
+        """The installed ``cvswap`` command is ``cvswap.cli.main``, and
+        ``python -m cvswap`` exits with the code that ``main`` returns."""
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cvswap"]
-        script = pkgutil.resolve_name(target)
-        events = []
-
-        def fake_main():
-            events.append(sys._getframe(1).f_code)
-            return 3
-
-        monkeypatch.setattr(cvswap.cli, "main", fake_main)
-        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        assert pkgutil.resolve_name(target) is cvswap.cli.main
+        monkeypatch.setattr(cvswap.cli, "main", lambda: 3)
         # runpy warns when the module it runs as __main__ is already imported
         monkeypatch.delitem(sys.modules, "cvswap.__main__", raising=False)
         with pytest.raises(SystemExit) as exc:
             runpy.run_module("cvswap", run_name="__main__")
         assert exc.value.code == 3
-        assert events == [script.__code__, "freeze"]
+
+    def test_only_the_command_line_import_freezes_the_heap(self):
+        """A bare ``import cvswap``, for library use, freezes nothing; then
+        ``import cvswap.cli`` freezes the heap and leaves the collector on."""
+        done = self.python("-c", "import gc, cvswap; bare = gc.get_freeze_count(); "
+                           "import cvswap.cli; "
+                           "print(bare, gc.get_freeze_count(), gc.isenabled())")
+        assert (done.returncode, done.stderr) == (0, "")
+        bare, frozen, enabled = done.stdout.split()
+        assert (int(bare), int(frozen) > 0, enabled) == (0, True, "True")
+
+    def test_module_cli_imports_itself_once(self):
+        """``python -m cvswap.cli`` runs cli.py as ``__main__`` only: it never
+        imports it a second time as ``cvswap.cli``."""
+        done = self.python("-X", "importtime", "-m", "cvswap.cli", "selftest")
+        assert done.returncode == 0
+        assert done.stdout == (GOLDEN / "selftest.stdout").read_text()
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "cvswap.modes" in imported
+        assert "cvswap.cli" not in imported
 
     @pytest.mark.parametrize("argv", [["fig4", "--lambda-steps", "3"], ["selftest"]])
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, argv):
@@ -949,6 +964,26 @@ class TestSelftest:
         assert [line for line in lines if not line.startswith("ok   ")] == [
             f"FAIL {check}: {detail}",
             f"selftest: 1 of 7 checks failed; first failure: {check}"]
+
+    def test_check_that_raises_fails_in_one_line_and_the_rest_still_run(self, monkeypatch,
+                                                                         capsys):
+        def raises(exc):
+            def check():
+                raise exc
+            return check
+
+        checks = list(cvswap.selftest.CHECKS)
+        first, last = checks[0][0], checks[-1][0]
+        checks[0] = first, raises(ValueError("input 0 is not a canonical mode"))
+        checks[-1] = last, raises(RuntimeError("two\nlines"))
+        monkeypatch.setattr(cvswap.selftest, "CHECKS", checks)
+        assert main(["selftest"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"FAIL {first}: ValueError: input 0 is not a canonical mode",
+            *[f"ok   {name}" for name, _ in checks[1:-1]],
+            f"FAIL {last}: RuntimeError: two lines",
+            f"selftest: 2 of 7 checks failed; first failure: {first}"]
 
     def test_corrupted_feedforward_phase_is_caught(self, monkeypatch):
         """Flipping the minus-quadrature gain phase feeds the measured beam
