@@ -38,7 +38,6 @@ import numpy as np
 from .modes import (
     LinearField,
     ModeRegistry,
-    _rows,
     quadrature_minus,
     quadrature_plus,
     vacuum_field,
@@ -200,7 +199,7 @@ def _require_canonical(*fields: LinearField) -> None:
     # [F_i, F_j] = sum a_i c_j - c_i a_j.  Checked in the order of a loop
     # over the inputs, each input before the pairs it opens
     k = len(fields)
-    rows = _rows([f.coeffs for f in fields])
+    rows = np.stack(np.broadcast_arrays(*(f.coeffs for f in fields)), axis=-2)
     duals = np.concatenate([rows.conj(), rows[..., ::-1, :, :]], axis=-2)
     duals[..., 1, :, :] *= -1  # the cre rows enter with a minus sign
     off = np.abs(np.einsum("...sim,...sjm->...ij", rows, duals) - np.eye(k, 2 * k))

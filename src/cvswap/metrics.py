@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuit import PolarizedBeam, SwapCircuitOutput
-from .modes import LinearField, _rows, vacuum_expectation
+from .circuit import PolarizedBeam, SwapCircuitOutput, _require_finite, _require_unit_interval
+from .modes import LinearField, vacuum_expectation
 
 __all__ = [
     "NoCoincidencesError",
@@ -164,8 +164,7 @@ def _operands(beams: SwapCircuitOutput | tuple[PolarizedBeam, PolarizedBeam]
     kept = [k for k, w in enumerate(weights) if w.any()]
     if not kept or np.broadcast(parts[0, ..., 0, 0], weights[0]).shape == parts.shape[1:-2]:
         return _operands((beams.beam_a, beams.beam_d_prime))
-    right = _rows([x[..., p, :] for x in (beams.beam_d0.field.cre, *parts[kept]) for p in (0, 1)])
-    right = right.reshape(right.shape[:-2] + (1 + len(kept), 2, -1))
+    right = np.stack(np.broadcast_arrays(beams.beam_d0.field.cre, *parts[kept]), axis=-3)
     traces = [np.einsum("...bim,...im->...b", right.conj(), right[..., k, :, :]).real
               for k in range(1, 1 + len(kept))]
     centres = [-x[..., 0] / x[..., k] for k, x in enumerate(traces, start=1)]
@@ -237,6 +236,7 @@ def _analyzer_vector(theta: np.ndarray | float, side: str) -> np.ndarray:
     # polarization weights of analyzer(beam, theta, side), stacked on axis -1
     if side not in ("a", "d"):
         raise ValueError(f"side must be 'a' or 'd', got {side!r}")
+    _require_finite(**{"analyzer angle": theta})
     u = np.empty(np.shape(theta) + (2,))
     u[..., 0] = np.cos(theta)
     u[..., 1] = (1.0 if side == "a" else -1.0) * np.sin(theta)
@@ -393,7 +393,9 @@ class AnalyticInputs(NamedTuple):
 
     @property
     def n(self) -> float:
-        """Amplitude of the teleporter's photon-creating term (recomputed)."""
+        """Amplitude of the teleporter's photon-creating term (recomputed);
+        ValueError unless eta lies in [0, 1]."""
+        _require_unit_interval("eta", self.eta)
         return math.sinh(self.chi2) - self.gain * math.sqrt(self.eta) * math.cosh(self.chi2)
 
 
@@ -441,7 +443,7 @@ def optimal_gain(chi2: np.ndarray | float, eta: np.ndarray | float) -> np.ndarra
 
 def eta_threshold(s_ab: float) -> float:
     """Detection efficiency below which no violation survives: 1/s_ab."""
-    if s_ab <= 0:
+    if not s_ab > 0:  # nan too
         raise ValueError(f"s_ab must be positive, got {s_ab}")
     return 1.0 / s_ab
 
@@ -466,6 +468,7 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
     the noise photons are compared against the headroom per unit signal; the
     sweep-level S > 1 region additionally weights them by 1/gain^2.
     """
+    _require_unit_interval("eta", eta)
     if s_ab <= 1.0:
         return None
     headroom = eta * s_ab - 1.0

@@ -150,14 +150,6 @@ def vacuum_field(mode: int | Sequence[int]) -> LinearField:
     return LinearField(coeffs)
 
 
-def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    # coefficient arrays stacked on axis -2 over their broadcast batch shape
-    rows = np.empty(np.broadcast(*arrays).shape[:-1] + (len(arrays), N_MODES), dtype=complex)
-    for i, x in enumerate(arrays):
-        rows[..., i, :] = x
-    return rows
-
-
 def commutator(f: LinearField, g: LinearField) -> complex | np.ndarray:
     """The scalar [F, G] = sum_m (annF[m] creG[m] - creF[m] annG[m]).
 

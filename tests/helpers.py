@@ -25,7 +25,7 @@ from cvswap import (
     two_mode_squeezer,
     vacuum_field,
 )
-from cvswap.metrics import OPTIMAL_ANGLES, analyzer
+from cvswap.metrics import OPTIMAL_ANGLES, analyzer, coincidence_rate, singles_rate
 from cvswap.modes import pair_contraction
 from cvswap.oracle import _ANNIHILATE, _CREATE, _vacuum_moment_of_word
 from cvswap.selftest import max_oracle_deviation, random_field, random_product  # noqa: F401
@@ -48,8 +48,9 @@ def checked_stdout(stdout: str) -> str:
                    if not line.startswith("wrote "))
 
 
-def record_ch_s(monkeypatch) -> list:
-    """The list that each CLI call of ch_s appends (beams, angles, result) to."""
+def cli_ch_s_call(monkeypatch, argv: list[str]) -> tuple:
+    """The (beams, angles, result) of the one ch_s call that cvswap.cli.main
+    makes on argv, which must exit 0."""
     calls = []
 
     def recording(beams, angles):
@@ -57,7 +58,9 @@ def record_ch_s(monkeypatch) -> list:
         return calls[-1][2]
 
     monkeypatch.setattr(cvswap.cli, "ch_s", recording)
-    return calls
+    assert cvswap.cli.main(argv) == 0
+    [call] = calls
+    return call
 
 
 def source_beams(chi1: float) -> tuple[PolarizedBeam, PolarizedBeam]:
@@ -192,6 +195,25 @@ def assert_matches_per_component_build(params: SwapParams) -> None:
                 assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def _six_rates(beam_1, beam_2, angles, rate, singles):
+    # rate(e1, e2) of each analyzed pair and singles(e, beam) of each singles
+    # rate, keyed as CHResult's rates
+    e_a, e_a_prime = (analyzer(beam_1, theta, "a")
+                      for theta in (angles.theta_a, angles.theta_a_prime))
+    e_b, e_b_prime = (analyzer(beam_2, theta, "d")
+                      for theta in (angles.theta_b, angles.theta_b_prime))
+    return {"r_ab": rate(e_a, e_b), "r_ab_prime": rate(e_a, e_b_prime),
+            "r_a_prime_b": rate(e_a_prime, e_b), "r_a_prime_b_prime": rate(e_a_prime, e_b_prime),
+            "r_singles_a": singles(e_a_prime, beam_2), "r_singles_b": singles(e_b, beam_1)}
+
+
+def wick_rates(beam_1, beam_2, angles):
+    """The six rates of ch_s((beam_1, beam_2), angles) for one beam pair at
+    scalar angles, from the general Wick sum: coincidence_rate and
+    singles_rate on the analyzer fields."""
+    return _six_rates(beam_1, beam_2, angles, coincidence_rate, singles_rate)
+
+
 def wick_term_magnitudes(beam_1, beam_2, angles):
     """Per rate of ch_s((beam_1, beam_2), angles), the summed magnitudes of
     its three Wick terms |<e1 e2>|^2, |sum_m conj(cre e1) cre e2|^2 and
@@ -201,12 +223,26 @@ def wick_term_magnitudes(beam_1, beam_2, angles):
                 + np.abs(pair_contraction(e1.adjoint(), e2)) ** 2
                 + np.abs(pair_contraction(e2.adjoint(), e2) * pair_contraction(e1.adjoint(), e1)))
 
-    e_a, e_a_prime = (analyzer(beam_1, theta, "a")
-                      for theta in (angles.theta_a, angles.theta_a_prime))
-    e_b, e_b_prime = (analyzer(beam_2, theta, "d")
-                      for theta in (angles.theta_b, angles.theta_b_prime))
-    return {"r_ab": terms(e_a, e_b), "r_ab_prime": terms(e_a, e_b_prime),
-            "r_a_prime_b": terms(e_a_prime, e_b),
-            "r_a_prime_b_prime": terms(e_a_prime, e_b_prime),
-            "r_singles_a": terms(e_a_prime, beam_2.h) + terms(e_a_prime, beam_2.v),
-            "r_singles_b": terms(beam_1.h, e_b) + terms(beam_1.v, e_b)}
+    return _six_rates(beam_1, beam_2, angles, terms,
+                      lambda e, beam: terms(e, beam.h) + terms(e, beam.v))
+
+
+def assert_cells_match_wick(call, cells, floor=0.0):
+    """The six batched rates at each cell equal the general Wick sum on the
+    analyzer fields within 1e-12 relative, or within floor times the cell's
+    largest rate, which admits rates that vanish up to rounding.
+
+    The per-point checks compare with ch_s on one point, the same code;
+    coincidence_rate and singles_rate evaluate the general Wick sum instead.
+    """
+    beams, angles, result = call
+    shape = result.s.shape
+    for index in cells:
+        cell = [PolarizedBeam(*map(LinearField, np.broadcast_to(
+            beam.field.coeffs, shape + (2, 2, N_MODES))[index])) for beam in beams]
+        wick = wick_rates(*cell, angles._make(float(np.broadcast_to(theta, shape)[index])
+                                              for theta in angles))
+        for name, reference in wick.items():
+            value = np.broadcast_to(getattr(result, name), shape)[index]
+            bound = max(1e-12 * abs(reference), floor * max(wick.values()))
+            assert abs(value - reference) <= bound, (name, index)

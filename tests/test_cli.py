@@ -42,7 +42,7 @@ from helpers import (
     baseline_s,
     checked_stdout,
     per_component_d_prime,
-    record_ch_s,
+    cli_ch_s_call,
     wick_term_magnitudes,
 )
 
@@ -474,15 +474,12 @@ FOLDED_S = json.loads((Path(__file__).parent / "folded_s.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(FOLDED_S))
-def test_folded_sweeps_s_within_term_rounding_of_pin(tmp_path, monkeypatch, capsys, command):
+def test_folded_sweeps_s_within_term_rounding_of_pin(tmp_path, monkeypatch, command):
     """Each folded sweep contracts D' in one block, and every cell of S lies
     within 4e-15 of its pinned value, relative to the numerator's Wick-term
     magnitudes over the denominator (the numerator can cancel, so S itself
     is no scale)."""
-    seen = record_ch_s(monkeypatch)
-    assert main([command, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    [(out, angles, result)] = seen
+    out, angles, result = cli_ch_s_call(monkeypatch, [command, "--out", str(tmp_path)])
     assert _operands(out)[1].shape[-3] == 1
     expected = np.array([float.fromhex(x) for x in FOLDED_S[command]["s"]])
     assert result.s.shape == tuple(FOLDED_S[command]["shape"])
@@ -493,17 +490,14 @@ def test_folded_sweeps_s_within_term_rounding_of_pin(tmp_path, monkeypatch, caps
     assert np.all(np.abs(result.s - expected.reshape(result.s.shape)) <= 4e-15 * scale)
 
 
-def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, capsys):
+def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch):
     """threshold-scan's one build holds X in its port and loss parts at the
     levels' shape alone, and ch_s contracts D'(0) and both parts as blocks:
     every cell of S lies within 4e-15 of S on D' = D'(0) + g X(eta) of
     per_component_build at that cell's eta, relative to the numerator's
     Wick-term magnitudes over the denominator (the numerator can cancel, so
     S itself is no scale)."""
-    seen = record_ch_s(monkeypatch)
-    assert main(["threshold-scan", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    [(out, _, scan)] = seen
+    out, _, scan = cli_ch_s_call(monkeypatch, ["threshold-scan", "--out", str(tmp_path)])
     assert out.beam_a.field.ann.shape == (2, N_MODES)
     assert out.beam_d0.field.ann.shape == (3, 2, N_MODES)
     assert out.parts.field.ann.shape == (2, 3, 2, N_MODES)
@@ -520,38 +514,37 @@ def test_threshold_scan_s_within_term_rounding_of_folded(tmp_path, monkeypatch, 
         assert np.all(np.abs(scan.s[i] - result.s) <= 4e-15 * scale)
 
 
+def traced_peak(call):
+    """call()'s result and tracemalloc's peak of traced memory during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_threshold_scan_memory_per_grid_point(tmp_path):
     """The efficiency grid meets only the parts' weights, the 2x2 matrices
     and the rates, not the mode axis: under 0.8 KB per point at 8,100
     points (the build over (efficiency, level) pairs took about 2.7 KB)."""
     config = ExperimentConfig(squeezing=(0.3, 0.5, 0.9), eta_steps=2700, out=tmp_path)
-    tracemalloc.start()
-    try:
-        assert cvswap.cli.cmd_threshold_scan(config, io.StringIO()) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: cvswap.cli.cmd_threshold_scan(config, io.StringIO()))
+    assert code == 0
     assert peak / 8100 < 800
 
 
-def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch, capsys):
+def test_fig4_keeps_the_teleported_beam_factored(tmp_path, monkeypatch):
     """fig4's gain grid meets only the weights, so ch_s contracts D'(0) and
     the port part as blocks; at eta = 1 the loss part's weight is 0
     everywhere, and it is dropped."""
-    seen = record_ch_s(monkeypatch)
-    assert main(["fig4", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    [(out, _, result)] = seen
+    out, _, result = cli_ch_s_call(monkeypatch, ["fig4", "--out", str(tmp_path)])
     assert _operands(out)[1].shape[-3] == 2
     assert out.beam_d0.h.ann.shape[:-1] == (4,)
     assert result.s.shape == (200, 4)
 
 
-def test_fig4_below_unit_efficiency_adds_the_loss_block(tmp_path, monkeypatch, capsys):
-    seen = record_ch_s(monkeypatch)
-    assert main(["fig4", "--eta", "0.9", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    [(out, _, result)] = seen
+def test_fig4_below_unit_efficiency_adds_the_loss_block(tmp_path, monkeypatch):
+    out, _, result = cli_ch_s_call(monkeypatch, ["fig4", "--eta", "0.9", "--out", str(tmp_path)])
     assert _operands(out)[1].shape[-3] == 3
     assert result.s.shape == (200, 4)
 
@@ -562,12 +555,8 @@ def test_fig4_memory_per_grid_point(tmp_path):
     axis over its 12 modes takes about 1.3 KB)."""
     config = ExperimentConfig(squeezing=(0.10, 0.50, 0.80, 0.99), lambda_steps=2000,
                               out=tmp_path)
-    tracemalloc.start()
-    try:
-        assert cvswap.cli.cmd_fig4(config, io.StringIO()) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: cvswap.cli.cmd_fig4(config, io.StringIO()))
+    assert code == 0
     assert peak / 8000 < 800
 
 
@@ -582,12 +571,7 @@ def test_angle_grid_ch_s_memory_per_cell():
     chis = np.array([squeezing_to_chi(level) for level in (0.99, 0.80)])
     out = build_swap_circuit(SwapParams(0.1, chis, 1.0, 1.0))
     angles = angle_family(_grid(0.0, math.pi / 2, 721)[:, None])
-    tracemalloc.start()
-    try:
-        s = ch_s(out, angles).s
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    s, peak = traced_peak(lambda: ch_s(out, angles).s)
     assert s.shape == (721, 2)
     assert peak / s.size < 120
 
@@ -602,12 +586,7 @@ def test_factored_ch_s_memory_per_grid_point():
     gains = _grid(0.01, 2.0, 2000)
     out = build_swap_circuit(SwapParams(0.1, chis, gains[:, None], 1.0))
     assert _operands(out)[1].shape[-3] == 2
-    tracemalloc.start()
-    try:
-        ch_s(out, OPTIMAL_ANGLES)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ch_s(out, OPTIMAL_ANGLES))
     assert peak / 8000 < 160
 
 

@@ -24,8 +24,7 @@ import math
 import numpy as np
 import pytest
 
-import cvswap.cli
-from helpers import GOLDEN, record_ch_s
+from helpers import GOLDEN, cli_ch_s_call
 
 CHI1 = 0.1  # the default pump of every command
 OPTIMAL_ANGLES = (math.pi / 8, -math.pi / 4, 3 * math.pi / 8, 0.0)  # (a, b, a', b')
@@ -121,9 +120,7 @@ def test_engine_s_within_term_rounding_of_closed_form(monkeypatch, tmp_path, com
     """ch_s's S on the command's build lies within 1e-12 of the numerator's
     term magnitudes over the denominator, and each cell of its CSV within
     5e-9 relative of the exact table."""
-    calls = record_ch_s(monkeypatch)
-    assert cvswap.cli.main(command.split() + ["--out", str(tmp_path)]) == 0
-    [(_, _, result)] = calls
+    _, _, result = cli_ch_s_call(monkeypatch, command.split() + ["--out", str(tmp_path)])
     table, s, scale = RUNS[command]()
     assert np.broadcast_shapes(np.shape(s), result.s.shape) == result.s.shape
     assert np.all(np.abs(result.s - s) <= 1e-12 * scale)

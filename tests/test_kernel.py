@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cvswap.circuit import (
     PolarizedBeam,
@@ -18,7 +17,6 @@ from cvswap.circuit import (
 from cvswap.metrics import (
     OPTIMAL_ANGLES,
     AnalyzerAngles,
-    NoCoincidencesError,
     _contractions,
     _grid,
     _horner,
@@ -28,51 +26,18 @@ from cvswap.metrics import (
     ch_s,
     coincidence_rate,
     maximize_s,
-    optimal_gain,
     singles_rate,
     squeezing_to_chi,
 )
-from cvswap.modes import N_MODES, LinearField, ModeRegistry, vacuum_field
+from cvswap.modes import N_MODES, ModeRegistry, vacuum_field
 from helpers import (
+    assert_cells_match_wick,
     nonzero_parts,
     per_component_d_prime,
     source_beams,
+    wick_rates,
     wick_term_magnitudes,
 )
-
-
-def assert_cells_match_wick(call, cells):
-    """The six batched rates at each cell equal the general Wick sum on the
-    analyzer fields within 1e-12 relative.
-
-    The per-point checks compare with ch_s on one point, the same code;
-    coincidence_rate and singles_rate evaluate the general Wick sum instead.
-    """
-    beams, angles, result = call
-    shape = result.s.shape
-
-    def pick(beam, index):
-        fields = [LinearField(np.broadcast_to(f.coeffs, shape + f.coeffs.shape[-2:])[index])
-                  for f in (beam.h, beam.v)]
-        return PolarizedBeam(*fields)
-
-    for index in cells:
-        beam_a, beam_d = (pick(beam, index) for beam in beams)
-        ta, tb, ta_prime, tb_prime = (float(np.broadcast_to(theta, shape)[index])
-                                      for theta in angles._asdict().values())
-        e_a, e_a_prime = analyzer(beam_a, ta, "a"), analyzer(beam_a, ta_prime, "a")
-        e_b, e_b_prime = analyzer(beam_d, tb, "d"), analyzer(beam_d, tb_prime, "d")
-        wick = {
-            "r_ab": coincidence_rate(e_a, e_b),
-            "r_ab_prime": coincidence_rate(e_a, e_b_prime),
-            "r_a_prime_b": coincidence_rate(e_a_prime, e_b),
-            "r_a_prime_b_prime": coincidence_rate(e_a_prime, e_b_prime),
-            "r_singles_a": singles_rate(e_a_prime, beam_d),
-            "r_singles_b": singles_rate(e_b, beam_a),
-        }
-        for name, reference in wick.items():
-            value = np.broadcast_to(getattr(result, name), shape)[index]
-            assert abs(value - reference) <= 1e-12 * abs(reference), (name, index)
 
 
 def test_angles_of_four_shapes_match_per_point():
@@ -178,15 +143,9 @@ def test_bare_pair_s_at_weak_pump_matches_wick_sum(chi1):
     result = ch_s(beams, angle_family(thetas))
     reference = []
     for theta in thetas:
-        angles = angle_family(float(theta))
-        e_a, e_a_prime = (analyzer(beams[0], t, "a")
-                          for t in (angles.theta_a, angles.theta_a_prime))
-        e_b, e_b_prime = (analyzer(beams[1], t, "d")
-                          for t in (angles.theta_b, angles.theta_b_prime))
-        numerator = (coincidence_rate(e_a, e_b) - coincidence_rate(e_a, e_b_prime)
-                     + coincidence_rate(e_a_prime, e_b) + coincidence_rate(e_a_prime, e_b_prime))
-        reference.append(numerator / (singles_rate(e_a_prime, beams[1])
-                                      + singles_rate(e_b, beams[0])))
+        r = wick_rates(*beams, angle_family(float(theta)))
+        reference.append((r["r_ab"] - r["r_ab_prime"] + r["r_a_prime_b"] + r["r_a_prime_b_prime"])
+                         / (r["r_singles_a"] + r["r_singles_b"]))
     terms = wick_term_magnitudes(*beams, angle_family(thetas))
     scale = (sum(terms[name] for name in ("r_ab", "r_ab_prime", "r_a_prime_b",
                                           "r_a_prime_b_prime"))
@@ -219,116 +178,6 @@ def test_bare_pair_rates_at_weak_pump_within_twice_the_stated_loss(chi1, coincid
             ("r_singles_a", singles_a, 1.28e-15), ("r_singles_b", singles_b, 1.28e-15)]:
         error = np.abs(getattr(result, name) - reference)
         assert np.all(error <= bound * terms[name]), name
-
-
-_angle = st.floats(min_value=-math.pi, max_value=math.pi)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(chi1=st.floats(min_value=0.01, max_value=1.0),
-       chi2=st.floats(min_value=0.0, max_value=3.0),
-       gain=st.floats(min_value=0.0, max_value=2.0),
-       eta=st.floats(min_value=0.0, max_value=1.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle))
-def test_kernel_rates_match_wick_sum(chi1, chi2, gain, eta, thetas):
-    """Every kernel rate equals the general Wick sum within 1e-12 relative.
-
-    The absolute floor, 1e-15 of the largest rate, admits rates that vanish
-    up to rounding of their contractions.  Where the Wick singles sum is 0 or
-    subnormal (no squeezing and no gain leave D' in vacuum), the kernel must
-    raise.
-    """
-    out = build_swap_circuit(SwapParams(chi1, chi2, gain, eta))
-    beam_a, beam_d = out.beam_a, out.beam_d_prime
-    angles = AnalyzerAngles(*thetas)
-    e_a = analyzer(beam_a, angles.theta_a, "a")
-    e_a_prime = analyzer(beam_a, angles.theta_a_prime, "a")
-    e_b = analyzer(beam_d, angles.theta_b, "d")
-    e_b_prime = analyzer(beam_d, angles.theta_b_prime, "d")
-    wick = {
-        "r_ab": coincidence_rate(e_a, e_b),
-        "r_ab_prime": coincidence_rate(e_a, e_b_prime),
-        "r_a_prime_b": coincidence_rate(e_a_prime, e_b),
-        "r_a_prime_b_prime": coincidence_rate(e_a_prime, e_b_prime),
-        "r_singles_a": singles_rate(e_a_prime, beam_d),
-        "r_singles_b": singles_rate(e_b, beam_a),
-    }
-    if wick["r_singles_a"] + wick["r_singles_b"] < np.finfo(float).tiny:
-        with pytest.raises(NoCoincidencesError):
-            ch_s(out, angles)
-        return
-    kernel = ch_s(out, angles)
-    scale = max(wick.values())
-    for name, value in wick.items():
-        assert getattr(kernel, name) == pytest.approx(value, rel=1e-12, abs=1e-15 * scale)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(chi1=st.floats(min_value=1e-3, max_value=3.0),
-       chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
-       gain_max=st.floats(min_value=0.1, max_value=10.0),
-       eta=st.floats(min_value=0.01, max_value=1.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle),
-       points=st.integers(min_value=1, max_value=300))
-def test_factored_rates_match_folded(chi1, chi2s, gain_max, eta, thetas, points):
-    """ch_s on a circuit output it contracts in blocks, D'(0) and each part
-    of a nonzero weight, gives the rates of ch_s on D'.
-
-    The gain grid, of 1 to 300 points on an axis of its own, starts with 0
-    and each level's optimal gain, where the gain orders of D''s Gram
-    matrix cancel most, and goes on up to gain_max.  Each rate must agree
-    within 1e-12 of the summed magnitudes of its three Wick terms, the
-    scale of its rounding error: S is not the scale, as it crosses 0 on
-    the fig3 family.  From chi2 ~ 5 on, D''s own coefficients near the
-    optimal gain, g cosh(chi2) - sinh(chi2), lose more than that to
-    rounding, so the draw stops at chi2 = 4 (99.97% squeezing);
-    test_factored_s_at_extreme_squeezing goes further.
-    """
-    chi2 = np.array(chi2s)
-    gains = np.concatenate([[0.0], optimal_gain(chi2, eta),
-                            np.linspace(0.0, gain_max, points)])[:points]
-    out = build_swap_circuit(SwapParams(chi1, chi2, gains[:, None], eta))
-    assert _operands(out)[1].shape[-3] == 1 + nonzero_parts(out)
-    angles = AnalyzerAngles(*thetas)
-    folded_beams = (out.beam_a, out.beam_d_prime)
-    try:
-        folded = ch_s(folded_beams, angles)
-    except NoCoincidencesError:
-        with pytest.raises(NoCoincidencesError):
-            ch_s(out, angles)
-        return
-    factored = ch_s(out, angles)
-    for name, scale in wick_term_magnitudes(*folded_beams, angles).items():
-        deviation = np.abs(getattr(factored, name) - getattr(folded, name))
-        assert np.all(deviation <= 1e-12 * scale), name
-
-
-def test_factored_rates_match_folded_at_array_angles():
-    """Each angle on a batch axis of its own, against a 256-point gain grid:
-    every cell of every rate that ch_s contracts from D''s three blocks agrees
-    with ch_s on folded D' within 1e-12 of its Wick-term scale, and each
-    rate has the broadcast shape of the beams and the angles it uses."""
-    chi2 = np.array([0.4, 1.7])
-    out = build_swap_circuit(SwapParams(0.2, chi2, _grid(0.01, 2.0, 256)[:, None], 0.9))
-    assert _operands(out)[1].shape[-3] == 3
-    theta_a = np.array([0.1, 0.5, 1.2])[:, None, None, None, None, None]  # axis 0
-    theta_b = np.array([-0.4, 0.9])[:, None, None, None, None]  # axis 1
-    theta_a_prime = np.array([0.3, 1.5])[:, None, None, None]  # axis 2
-    theta_b_prime = np.array([0.05, -0.7])[:, None, None]  # axis 3; the beams take 4 and 5
-    angles = AnalyzerAngles(theta_a, theta_b, theta_a_prime, theta_b_prime)
-    folded_beams = (out.beam_a, out.beam_d_prime)
-    folded = ch_s(folded_beams, angles)
-    factored = ch_s(out, angles)
-    uses = {"r_ab": (theta_a, theta_b), "r_ab_prime": (theta_a, theta_b_prime),
-            "r_a_prime_b": (theta_a_prime, theta_b),
-            "r_a_prime_b_prime": (theta_a_prime, theta_b_prime),
-            "r_singles_a": (theta_a_prime,), "r_singles_b": (theta_b,)}
-    for name, scale in wick_term_magnitudes(*folded_beams, angles).items():
-        value = getattr(factored, name)
-        assert value.shape == np.broadcast_shapes((256, 2), *map(np.shape, uses[name])), name
-        assert value.shape == getattr(folded, name).shape, name
-        assert np.all(np.abs(value - getattr(folded, name)) <= 1e-12 * scale), name
-    assert factored.s.shape == (3, 2, 2, 2, 256, 2)
 
 
 @pytest.mark.parametrize("chi1", [1e-3, 0.1, 1.0])
@@ -430,49 +279,6 @@ def test_zero_weight_parts_are_dropped(gain, eta, blocks):
         value = getattr(result, name)
         assert value.shape == getattr(folded, name).shape == shape, name
         assert np.all(np.abs(value - getattr(folded, name)) <= 1e-12 * scale), name
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(chi1=st.floats(min_value=1e-3, max_value=3.0),
-       chi2s=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4),
-       etas=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),
-       gain_max=st.floats(min_value=0.1, max_value=10.0),
-       thetas=st.tuples(_angle, _angle, _angle, _angle),
-       points=st.integers(min_value=1, max_value=40))
-def test_two_part_rates_match_folded(chi1, chi2s, etas, gain_max, thetas, points):
-    """ch_s on a circuit output whose efficiency axis adds batch axes to the
-    weights, so that it contracts D'(0) and the port and loss parts as
-    blocks, gives the rates of ch_s on D' folded at each eta.
-
-    The grid is (gains, efficiencies, levels); its gains are each level's
-    optimal gain at each eta, where D''s orders cancel most, and a grid from
-    0 to gain_max.  Each rate must agree within 1e-12 of the summed
-    magnitudes of its three Wick terms; where there is no coincidence
-    signal, both must raise NoCoincidencesError.
-    """
-    chi2, eta = np.array(chi2s), np.array(etas)[:, None]
-    grid = np.linspace(0.0, gain_max, points)[:, None, None]
-    gains = np.concatenate([optimal_gain(chi2, eta)[None],
-                            np.broadcast_to(grid, (points, len(etas), len(chi2s)))])
-    out = build_swap_circuit(SwapParams(chi1, chi2, gains, eta))
-    assert out.parts.field.ann.shape[:2] == (2, len(chi2s))
-    angles = AnalyzerAngles(*thetas)
-    folded = []
-    try:
-        for e in range(len(etas)):
-            one = build_swap_circuit(SwapParams(chi1, chi2, gains[:, e], etas[e]))
-            beams = (one.beam_a, one.beam_d_prime)
-            folded.append((ch_s(beams, angles), wick_term_magnitudes(*beams, angles)))
-    except NoCoincidencesError:
-        with pytest.raises(NoCoincidencesError):
-            ch_s(out, angles)
-        return
-    split = ch_s(out, angles)
-    for e, (result, scales) in enumerate(folded):
-        for name, scale in scales.items():
-            value = np.broadcast_to(getattr(split, name), gains.shape)[:, e]
-            deviation = np.abs(value - getattr(result, name))
-            assert np.all(deviation <= 1e-12 * scale), name
 
 
 def test_horner_matches_double_sum_on_three_blocks():

@@ -44,7 +44,7 @@ from cvswap.metrics import (
     _require_semidefinite,
     angle_family,
 )
-from helpers import baseline_s, record_ch_s, source_beams, support
+from helpers import baseline_s, cli_ch_s_call, source_beams, support
 
 S_LIMIT = (1 + math.sqrt(2)) / 2  # weak-pump CH maximum of the pair source
 
@@ -67,6 +67,16 @@ class TestAnalyzer:
         assert support(total) <= support(beam_b.h)
         with pytest.raises(ValueError):
             analyzer(beam_b, 0.4, "x")
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_rejected_by_name(self, theta):
+        """Both paths reject the angle itself: ch_s would otherwise report
+        overflowing rates, and coincidence_rate return nan."""
+        beam_a, beam_b = source_beams(0.1)
+        with pytest.raises(ValueError, match="^analyzer angle must be finite, got"):
+            ch_s((beam_a, beam_b), AnalyzerAngles(0.1, np.array([0.2, theta]), 0.3, 0.4))
+        with pytest.raises(ValueError, match="^analyzer angle must be finite, got"):
+            coincidence_rate(analyzer(beam_a, theta, "a"), beam_b.h)
 
     def test_amplitude_depends_on_angle_difference(self):
         """Coincidences follow sin^2(ta - tb), so the optimal set maximizes S."""
@@ -272,14 +282,12 @@ class TestChS:
 
     @pytest.mark.parametrize("command", ["fig3", "fig4", "threshold-scan", "operating-point"])
     def test_semidefinite_check_rejects_a_negated_gram_term(self, tmp_path, monkeypatch,
-                                                            capsys, command):
+                                                            command):
         """Each default build's block matrix [H_bc] is accepted, with its
         smallest eigenvalue above 1e-6 of its trace; with the Gram term
         Re G_1 (x) Re G_2 negated, every one is rejected."""
-        seen = record_ch_s(monkeypatch)
-        assert cvswap.cli.main([command, "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        beam_1, right, _ = _operands(seen[0][0])
+        out, _, _ = cli_ch_s_call(monkeypatch, [command, "--out", str(tmp_path)])
+        beam_1, right, _ = _operands(out)
         h = _hermitian_form(beam_1, right)
         _require_semidefinite(h)
         blocks = h.shape[-3]
@@ -350,6 +358,16 @@ class TestAnalyticForms:
         with pytest.raises(ValueError):
             analytic_s_ad(inputs)
 
+    @pytest.mark.parametrize("eta", [1.5, 2.0, -0.5, math.nan])
+    @pytest.mark.parametrize("closed_form", [
+        lambda eta: analytic_s_ad(AnalyticInputs(1.2, 0.5, 0.4, eta)),
+        lambda eta: analytic_rate_teleported(1.0, AnalyticInputs(1.2, 0.5, 0.4, eta)),
+        lambda eta: gain_window(0.5, eta, 1.2),
+    ], ids=["s-ad", "rate", "gain-window"])
+    def test_closed_forms_reject_eta_outside_the_unit_interval(self, closed_form, eta):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            closed_form(eta)
+
     def test_gain_optimum_property(self):
         """analytic_s_ad is maximized at gain = tanh(chi2), value s_ab exactly."""
         for chi2 in (0.1, 0.34657, 0.8, 2.3):
@@ -400,8 +418,9 @@ class TestThresholdsAndConversions:
     def test_eta_threshold(self):
         assert eta_threshold(S_LIMIT) == pytest.approx(0.8284271247461902, rel=1e-12)
         assert eta_threshold(1.0) == 1.0
-        with pytest.raises(ValueError):
-            eta_threshold(0.0)
+        for s_ab in (0.0, math.nan):
+            with pytest.raises(ValueError, match="s_ab must be positive"):
+                eta_threshold(s_ab)
 
     def test_threshold_is_exact_crossing_of_s_ad(self):
         chi2 = squeezing_to_chi(0.5)
