@@ -245,6 +245,13 @@ MUTANTS = [
         "rate is a sum of squared magnitudes and a product of Gram forms, so "
         "only the direct test of _ch_result kills it"),
     Mutant(
+        "denominator-floor-absolute", "metrics.py",
+        "_DENOMINATOR_FLOOR = np.finfo(float).tiny",
+        "_DENOMINATOR_FLOOR = 1e-12",
+        "ch_s raises NoCoincidencesError on any singles sum below 1e-12, which "
+        "weak pump reaches with a real coincidence signal: at chi1 = 1e-5 and "
+        "chi2 = 0.01 the sum is 2e-14"),
+    Mutant(
         "teleporter-float-only-hyperbolics", "circuit.py",
         "ch, sh = np.cosh(chi), np.sinh(chi)\n    b0 = ",
         "ch, sh = math.cosh(chi), math.sinh(chi)\n    b0 = ",

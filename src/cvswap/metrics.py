@@ -44,7 +44,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuit import PolarizedBeam, SwapCircuitOutput, _require_finite, _require_unit_interval
+from .circuit import (PolarizedBeam, SwapCircuitOutput, _require_finite, _require_nonnegative,
+                      _require_unit_interval)
 from .modes import LinearField, vacuum_expectation
 
 __all__ = [
@@ -394,8 +395,11 @@ class AnalyticInputs(NamedTuple):
     @property
     def n(self) -> float:
         """Amplitude of the teleporter's photon-creating term (recomputed);
-        ValueError unless eta lies in [0, 1]."""
+        ValueError unless eta lies in [0, 1], every other field is finite and
+        chi2 and gain are nonnegative."""
         _require_unit_interval("eta", self.eta)
+        _require_finite(s_ab=self.s_ab, chi2=self.chi2, gain=self.gain)
+        _require_nonnegative(chi2=self.chi2, gain=self.gain)
         return math.sinh(self.chi2) - self.gain * math.sqrt(self.eta) * math.cosh(self.chi2)
 
 
@@ -433,7 +437,10 @@ def analytic_s_ad(inputs: AnalyticInputs) -> float:
 
 def optimal_gain(chi2: np.ndarray | float, eta: np.ndarray | float) -> np.ndarray | float:
     """Feedforward gain cancelling the photon-creating term: tanh(chi2)/sqrt(eta),
-    elementwise over arrays that broadcast; every eta must lie in (0, 1]."""
+    elementwise over arrays that broadcast; every chi2 must be finite and
+    nonnegative and every eta lie in (0, 1]."""
+    _require_finite(chi2=chi2)
+    _require_nonnegative(chi2=chi2)
     etas = np.asarray(eta)
     outside = ~((etas > 0.0) & (etas <= 1.0))  # nan too
     if outside.any():
@@ -445,6 +452,7 @@ def eta_threshold(s_ab: float) -> float:
     """Detection efficiency below which no violation survives: 1/s_ab."""
     if not s_ab > 0:  # nan too
         raise ValueError(f"s_ab must be positive, got {s_ab}")
+    _require_finite(s_ab=s_ab)
     return 1.0 / s_ab
 
 
@@ -462,13 +470,15 @@ def gain_window(chi2: float, eta: float, s_ab: float) -> tuple[float, float] | N
         (sinh chi2 - gain sqrt(eta) cosh chi2)^2 < eta s_ab - 1.
 
     Returns (low, high) clipped at gain 0, or None when no gain qualifies
-    (eta at or below the 1/s_ab threshold).  The window degenerates to the
+    (eta at or below the 1/s_ab threshold); ValueError unless chi2 and s_ab
+    are finite and eta lies in [0, 1].  The window degenerates to the
     single point tanh(chi2)/sqrt(eta), low == high, as eta approaches the
     threshold or once it is narrower than float spacing.  Note
     the noise photons are compared against the headroom per unit signal; the
     sweep-level S > 1 region additionally weights them by 1/gain^2.
     """
     _require_unit_interval("eta", eta)
+    _require_finite(chi2=chi2, s_ab=s_ab)
     if s_ab <= 1.0:
         return None
     headroom = eta * s_ab - 1.0

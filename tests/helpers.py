@@ -227,10 +227,9 @@ def wick_term_magnitudes(beam_1, beam_2, angles):
                       lambda e, beam: terms(e, beam.h) + terms(e, beam.v))
 
 
-def assert_cells_match_wick(call, cells, floor=0.0):
+def assert_cells_match_wick(call, cells):
     """The six batched rates at each cell equal the general Wick sum on the
-    analyzer fields within 1e-12 relative, or within floor times the cell's
-    largest rate, which admits rates that vanish up to rounding.
+    analyzer fields within 1e-12 relative.
 
     The per-point checks compare with ch_s on one point, the same code;
     coincidence_rate and singles_rate evaluate the general Wick sum instead.
@@ -244,5 +243,4 @@ def assert_cells_match_wick(call, cells, floor=0.0):
                                               for theta in angles))
         for name, reference in wick.items():
             value = np.broadcast_to(getattr(result, name), shape)[index]
-            bound = max(1e-12 * abs(reference), floor * max(wick.values()))
-            assert abs(value - reference) <= bound, (name, index)
+            assert abs(value - reference) <= 1e-12 * abs(reference), (name, index)

@@ -353,11 +353,6 @@ class TestAnalyticForms:
                                     gain=1.0, eta=1.0)
             assert analytic_s_ad(inputs) == pytest.approx(expected, rel=1e-12)
 
-    def test_s_ad_rejects_zero_gain(self):
-        inputs = AnalyticInputs(s_ab=S_LIMIT, chi2=0.5, gain=0.0, eta=1.0)
-        with pytest.raises(ValueError):
-            analytic_s_ad(inputs)
-
     @pytest.mark.parametrize("eta", [1.5, 2.0, -0.5, math.nan])
     @pytest.mark.parametrize("closed_form", [
         lambda eta: analytic_s_ad(AnalyticInputs(1.2, 0.5, 0.4, eta)),
@@ -367,6 +362,27 @@ class TestAnalyticForms:
     def test_closed_forms_reject_eta_outside_the_unit_interval(self, closed_form, eta):
         with pytest.raises(ValueError, match="eta must lie in"):
             closed_form(eta)
+
+    @pytest.mark.parametrize("closed_form, name", [
+        (lambda: gain_window(math.nan, 1.0, 1.2), "chi2"),
+        (lambda: gain_window(0.5, 1.0, math.nan), "s_ab"),
+        (lambda: optimal_gain(math.nan, 1.0), "chi2"),
+        (lambda: optimal_gain(np.array([0.5, -1.0]), 1.0), "chi2"),
+        (lambda: analytic_s_ad(AnalyticInputs(1.2, 0.5, -0.4, 1.0)), "gain"),
+        (lambda: analytic_s_ad(AnalyticInputs(1.2, 0.5, 0.0, 1.0)), "gain"),
+        (lambda: analytic_s_ad(AnalyticInputs(1.2, 0.5, math.inf, 1.0)), "gain"),
+        (lambda: analytic_s_ad(AnalyticInputs(math.nan, 0.5, 0.4, 1.0)), "s_ab"),
+        (lambda: analytic_s_ad(AnalyticInputs(1.2, math.inf, 0.4, 1.0)), "chi2"),
+        (lambda: eta_threshold(0.0), "s_ab"),
+        (lambda: eta_threshold(math.nan), "s_ab"),
+        (lambda: eta_threshold(math.inf), "s_ab"),
+    ], ids=["window-chi2", "window-s_ab", "gain-nan", "gain-negative", "s-ad-negative-gain",
+            "s-ad-zero-gain", "s-ad-inf-gain", "s-ad-s_ab", "s-ad-chi2", "threshold-0",
+            "threshold-nan", "threshold-inf"])
+    def test_closed_forms_reject_bad_inputs(self, closed_form, name):
+        with pytest.raises(ValueError, match=f"^{name} must be ") as error:
+            closed_form()
+        assert "\n" not in str(error.value)
 
     def test_gain_optimum_property(self):
         """analytic_s_ad is maximized at gain = tanh(chi2), value s_ab exactly."""
@@ -418,9 +434,6 @@ class TestThresholdsAndConversions:
     def test_eta_threshold(self):
         assert eta_threshold(S_LIMIT) == pytest.approx(0.8284271247461902, rel=1e-12)
         assert eta_threshold(1.0) == 1.0
-        for s_ab in (0.0, math.nan):
-            with pytest.raises(ValueError, match="s_ab must be positive"):
-                eta_threshold(s_ab)
 
     def test_threshold_is_exact_crossing_of_s_ad(self):
         chi2 = squeezing_to_chi(0.5)
